@@ -7,6 +7,7 @@ inputs and flags produce byte-identical output.
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -21,7 +22,6 @@ from .circuits import (
 )
 from .ir import (
     ChannelExpr,
-    PauliUnitary,
     TypecheckError,
     apply_channel,
     channel_from_json,
@@ -47,8 +47,8 @@ from .rewrite import (
     simplify,
     trace_to_json,
 )
-from .select_opt import g_table_json, mode_table_json, optimize_pauli_select
-from .synth import channel_alphas, channel_lcu
+from .select_opt import g_table_json, mode_table_json
+from .synth import SELECT_MODES, channel_alphas, channel_lcu, encode_channel
 
 # the evaluation grid: (flatten, order) per named setting
 SETTINGS = (
@@ -65,8 +65,14 @@ class CliError(Exception):
     """Input or pipeline failure that maps to a nonzero exit code."""
 
 
-def _fail(msg: str) -> "CliError":
-    return CliError(msg)
+def _finite_float(text: str) -> float:
+    """argparse type (and --deltas element): a finite float."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
 def load_input(path: str):
@@ -74,17 +80,20 @@ def load_input(path: str):
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc}") from exc
+        raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _fail(f"{path} is not valid JSON: {exc}") from exc
+        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CliError(f"{path} failed to parse: expected a JSON object, "
+                       f"got {type(data).__name__}")
     try:
         if "kraus" in data:
             return channel_from_json(data)
         if "H" in data:
             return lindblad_from_json(data)
-    except (TypecheckError, ValueError, KeyError) as exc:
-        raise _fail(f"{path} failed to parse: {exc}") from exc
-    raise _fail(f"{path}: expected a 'kraus' or 'H' key")
+    except (TypecheckError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise CliError(f"{path} failed to parse: {exc}") from exc
+    raise CliError(f"{path}: expected a 'kraus' or 'H' key")
 
 
 def _parse_frontend(text: str):
@@ -99,53 +108,50 @@ def _parse_frontend(text: str):
             try:
                 parts = [int(p) for p in text.split(":", 1)[1].split(",")]
             except ValueError as exc:
-                raise _fail(f"bad frontend parameters in {text!r}") from exc
+                raise CliError(f"bad frontend parameters in {text!r}") from exc
             if len(parts) > 3:
-                raise _fail(f"frontend {text!r} takes at most K,K',q")
+                raise CliError(f"frontend {text!r} takes at most K,K',q")
             params = tuple(parts) + params[len(parts):]
         try:
             return ("order", QuadratureSpec(*params))
         except ValueError as exc:
-            raise _fail(f"bad quadrature orders: {exc}") from exc
-    raise _fail(f"unknown frontend {text!r}")
+            raise CliError(f"bad quadrature orders: {exc}") from exc
+    raise CliError(f"unknown frontend {text!r}")
 
 
 def lower_input(obj, frontend: str, delta: float, cap=None) -> ChannelExpr:
     kind, quad = _parse_frontend(frontend)
     if isinstance(obj, ChannelExpr):
         if kind != "channel":
-            raise _fail("input is already a channel; use --frontend channel")
+            raise CliError("input is already a channel; use --frontend channel")
         return obj
     if kind == "channel":
-        raise _fail("--frontend channel needs a channel input, got a spec")
+        raise CliError("--frontend channel needs a channel input, got a spec")
     if delta is None:
-        raise _fail("lowering a Lindblad spec requires --delta")
+        raise CliError("lowering a Lindblad spec requires --delta")
     try:
         if kind == "first":
             return first_order(obj, delta)
         return higher_order(obj, delta, quad, cap)
     except (ValueError, TypecheckError) as exc:
-        raise _fail(f"lowering failed: {exc}") from exc
+        raise CliError(f"lowering failed: {exc}") from exc
 
 
-def _select_audits(chan: ChannelExpr) -> list:
-    """ModeTable/GTable JSON per Pauli-sum Kraus operator."""
+def _select_audits(encodings: list) -> list:
+    """ModeTable/GTable JSON per Pauli-sum Kraus operator's optimized encoding."""
     audits = []
-    for idx, k in enumerate(chan.kraus):
-        if not all(isinstance(p, PauliUnitary) for _, p in k.terms):
+    for idx, enc in enumerate(encodings):
+        if enc.ref is not None:
             audits.append({"kraus": idx, "opaque": True})
-            continue
-        terms = [(c, p.string) for c, p in k.terms]
-        if len(terms) < 2:
+        elif len(enc.terms) < 2:
             audits.append({"kraus": idx, "trivial": True})
-            continue
-        modes, gates, s, _ = optimize_pauli_select(terms)
-        audits.append({
-            "kraus": idx,
-            "select_bits": s,
-            "mode_table": mode_table_json(modes),
-            "g_table": g_table_json(gates),
-        })
+        else:
+            audits.append({
+                "kraus": idx,
+                "select_bits": enc.width,
+                "mode_table": mode_table_json(enc.modes),
+                "g_table": g_table_json(enc.gtable),
+            })
     return audits
 
 
@@ -153,22 +159,26 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
                      minimize_rank: bool, cap=None):
     """Shared by cmd_compile and the tests; returns (circuit, report dict)."""
     chan = lower_input(obj, frontend, delta, cap)
+    setting = next(nm for nm, fl, om in SETTINGS
+                   if (fl, om) == (flatten, order))
+    mode = "optimized" if order else "naive"
     try:
         typecheck(chan)
         chan = simplify(chan)
         trace = []
         if minimize_rank:
             chan, trace = minimize_kraus_rank(chan, cap)
-        mode = "optimized" if order else "naive"
-        circ = channel_lcu(chan, select_mode=mode, flatten=flatten)
-        alphas = channel_alphas(chan, mode)
+        # one record per Kraus and select mode: every circuit, alpha and audit reads it
+        encodings = {m: encode_channel(chan, m) for m in SELECT_MODES}
+        circ = channel_lcu(chan, mode, flatten, encodings[mode])
+        alphas = channel_alphas(chan, mode, encodings[mode])
     except (RewriteError, TypecheckError, ValueError) as exc:
-        raise _fail(f"compilation failed: {exc}") from exc
+        raise CliError(f"compilation failed: {exc}") from exc
     alpha_sq = float(np.sum(np.square(alphas)))
     grid = {}
     for name, fl, om in SETTINGS:
-        c = channel_lcu(chan, select_mode="optimized" if om else "naive",
-                        flatten=fl)
+        m = "optimized" if om else "naive"
+        c = circ if name == setting else channel_lcu(chan, m, fl, encodings[m])
         grid[name] = cost_report(c).to_json()
     report = {
         "n": chan.n,
@@ -176,16 +186,15 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
         "delta": delta,
         "options": {"flatten": flatten, "order": order,
                     "minimize_rank": minimize_rank},
-        "setting": next(nm for nm, fl, om in SETTINGS
-                        if (fl, om) == (flatten, order)),
+        "setting": setting,
         "kraus_count": len(chan.kraus),
         "alphas": [float(a) for a in alphas],
         "alpha_sq_sum": alpha_sq,
         "success_prob_tp": 1.0 / alpha_sq,
         "registers": {name: size for name, size in circ.registers},
         "rewrite_trace": trace_to_json(trace),
-        "select_audits": _select_audits(chan) if order else [],
-        "cost": cost_report(circ).to_json(),
+        "select_audits": _select_audits(encodings["optimized"]) if order else [],
+        "cost": grid[setting],
         "cost_grid": grid,
     }
     return circ, report
@@ -215,7 +224,7 @@ def _load_circuit(path: str):
         data = json.loads(Path(path).read_text())
         return circuit_from_json(data), data.get("alpha_sq_sum", 1.0)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise _fail(f"cannot load circuit {path}: {exc}") from exc
+        raise CliError(f"cannot load circuit {path}: {exc}") from exc
 
 
 def verify_stats(circ, scale, reference, delta, samples, cap=None) -> dict:
@@ -227,13 +236,13 @@ def verify_stats(circ, scale, reference, delta, samples, cap=None) -> dict:
     else:
         n = reference.n
         if delta is None:
-            raise _fail("verifying against a spec requires --delta")
+            raise CliError("verifying against a spec requires --delta")
         sup = exact_propagator(reference, delta, cap)
         direct = lambda rho: propagate(sup, rho)
         bound = 5.0 * (delta * lindblad_opnorm(reference, cap)) ** 2
     if circ.reg_size("system") != n:
-        raise _fail(f"circuit system has {circ.reg_size('system')} qubits, "
-                    f"reference has {n}")
+        raise CliError(f"circuit system has {circ.reg_size('system')} qubits, "
+                       f"reference has {n}")
     worst = 0.0
     probs = []
     for rho in probe_states(n, samples, seed=VERIFY_SEED):
@@ -284,7 +293,7 @@ def cmd_bench(args) -> int:
         doc = channel_to_json(gen_hypercube_like(args.vertices, args.seed))
         name = f"hypcube{args.vertices}-seed{args.seed}.json"
     else:
-        raise _fail(f"unknown family {fam!r}")
+        raise CliError(f"unknown family {fam!r}")
     path = out / name
     path.write_text(_dump(doc))
     print(str(path))
@@ -294,7 +303,7 @@ def cmd_bench(args) -> int:
 def cmd_rewrite(args) -> int:
     obj = load_input(args.input)
     if not isinstance(obj, ChannelExpr):
-        raise _fail("rewrite operates on channel JSON")
+        raise CliError("rewrite operates on channel JSON")
     try:
         if args.minimize_rank:
             chan, trace = minimize_kraus_rank(obj, args.cap)
@@ -304,9 +313,9 @@ def cmd_rewrite(args) -> int:
             trace = [{"rule": args.rule, "args": rule_args,
                       "kraus_count_after": len(chan.kraus)}]
         else:
-            raise _fail("rewrite needs --rule or --minimize-rank")
+            raise CliError("rewrite needs --rule or --minimize-rank")
     except RewriteError as exc:
-        raise _fail(f"rewrite failed: {exc}") from exc
+        raise CliError(f"rewrite failed: {exc}") from exc
     doc = {"channel": channel_to_json(chan), "trace": trace_to_json(trace)}
     text = _dump(doc)
     if args.out:
@@ -348,20 +357,22 @@ def sweep_rows(spec, deltas, orders, delta, cap=None, samples=8):
 def _parse_list(text, conv):
     try:
         return [conv(p) for p in text.split(",") if p != ""]
-    except ValueError as exc:
-        raise _fail(f"bad list {text!r}: {exc}") from exc
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise CliError(f"bad list {text!r}: {exc}") from exc
 
 
 def cmd_error_sweep(args) -> int:
     spec = load_input(args.input)
     if isinstance(spec, ChannelExpr):
-        raise _fail("error-sweep needs a Lindblad spec input")
+        raise CliError("error-sweep needs a Lindblad spec input")
     if (args.deltas is None) == (args.orders is None):
-        raise _fail("give exactly one of --deltas or --orders")
-    deltas = _parse_list(args.deltas, float) if args.deltas else None
-    orders = _parse_list(args.orders, int) if args.orders else None
+        raise CliError("give exactly one of --deltas or --orders")
+    deltas = None if args.deltas is None else _parse_list(args.deltas, _finite_float)
+    orders = None if args.orders is None else _parse_list(args.orders, int)
+    if not (deltas or orders):
+        raise CliError("the sweep list is empty")
     if orders and args.delta is None:
-        raise _fail("an order sweep requires --delta")
+        raise CliError("an order sweep requires --delta")
     rows = sweep_rows(spec, deltas, orders, args.delta, args.cap,
                       args.samples)
     lines = [f"{rows[0][0]},error,bound"]
@@ -390,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--frontend", default="first",
                    help="first | order[:K,K',q] | channel")
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=_finite_float, default=None)
     p.add_argument("--flatten", action="store_true")
     p.add_argument("--order", action="store_true",
                    help="use the optimized SELECT decomposition")
@@ -402,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="circuit vs reference trace distance")
     p.add_argument("circuit")
     p.add_argument("--reference", required=True)
-    p.add_argument("--delta", type=float, default=None)
+    p.add_argument("--delta", type=_finite_float, default=None)
     p.add_argument("--samples", type=int, default=8)
     common(p)
     p.set_defaults(func=cmd_verify)
@@ -433,10 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("error-sweep", help="CSV of error vs delta or order")
     p.add_argument("input")
-    p.add_argument("--frontend", default="first")
     p.add_argument("--deltas", default=None, help="comma-separated deltas")
     p.add_argument("--orders", default=None, help="comma-separated K values")
-    p.add_argument("--delta", type=float, default=None,
+    p.add_argument("--delta", type=_finite_float, default=None,
                    help="fixed delta for an order sweep")
     p.add_argument("--samples", type=int, default=8)
     p.add_argument("--out", default=None)

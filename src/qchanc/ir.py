@@ -9,6 +9,7 @@ apply_channel(C, rho) = sum_i K_i rho K_i^dag.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from .pauli import (
     PauliString,
     PauliSum,
-    canonicalize_sum,
     from_label,
     is_hermitian_sum,
     qubit_cap,
@@ -246,7 +246,10 @@ def _c2pair(c: complex) -> list[float]:
 
 
 def _pair2c(p) -> complex:
-    return complex(p[0], p[1])
+    c = complex(p[0], p[1])
+    if not cmath.isfinite(c):
+        raise ValueError(f"non-finite coefficient {p!r}")
+    return c
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -336,8 +339,3 @@ def lindblad_from_json(d: dict) -> LindbladSpec:
         else:
             jumps.append(pauli_sum_from_json(j, n))
     return LindbladSpec(n, ham, jumps)
-
-
-def channel_canonical_sums(c: ChannelExpr, tol: float = 1e-12) -> list[PauliSum]:
-    """Canonical Pauli sums for an all-Pauli channel (used by rewrites)."""
-    return [canonicalize_sum(k.pauli_sum(), tol) for k in c.kraus]

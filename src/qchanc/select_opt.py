@@ -2,8 +2,7 @@
 
 Technique I: conditional flattening.  Exact-address multiplexors are lowered
 to a rooted unary-iteration walk (one flag ancilla per tree level plus a root
-flag, N-1 Toffoli pairs for N branches,每 body fired by a single control);
-individual multi-controlled gates are lowered to Toffoli ladders.
+flag, N-1 Toffoli pairs for N branches, each body fired by a single control).
 
 Technique II: monotone-control decomposition.  Pauli targets are assigned
 addresses so that the product of the gates g_c over the set bits c of an
@@ -19,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 from .circuits import (
-    Controlled,
     Gate,
     PauliGate,
     ToffoliCompute,
@@ -412,23 +410,3 @@ def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
     descend(root, 0, 0)
     gates.append(PauliGate(PauliString(1, 1, 0), (root,)))
     return gates
-
-
-def flatten_controls(gate: Gate, anc_qubits) -> list[Gate]:
-    """Toffoli-ladder lowering of one multi-controlled gate (c >= 2)."""
-    if not isinstance(gate, Controlled) or len(gate.controls) <= 1:
-        return [gate]
-    ctrls = list(gate.controls)
-    need = len(ctrls) - 1
-    if len(anc_qubits) < need:
-        raise ValueError("not enough ladder ancillas")
-    out: list[Gate] = []
-    (q1, p1), (q2, p2) = ctrls[0], ctrls[1]
-    out.append(ToffoliCompute(q1, q2, anc_qubits[0], p1, p2))
-    for i, (q, p) in enumerate(ctrls[2:]):
-        out.append(ToffoliCompute(anc_qubits[i], q, anc_qubits[i + 1], 1, p))
-    out.append(Controlled(((anc_qubits[need - 1], 1),), gate.body))
-    for i, (q, p) in reversed(list(enumerate(ctrls[2:]))):
-        out.append(ToffoliUncompute(anc_qubits[i], q, anc_qubits[i + 1], 1, p))
-    out.append(ToffoliUncompute(q1, q2, anc_qubits[0], p1, p2))
-    return out

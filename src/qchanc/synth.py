@@ -2,6 +2,8 @@
 
 Each Pauli-sum Kraus operator K = sum_j y_j P_j becomes PREP_R, SELECT,
 PREP_L-adjoint on a be_anc register, encoding K/alpha with alpha = sum|y_j|.
+encode_kraus decides that encoding once per select mode as a qubit-free
+KrausEncoding record; circuits, alphas and SELECT audits all read it.
 A channel is lowered by preparing kraus_sel amplitudes alpha_j/sqrt(sum a^2)
 and multiplexing the per-Kraus encodings; the preparation is deliberately not
 undone, since kraus_sel is traced out while be_anc is postselected to zero.
@@ -10,6 +12,7 @@ undone, since kraus_sel is traced out while be_anc is postselected to zero.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +25,11 @@ from .circuits import (
     StatePrepAdjoint,
 )
 from .ir import BlockEncRef, ChannelExpr, KrausExpr, PauliUnitary, TypecheckError, typecheck
+from .pauli import PauliString
 from .rewrite import canonical_kraus
 from .select_opt import (
+    GTable,
+    ModeTable,
     build_monotone_select,
     flatten_select,
     naive_select,
@@ -51,17 +57,6 @@ def prepare_pair(coeffs):
     nz = mags > 0
     phases[nz] = y[nz] / mags[nz]
     return beta, c, c * phases
-
-
-def _kraus_terms(k: KrausExpr):
-    kc = canonical_kraus(k)
-    paulis, blocks = [], []
-    for coeff, prim in kc.terms:
-        if isinstance(prim, PauliUnitary):
-            paulis.append((coeff, prim.string))
-        else:
-            blocks.append((coeff, prim))
-    return paulis, blocks
 
 
 def _dilation_unitary(ref: BlockEncRef) -> np.ndarray | None:
@@ -93,24 +88,34 @@ def _dilation_unitary(ref: BlockEncRef) -> np.ndarray | None:
     return left @ mid @ right
 
 
-def kraus_anc_width(k: KrausExpr, select_mode: str = "naive") -> int:
-    """Ancilla qubits the encoding of this Kraus operator needs."""
-    paulis, blocks = _kraus_terms(k)
-    if blocks:
-        return max(ref.anc for _, ref in blocks)
-    m = len(paulis)
-    if m == 0:
-        return 0
-    if m == 1 and paulis[0][0].imag == 0 and paulis[0][0].real > 0:
-        return 0
-    return max(1, math.ceil(math.log2(m)))
+@dataclass(frozen=True, slots=True)
+class KrausEncoding:
+    """Qubit-free LCU encoding of one Kraus operator in one select mode.
+
+    `terms` are the canonical (coeff, primitive) pairs and `width` the be_anc
+    qubits used.  One payload is set: an opaque `ref` with its dilation
+    `unitary`, a lone positive `pauli`, or the PREPARE pair `prep` = (c, d),
+    with the `modes`/`gtable` address assignment in optimized mode.
+    """
+
+    terms: tuple
+    alpha: float
+    width: int
+    ref: BlockEncRef | None = None
+    unitary: np.ndarray | None = None
+    pauli: PauliString | None = None
+    prep: tuple | None = None
+    modes: ModeTable | None = None
+    gtable: GTable | None = None
 
 
-def encode_kraus_gates(k: KrausExpr, select_mode, anc_qubits, sys_qubits):
-    """Block-encoding gates on the given qubits: (gates, alpha, anc_used)."""
+def encode_kraus(k: KrausExpr, select_mode: str = "naive") -> KrausEncoding:
+    """Build the encoding record; every validity check happens here."""
     if select_mode not in SELECT_MODES:
         raise ValueError(f"unknown select mode {select_mode!r}")
-    paulis, blocks = _kraus_terms(k)
+    terms = tuple(canonical_kraus(k).terms)
+    paulis = [(c, p.string) for c, p in terms if isinstance(p, PauliUnitary)]
+    blocks = [(c, p) for c, p in terms if not isinstance(p, PauliUnitary)]
     if blocks and paulis:
         raise TypecheckError("Kraus mixes Pauli and opaque primitives")
     if len(blocks) > 1:
@@ -121,44 +126,57 @@ def encode_kraus_gates(k: KrausExpr, select_mode, anc_qubits, sys_qubits):
             raise ValueError(
                 "opaque block encodings take real positive coefficients; "
                 "strip the phase with rule K2 first")
-        if ref.anc > len(anc_qubits):
-            raise ValueError("not enough ancilla qubits for the opaque encoding")
-        # The dilation acts on one ancilla (its block index) plus the system;
-        # any further declared ancillas idle at zero.
-        qubits = tuple(sys_qubits) if ref.anc == 0 else (
-            (anc_qubits[0],) + tuple(sys_qubits))
-        return ([OpaqueUnitary(ref.handle, qubits, _dilation_unitary(ref))],
-                coeff.real * ref.alpha, ref.anc)
+        return KrausEncoding(terms, coeff.real * ref.alpha, ref.anc, ref=ref,
+                             unitary=_dilation_unitary(ref))
     if not paulis:
         raise ValueError("cannot block-encode a zero Kraus operator")
     if len(paulis) == 1 and paulis[0][0].imag == 0 and paulis[0][0].real > 0:
         coeff, p = paulis[0]
-        return [PauliGate(p, tuple(sys_qubits))], coeff.real, 0
+        return KrausEncoding(terms, coeff.real, 0, pauli=p)
 
     if select_mode == "optimized":
-        _, gtable, s, permuted = optimize_pauli_select(paulis)
+        modes, gtable, s, permuted = optimize_pauli_select(paulis)
         y = np.zeros(1 << s, dtype=complex)
         for addr, cc in permuted.items():
             y[addr] = cc
         beta, c, d = prepare_pair(y)
-        sel = tuple(anc_qubits[:s])
-        gates: list[Gate] = [StatePrep(sel, tuple(d))]
-        gates += build_monotone_select(gtable, sel, tuple(sys_qubits))
-        gates.append(StatePrepAdjoint(sel, tuple(c)))
-        return gates, beta, s
+        return KrausEncoding(terms, beta, s, prep=(tuple(c), tuple(d)),
+                             modes=modes, gtable=gtable)
 
     coeffs = [cc for cc, _ in paulis]
     if len(coeffs) == 1:
         coeffs.append(0j)  # a lone complex term still takes one selector qubit
     beta, c, d = prepare_pair(coeffs)
-    s = int(math.log2(len(c)))
-    sel = tuple(anc_qubits[:s])
-    branches = [(j, [PauliGate(p, tuple(sys_qubits))])
-                for j, (_, p) in enumerate(paulis)]
-    gates = [StatePrep(sel, tuple(d))]
-    gates += naive_select(branches, sel)
-    gates.append(StatePrepAdjoint(sel, tuple(c)))
-    return gates, beta, s
+    return KrausEncoding(terms, beta, int(math.log2(len(c))),
+                         prep=(tuple(c), tuple(d)))
+
+
+def encode_channel(c: ChannelExpr, select_mode: str = "naive") -> list[KrausEncoding]:
+    """One encoding record per Kraus operator."""
+    typecheck(c)
+    return [encode_kraus(k, select_mode) for k in c.kraus]
+
+
+def encode_kraus_gates(enc: KrausEncoding, anc_qubits, sys_qubits) -> list[Gate]:
+    """Block-encoding gates of a record on the given qubits."""
+    if enc.width > len(anc_qubits):
+        raise ValueError("not enough ancilla qubits for the encoding")
+    sys_qubits = tuple(sys_qubits)
+    if enc.ref is not None:
+        # The dilation acts on one ancilla (its block index) plus the system;
+        # any further declared ancillas idle at zero.
+        qubits = sys_qubits if enc.ref.anc == 0 else (anc_qubits[0],) + sys_qubits
+        return [OpaqueUnitary(enc.ref.handle, qubits, enc.unitary)]
+    if enc.pauli is not None:
+        return [PauliGate(enc.pauli, sys_qubits)]
+    c, d = enc.prep
+    sel = tuple(anc_qubits[:enc.width])
+    if enc.gtable is not None:
+        body = build_monotone_select(enc.gtable, sel, sys_qubits)
+    else:
+        body = naive_select([(j, [PauliGate(p.string, sys_qubits)])
+                             for j, (_, p) in enumerate(enc.terms)], sel)
+    return [StatePrep(sel, d), *body, StatePrepAdjoint(sel, c)]
 
 
 def block_encode(k: KrausExpr, select_mode: str = "naive"):
@@ -167,29 +185,25 @@ def block_encode(k: KrausExpr, select_mode: str = "naive"):
     The top-left 2^n x 2^n block of the circuit unitary is eval_kraus/alpha.
     """
     n = typecheck(k)
-    w = kraus_anc_width(k, select_mode)
-    circ = Circuit((("be_anc", w), ("system", n)))
-    gates, alpha, _ = encode_kraus_gates(
-        k, select_mode, circ.reg_qubits("be_anc"), circ.reg_qubits("system"))
-    circ.extend(gates)
-    return circ, alpha
+    enc = encode_kraus(k, select_mode)
+    circ = Circuit((("be_anc", enc.width), ("system", n)))
+    circ.extend(encode_kraus_gates(
+        enc, circ.reg_qubits("be_anc"), circ.reg_qubits("system")))
+    return circ, enc.alpha
 
 
-def channel_alphas(c: ChannelExpr, select_mode: str = "naive") -> list[float]:
+def channel_alphas(c: ChannelExpr, select_mode: str = "naive",
+                   encodings: list[KrausEncoding] | None = None) -> list[float]:
     """Per-Kraus block-encoding normalizations."""
-    n = typecheck(c)
-    out = []
-    for k in c.kraus:
-        w = kraus_anc_width(k, select_mode)
-        _, alpha, _ = encode_kraus_gates(
-            k, select_mode, tuple(range(w)), tuple(range(w, w + n)))
-        out.append(alpha)
-    return out
+    if encodings is None:
+        encodings = encode_channel(c, select_mode)
+    return [enc.alpha for enc in encodings]
 
 
 def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
-                flatten: bool = False) -> Circuit:
-    """Channel-LCU circuit.
+                flatten: bool = False,
+                encodings: list[KrausEncoding] | None = None) -> Circuit:
+    """Channel-LCU circuit, from `encodings` when the caller has them.
 
     run_channel (be_anc postselected, kraus_sel and flat_anc traced) applies
     (1/sum alpha_j^2) * [C](rho); the success probability is 1/sum alpha_j^2
@@ -199,9 +213,10 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
     m = len(c.kraus)
     if m == 0:
         raise ValueError("channel has no Kraus operators")
+    if encodings is None:
+        encodings = encode_channel(c, select_mode)
     ell = math.ceil(math.log2(m)) if m > 1 else 0
-    widths = [kraus_anc_width(k, select_mode) for k in c.kraus]
-    be_width = max(widths, default=0)
+    be_width = max(enc.width for enc in encodings)
     flat_width = ell + 1 if (flatten and ell > 0) else 0
     circ = Circuit((("kraus_sel", ell), ("flat_anc", flat_width),
                     ("be_anc", be_width), ("system", n)))
@@ -210,12 +225,9 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
     aq = circ.reg_qubits("be_anc")
     sq = circ.reg_qubits("system")
 
-    branches = []
-    alphas = []
-    for j, k in enumerate(c.kraus):
-        gates, alpha, _ = encode_kraus_gates(k, select_mode, aq, sq)
-        branches.append((j, gates))
-        alphas.append(alpha)
+    branches = [(j, encode_kraus_gates(enc, aq, sq))
+                for j, enc in enumerate(encodings)]
+    alphas = [enc.alpha for enc in encodings]
     norm = math.sqrt(sum(a * a for a in alphas))
 
     if ell:

@@ -128,11 +128,63 @@ class TestCompile:
                            "--out", str(tmp_path / "x"))
         assert code == 2 and "frontend" in err
 
-    def test_bad_input_file(self, tmp_path, capsys):
-        bad = write_json(tmp_path / "bad.json", {"bogus": 1})
+    @pytest.mark.parametrize("doc, message", [
+        ({"bogus": 1}, "kraus"),
+        ({"n": 1, "kraus": 5}, "failed to parse"),
+        (5, "failed to parse"),
+        ({"n": 1, "kraus": [[{"coeff": [1], "pauli": "X"}]]},
+         "failed to parse"),
+    ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff"])
+    def test_bad_input_file(self, tmp_path, capsys, doc, message):
+        bad = write_json(tmp_path / "bad.json", doc)
         code, _, err = run(capsys, "compile", bad, "--out",
                            str(tmp_path / "x"))
-        assert code == 2 and "kraus" in err
+        assert code == 2 and message in err
+        assert "Traceback" not in err
+
+    def test_nan_coefficient_named(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"n": 1, "kraus": [[{"coeff": [NaN, 0], '
+                       '"pauli": "X"}]]}')
+        code, _, err = run(capsys, "compile", str(bad), "--frontend",
+                           "channel", "--out", str(tmp_path / "x"))
+        assert code == 2 and "failed to parse" in err and "nan" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_delta_rejected(self, tmp_path, decay_file, capsys,
+                                       value):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", decay_file, "--delta", value,
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"got '{value}'" in capsys.readouterr().err
+
+    def test_each_kraus_encoded_once(self, tmp_path, capsys, monkeypatch):
+        import qchanc.cli as cli
+        import qchanc.synth as synth
+
+        calls = {"optimize": 0, "cost": 0}
+
+        def counting(fn, key):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(synth, "optimize_pauli_select", counting(
+            synth.optimize_pauli_select, "optimize"))
+        monkeypatch.setattr(cli, "cost_report",
+                            counting(cli.cost_report, "cost"))
+        spec = write_json(tmp_path / "tfim.json",
+                          lindblad_to_json(gen_tfim(3, 1.0)))
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, "compile", spec, "--delta", "0.01",
+                         "--flatten", "--order", "--out", str(out))
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert 0 < calls["optimize"] <= report["kraus_count"]
+        assert calls["cost"] == 4
+        assert report["cost"] == report["cost_grid"][report["setting"]]
 
 
 class TestVerify:
@@ -178,6 +230,14 @@ class TestVerify:
         assert code == 0
         assert stats["max_trace_distance"] <= 1e-12
         assert stats["success_prob"]["min"] == pytest.approx(1.0)
+
+    def test_non_finite_delta_rejected(self, tmp_path, decay_file, capsys):
+        circuit = self.compile_decay(tmp_path, decay_file, capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", circuit, "--reference", decay_file,
+                  "--delta", "nan"])
+        assert exc.value.code == 2
+        assert "got 'nan'" in capsys.readouterr().err
 
     def test_spec_reference_needs_delta(self, tmp_path, decay_file, capsys):
         circ = self.compile_decay(tmp_path, decay_file, capsys)
@@ -300,6 +360,23 @@ class TestErrorSweep:
         assert code == 0
         row = stdout.strip().splitlines()[1].split(",")
         assert float(row[1]) == 0.0
+
+    @pytest.mark.parametrize("deltas", ["0.01,nan", "inf", "0.01,x"])
+    def test_bad_delta_list_named(self, decay_file, capsys, deltas):
+        code, _, err = run(capsys, "error-sweep", decay_file,
+                           "--deltas", deltas)
+        bad = deltas.split(",")[-1]
+        assert code == 2 and f"got '{bad}'" in err
+
+    def test_empty_sweep_list(self, decay_file, capsys):
+        code, _, err = run(capsys, "error-sweep", decay_file, "--deltas", ",")
+        assert code == 2 and "empty" in err
+
+    def test_frontend_option_removed(self, decay_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["error-sweep", decay_file, "--frontend", "first",
+                  "--deltas", "0.01"])
+        assert exc.value.code == 2
 
     def test_order_sweep_trend(self, tmp_path, decay_file, capsys):
         code, stdout, _ = run(capsys, "error-sweep", decay_file,

@@ -16,7 +16,6 @@ from qchanc.select_opt import (
     ModeTable,
     assign_additional_modes,
     build_monotone_select,
-    flatten_controls,
     flatten_select,
     greedy_basis_selection,
     g_table_json,
@@ -372,24 +371,6 @@ class TestFlatten:
     def test_needs_ancillas(self):
         with pytest.raises(ValueError):
             flatten_select([(0, [])], (0, 1), (2,))
-
-    def test_ladder_matches_direct(self):
-        gate = Controlled(((0, 1), (1, 0), (2, 1)), PauliGate(ps("X"), (3,)))
-        regs = (("a", 4), ("lad", 2))
-        direct = Circuit(regs, [gate])
-        flat = Circuit(regs, flatten_controls(gate, (4, 5)))
-        u_d = simulate_unitary(direct)
-        u_f = simulate_unitary(flat)
-        d = 1 << 4
-        keep = [i << 2 for i in range(d)]  # ladder ancillas at zero
-        assert np.max(np.abs(u_f[np.ix_(keep, keep)] - u_d[np.ix_(keep, keep)])) <= 1e-12
-        assert cost_report(flat, system="a").t_count == cost_report(direct, system="a").t_count == 8
-
-    def test_ladder_passthrough(self):
-        g = PauliGate(ps("X"), (0,))
-        assert flatten_controls(g, ()) == [g]
-        cg = Controlled(((1, 1),), g)
-        assert flatten_controls(cg, ()) == [cg]
 
 
 class TestMonotoneBuilder:

@@ -27,8 +27,8 @@ from qchanc.synth import (
     block_encode,
     channel_alphas,
     channel_lcu,
+    encode_kraus,
     encode_kraus_gates,
-    kraus_anc_width,
     prepare_pair,
 )
 
@@ -205,11 +205,24 @@ class TestBlockEncode:
 
     def test_anc_width_helper(self):
         k1 = ksum(1, [(1.0, "X")])
-        assert kraus_anc_width(k1, "naive") == 0
+        assert encode_kraus(k1, "naive").width == 0
         k2 = ksum(1, [(0.5j, "Z")])
-        assert kraus_anc_width(k2, "naive") == 1
+        assert encode_kraus(k2, "naive").width == 1
         k3 = ksum(2, [(1.0, "XX"), (0.5, "ZZ"), (0.1, "II")])
-        assert kraus_anc_width(k3, "naive") == 2
+        assert encode_kraus(k3, "naive").width == 2
+
+    def test_record_placed_on_any_qubits(self):
+        k = ksum(2, [(0.5, "XX"), (0.25j, "ZI"), (0.25, "IY")])
+        for mode in ("naive", "optimized"):
+            enc = encode_kraus(k, mode)
+            circ, alpha = block_encode(k, mode)
+            assert enc.alpha == alpha and enc.width == 2
+            here = encode_kraus_gates(enc, (0, 1), (2, 3))
+            assert here == circ.gates
+            moved = encode_kraus_gates(enc, (7, 5, 6), (1, 0))
+            assert len(moved) == len(here)
+            with pytest.raises(ValueError, match="ancilla"):
+                encode_kraus_gates(enc, (0,), (1, 2))
 
 
 class TestOpaqueRefs:
