@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ir import matrix_from_json, matrix_to_json
-from .pauli import PauliString, from_label, qubit_cap, weight
+from .pauli import PauliString, check_cap, from_label, pauli_action, weight
 
 PREP_TOL = 1e-10
 
@@ -252,19 +252,9 @@ def _control_mask(idx: np.ndarray, controls, total: int) -> np.ndarray:
 def _apply_gate(state: np.ndarray, g: Gate, total: int) -> np.ndarray:
     dim = 1 << total
     if isinstance(g, PauliGate):
-        s = g.string
-        xs = zs = 0
-        for site, q in enumerate(g.qubits):
-            bit = 1 << (total - 1 - q)
-            if (s.x_mask >> site) & 1:
-                xs |= bit
-            if (s.z_mask >> site) & 1:
-                zs |= bit
-        lead = (1j) ** ((s.phase_exp + (s.x_mask & s.z_mask).bit_count()) % 4)
-        idx = np.arange(dim)
-        signs = 1 - 2 * (np.bitwise_count(idx & zs) & 1).astype(np.int64)
-        out = (signs[:, None] * state)[idx ^ xs]
-        return lead * out
+        # rows is an involution, so gathering by it applies the string
+        rows, signs, e = pauli_action(g.string, [total - 1 - q for q in g.qubits], dim)
+        return (1j) ** e * (signs[:, None] * state)[rows]
     if isinstance(g, Controlled):
         idx = np.arange(dim)
         ok = _control_mask(idx, g.controls, total)
@@ -292,9 +282,7 @@ def _apply_gate(state: np.ndarray, g: Gate, total: int) -> np.ndarray:
 
 def apply_circuit(c: Circuit, state: np.ndarray, cap: int | None = None) -> np.ndarray:
     total = c.total_qubits
-    limit = qubit_cap(cap)
-    if total > limit:
-        raise ValueError(f"circuit needs {total} qubits, above the cap of {limit}")
+    check_cap(total, cap, "circuit")
     state = np.asarray(state, dtype=complex)
     squeeze = state.ndim == 1
     if squeeze:

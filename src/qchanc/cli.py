@@ -307,16 +307,20 @@ def cmd_rewrite(args) -> int:
     try:
         if args.minimize_rank:
             chan, trace = minimize_kraus_rank(obj, args.cap)
+            trace = trace_to_json(trace)
         elif args.rule:
             rule_args = json.loads(args.rule_args) if args.rule_args else {}
+            if not isinstance(rule_args, dict):
+                raise CliError(f"--rule-args must be a JSON object, got {args.rule_args}")
             chan = apply_rule(obj, args.rule, rule_args, args.cap)
+            # the arguments came from JSON, so they are echoed as given
             trace = [{"rule": args.rule, "args": rule_args,
                       "kraus_count_after": len(chan.kraus)}]
         else:
             raise CliError("rewrite needs --rule or --minimize-rank")
     except RewriteError as exc:
         raise CliError(f"rewrite failed: {exc}") from exc
-    doc = {"channel": channel_to_json(chan), "trace": trace_to_json(trace)}
+    doc = {"channel": channel_to_json(chan), "trace": trace}
     text = _dump(doc)
     if args.out:
         Path(args.out).write_text(text)

@@ -10,6 +10,7 @@ apply_channel(C, rho) = sum_i K_i rho K_i^dag.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +18,9 @@ import numpy as np
 from .pauli import (
     PauliString,
     PauliSum,
+    dense_sum,
     from_label,
     is_hermitian_sum,
-    qubit_cap,
-    to_matrix,
 )
 
 
@@ -38,6 +38,9 @@ class PauliUnitary:
     def n(self) -> int:
         return self.string.n
 
+    def bare(self) -> "PauliUnitary":
+        return PauliUnitary(self.string.bare())
+
 
 @dataclass(frozen=True, slots=True)
 class BlockEncRef:
@@ -52,31 +55,19 @@ class BlockEncRef:
     n: int
     alpha: float
     anc: int
-    matrix: np.ndarray | None = None
+    matrix: np.ndarray | None = field(default=None, compare=False)
+    phase_exp = 0  # an opaque encoding carries no i-power of its own
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.anc < 0:
-            raise ValueError("anc must be nonnegative")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
+        if not isinstance(self.anc, (int, np.integer)) or self.anc < 0:
+            raise ValueError(f"anc must be a nonnegative integer, got {self.anc!r}")
         if self.matrix is not None:
             m = np.asarray(self.matrix, dtype=complex)
             if m.shape != (1 << self.n, 1 << self.n):
                 raise ValueError("matrix shape does not match n")
             object.__setattr__(self, "matrix", m)
-
-    def __eq__(self, other):
-        if not isinstance(other, BlockEncRef):
-            return NotImplemented
-        return (self.handle, self.n, self.alpha, self.anc) == (
-            other.handle,
-            other.n,
-            other.alpha,
-            other.anc,
-        )
-
-    def __hash__(self):
-        return hash((self.handle, self.n, self.alpha, self.anc))
 
 
 Primitive = PauliUnitary | BlockEncRef
@@ -155,20 +146,16 @@ def typecheck(expr) -> int:
 
 def eval_kraus(k: KrausExpr, cap: int | None = None) -> np.ndarray:
     """Dense matrix of one Kraus operator."""
-    limit = qubit_cap(cap)
-    if k.n > limit:
-        raise ValueError(f"eval_kraus needs {k.n} qubits, above the cap of {limit}")
-    out = np.zeros((1 << k.n, 1 << k.n), dtype=complex)
-    for coeff, prim in k.terms:
-        if isinstance(prim, PauliUnitary):
-            out += coeff * to_matrix(prim.string, cap)
-        else:
-            if prim.matrix is None:
-                raise TypecheckError(
-                    f"block encoding {prim.handle!r} has no matrix to evaluate"
-                )
-            out += coeff * prim.matrix
-    return out
+    return dense_sum(k.n, ((c, _dense_operand(p)) for c, p in k.terms), cap,
+                     "eval_kraus")
+
+
+def _dense_operand(prim: Primitive):
+    if isinstance(prim, PauliUnitary):
+        return prim.string
+    if prim.matrix is None:
+        raise TypecheckError(f"block encoding {prim.handle!r} has no matrix to evaluate")
+    return prim.matrix
 
 
 def validate_density(rho: np.ndarray, n: int, tol: float = 1e-9) -> np.ndarray:

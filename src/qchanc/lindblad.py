@@ -16,11 +16,10 @@ import scipy.linalg
 from .ir import ChannelExpr, KrausExpr, LindbladSpec
 from .pauli import (
     PauliSum,
-    _check_cap,
     canonicalize_sum,
+    check_cap,
     identity_sum,
     pauli_decompose,
-    qubit_cap,
 )
 
 DECOMPOSE_TOL = 1e-12
@@ -75,7 +74,7 @@ def first_order(spec: LindbladSpec, delta: float) -> ChannelExpr:
 
 def _drift_generator(spec: LindbladSpec, cap: int | None) -> np.ndarray:
     """Dense J = -iH - (1/2) sum L^dag L."""
-    _check_cap(spec.n, cap, "drift generator")
+    check_cap(spec.n, cap, "drift generator")
     h = spec.hamiltonian.to_matrix(cap)
     j = -1j * h
     for jump in spec.jumps:
@@ -150,7 +149,7 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
 
 def lindblad_opnorm(spec: LindbladSpec, cap: int | None = None) -> float:
     """||H||_2 + sum_j ||L_j||_2^2 via dense singular values."""
-    _check_cap(spec.n, cap, "lindblad_opnorm")
+    check_cap(spec.n, cap, "lindblad_opnorm")
     total = float(np.linalg.norm(spec.hamiltonian.to_matrix(cap), 2))
     for jump in spec.jumps:
         total += float(np.linalg.norm(jump.to_matrix(cap), 2)) ** 2
@@ -160,10 +159,7 @@ def lindblad_opnorm(spec: LindbladSpec, cap: int | None = None) -> float:
 def exact_propagator(spec: LindbladSpec, t: float,
                      cap: int | None = None) -> np.ndarray:
     """Dense superoperator exp(t L) acting on row-major vectorized rho."""
-    limit = qubit_cap(cap)
-    if 2 * spec.n > limit:
-        raise ValueError(
-            f"exact_propagator needs {2 * spec.n} qubits, above the cap of {limit}")
+    check_cap(2 * spec.n, cap, "exact_propagator")
     dim = 1 << spec.n
     eye = np.eye(dim)
     h = spec.hamiltonian.to_matrix(cap)

@@ -27,18 +27,14 @@ DEFAULT_QUBIT_CAP = 14
 _CAP_ENV = "QCHANC_CAP"
 
 
-def qubit_cap(cap: int | None = None) -> int:
-    """Resolve the dense-matrix qubit cap (argument, else env, else default)."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(_CAP_ENV)
-    return int(env) if env else DEFAULT_QUBIT_CAP
-
-
-def _check_cap(n: int, cap: int | None, what: str) -> None:
-    limit = qubit_cap(cap)
-    if n > limit:
-        raise ValueError(f"{what} needs {n} qubits, above the cap of {limit}")
+def check_cap(n: int, cap: int | None, what: str) -> None:
+    """Raise ValueError if `what` needs more than the dense-matrix qubit cap:
+    the argument, else the environment variable, else the default."""
+    if cap is None:
+        env = os.environ.get(_CAP_ENV)
+        cap = int(env) if env else DEFAULT_QUBIT_CAP
+    if n > cap:
+        raise ValueError(f"{what} needs {n} qubits, above the cap of {cap}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,28 +122,42 @@ def weight(p: PauliString) -> int:
     return (p.x_mask | p.z_mask).bit_count()
 
 
-def _state_masks(p: PauliString) -> tuple[int, int]:
-    # site k maps to state bit (n-1-k): site 0 is the most significant bit
+def pauli_action(p: PauliString, bits=None, dim: int | None = None):
+    """Where p sends each basis column: p|j> = i**e * signs[j] |rows[j]>.
+
+    Returns (rows, signs, e).  Site k of p acts on bit bits[k] of the state
+    index, in a space of dimension dim; by default on bit n-1-k of an n-bit
+    index, so site 0 is the most significant bit.
+    """
+    if bits is None:
+        bits, dim = range(p.n - 1, -1, -1), 1 << p.n
     xs = zs = 0
-    for k in range(p.n):
-        if (p.x_mask >> k) & 1:
-            xs |= 1 << (p.n - 1 - k)
-        if (p.z_mask >> k) & 1:
-            zs |= 1 << (p.n - 1 - k)
-    return xs, zs
+    for k, b in enumerate(bits):
+        xs |= ((p.x_mask >> k) & 1) << b
+        zs |= ((p.z_mask >> k) & 1) << b
+    cols = np.arange(dim, dtype=np.int64)
+    signs = 1 - 2 * (np.bitwise_count(cols & zs) & 1).astype(np.int64)
+    return cols ^ xs, signs, (p.phase_exp + (p.x_mask & p.z_mask).bit_count()) % 4
 
 
 def to_matrix(p: PauliString, cap: int | None = None) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the string (entries are exact units)."""
-    _check_cap(p.n, cap, "to_matrix")
-    dim = 1 << p.n
-    xs, zs = _state_masks(p)
+    return dense_sum(p.n, [(1, p)], cap, "to_matrix")
+
+
+def dense_sum(n: int, terms, cap: int | None, what: str) -> np.ndarray:
+    """Dense matrix of sum c*op over (c, op) terms.  An op is a PauliString,
+    whose unit entries are scatter-added, or a 2^n x 2^n matrix."""
+    check_cap(n, cap, what)
+    dim = 1 << n
     cols = np.arange(dim, dtype=np.int64)
-    rows = cols ^ xs
-    lead = _I_POWERS[(p.phase_exp + (p.x_mask & p.z_mask).bit_count()) % 4]
-    signs = 1 - 2 * (np.bitwise_count(cols & zs) & 1).astype(np.int64)
     m = np.zeros((dim, dim), dtype=complex)
-    m[rows, cols] = lead * signs
+    for c, op in terms:
+        if isinstance(op, PauliString):
+            rows, signs, e = pauli_action(op)
+            m[rows, cols] += c * (_I_POWERS[e] * signs)
+        else:
+            m += c * op
     return m
 
 
@@ -185,41 +195,46 @@ class PauliSum:
         return PauliSum(self.n, [(np.conj(a), p.dagger()) for a, p in self.terms])
 
     def to_matrix(self, cap: int | None = None) -> np.ndarray:
-        _check_cap(self.n, cap, "PauliSum.to_matrix")
-        m = np.zeros((1 << self.n, 1 << self.n), dtype=complex)
-        for a, p in self.terms:
-            m += a * to_matrix(p, cap)
-        return m
+        return dense_sum(self.n, self.terms, cap, "PauliSum.to_matrix")
 
 
 def identity_sum(n: int, coeff: complex = 1.0) -> PauliSum:
     return PauliSum(n, [(complex(coeff), PauliString(n, 0, 0))])
 
 
-def canonicalize_sum(s: PauliSum, tol: float = 1e-12) -> PauliSum:
-    """Fold i-powers into coefficients, merge equal strings, drop tiny terms.
+def fold_terms(pairs, tol: float | None = None) -> dict:
+    """The one canonical form of (coeff, primitive) pairs, as
+    {key: (coeff, primitive)} in first-appearance order: i-powers folded
+    into coefficients (only then is a primitive rebuilt, by bare()), equal
+    keys summed and, given a tol, terms with |c| <= tol dropped.  The key is
+    the bare PauliString a primitive is or wraps as `.string`, else the
+    (opaque) primitive itself.  First coefficients are kept as given."""
+    acc: dict = {}
+    for coeff, prim in pairs:
+        key = getattr(prim, "string", prim)
+        if key.phase_exp:
+            coeff = coeff * 1j ** key.phase_exp
+            prim = prim.bare()
+            key = getattr(prim, "string", prim)
+        new = (coeff, prim)
+        old = acc.setdefault(key, new)
+        if old is not new:
+            acc[key] = (old[0] + coeff, old[1])
+    if tol is not None:
+        for key in [key for key, (c, _) in acc.items() if abs(c) <= tol]:
+            del acc[key]
+    return acc
 
-    Term order is the first appearance of each distinct string, which keeps
-    the result deterministic for a given input.
-    """
-    acc: dict[tuple[int, int], complex] = {}
-    for a, p in s.terms:
-        k = p.key()
-        acc[k] = acc.get(k, 0j) + a * p.phase()
-    out = [
-        (c, PauliString(s.n, x, z))
-        for (x, z), c in acc.items()
-        if abs(c) > tol
-    ]
-    return PauliSum(s.n, out)
+
+def canonicalize_sum(s: PauliSum, tol: float = 1e-12) -> PauliSum:
+    """fold_terms of the sum: bare strings in first-appearance order, terms
+    with |c| <= tol dropped."""
+    return PauliSum(s.n, list(fold_terms(s.terms, tol).values()))
 
 
 def sums_close(a: PauliSum, b: PauliSum, tol: float = 1e-9) -> bool:
-    ca, cb = canonicalize_sum(a, 0.0), canonicalize_sum(b, 0.0)
-    da = {p.key(): c for c, p in ca.terms}
-    for c, p in cb.terms:
-        da[p.key()] = da.get(p.key(), 0j) - c
-    return all(abs(v) <= tol for v in da.values())
+    diff = fold_terms(a.terms + [(-c, p) for c, p in b.terms])
+    return all(abs(c) <= tol for c, _ in diff.values())
 
 
 def is_hermitian_sum(s: PauliSum, tol: float = 1e-10) -> bool:
@@ -240,17 +255,15 @@ def pauli_decompose(m: np.ndarray, n: int | None = None, tol: float = 1e-12,
         n = dim.bit_length() - 1
     if (1 << n) != dim:
         raise ValueError("dimension does not match the site count")
-    _check_cap(n, cap, "pauli_decompose")
+    check_cap(n, cap, "pauli_decompose")
 
     cols = np.arange(dim, dtype=np.int64)
     terms: list[tuple[complex, PauliString]] = []
     for z_mask in range(dim):
         for x_mask in range(dim):
             p = PauliString(n, x_mask, z_mask)
-            xs, zs = _state_masks(p)
-            signs = 1 - 2 * (np.bitwise_count(cols & zs) & 1).astype(np.int64)
-            lead = _I_POWERS[(-(x_mask & z_mask).bit_count()) % 4]
-            coeff = lead * np.sum(signs * m[cols ^ xs, cols]) / dim
+            rows, signs, e = pauli_action(p)
+            coeff = _I_POWERS[-e % 4] * np.sum(signs * m[rows, cols]) / dim
             if abs(coeff) > tol:
                 terms.append((complex(coeff), p))
     return PauliSum(n, terms)

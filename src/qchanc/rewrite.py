@@ -10,6 +10,9 @@ spectral decomposition, and K1 eliminations.
 
 from __future__ import annotations
 
+import cmath
+import operator
+
 import numpy as np
 
 from .ir import (
@@ -20,7 +23,7 @@ from .ir import (
     matrix_to_json,
     typecheck,
 )
-from .pauli import PauliString
+from .pauli import PauliString, fold_terms
 
 RULES = ("PS1", "PS2", "K1", "K2", "C1", "C2", "C2p", "C3", "C3p")
 
@@ -41,27 +44,9 @@ class RuleNotApplicable(RewriteError):
     pass
 
 
-def _term_key(prim):
-    if isinstance(prim, PauliUnitary):
-        return ("p", prim.string.x_mask, prim.string.z_mask)
-    return ("b", prim.handle, prim.n, prim.alpha, prim.anc)
-
-
 def merge_terms(k: KrausExpr) -> KrausExpr:
     """PS1: fold Pauli phases into coefficients and merge duplicate terms."""
-    acc: dict = {}
-    order = []
-    for coeff, prim in k.terms:
-        if isinstance(prim, PauliUnitary) and prim.string.phase_exp:
-            coeff = coeff * (1j) ** prim.string.phase_exp
-            prim = PauliUnitary(prim.string.bare())
-        key = _term_key(prim)
-        if key in acc:
-            acc[key][0] += coeff
-        else:
-            acc[key] = [coeff, prim]
-            order.append(key)
-    return KrausExpr(k.n, [(acc[key][0], acc[key][1]) for key in order])
+    return KrausExpr(k.n, list(fold_terms(k.terms).values()))
 
 
 def drop_zero_terms(k: KrausExpr, tol: float = ZERO_TOL) -> KrausExpr:
@@ -70,7 +55,8 @@ def drop_zero_terms(k: KrausExpr, tol: float = ZERO_TOL) -> KrausExpr:
 
 
 def canonical_kraus(k: KrausExpr, tol: float = ZERO_TOL) -> KrausExpr:
-    return drop_zero_terms(merge_terms(k), tol)
+    """PS1 then PS2."""
+    return KrausExpr(k.n, list(fold_terms(k.terms, tol).values()))
 
 
 def scale_kraus(k: KrausExpr, c: complex) -> KrausExpr:
@@ -85,21 +71,17 @@ def combine_kraus(n: int, pairs) -> KrausExpr:
     return canonical_kraus(KrausExpr(n, terms))
 
 
-def _canonical_dict(k: KrausExpr) -> dict:
-    return {_term_key(p): c for c, p in canonical_kraus(k).terms}
-
-
 def proportionality(a: KrausExpr, b: KrausExpr, tol: float = PROP_TOL):
     """Ratio r with b = r*a in canonical form, or None."""
-    da, db = _canonical_dict(a), _canonical_dict(b)
+    da, db = fold_terms(a.terms, ZERO_TOL), fold_terms(b.terms, ZERO_TOL)
     if set(da) != set(db):
         return None
     if not da:
         return 1.0 + 0j
-    anchor = max(da, key=lambda key: abs(da[key]))
-    r = db[anchor] / da[anchor]
-    scale = max(1.0, max(abs(c) for c in db.values()))
-    if all(abs(db[key] - r * da[key]) <= tol * scale for key in da):
+    anchor, (ca, _) = max(da.items(), key=lambda item: abs(item[1][0]))
+    r = db[anchor][0] / ca
+    scale = max(1.0, max(abs(c) for c, _ in db.values()))
+    if all(abs(db[key][0] - r * c) <= tol * scale for key, (c, _) in da.items()):
         return r
     return None
 
@@ -114,16 +96,31 @@ def is_zero_kraus(k: KrausExpr, tol: float = 1e-8, cap: int | None = None) -> bo
     return float(np.max(np.abs(eval_kraus(kc, cap)))) <= tol
 
 
+def _index_list(v) -> list[int]:
+    return [operator.index(j) for j in v]
+
+
 def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
                cap: int | None = None) -> ChannelExpr:
     typecheck(c)
+    if not isinstance(args, (dict, type(None))):
+        raise InvalidRuleArgs(f"rule arguments must be an object, got {args!r}")
     args = dict(args or {})
     m = len(c.kraus)
 
-    def need(key):
+    def need(key, kind=None, default=None):
+        """args[key] converted by kind; a bad or non-finite value is InvalidRuleArgs."""
         if key not in args:
-            raise InvalidRuleArgs(f"rule {rule} needs argument {key!r}")
-        return args[key]
+            if default is None:
+                raise InvalidRuleArgs(f"rule {rule} needs argument {key!r}")
+            return default
+        try:
+            val = args[key] if kind is None else kind(args[key])
+            if isinstance(val, (float, complex)) and not cmath.isfinite(val):
+                raise ValueError("not finite")
+            return val
+        except (TypeError, ValueError) as exc:
+            raise InvalidRuleArgs(f"rule {rule}: bad argument {key}={args[key]!r}") from exc
 
     def index(key):
         j = need(key)
@@ -140,33 +137,33 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
     if rule == "PS2":
         j = index("kraus")
         out = list(c.kraus)
-        out[j] = drop_zero_terms(out[j], args.get("tol", ZERO_TOL))
+        out[j] = drop_zero_terms(out[j], need("tol", float, ZERO_TOL))
         return ChannelExpr(c.n, out)
 
     if rule == "K1":
         j = index("kraus")
-        if not is_zero_kraus(c.kraus[j], args.get("tol", 1e-8), cap):
+        if not is_zero_kraus(c.kraus[j], need("tol", float, 1e-8), cap):
             raise RuleNotApplicable(f"K1: Kraus {j} is not zero")
         return ChannelExpr(c.n, c.kraus[:j] + c.kraus[j + 1:])
 
     if rule == "K2":
         j = index("kraus")
-        theta = float(need("theta"))
+        theta = need("theta", float)
         out = list(c.kraus)
         out[j] = scale_kraus(out[j], np.exp(-1j * theta))
         return ChannelExpr(c.n, out)
 
     if rule == "C1":
-        perm = list(need("perm"))
+        perm = need("perm", _index_list)
         if sorted(perm) != list(range(m)):
             raise InvalidRuleArgs("C1: not a permutation of the Kraus indices")
         return ChannelExpr(c.n, [c.kraus[p] for p in perm])
 
     if rule == "C2":
-        u = np.asarray(need("unitary"), dtype=complex)
+        u = need("unitary", lambda v: np.asarray(v, dtype=complex))
         if u.shape != (m, m):
             raise InvalidRuleArgs(f"C2: matrix must be {m}x{m}")
-        if np.max(np.abs(u.conj().T @ u - np.eye(m))) > UNITARY_TOL:
+        if not np.max(np.abs(u.conj().T @ u - np.eye(m))) <= UNITARY_TOL:
             raise InvalidRuleArgs("C2: matrix is not unitary")
         return ChannelExpr(
             c.n,
@@ -178,7 +175,7 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
         i, j = index("i"), index("j")
         if i == j:
             raise InvalidRuleArgs("C2p: indices must differ")
-        a, b = complex(need("a")), complex(need("b"))
+        a, b = need("a", complex), need("b", complex)
         if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > UNITARY_TOL:
             raise InvalidRuleArgs("C2p: |a|^2 + |b|^2 must be 1")
         out = list(c.kraus)
@@ -191,7 +188,7 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
         if rule == "C3p":
             idxs = sorted({index("i"), index("j")})
         else:
-            idxs = sorted({int(j) for j in need("indices")})
+            idxs = sorted(set(need("indices", _index_list)))
         if len(idxs) < 2 or not all(0 <= j < m for j in idxs):
             raise InvalidRuleArgs(f"{rule}: need two or more distinct Kraus indices")
         lead = idxs[0]
@@ -248,22 +245,18 @@ def _merge_proportional(kraus: list[KrausExpr], n: int, trace: list) -> list[Kra
                 break
         else:
             groups.append([j])
-    work = list(kraus)
-    tags = list(range(len(kraus)))
+    work = ChannelExpr(n, list(kraus))
+    tags = list(range(len(kraus)))  # original index of each remaining operator
     for g in groups:
         if len(g) < 2:
             continue
         pos = [tags.index(t) for t in g]
-        lead = pos[0]
-        ratios = [proportionality(work[lead], work[p]) for p in pos[1:]]
-        factor = np.sqrt(1.0 + sum(abs(r) ** 2 for r in ratios))
-        work[lead] = scale_kraus(work[lead], factor)
+        work = apply_rule(work, "C3", {"indices": pos})
         for p in reversed(pos[1:]):
-            del work[p]
             del tags[p]
         trace.append({"rule": "C3", "args": {"indices": pos},
-                      "kraus_count_after": len(work)})
-    return work
+                      "kraus_count_after": len(work.kraus)})
+    return work.kraus
 
 
 def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
@@ -304,7 +297,7 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
             new_kraus.append(combine_kraus(n, [(np.conj(s[i]), work[i])
                                                for i in range(m)]))
     else:
-        keys = sorted({_term_key(p)[1:] for k in work for _, p in k.terms},
+        keys = sorted({p.string.key() for k in work for _, p in k.terms},
                       key=lambda t: (t[1], t[0]))
         col = {key: i for i, key in enumerate(keys)}
         w = np.zeros((m, len(keys)), dtype=complex)

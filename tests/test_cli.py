@@ -134,7 +134,14 @@ class TestCompile:
         (5, "failed to parse"),
         ({"n": 1, "kraus": [[{"coeff": [1], "pauli": "X"}]]},
          "failed to parse"),
-    ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff"])
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": "h", "n": 1, "alpha": float("nan"), "anc": 1}}]]},
+         "failed to parse"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": "h", "n": 1, "alpha": 1.0, "anc": 1.5}}]]},
+         "failed to parse"),
+    ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
+            "blockenc-nan-alpha", "blockenc-fractional-anc"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
         bad = write_json(tmp_path / "bad.json", doc)
         code, _, err = run(capsys, "compile", bad, "--out",
@@ -331,6 +338,36 @@ class TestRewrite:
         assert code == 0
         doc = json.loads(outfile.read_text())
         assert len(doc["channel"]["kraus"]) <= len(chan.kraus)
+
+    @pytest.mark.parametrize("argv", [
+        ("--rule", "C1", "--rule-args", "5"),
+        ("--rule", "C1", "--rule-args", '{"perm": 5}'),
+        ("--rule", "C3", "--rule-args", '{"indices": 5}'),
+        ("--rule", "C2p", "--rule-args", '{"i": 0, "j": 1, "a": [1], "b": 0}'),
+        ("--rule", "K2", "--rule-args", '{"kraus": 0, "theta": NaN}'),
+    ], ids=["args-not-object", "perm-not-list", "indices-not-list",
+            "coeff-not-number", "theta-not-finite"])
+    @pytest.mark.parametrize("kraus", [1, 2])
+    def test_bad_rule_args_rejected(self, tmp_path, capsys, kraus, argv):
+        ops = [KrausExpr(1, [(1.0, PauliUnitary(PauliString(1, 1, 0)))]),
+               KrausExpr(1, [(0.5, PauliUnitary(PauliString(1, 0, 1)))])]
+        path = write_json(tmp_path / "c.json",
+                          channel_to_json(ChannelExpr(1, ops[:kraus])))
+        code, _, err = run(capsys, "rewrite", path, *argv)
+        assert code == 2
+        assert "rewrite failed:" in err or "--rule-args" in err
+
+    def test_rule_args_echoed_in_trace(self, tmp_path, capsys):
+        ops = [KrausExpr(1, [(0.6, PauliUnitary(PauliString(1, 1, 0)))]),
+               KrausExpr(1, [(0.8, PauliUnitary(PauliString(1, 0, 1)))])]
+        path = write_json(tmp_path / "c.json", channel_to_json(ChannelExpr(1, ops)))
+        for rule, args in [("C2", {"unitary": [[0, 1], [1, 0]]}),
+                           ("C2p", {"i": 0, "j": 1, "a": "0.6+0.8j", "b": 0})]:
+            code, stdout, _ = run(capsys, "rewrite", path, "--rule", rule,
+                                  "--rule-args", json.dumps(args))
+            assert code == 0
+            assert json.loads(stdout)["trace"] == [
+                {"rule": rule, "args": args, "kraus_count_after": 2}]
 
     def test_inapplicable_rule_fails(self, tmp_path, capsys):
         x = PauliUnitary(PauliString(1, 1, 0))

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from qchanc.ir import KrausExpr
 from qchanc.pauli import (
     PauliString,
     PauliSum,
@@ -14,6 +17,7 @@ from qchanc.pauli import (
     to_matrix,
     weight,
 )
+from qchanc.rewrite import canonical_kraus
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -135,12 +139,23 @@ def test_mismatched_sites_rejected():
 
 def test_canonicalize_merges_and_folds_phases():
     iy = from_label("Y", phase_exp=1)
-    s = PauliSum(1, [(1.0, iy), (2.0, from_label("Y")), (1e-15, from_label("X"))])
+    s = PauliSum(1, [(1.0, iy), (2.0, from_label("Y")), (1e-15, from_label("X")),
+                     (complex(0.5, -0.0), from_label("Z"))])
     c = canonicalize_sum(s)
-    assert len(c.terms) == 1
+    assert len(c.terms) == 2
     coeff, p = c.terms[0]
     assert p == from_label("Y")
     assert coeff == pytest.approx(2.0 + 1.0j)
+    # the first coefficient of a string is kept as given, signed zero too
+    assert c.terms[1] == (0.5, from_label("Z"))
+    assert math.copysign(1.0, c.terms[1][0].imag) == -1.0
+
+    # Kraus operators share the one canonical form, bit for bit
+    k = canonical_kraus(KrausExpr.from_pauli_sum(s))
+    assert [p.string for _, p in k.terms] == [p for _, p in c.terms]
+    for (a, _), (b, _) in zip(c.terms, k.terms):
+        for x, y in ((a.real, b.real), (a.imag, b.imag)):
+            assert x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def test_canonicalize_cancellation():

@@ -20,6 +20,7 @@ from qchanc.rewrite import (
     canonical_kraus,
     minimize_kraus_rank,
     proportionality,
+    scale_kraus,
     simplify,
     trace_to_json,
 )
@@ -232,15 +233,21 @@ def test_minimize_trace_replays():
     for a, p in c.kraus[0].terms:
         terms.append((0.7 * a, p))
     padded = ChannelExpr(2, list(c.kraus) + [KrausExpr(2, terms)])
-    out, trace = minimize_kraus_rank(padded)
-    replay = ChannelExpr(padded.n, [canonical_kraus(k) for k in padded.kraus])
-    for entry in trace:
-        replay = apply_rule(replay, entry["rule"], entry["args"])
-        assert len(replay.kraus) == entry["kraus_count_after"]
-    assert len(replay.kraus) == len(out.kraus)
-    assert channel_distance(replay, out) < 1e-9
-    blob = trace_to_json(trace)
-    assert all(set(e) == {"rule", "args", "kraus_count_after"} for e in blob)
+    # [A, B, 2A, 3B]: the second group's positions shift after the first merge
+    a, b = c.kraus
+    interleaved = ChannelExpr(2, [a, b, scale_kraus(a, 2.0), scale_kraus(b, 3.0)])
+    for chan in (padded, interleaved):
+        out, trace = minimize_kraus_rank(chan)
+        replay = ChannelExpr(chan.n, [canonical_kraus(k) for k in chan.kraus])
+        for entry in trace:
+            replay = apply_rule(replay, entry["rule"], entry["args"])
+            assert len(replay.kraus) == entry["kraus_count_after"]
+        assert len(replay.kraus) == len(out.kraus)
+        assert channel_distance(replay, out) < 1e-9
+        blob = trace_to_json(trace)
+        assert all(set(e) == {"rule", "args", "kraus_count_after"} for e in blob)
+    merges = [e["args"]["indices"] for e in trace if e["rule"] == "C3"]
+    assert merges == [[0, 2], [1, 2]]
 
 
 def test_minimize_blockenc_dense_route():
