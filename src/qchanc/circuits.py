@@ -309,12 +309,14 @@ def system_isometry(c: Circuit, system: str = "system",
     return apply_circuit(c, cols, cap)
 
 
-def run_channel(c: Circuit, rho_sys: np.ndarray, postselect=("be_anc",),
+def run_channel(c: Circuit, states, postselect=("be_anc",),
                 traceout=("kraus_sel", "flat_anc"), system: str = "system",
-                cap: int | None = None):
-    """Postselected, partially traced action on a system density matrix.
+                cap: int | None = None) -> list[tuple[np.ndarray, float]]:
+    """Postselected, partially traced action on system density matrices.
 
-    Returns (unnormalized output density matrix, success probability).
+    Simulates the circuit once (one column per system basis state) and
+    returns one (unnormalized output density matrix, success probability)
+    pair per state in `states`.
     """
     from .ir import validate_density
 
@@ -326,7 +328,7 @@ def run_channel(c: Circuit, rho_sys: np.ndarray, postselect=("be_anc",),
             if name == system:
                 raise ValueError("cannot postselect or trace the system register")
     n = c.reg_size(system)
-    rho = validate_density(rho_sys, n)
+    rhos = [validate_density(rho, n) for rho in states]
     w = system_isometry(c, system, cap)
     dims = [1 << s for _, s in c.registers] + [1 << n]
     w = w.reshape(dims)
@@ -341,8 +343,12 @@ def run_channel(c: Circuit, rho_sys: np.ndarray, postselect=("be_anc",),
             keep_axes.append(axis)
     # w now has one axis per traced register, then system-out, system-in
     flat = w.reshape(-1, 1 << n, 1 << n)
-    out = np.einsum("asi,atj,ij->st", flat, flat.conj(), rho)
-    return out, float(np.real(np.trace(out)))
+    flat_conj = flat.conj()
+    results = []
+    for rho in rhos:
+        out = np.einsum("asi,atj,ij->st", flat, flat_conj, rho)
+        results.append((out, float(np.real(np.trace(out)))))
+    return results
 
 
 # --- cost metrics -----------------------------------------------------------

@@ -231,23 +231,24 @@ def verify_stats(circ, scale, reference, delta, samples, cap=None) -> dict:
     """Max trace distance of the rescaled circuit channel vs the reference."""
     if isinstance(reference, ChannelExpr):
         n = reference.n
-        direct = lambda rho: apply_channel(reference, rho, cap)
+        direct = lambda states: apply_channel(reference, states, cap)
         bound = None
     else:
         n = reference.n
         if delta is None:
             raise CliError("verifying against a spec requires --delta")
         sup = exact_propagator(reference, delta, cap)
-        direct = lambda rho: propagate(sup, rho)
+        direct = lambda states: [propagate(sup, rho) for rho in states]
         bound = 5.0 * (delta * lindblad_opnorm(reference, cap)) ** 2
     if circ.reg_size("system") != n:
         raise CliError(f"circuit system has {circ.reg_size('system')} qubits, "
                        f"reference has {n}")
+    states = probe_states(n, samples, seed=VERIFY_SEED)
+    runs = run_channel(circ, states, cap=cap)
     worst = 0.0
     probs = []
-    for rho in probe_states(n, samples, seed=VERIFY_SEED):
-        out, prob = run_channel(circ, rho, cap=cap)
-        worst = max(worst, trace_distance(scale * out, direct(rho)))
+    for (out, prob), ref in zip(runs, direct(states)):
+        worst = max(worst, trace_distance(scale * out, ref))
         probs.append(prob)
     stats = {
         "max_trace_distance": worst,
@@ -337,10 +338,10 @@ def sweep_rows(spec, deltas, orders, delta, cap=None, samples=8):
 
     def worst(chan, d):
         sup = exact_propagator(spec, d, cap)
+        states = probe_states(spec.n, samples, seed=VERIFY_SEED)
         e = 0.0
-        for rho in probe_states(spec.n, samples, seed=VERIFY_SEED):
-            e = max(e, trace_distance(apply_channel(chan, rho, cap),
-                                      propagate(sup, rho)))
+        for rho, out in zip(states, apply_channel(chan, states, cap)):
+            e = max(e, trace_distance(out, propagate(sup, rho)))
         return e
 
     if deltas is not None:

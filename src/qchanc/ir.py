@@ -4,7 +4,7 @@ A channel is a list of Kraus operators; each Kraus operator is a complex
 combination of primitives.  Primitives are either Pauli strings (phases
 restricted to powers of i; any other phase belongs in the coefficient) or
 opaque references to externally supplied block encodings.  Dense semantics:
-apply_channel(C, rho) = sum_i K_i rho K_i^dag.
+apply_channel(C, [rho]) = [sum_i K_i rho K_i^dag].
 """
 
 from __future__ import annotations
@@ -171,14 +171,20 @@ def validate_density(rho: np.ndarray, n: int, tol: float = 1e-9) -> np.ndarray:
     return rho
 
 
-def apply_channel(c: ChannelExpr, rho: np.ndarray, cap: int | None = None) -> np.ndarray:
-    """sum_i K_i rho K_i^dag for a validated density input."""
-    rho = validate_density(rho, c.n)
-    out = np.zeros_like(rho)
-    for k in c.kraus:
-        m = eval_kraus(k, cap)
-        out += m @ rho @ m.conj().T
-    return out
+def apply_channel(c: ChannelExpr, states, cap: int | None = None) -> list[np.ndarray]:
+    """sum_i K_i rho K_i^dag for each validated density matrix in `states`.
+
+    Each Kraus operator is evaluated once for all the states.
+    """
+    rhos = [validate_density(rho, c.n) for rho in states]
+    mats = [(m, m.conj().T) for m in (eval_kraus(k, cap) for k in c.kraus)]
+    outs = []
+    for rho in rhos:
+        out = np.zeros_like(rho)
+        for m, m_dag in mats:
+            out += m @ rho @ m_dag
+        outs.append(out)
+    return outs
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -213,10 +219,11 @@ def channel_distance(a: ChannelExpr, b: ChannelExpr, samples: int = 32,
     """Max sampled trace distance between two channels (diamond-norm proxy)."""
     if a.n != b.n:
         raise TypecheckError("channel sizes differ")
+    states = probe_states(a.n, samples, seed)
     worst = 0.0
-    for rho in probe_states(a.n, samples, seed):
-        worst = max(worst, trace_distance(apply_channel(a, rho, cap),
-                                          apply_channel(b, rho, cap)))
+    for out_a, out_b in zip(apply_channel(a, states, cap),
+                            apply_channel(b, states, cap)):
+        worst = max(worst, trace_distance(out_a, out_b))
     return worst
 
 

@@ -25,11 +25,25 @@ from .ir import (
 )
 from .pauli import PauliString, fold_terms
 
-RULES = ("PS1", "PS2", "K1", "K2", "C1", "C2", "C2p", "C3", "C3p")
+# rule -> the argument keys it reads; any other key is rejected
+RULES = {
+    "PS1": ("kraus",),
+    "PS2": ("kraus", "tol"),
+    "K1": ("kraus", "tol"),
+    "K2": ("kraus", "theta"),
+    "C1": ("perm",),
+    "C2": ("unitary",),
+    "C2p": ("i", "j", "a", "b"),
+    "C3": ("indices",),
+    "C3p": ("i", "j"),
+}
 
 UNITARY_TOL = 1e-10
 PROP_TOL = 1e-10
 ZERO_TOL = 1e-12
+# largest `tol` PS2 and K1 accept: a larger one could drop a term or an
+# operator that changes the channel
+MAX_RULE_TOL = 1e-6
 
 
 class RewriteError(ValueError):
@@ -73,7 +87,12 @@ def combine_kraus(n: int, pairs) -> KrausExpr:
 
 def proportionality(a: KrausExpr, b: KrausExpr, tol: float = PROP_TOL):
     """Ratio r with b = r*a in canonical form, or None."""
-    da, db = fold_terms(a.terms, ZERO_TOL), fold_terms(b.terms, ZERO_TOL)
+    return _folded_ratio(fold_terms(a.terms, ZERO_TOL),
+                         fold_terms(b.terms, ZERO_TOL), tol)
+
+
+def _folded_ratio(da: dict, db: dict, tol: float = PROP_TOL):
+    """proportionality of two fold_terms results."""
     if set(da) != set(db):
         return None
     if not da:
@@ -106,6 +125,11 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
     if not isinstance(args, (dict, type(None))):
         raise InvalidRuleArgs(f"rule arguments must be an object, got {args!r}")
     args = dict(args or {})
+    if rule not in RULES:
+        raise InvalidRuleArgs(f"unknown rule {rule!r}")
+    unknown = [key for key in args if key not in RULES[rule]]
+    if unknown:
+        raise InvalidRuleArgs(f"rule {rule}: unknown argument {unknown[0]!r}")
     m = len(c.kraus)
 
     def need(key, kind=None, default=None):
@@ -122,6 +146,13 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
         except (TypeError, ValueError) as exc:
             raise InvalidRuleArgs(f"rule {rule}: bad argument {key}={args[key]!r}") from exc
 
+    def tol(default):
+        t = need("tol", float, default)
+        if t > MAX_RULE_TOL:
+            raise InvalidRuleArgs(
+                f"rule {rule}: tol {t!r} exceeds {MAX_RULE_TOL} and could change the channel")
+        return t
+
     def index(key):
         j = need(key)
         if not isinstance(j, (int, np.integer)) or not 0 <= j < m:
@@ -137,12 +168,12 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
     if rule == "PS2":
         j = index("kraus")
         out = list(c.kraus)
-        out[j] = drop_zero_terms(out[j], need("tol", float, ZERO_TOL))
+        out[j] = drop_zero_terms(out[j], tol(ZERO_TOL))
         return ChannelExpr(c.n, out)
 
     if rule == "K1":
         j = index("kraus")
-        if not is_zero_kraus(c.kraus[j], need("tol", float, 1e-8), cap):
+        if not is_zero_kraus(c.kraus[j], tol(1e-8), cap):
             raise RuleNotApplicable(f"K1: Kraus {j} is not zero")
         return ChannelExpr(c.n, c.kraus[:j] + c.kraus[j + 1:])
 
@@ -206,8 +237,6 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
             del out[j]
         return ChannelExpr(c.n, out)
 
-    raise InvalidRuleArgs(f"unknown rule {rule!r}")
-
 
 RANK_RTOL = 1e-9
 
@@ -237,14 +266,20 @@ def _complete_unitary(cols: list[np.ndarray], m: int) -> np.ndarray:
 
 
 def _merge_proportional(kraus: list[KrausExpr], n: int, trace: list) -> list[KrausExpr]:
+    # operators with different canonical key sets are never proportional, so
+    # each one is folded once and compared only with the groups of its key set
+    folds = [fold_terms(k.terms, ZERO_TOL) for k in kraus]
     groups: list[list[int]] = []
-    for j in range(len(kraus)):
-        for g in groups:
-            if proportionality(kraus[g[0]], kraus[j]) is not None:
+    buckets: dict[frozenset, list[list[int]]] = {}
+    for j, fold in enumerate(folds):
+        bucket = buckets.setdefault(frozenset(fold), [])
+        for g in bucket:
+            if _folded_ratio(folds[g[0]], fold) is not None:
                 g.append(j)
                 break
         else:
-            groups.append([j])
+            bucket.append([j])
+            groups.append(bucket[-1])
     work = ChannelExpr(n, list(kraus))
     tags = list(range(len(kraus)))  # original index of each remaining operator
     for g in groups:

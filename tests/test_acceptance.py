@@ -237,8 +237,8 @@ def _check_channel_lcu(chan, mode, flatten, tol=1e-9):
     alphas = channel_alphas(chan, mode)
     scale = 1.0 / float(np.sum(np.square(alphas)))
     for rho in haar_states(chan.n, 32, seed=21):
-        out, prob = run_channel(circ, rho)
-        direct = apply_channel(chan, rho)
+        out, prob = run_channel(circ, [rho])[0]
+        direct = apply_channel(chan, [rho])[0]
         assert np.max(np.abs(out - scale * direct)) <= tol
         assert abs(prob - scale) <= tol
 
@@ -339,7 +339,7 @@ def test_criterion_07_first_order_error_bound():
         sup = exact_propagator(spec, delta)
         worst = 0.0
         for rho in probe_states(1, 8, seed=7):
-            worst = max(worst, trace_distance(apply_channel(chan, rho),
+            worst = max(worst, trace_distance(apply_channel(chan, [rho])[0],
                                               propagate(sup, rho)))
         assert worst <= 5.0 * (delta * lops) ** 2
         errs.append(worst)
@@ -360,7 +360,7 @@ def test_criterion_08_higher_order_trend():
         chan = higher_order(spec, delta, QuadratureSpec(order, 6, 3))
         worst = 0.0
         for rho in probe_states(1, 8, seed=7):
-            worst = max(worst, trace_distance(apply_channel(chan, rho),
+            worst = max(worst, trace_distance(apply_channel(chan, [rho])[0],
                                               propagate(sup, rho)))
         return worst
 

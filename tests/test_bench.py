@@ -162,7 +162,7 @@ class TestHypercubeLike:
         chan = gen_hypercube_like(8, seed=3)
         assert tp_defect(chan) <= 1e-9
         for rho in probe_states(chan.n, 2, seed=8):
-            out = apply_channel(chan, rho)
+            out = apply_channel(chan, [rho])[0]
             assert abs(np.trace(out) - 1.0) <= 1e-9
 
     def test_deterministic(self):

@@ -146,7 +146,7 @@ def test_random_circuit_unitary_and_adjoint():
 def test_run_channel_identity():
     c = Circuit((("kraus_sel", 1), ("be_anc", 1), ("flat_anc", 0), ("system", 1)))
     rho = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
-    out, prob = run_channel(c, rho)
+    out, prob = run_channel(c, [rho])[0]
     assert np.allclose(out, rho, atol=1e-12)
     assert abs(prob - 1.0) < 1e-12
 
@@ -156,7 +156,7 @@ def test_run_channel_postselect_halves():
     c = Circuit((("kraus_sel", 0), ("be_anc", 1), ("flat_anc", 0), ("system", 1)))
     c.add(StatePrep((0,), (s, s)))
     rho = np.eye(2, dtype=complex) / 2
-    out, prob = run_channel(c, rho)
+    out, prob = run_channel(c, [rho])[0]
     assert abs(prob - 0.5) < 1e-12
     assert np.allclose(out, rho / 2, atol=1e-12)
 
@@ -167,7 +167,7 @@ def test_run_channel_trace_out():
     c.add(StatePrep((0,), (s, s)))
     c.add(controlled([(0, 1)], PauliGate(from_label("X"), (1,))))
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    out, prob = run_channel(c, rho)
+    out, prob = run_channel(c, [rho])[0]
     assert abs(prob - 1.0) < 1e-12
     assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 

@@ -251,6 +251,38 @@ class TestVerify:
         code, _, err = run(capsys, "verify", circ, "--reference", decay_file)
         assert code == 2 and "delta" in err
 
+    def test_verify_simulates_circuit_once(self, tmp_path, capsys, monkeypatch):
+        import qchanc.circuits as circuits
+        import qchanc.ir as ir
+
+        calls = {"isometry": 0, "eval": 0}
+
+        def counting(fn, key):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        spec = gen_tfim(3, 1.0)
+        spec_path = write_json(tmp_path / "tfim.json", lindblad_to_json(spec))
+        lowered = first_order(spec, 0.01)
+        chan_path = write_json(tmp_path / "lowered.json", channel_to_json(lowered))
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, "compile", spec_path, "--delta", "0.01",
+                         "--out", str(out))
+        assert code == 0
+        monkeypatch.setattr(circuits, "system_isometry", counting(
+            circuits.system_isometry, "isometry"))
+        monkeypatch.setattr(ir, "eval_kraus", counting(ir.eval_kraus, "eval"))
+        for ref, extra in ((spec_path, ("--delta", "0.01")), (chan_path, ())):
+            calls.update(isometry=0, eval=0)
+            code, stdout, _ = run(capsys, "verify", str(out / "circuit.json"),
+                                  "--reference", ref, *extra)
+            assert code == 0
+            assert json.loads(stdout)["samples"] == 8 + 8
+            assert calls["isometry"] == 1
+            assert calls["eval"] <= len(lowered.kraus)
+
 
 class TestCost:
     def test_empty_circuit(self, tmp_path, capsys):
@@ -345,8 +377,11 @@ class TestRewrite:
         ("--rule", "C3", "--rule-args", '{"indices": 5}'),
         ("--rule", "C2p", "--rule-args", '{"i": 0, "j": 1, "a": [1], "b": 0}'),
         ("--rule", "K2", "--rule-args", '{"kraus": 0, "theta": NaN}'),
+        ("--rule", "PS2", "--rule-args", '{"kraus": 0, "tolerance": 0.9}'),
+        ("--rule", "PS2", "--rule-args", '{"kraus": 0, "tol": 0.9}'),
     ], ids=["args-not-object", "perm-not-list", "indices-not-list",
-            "coeff-not-number", "theta-not-finite"])
+            "coeff-not-number", "theta-not-finite", "unknown-key",
+            "tol-too-large"])
     @pytest.mark.parametrize("kraus", [1, 2])
     def test_bad_rule_args_rejected(self, tmp_path, capsys, kraus, argv):
         ops = [KrausExpr(1, [(1.0, PauliUnitary(PauliString(1, 1, 0)))]),
@@ -445,3 +480,25 @@ class TestErrorSweep:
         path = write_json(tmp_path / "c.json", channel_to_json(chan))
         code, _, err = run(capsys, "error-sweep", path, "--deltas", "0.01")
         assert code == 2 and "spec" in err
+
+    def test_sweep_evaluates_each_kraus_once_per_row(self, tmp_path, capsys,
+                                                     monkeypatch):
+        import qchanc.ir as ir
+        from qchanc.lindblad import QuadratureSpec, higher_order
+
+        calls = []
+        original = ir.eval_kraus
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        spec = gen_tfim(2, 1.0)
+        path = write_json(tmp_path / "tfim.json", lindblad_to_json(spec))
+        monkeypatch.setattr(ir, "eval_kraus", counting)
+        code, _, _ = run(capsys, "error-sweep", path, "--orders", "1,2",
+                         "--delta", "0.05")
+        assert code == 0
+        expected = sum(len(higher_order(spec, 0.05, QuadratureSpec(k, max(k, 2), 2)).kraus)
+                       for k in (1, 2))
+        assert len(calls) == expected

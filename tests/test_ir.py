@@ -92,7 +92,7 @@ def test_apply_channel_amplitude_damping():
     k1 = np.array([[0, math.sqrt(p)], [0, 0]], dtype=complex)
     for _ in range(20):
         rho = random_density(rng, 1)
-        out = apply_channel(chan, rho)
+        out = apply_channel(chan, [rho])[0]
         expect = k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
         assert np.allclose(out, expect, atol=1e-12)
         assert abs(np.trace(out) - 1.0) < 1e-12
@@ -101,13 +101,13 @@ def test_apply_channel_amplitude_damping():
 def test_density_validation():
     chan = amplitude_damping(0.1)
     with pytest.raises(ValueError, match="Hermitian"):
-        apply_channel(chan, np.array([[1, 1], [0, 0]], dtype=complex))
+        apply_channel(chan, [np.array([[1, 1], [0, 0]], dtype=complex)])
     with pytest.raises(ValueError, match="trace"):
-        apply_channel(chan, np.eye(2, dtype=complex))
+        apply_channel(chan, [np.eye(2, dtype=complex)])
     with pytest.raises(ValueError, match="positive"):
-        apply_channel(chan, np.diag([1.5, -0.5]).astype(complex))
+        apply_channel(chan, [np.diag([1.5, -0.5]).astype(complex)])
     with pytest.raises(ValueError, match="shape"):
-        apply_channel(chan, np.eye(4, dtype=complex) / 4)
+        apply_channel(chan, [np.eye(4, dtype=complex) / 4])
     rho = validate_density(np.eye(2) / 2, 1)
     assert rho.dtype == complex
 

@@ -78,7 +78,7 @@ def worst_error(chan, spec, delta, samples=8):
     sup = exact_propagator(spec, delta)
     worst = 0.0
     for rho in probe_states(chan.n, samples, seed=3):
-        worst = max(worst, trace_distance(apply_channel(chan, rho),
+        worst = max(worst, trace_distance(apply_channel(chan, [rho])[0],
                                           propagate(sup, rho)))
     return worst
 

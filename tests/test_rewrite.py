@@ -79,6 +79,16 @@ def test_ps2_drops_zero_terms():
     assert c.kraus[0].terms[0][0] == 1.0
 
 
+def test_rule_tol_that_changes_the_channel_rejected():
+    c = ChannelExpr(1, [KrausExpr(1, [(0.6, pu("X"))]),
+                        KrausExpr(1, [(0.8, pu("Z"))])])
+    for rule in ("PS2", "K1"):
+        with pytest.raises(InvalidRuleArgs, match="tol"):
+            apply_rule(c, rule, {"kraus": 0, "tol": 0.9})
+    assert apply_rule(c, "PS2", {"kraus": 0, "tol": 1e-10}).kraus[0].terms == [
+        (0.6, pu("X"))]
+
+
 def test_k1_removes_zero_kraus_only():
     zero = KrausExpr(1, [(1.0, pu("X")), (-1.0, pu("X"))])
     keep = KrausExpr(1, [(1.0, pu("I"))])

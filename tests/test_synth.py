@@ -324,11 +324,11 @@ class TestChannelLcu:
         want_scale = None
         for rho in probe_states(n, samples, seed=13):
             out, prob = run_channel(
-                circ, rho,
+                circ, [rho],
                 postselect=("be_anc",),
                 traceout=("kraus_sel", "flat_anc"),
-                system="system")
-            direct = apply_channel(chan, rho)
+                system="system")[0]
+            direct = apply_channel(chan, [rho])[0]
             if want_scale is None:
                 alphas = channel_alphas(chan, "naive")
                 want_scale = 1.0 / float(np.sum(np.square(alphas)))
@@ -344,8 +344,8 @@ class TestChannelLcu:
         assert circ.reg_size("flat_anc") == 0
         rho = probe_states(1, 1, seed=2)[-1]
         out, prob = run_channel(
-            circ, rho, postselect=("be_anc",),
-            traceout=("kraus_sel", "flat_anc"), system="system")
+            circ, [rho], postselect=("be_anc",),
+            traceout=("kraus_sel", "flat_anc"), system="system")[0]
         assert np.max(np.abs(out - rho)) <= 1e-12
         assert prob == pytest.approx(1.0)
 
@@ -409,8 +409,8 @@ class TestChannelLcu:
         rho = probe_states(1, 3, seed=4)[-1]
         kw = dict(postselect=("be_anc",), traceout=("kraus_sel", "flat_anc"),
                   system="system")
-        o1, p1 = run_channel(c1, rho, **kw)
-        o2, p2 = run_channel(c2, rho, **kw)
+        o1, p1 = run_channel(c1, [rho], **kw)[0]
+        o2, p2 = run_channel(c2, [rho], **kw)[0]
         assert np.max(np.abs(o1 - o2)) <= 1e-12
         assert p1 == pytest.approx(p2)
 
@@ -426,9 +426,24 @@ class TestChannelLcu:
         outs = []
         for mode in ("naive", "optimized"):
             for flat in (False, True):
-                out, prob = run_channel(channel_lcu(chan, mode, flat), rho, **kw)
+                out, prob = run_channel(channel_lcu(chan, mode, flat), [rho], **kw)[0]
                 outs.append((out, prob))
         ref_out, ref_prob = outs[0]
         for out, prob in outs[1:]:
             assert np.max(np.abs(out - ref_out)) <= 1e-12
             assert prob == pytest.approx(ref_prob, abs=1e-12)
+
+    def test_batch_matches_each_state_alone(self):
+        from qchanc.bench import gen_tfim
+        from qchanc.lindblad import first_order
+
+        chan = first_order(gen_tfim(2, 1.0), 0.05)
+        circ = channel_lcu(chan, "optimized", True)
+        states = probe_states(2, 4, seed=11)
+        runs = run_channel(circ, states)
+        outs = apply_channel(chan, states)
+        assert len(runs) == len(outs) == len(states)
+        for rho, (out, prob), direct in zip(states, runs, outs):
+            alone_out, alone_prob = run_channel(circ, [rho])[0]
+            assert np.array_equal(out, alone_out) and prob == alone_prob
+            assert np.array_equal(direct, apply_channel(chan, [rho])[0])
