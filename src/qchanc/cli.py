@@ -75,6 +75,17 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
+def _nonnegative_int(text: str) -> int:
+    """argparse type: a nonnegative integer."""
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a nonnegative integer, got {text!r}")
+
+
 def load_input(path: str):
     """Read a LindbladSpec or ChannelExpr JSON file, sniffing the kind."""
     try:
@@ -240,6 +251,10 @@ def verify_stats(circ, scale, reference, delta, samples, cap=None) -> dict:
         sup = exact_propagator(reference, delta, cap)
         direct = lambda states: [propagate(sup, rho) for rho in states]
         bound = 5.0 * (delta * lindblad_opnorm(reference, cap)) ** 2
+    names = [name for name, _ in circ.registers]
+    for reg in ("system", "be_anc", "kraus_sel", "flat_anc"):
+        if reg not in names:
+            raise CliError(f"circuit has no {reg!r} register")
     if circ.reg_size("system") != n:
         raise CliError(f"circuit system has {circ.reg_size('system')} qubits, "
                        f"reference has {n}")
@@ -419,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument("--reference", required=True)
     p.add_argument("--delta", type=_finite_float, default=None)
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=_nonnegative_int, default=8)
     common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -429,8 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="write a benchmark instance")
     p.add_argument("family", choices=["decay", "tfim", "rndpauli", "hypercube"])
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--nbar", type=float, default=1.0)
+    p.add_argument("--gamma", type=_finite_float, default=1.0)
+    p.add_argument("--nbar", type=_finite_float, default=1.0)
     p.add_argument("--sites", type=int, default=3)
     p.add_argument("--terms", type=int, default=8)
     p.add_argument("--vertices", type=int, default=8)
@@ -453,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--orders", default=None, help="comma-separated K values")
     p.add_argument("--delta", type=_finite_float, default=None,
                    help="fixed delta for an order sweep")
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=_nonnegative_int, default=8)
     p.add_argument("--out", default=None)
     common(p)
     p.set_defaults(func=cmd_error_sweep)

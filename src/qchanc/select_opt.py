@@ -15,6 +15,7 @@ reordered Pauli products are folded into the prepared coefficients.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .circuits import (
@@ -54,36 +55,43 @@ def g_table_json(g: GTable) -> list:
 
 
 class Gf2Span:
-    """Row space over F2 with pivot elimination and combination tracking."""
+    """Row space over F2 with pivot elimination and combination tracking.
+
+    `pivots` maps each pivot bit, highest first, to (row with that top bit,
+    XOR of the inserted tags the row combines).
+    """
 
     def __init__(self):
         self.pivots: dict[int, tuple[int, int]] = {}
 
-    def _reduce(self, vec: int) -> tuple[int, int]:
+    def reduce(self, vec: int) -> tuple[int, int]:
+        """Clear every pivot bit of vec, high to low: (residual, combination).
+
+        The residual names vec's coset: it is shared exactly by the vectors
+        whose sum with vec lies in the span.
+        """
         comb = 0
-        while vec:
-            top = vec.bit_length() - 1
-            if top not in self.pivots:
-                break
-            row, tag = self.pivots[top]
-            vec ^= row
-            comb ^= tag
+        for bit, (row, tag) in self.pivots.items():
+            if vec >> bit & 1:
+                vec ^= row
+                comb ^= tag
         return vec, comb
 
     def contains(self, vec: int) -> bool:
-        return self._reduce(vec)[0] == 0
+        return self.reduce(vec)[0] == 0
 
     def decode(self, vec: int) -> int:
-        red, comb = self._reduce(vec)
+        red, comb = self.reduce(vec)
         if red:
             raise ValueError("vector is not in the span")
         return comb
 
     def insert(self, vec: int, tag: int) -> bool:
-        red, comb = self._reduce(vec)
+        red, comb = self.reduce(vec)
         if red == 0:
             return False
         self.pivots[red.bit_length() - 1] = (red, comb ^ tag)
+        self.pivots = dict(sorted(self.pivots.items(), reverse=True))
         return True
 
 
@@ -98,37 +106,43 @@ def _vw(x: int, z: int) -> int:
 def greedy_basis_selection(rows: list[tuple[int, int]], s: int, n: int):
     """Pick generator rows maximizing covered targets per Pauli weight.
 
-    Returns (selected row indices, set of covered row indices).  Stops at s
-    generators, full coverage, or when accepting the best candidate would
-    leave more uncovered rows than free non-subspace addresses.
+    Rows must be distinct and nonzero (`optimize_pauli_select` passes
+    distinct canonical keys, anchor or identity removed).  Then no uncovered
+    row is in the span, adding row v covers exactly the uncovered rows that
+    share v's residual, and one count of residuals scores every candidate.
+    Returns (selected row indices, {covered row index: address}), generator
+    k at address 1 << k.  Stops at s generators, full coverage, or when
+    accepting the best candidate would leave more uncovered rows than free
+    non-subspace addresses.
     """
     total = len(rows)
     span = Gf2Span()
     chosen: list[int] = []
-    covered: set[int] = set()
+    covered: dict[int, int] = {}
     while len(chosen) < s and len(covered) < total:
+        reduced = {j: span.reduce(_vec(x, z, n))
+                   for j, (x, z) in enumerate(rows) if j not in covered}
+        counts = Counter(red for red, _ in reduced.values())
+        free_after = (1 << s) - (1 << (len(chosen) + 1))
         best = None
         best_score = 0.0
-        for i, (x, z) in enumerate(rows):
-            if i in covered or span.contains(_vec(x, z, n)):
+        for i, (red, _) in reduced.items():
+            newly = counts[red]
+            if free_after < total - len(covered) - newly:
                 continue
-            probe = Gf2Span()
-            probe.pivots = dict(span.pivots)
-            probe.insert(_vec(x, z, n), 0)
-            newly = [j for j in range(total) if j not in covered
-                     and probe.contains(_vec(rows[j][0], rows[j][1], n))]
-            free_after = (1 << s) - (1 << (len(chosen) + 1))
-            if free_after < total - len(covered) - len(newly):
-                continue
-            score = len(newly) / _vw(x, z)
+            score = newly / _vw(*rows[i])
             if best is None or score > best_score + 1e-12:
-                best, best_score = (i, newly), score
+                best, best_score = i, score
         if best is None:
             break
-        i, newly = best
-        span.insert(_vec(rows[i][0], rows[i][1], n), 1 << len(chosen))
-        chosen.append(i)
-        covered.update(newly)
+        red, comb = reduced[best]
+        tag = 1 << len(chosen)
+        span.insert(_vec(*rows[best], n), tag)
+        chosen.append(best)
+        # same residual: row j = row best + the span rows of comb ^ comb_j
+        for j, (red_j, comb_j) in reduced.items():
+            if red_j == red:
+                covered[j] = tag ^ comb ^ comb_j
     return chosen, covered
 
 
@@ -284,19 +298,10 @@ def optimize_pauli_select(terms: list[tuple[complex, PauliString]]):
 
     entries: dict[int, tuple] = {}
     assigned_weights: dict[int, int] = {}
-    generators = [(rows[i][0], rows[i][1]) for i in sel]
-    span = Gf2Span()
-    for i, idx in enumerate(sel):
-        entries[1 << i] = rows[idx][2]
-        assigned_weights[1 << i] = _vw(rows[idx][0], rows[idx][1])
-        span.insert(_vec(rows[idx][0], rows[idx][1], n), 1 << i)
-    for j in cov:
-        if j in sel:
-            continue
-        x, z = rows[j][0], rows[j][1]
-        addr = span.decode(_vec(x, z, n))
+    for j, addr in cov.items():
         entries[addr] = rows[j][2]
-        assigned_weights[addr] = _vw(x, z)
+        assigned_weights[addr] = _vw(rows[j][0], rows[j][1])
+    generators = [(rows[i][0], rows[i][1]) for i in sel]
     remaining = [rows[j] for j in range(len(rows)) if j not in cov]
     assign_additional_modes(entries, generators, remaining, s, n, assigned_weights)
 
@@ -305,19 +310,13 @@ def optimize_pauli_select(terms: list[tuple[complex, PauliString]]):
         mode.entries[0] = (anchor[1], 0)
     elif id_coeff is not None:
         mode.entries[0] = (PauliString(n, 0, 0), 0)
-    for addr, (c, p, phi) in entries.items():
-        mode.entries[addr] = (p, phi)
-    gtable, phi_ad = invert_modes_with_phases(mode)
-
-    permuted: dict[int, complex] = {}
     coeffs = {0: anchor[0] if anchor is not None else id_coeff}
     for addr, (c, p, phi) in entries.items():
+        mode.entries[addr] = (p, phi)
         coeffs[addr] = c
-    for addr in sorted(mode.entries):
-        c = coeffs.get(addr)
-        if c is None:
-            continue
-        permuted[addr] = c * (1j) ** phi_ad[addr]
+    gtable, phi_ad = invert_modes_with_phases(mode)
+    permuted = {addr: coeffs[addr] * (1j) ** phi_ad[addr]
+                for addr in sorted(mode.entries)}
     return mode, gtable, s, permuted
 
 

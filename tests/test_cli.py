@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line pipeline."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +247,39 @@ class TestVerify:
         assert exc.value.code == 2
         assert "got 'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-3", "x"])
+    def test_bad_sample_count_rejected(self, tmp_path, decay_file, capsys,
+                                       value):
+        circuit = self.compile_decay(tmp_path, decay_file, capsys)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", circuit, "--reference", decay_file,
+                  "--delta", "0.01", "--samples", value])
+        assert exc.value.code == 2
+        assert f"got '{value}'" in capsys.readouterr().err
+
+    def test_zero_samples_uses_basis_states(self, tmp_path, decay_file,
+                                            capsys):
+        circuit = self.compile_decay(tmp_path, decay_file, capsys)
+        code, stdout, _ = run(capsys, "verify", circuit, "--reference",
+                              decay_file, "--delta", "0.01", "--samples", "0")
+        assert code == 0
+        assert json.loads(stdout)["samples"] == 2
+
+    @pytest.mark.parametrize("register",
+                             ["system", "be_anc", "kraus_sel", "flat_anc"])
+    def test_missing_register_named(self, tmp_path, decay_file, capsys,
+                                    register):
+        doc = json.loads(Path(self.compile_decay(tmp_path, decay_file,
+                                                 capsys)).read_text())
+        for reg in doc["registers"]:
+            if reg["name"] == register:
+                reg["name"] = "renamed"
+        circuit = write_json(tmp_path / "renamed.json", doc)
+        code, _, err = run(capsys, "verify", circuit, "--reference",
+                           decay_file, "--delta", "0.01")
+        assert code == 2
+        assert f"no '{register}' register" in err
+
     def test_spec_reference_needs_delta(self, tmp_path, decay_file, capsys):
         circ = self.compile_decay(tmp_path, decay_file, capsys)
         code, _, err = run(capsys, "verify", circ, "--reference", decay_file)
@@ -319,6 +353,18 @@ class TestBench:
         assert str(path) in stdout
         doc = json.loads(path.read_text())
         assert doc["n"] == 1 and len(doc["jumps"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["decay", "--gamma", "nan"],
+        ["decay", "--nbar", "inf"],
+        ["tfim", "--gamma", "inf"],
+    ])
+    def test_non_finite_rate_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *argv, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"got '{argv[-1]}'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_all_families(self, tmp_path, capsys):
         for argv, name in [
@@ -467,6 +513,13 @@ class TestErrorSweep:
         run(capsys, "error-sweep", decay_file, "--deltas", "0.02,0.01",
             "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_sample_count_rejected(self, decay_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["error-sweep", decay_file, "--deltas", "0.01",
+                  "--samples", "-5"])
+        assert exc.value.code == 2
+        assert "got '-5'" in capsys.readouterr().err
 
     def test_requires_exactly_one_sweep(self, decay_file, capsys):
         code, _, err = run(capsys, "error-sweep", decay_file)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -70,14 +72,105 @@ class TestGf2Span:
         with pytest.raises(ValueError):
             sp.decode(0b1000)
 
+    def test_residual_names_the_coset(self):
+        rng = RNG(5)
+        for _ in range(50):
+            sp = Gf2Span()
+            for k in range(int(rng.integers(1, 5))):
+                sp.insert(int(rng.integers(1, 1 << 8)), 1 << k)
+            span = [0]
+            for row, _ in sp.pivots.values():
+                span += [v ^ row for v in span]
+            vec = int(rng.integers(0, 1 << 8))
+            red, comb = sp.reduce(vec)
+            assert all(red >> bit & 1 == 0 for bit in sp.pivots)
+            assert {sp.reduce(vec ^ w)[0] for w in span} == {red}
+            # the residual differs from vec by the span vector of comb
+            assert sp.decode(vec ^ red) == comb
+
+
+def probe_span_greedy(rows, s, n):
+    """Reference greedy: one probe span per candidate, every row re-tested.
+
+    Returns (selected row indices, set of covered row indices).
+    """
+    total = len(rows)
+    span = Gf2Span()
+    chosen, covered = [], set()
+    while len(chosen) < s and len(covered) < total:
+        best = None
+        best_score = 0.0
+        for i, (x, z) in enumerate(rows):
+            if i in covered or span.contains((x << n) | z):
+                continue
+            probe = Gf2Span()
+            probe.pivots = dict(span.pivots)
+            probe.insert((x << n) | z, 0)
+            newly = [j for j in range(total) if j not in covered
+                     and probe.contains((rows[j][0] << n) | rows[j][1])]
+            free_after = (1 << s) - (1 << (len(chosen) + 1))
+            if free_after < total - len(covered) - len(newly):
+                continue
+            score = len(newly) / weight(PauliString(n, x, z))
+            if best is None or score > best_score + 1e-12:
+                best, best_score = (i, newly), score
+        if best is None:
+            break
+        i, newly = best
+        span.insert((rows[i][0] << n) | rows[i][1], 1 << len(chosen))
+        chosen.append(i)
+        covered.update(newly)
+    return chosen, covered
+
+
+def random_rows(rng, n, m):
+    """m distinct nonzero (x, z) rows, as optimize_pauli_select passes them."""
+    keys = rng.choice(np.arange(1, 4 ** n), size=m, replace=False)
+    return [(int(k) >> n, int(k) & ((1 << n) - 1)) for k in keys]
+
 
 class TestGreedy:
+    @pytest.mark.parametrize("order", ["x", "z"])
+    def test_matches_probe_span_greedy(self, order):
+        rng = RNG(17)
+        for _ in range(200):
+            n = int(rng.integers(1, 5))
+            rows = random_rows(rng, n, int(rng.integers(1, min(4 ** n, 40))))
+            # the two row orders optimize_pauli_select tries
+            rows.sort(key=lambda r: ((r[0] | r[1]).bit_count(),
+                                     *(r if order == "x" else r[::-1])))
+            s = max(1, math.ceil(math.log2(len(rows) + 1)))
+            sel, cov = greedy_basis_selection(rows, s, n)
+            want_sel, want_cov = probe_span_greedy(rows, s, n)
+            assert sel == want_sel
+            assert set(cov) == want_cov
+            fresh = Gf2Span()
+            for k, i in enumerate(sel):
+                fresh.insert((rows[i][0] << n) | rows[i][1], 1 << k)
+            assert cov == {j: fresh.decode((rows[j][0] << n) | rows[j][1])
+                           for j in cov}
+
+    def test_reductions_linear_per_step(self, monkeypatch):
+        calls = []
+        original = Gf2Span.reduce
+
+        def counting(self, vec):
+            calls.append(vec)
+            return original(self, vec)
+
+        monkeypatch.setattr(Gf2Span, "reduce", counting)
+        # 64 rows plus an anchor: s = 7 select bits
+        n, m, s = 4, 64, 7
+        sel, cov = greedy_basis_selection(random_rows(RNG(23), n, m), s, n)
+        assert len(sel) >= 2
+        assert len(calls) <= (s + 1) * (m + 1)
+
     def test_pair_product_coverage(self):
         # {X1, X2, X1X2}: two generators cover all three.
         rows = [(0b01, 0), (0b10, 0), (0b11, 0)]
         sel, cov = greedy_basis_selection(rows, 2, 2)
         assert len(sel) == 2
-        assert cov == {0, 1, 2}
+        assert set(cov) == {0, 1, 2}
         # Brute-force oracle over generator subsets: no single row covers all
         # three, some pair does.
         best = 0
@@ -94,7 +187,7 @@ class TestGreedy:
         rows = [(0b01, 0), (0b10, 0), (0, 0b11)]
         sel, cov = greedy_basis_selection(rows, 2, 2)
         assert len(sel) == 1
-        assert cov == {sel[0]}
+        assert set(cov) == {sel[0]}
 
 
 class TestInvert:
