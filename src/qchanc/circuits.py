@@ -62,7 +62,7 @@ class StatePrep:
         if len(self.amps) != 1 << len(self.qubits):
             raise ValueError("amplitude vector length must be 2^(#qubits)")
         norm = np.linalg.norm(self.amps)
-        if abs(norm - 1.0) > PREP_TOL:
+        if not abs(norm - 1.0) <= PREP_TOL:  # a NaN norm fails too
             raise ValueError("amplitude vector is not unit norm")
 
 

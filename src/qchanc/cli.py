@@ -113,9 +113,9 @@ def _parse_frontend(text: str):
         return ("first", None)
     if text == "channel":
         return ("channel", None)
-    if text.startswith("order"):
+    if text == "order" or text.startswith("order:"):
         params = (1, 1, 1)
-        if ":" in text:
+        if text != "order":
             try:
                 parts = [int(p) for p in text.split(":", 1)[1].split(",")]
             except ValueError as exc:
@@ -233,7 +233,10 @@ def cmd_compile(args) -> int:
 def _load_circuit(path: str):
     try:
         data = json.loads(Path(path).read_text())
-        return circuit_from_json(data), data.get("alpha_sq_sum", 1.0)
+        circ, scale = circuit_from_json(data), data.get("alpha_sq_sum", 1.0)
+        if type(scale) not in (int, float) or not 0 < scale < math.inf:  # not bool, NaN
+            raise ValueError(f"alpha_sq_sum must be a finite positive number, got {scale!r}")
+        return circ, scale
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CliError(f"cannot load circuit {path}: {exc}") from exc
 

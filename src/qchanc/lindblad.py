@@ -138,13 +138,9 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
                         op = _taylor_exp(j, gap, quad.drift_taylor_order) @ op
                     sums.append(pauli_decompose(sqrt(scalar) * op, spec.n,
                                                 DECOMPOSE_TOL, cap))
-    kraus = []
-    for s in sums:
-        s = canonicalize_sum(s)
-        if s.terms:
-            kraus.append(KrausExpr.from_pauli_sum(s))
-    # the drift Kraus always carries the identity, so kraus is non-empty
-    return ChannelExpr(spec.n, kraus)
+    # pauli_decompose sums are already canonical: distinct bare strings, each
+    # with |c| > DECOMPOSE_TOL; the drift Kraus always carries the identity
+    return ChannelExpr(spec.n, [KrausExpr.from_pauli_sum(s) for s in sums if s.terms])
 
 
 def lindblad_opnorm(spec: LindbladSpec, cap: int | None = None) -> float:

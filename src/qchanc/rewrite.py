@@ -4,8 +4,10 @@ Rule set: PS1 (term merging), PS2 (zero-term elimination), K1 (zero Kraus
 elimination), K2 (global phase elimination), C1 (Kraus permutation), C2
 (Kraus unitary transform), C2p (two-Kraus unitary transform), C3 (Kraus
 merging), C3p (two-Kraus merging).  minimize_kraus_rank drives the channel
-to the minimal Kraus count via C3 merges, one C2 whose unitary comes from a
-spectral decomposition, and K1 eliminations.
+to the minimal Kraus count via C3 merges, one C2 and K1 eliminations.  The
+C2 unitary comes from one eigh of the m x m Gram matrix of the operators'
+coefficient rows; inside a degenerate eigenspace its basis is the one
+Gram-Schmidt builds from the projected row axes, in order.
 """
 
 from __future__ import annotations
@@ -239,30 +241,26 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
 
 
 RANK_RTOL = 1e-9
+# Gram eigenvalues this close, relative to the largest, share one eigenspace
+DEGEN_RTOL = 1e-12
 
 
-def _first_significant(v: np.ndarray, cutoff: float) -> int:
-    for i, x in enumerate(v):
-        if abs(x) > cutoff:
-            return i
-    return -1
-
-
-def _complete_unitary(cols: list[np.ndarray], m: int) -> np.ndarray:
-    """Extend orthonormal columns to an m x m unitary, deterministically."""
-    basis = list(cols)
-    for j in range(m):
-        if len(basis) == m:
-            break
-        v = np.zeros(m, dtype=complex)
-        v[j] = 1.0
-        for _ in range(2):
-            for b in basis:
-                v = v - b * np.vdot(b, v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-7:
-            basis.append(v / norm)
-    return np.column_stack(basis)
+def _axis_basis(y: np.ndarray, floor: float) -> np.ndarray:
+    """Unitary whose columns Gram-Schmidt builds from the columns of y (g x K)
+    in order, skipping a column whose residual squared norm is <= floor."""
+    g = y.shape[0]
+    res = y.copy()
+    basis = np.zeros((g, 0), dtype=complex)
+    a = 0
+    while basis.shape[1] < g:
+        mass = np.sum(np.abs(res[:, a:]) ** 2, axis=0)
+        a += int(np.argmax(mass > floor))
+        v = res[:, a] - basis @ (basis.conj().T @ res[:, a])  # re-orthogonalized
+        v /= np.linalg.norm(v)
+        res -= np.outer(v, v.conj() @ res)
+        basis = np.column_stack([basis, v])
+        a += 1
+    return basis
 
 
 def _merge_proportional(kraus: list[KrausExpr], n: int, trace: list) -> list[KrausExpr]:
@@ -299,8 +297,8 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
 
     Returns (channel, trace).  The trace lists the applied rules as
     {rule, args, kraus_count_after}: C3 merges of proportional operators,
-    one C2 whose unitary diagonalizes the channel's quadratic form, and one
-    K1 per eliminated zero operator.
+    one C2 whose unitary's rows are the phase-fixed eigenvectors of the m x m
+    Gram matrix, and one K1 per eliminated zero operator.
     """
     typecheck(c)
     n = c.n
@@ -311,54 +309,48 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
     if m == 0:
         return ChannelExpr(n, []), trace
 
-    dense = any(not isinstance(p, PauliUnitary) for k in work for _, p in k.terms)
-    if dense:
-        rows = np.array([eval_kraus(k, cap).ravel() for k in work])
-        gram = rows.conj() @ rows.T
-        lam, vec = np.linalg.eigh(gram)
-        order = np.argsort(-lam, kind="stable")
-        lam_max = max(lam[order[0]], 0.0)
-        kept = [int(j) for j in order if lam[j] > RANK_RTOL * lam_max and lam[j] > 0]
-        s_cols = []
-        new_kraus = []
-        for j in kept:
-            s = vec[:, j].conj()
-            row = s.conj() @ rows
-            anchor = _first_significant(row, ZERO_TOL)
-            if anchor >= 0:
-                phase = row[anchor] / abs(row[anchor])
-                s = s * phase
-            s_cols.append(s)
-            new_kraus.append(combine_kraus(n, [(np.conj(s[i]), work[i])
-                                               for i in range(m)]))
-    else:
-        keys = sorted({p.string.key() for k in work for _, p in k.terms},
-                      key=lambda t: (t[1], t[0]))
-        col = {key: i for i, key in enumerate(keys)}
-        w = np.zeros((m, len(keys)), dtype=complex)
-        for j, k in enumerate(work):
-            for coeff, prim in k.terms:
-                w[j, col[(prim.string.x_mask, prim.string.z_mask)]] = coeff
-        quad = w.T @ w.conj()
-        lam, vec = np.linalg.eigh(quad) if len(keys) else (np.zeros(0), np.zeros((0, 0)))
-        order = np.argsort(-lam, kind="stable")
-        lam_max = max(lam[order[0]], 0.0) if len(keys) else 0.0
-        kept = [int(j) for j in order if lam[j] > RANK_RTOL * lam_max and lam[j] > 0]
-        s_cols = []
-        new_kraus = []
-        for j in kept:
-            row = np.sqrt(lam[j]) * vec[:, j]
-            anchor = _first_significant(row, ZERO_TOL)
-            if anchor >= 0:
-                row = row * (np.conj(row[anchor]) / abs(row[anchor]))
-            s_cols.append(w @ row.conj() / lam[j])
-            new_kraus.append(KrausExpr(n, [
-                (row[i], PauliUnitary(PauliString(n, x, z)))
-                for i, (x, z) in enumerate(keys) if abs(row[i]) > ZERO_TOL]))
+    # one coefficient row per operator over the keys: Pauli strings by
+    # (z_mask, x_mask), then opaque references in first-appearance order
+    prims: dict = {}
+    for k in work:
+        for _, p in k.terms:
+            prims.setdefault(getattr(p, "string", p), p)
+    keys = sorted((key for key in prims if isinstance(key, PauliString)),
+                  key=lambda s: (s.z_mask, s.x_mask))
+    pauli_only = len(keys) == len(prims)
+    keys += [key for key in prims if not isinstance(key, PauliString)]
+    col = {key: i for i, key in enumerate(keys)}
+    w = np.zeros((m, len(keys)), dtype=complex)
+    for j, k in enumerate(work):
+        for coeff, p in k.terms:
+            w[j, col[getattr(p, "string", p)]] = coeff
+    # bare Pauli strings are orthogonal, so their coefficients are the rows
+    rows = w if pauli_only else w @ np.array(
+        [eval_kraus(KrausExpr(n, [(1.0, prims[key])]), cap).ravel() for key in keys])
 
-    r = len(kept)
-    t = _complete_unitary(s_cols, m).conj().T
-    trace.append({"rule": "C2", "args": {"unitary": t}, "kraus_count_after": m})
+    lam, vec = np.linalg.eigh(rows.conj() @ rows.T)
+    order = np.argsort(-lam, kind="stable")
+    lam, vec = lam[order], vec[:, order]
+    lam_max = max(lam[0], 0.0)
+    r = int(np.sum(lam > RANK_RTOL * lam_max))
+    # a degenerate eigenspace gets the basis Gram-Schmidt builds from the
+    # projections of the row axes onto it, so no eigh pick leaks out
+    bounds = [0, *(np.flatnonzero(-np.diff(lam[:r]) > DEGEN_RTOL * lam_max) + 1), r]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo > 1:
+            block = vec[:, lo:hi]
+            vec[:, lo:hi] = block @ _axis_basis((block.T @ rows).conj(), RANK_RTOL * lam[lo])
+
+    new_kraus = []
+    for j in range(r):
+        row = vec[:, j] @ w
+        keep = np.flatnonzero(np.abs(row) > ZERO_TOL)
+        if keep.size:  # anchor phase: the first kept coefficient is positive
+            phase = np.conj(row[keep[0]]) / abs(row[keep[0]])
+            row *= phase
+            vec[:, j] *= phase
+        new_kraus.append(KrausExpr(n, [(row[a], prims[keys[a]]) for a in keep.tolist()]))
+    trace.append({"rule": "C2", "args": {"unitary": vec.T}, "kraus_count_after": m})
     for j in range(m - r):
         trace.append({"rule": "K1", "args": {"kraus": r},
                       "kraus_count_after": m - 1 - j})

@@ -128,6 +128,10 @@ class TestCompile:
                            "fancy", "--delta", "0.1",
                            "--out", str(tmp_path / "x"))
         assert code == 2 and "frontend" in err
+        code, _, err = run(capsys, "compile", decay_file, "--frontend",
+                           "orderfoo", "--delta", "0.1",
+                           "--out", str(tmp_path / "y"))
+        assert code == 2 and "frontend" in err
 
     @pytest.mark.parametrize("doc, message", [
         ({"bogus": 1}, "kraus"),
@@ -279,6 +283,32 @@ class TestVerify:
                            decay_file, "--delta", "0.01")
         assert code == 2
         assert f"no '{register}' register" in err
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("verify", "alpha_sq_sum", float("nan")),
+        ("verify", "alpha_sq_sum", "abc"),
+        ("verify", "alpha_sq_sum", None),
+        ("verify", "alpha_sq_sum", -1.0),
+        ("verify", "alpha_sq_sum", [1]),
+        ("verify", "alpha_sq_sum", True),
+        ("verify", "amps", float("nan")),
+        ("cost", "amps", float("nan")),
+    ])
+    def test_bad_circuit_number_rejected(self, tmp_path, decay_file, capsys,
+                                         command, field, value):
+        doc = json.loads(Path(self.compile_decay(tmp_path, decay_file,
+                                                 capsys)).read_text())
+        if field == "amps":
+            prep = next(g for g in doc["gates"] if g["kind"] == "state_prep")
+            prep["amps"][0][0] = value
+        else:
+            doc[field] = value
+        circuit = write_json(tmp_path / "bad.json", doc)
+        argv = [command, circuit]
+        if command == "verify":
+            argv += ["--reference", decay_file, "--delta", "0.01"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "cannot load circuit" in err
 
     def test_spec_reference_needs_delta(self, tmp_path, decay_file, capsys):
         circ = self.compile_decay(tmp_path, decay_file, capsys)

@@ -12,8 +12,11 @@ from qchanc.ir import (
     channel_distance,
     eval_kraus,
 )
+from qchanc.bench import gen_hypercube_like, gen_tfim
+from qchanc.lindblad import QuadratureSpec, higher_order
 from qchanc.pauli import PauliString, PauliSum, from_label
 from qchanc.rewrite import (
+    RANK_RTOL,
     InvalidRuleArgs,
     RuleNotApplicable,
     apply_rule,
@@ -316,3 +319,92 @@ def test_soundness_fuzz():
                 a, b = math.cos(th), math.sin(th) * np.exp(1j * ph)
                 c = apply_rule(c, "C2p", {"i": 0, "j": 1, "a": a, "b": b})
         assert channel_distance(before, c, samples=8) < 1e-9
+
+
+def quadratic_form_spectrum(c):
+    """Nonzero eigenvalues, largest first, of the |keys| x |keys| quadratic
+    form w^T conj(w) of a Pauli channel: the same nonzero spectrum as its Gram
+    matrix, taken the long way as a reference."""
+    kraus = [canonical_kraus(k) for k in c.kraus]
+    keys = sorted({p.string.key() for k in kraus for _, p in k.terms},
+                  key=lambda t: (t[1], t[0]))
+    col = {key: i for i, key in enumerate(keys)}
+    w = np.zeros((len(kraus), len(keys)), dtype=complex)
+    for j, k in enumerate(kraus):
+        for coeff, prim in k.terms:
+            w[j, col[prim.string.key()]] = coeff
+    lam = np.sort(np.linalg.eigvalsh(w.T @ w.conj()))[::-1]
+    return lam[lam > RANK_RTOL * max(lam[0], 0.0)]
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """(input shape, eigenvalues) of every np.linalg.eigh call."""
+    calls = []
+    real = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        out = real(a, *args, **kwargs)
+        calls.append((a.shape, out[0].copy()))
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
+def c2_size(trace):
+    (unitary,) = [e["args"]["unitary"] for e in trace if e["rule"] == "C2"]
+    return len(unitary)
+
+
+def test_minimize_takes_one_gram_eigh(eigh_calls):
+    a = np.array([[0.2, 0.1], [0.1, -0.3]], dtype=complex)
+    ref = BlockEncRef("ext", 1, 1.0, 1, a)
+    blockenc = ChannelExpr(1, [
+        KrausExpr(1, [(1.0, ref)]),
+        KrausExpr(1, [(0.5, pu("X"))]),
+        KrausExpr(1, [(0.6, ref), (0.4, pu("X"))]),
+    ])
+    pauli = simplify(higher_order(gen_tfim(3, 1.0), 0.01, QuadratureSpec(2, 2, 2)))
+    for chan in (pauli, blockenc):
+        eigh_calls.clear()
+        _, trace = minimize_kraus_rank(chan)
+        m = c2_size(trace)
+        assert [shape for shape, _ in eigh_calls] == [(m, m)]
+
+
+def test_minimize_matches_quadratic_form_spectrum(eigh_calls):
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        base = random_channel(rng)
+        kraus = list(base.kraus)
+        for _ in range(int(rng.integers(0, 3))):  # dependent operators
+            w = rng.normal(size=len(base.kraus)) + 1j * rng.normal(size=len(base.kraus))
+            kraus.append(KrausExpr(base.n, [(c * a, p) for c, k in zip(w, base.kraus)
+                                            for a, p in k.terms]))
+        chan = ChannelExpr(base.n, kraus)
+        want = quadratic_form_spectrum(chan)
+        eigh_calls.clear()
+        out, trace = minimize_kraus_rank(chan)
+        (shape, lam), = eigh_calls
+        assert shape == (c2_size(trace),) * 2
+        lam = np.sort(lam)[::-1]
+        got = lam[lam > RANK_RTOL * max(lam[0], 0.0)]
+        assert len(out.kraus) == len(got) == len(want)
+        tol = 1e-12 * want[0]
+        assert np.allclose(got, want, rtol=0, atol=tol)
+        norms = [sum(abs(c) ** 2 for c, _ in k.terms) for k in out.kraus]
+        assert np.allclose(norms, want, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("vertices", [4, 8])
+def test_minimize_basis_ignores_input_rotation(vertices):
+    chan = gen_hypercube_like(vertices, seed=1)
+    u = random_unitary(np.random.default_rng(vertices), len(chan.kraus))
+    rotated = apply_rule(chan, "C2", {"unitary": u})
+    a, _ = minimize_kraus_rank(chan)
+    b, _ = minimize_kraus_rank(rotated)
+    assert len(a.kraus) == len(b.kraus)
+    for ka, kb in zip(a.kraus, b.kraus):
+        assert [p for _, p in ka.terms] == [p for _, p in kb.terms]
+        assert max(abs(ca - cb) for (ca, _), (cb, _) in zip(ka.terms, kb.terms)) <= 1e-10
