@@ -5,6 +5,12 @@ the first qubit of the first register and the most significant state-index
 bit, so a trailing "system" register occupies the least significant bits and
 the ancilla-zero block of a unitary is its top-left corner.
 
+Gates are plain frozen records.  `Circuit._check` is the one gate validator:
+`Circuit.add`/`extend`, the `Circuit(registers, gates)` constructor and JSON
+ingest all run it once per gate.  It checks field types (every qubit index,
+polarity and register size is an int, never a bool, float or string; circuit
+JSON must hold JSON integers there), gate shapes and the qubit range.
+
 Cost model: a gate with c controls costs 0 T for c <= 1 and 4(c-1) T for
 c >= 2; ToffoliCompute costs 4 T and ToffoliUncompute 0 T (measurement
 assisted); StatePrep and opaque interiors are excluded from T counts, though
@@ -18,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ir import matrix_from_json, matrix_to_json
+from .ir import matrix_from_json, matrix_to_json, require_int
 from .pauli import PauliString, check_cap, from_label, pauli_action, weight
 
 PREP_TOL = 1e-10
@@ -29,26 +35,11 @@ class PauliGate:
     string: PauliString
     qubits: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if len(self.qubits) != self.string.n:
-            raise ValueError("qubit count does not match the Pauli string")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError("duplicate target qubits")
-
 
 @dataclass(frozen=True, slots=True)
 class Controlled:
-    controls: tuple[tuple[int, int], ...]
+    controls: tuple[tuple[int, int], ...]  # (qubit, polarity) pairs
     body: "Gate"
-
-    def __post_init__(self):
-        ctrls = tuple((int(q), int(p)) for q, p in self.controls)
-        object.__setattr__(self, "controls", ctrls)
-        if any(p not in (0, 1) for _, p in ctrls):
-            raise ValueError("control polarity must be 0 or 1")
-        if len({q for q, _ in ctrls}) != len(ctrls):
-            raise ValueError("duplicate control qubits")
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,23 +47,11 @@ class StatePrep:
     qubits: tuple[int, ...]
     amps: tuple[complex, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "amps", tuple(complex(a) for a in self.amps))
-        if len(self.amps) != 1 << len(self.qubits):
-            raise ValueError("amplitude vector length must be 2^(#qubits)")
-        norm = np.linalg.norm(self.amps)
-        if not abs(norm - 1.0) <= PREP_TOL:  # a NaN norm fails too
-            raise ValueError("amplitude vector is not unit norm")
-
 
 @dataclass(frozen=True, slots=True)
 class StatePrepAdjoint:
     qubits: tuple[int, ...]
     amps: tuple[complex, ...]
-
-    def __post_init__(self):
-        StatePrep.__post_init__(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,12 +62,6 @@ class ToffoliCompute:
     p1: int = 1
     p2: int = 1
 
-    def __post_init__(self):
-        if len({self.c1, self.c2, self.target}) != 3:
-            raise ValueError("Toffoli qubits must be distinct")
-        if self.p1 not in (0, 1) or self.p2 not in (0, 1):
-            raise ValueError("control polarity must be 0 or 1")
-
 
 @dataclass(frozen=True, slots=True)
 class ToffoliUncompute:
@@ -98,9 +71,6 @@ class ToffoliUncompute:
     p1: int = 1
     p2: int = 1
 
-    def __post_init__(self):
-        ToffoliCompute.__post_init__(self)
-
 
 @dataclass(frozen=True, slots=True, eq=False)
 class OpaqueUnitary:
@@ -108,26 +78,9 @@ class OpaqueUnitary:
     qubits: tuple[int, ...]
     matrix: np.ndarray | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=complex)
-            dim = 1 << len(self.qubits)
-            if m.shape != (dim, dim):
-                raise ValueError("matrix shape does not match qubit count")
-            object.__setattr__(self, "matrix", m)
-
 
 Gate = (PauliGate | Controlled | StatePrep | StatePrepAdjoint
         | ToffoliCompute | ToffoliUncompute | OpaqueUnitary)
-
-
-def gate_targets(g: Gate) -> set[int]:
-    if isinstance(g, (PauliGate, StatePrep, StatePrepAdjoint, OpaqueUnitary)):
-        return set(g.qubits)
-    if isinstance(g, (ToffoliCompute, ToffoliUncompute)):
-        return {g.c1, g.c2, g.target}
-    return {q for q, _ in g.controls} | gate_targets(g.body)
 
 
 @dataclass(slots=True)
@@ -136,12 +89,17 @@ class Circuit:
     gates: list[Gate] = field(default_factory=list)
 
     def __post_init__(self):
-        self.registers = tuple((str(n), int(s)) for n, s in self.registers)
+        self.registers = tuple((n, s) for n, s in self.registers)
+        for name, size in self.registers:
+            if type(name) is not str:
+                raise ValueError(f"register name must be a string, got {name!r}")
+            if require_int(size, "register size") < 0:
+                raise ValueError("register sizes must be nonnegative")
         names = [n for n, _ in self.registers]
         if len(set(names)) != len(names):
             raise ValueError("duplicate register names")
-        if any(s < 0 for _, s in self.registers):
-            raise ValueError("register sizes must be nonnegative")
+        for g in self.gates:
+            self._check(g)
 
     @property
     def total_qubits(self) -> int:
@@ -170,16 +128,46 @@ class Circuit:
             self.add(g)
 
     def _check(self, gate: Gate) -> None:
-        total = self.total_qubits
-        used = gate_targets(gate)
-        if any(not 0 <= q < total for q in used):
-            raise ValueError(f"gate uses qubits outside the circuit: {sorted(used)}")
+        """The one gate validator: every gate enters a circuit through it."""
+        controls, body = (), gate
         if isinstance(gate, Controlled):
-            ctrl = {q for q, _ in gate.controls}
-            if isinstance(gate.body, Controlled):
+            controls, body = gate.controls, gate.body
+            if isinstance(body, Controlled):
                 raise ValueError("nest controls by merging control lists")
-            if ctrl & gate_targets(gate.body):
-                raise ValueError("controls overlap the controlled body")
+        if isinstance(body, (ToffoliCompute, ToffoliUncompute)):
+            targets, pols = (body.c1, body.c2, body.target), [body.p1, body.p2]
+        elif isinstance(body, (PauliGate, StatePrep, StatePrepAdjoint, OpaqueUnitary)):
+            targets, pols = tuple(body.qubits), []
+        else:
+            raise TypeError(f"unknown gate {type(body).__name__}")
+        ctrl = tuple(q for q, _ in controls)
+        pols += [p for _, p in controls]
+        used = ctrl + targets
+        for q in used:
+            require_int(q, "qubit index")
+        for p in pols:
+            if type(p) is not int or p not in (0, 1):
+                raise ValueError(f"control polarity must be 0 or 1, got {p!r}")
+        total = self.total_qubits
+        if any(not 0 <= q < total for q in used):
+            raise ValueError(f"gate uses qubits outside the circuit: {sorted(set(used))}")
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"gate qubits must be distinct, got {targets}")
+        if len(set(ctrl)) != len(ctrl):
+            raise ValueError("duplicate control qubits")
+        if set(ctrl) & set(targets):
+            raise ValueError("controls overlap the controlled body")
+        dim = 1 << len(targets)
+        if isinstance(body, PauliGate) and len(targets) != body.string.n:
+            raise ValueError("qubit count does not match the Pauli string")
+        if isinstance(body, (StatePrep, StatePrepAdjoint)):
+            if len(body.amps) != dim:
+                raise ValueError("amplitude vector length must be 2^(#qubits)")
+            if not abs(np.linalg.norm(body.amps) - 1.0) <= PREP_TOL:  # NaN fails too
+                raise ValueError("amplitude vector is not unit norm")
+        if (isinstance(body, OpaqueUnitary) and body.matrix is not None
+                and np.shape(body.matrix) != (dim, dim)):
+            raise ValueError("matrix shape does not match qubit count")
 
 
 def controlled(controls, body: Gate) -> Gate:
@@ -284,63 +272,47 @@ def apply_circuit(c: Circuit, state: np.ndarray, cap: int | None = None) -> np.n
     total = c.total_qubits
     check_cap(total, cap, "circuit")
     state = np.asarray(state, dtype=complex)
-    squeeze = state.ndim == 1
-    if squeeze:
-        state = state[:, None]
-    if state.shape[0] != 1 << total:
+    if state.ndim != 2 or state.shape[0] != 1 << total:
         raise ValueError("state dimension does not match the circuit")
     for g in c.gates:
         state = _apply_gate(state, g, total)
-    return state[:, 0] if squeeze else state
+    return state
 
 
 def simulate_unitary(c: Circuit, cap: int | None = None) -> np.ndarray:
     return apply_circuit(c, np.eye(1 << c.total_qubits, dtype=complex), cap)
 
 
-def system_isometry(c: Circuit, system: str = "system",
-                    cap: int | None = None) -> np.ndarray:
+def system_isometry(c: Circuit, cap: int | None = None) -> np.ndarray:
     """Columns U|0...0, j> for each system basis state j (other regs zero)."""
-    n = c.reg_size(system)
-    if c.reg_qubits(system) != tuple(range(c.total_qubits - n, c.total_qubits)):
+    n = c.reg_size("system")
+    if c.reg_qubits("system") != tuple(range(c.total_qubits - n, c.total_qubits)):
         raise ValueError("system register must occupy the trailing qubits")
     cols = np.zeros((1 << c.total_qubits, 1 << n), dtype=complex)
     cols[: 1 << n] = np.eye(1 << n)
     return apply_circuit(c, cols, cap)
 
 
-def run_channel(c: Circuit, states, postselect=("be_anc",),
-                traceout=("kraus_sel", "flat_anc"), system: str = "system",
+def run_channel(c: Circuit, states,
                 cap: int | None = None) -> list[tuple[np.ndarray, float]]:
     """Postselected, partially traced action on system density matrices.
 
-    Simulates the circuit once (one column per system basis state) and
-    returns one (unnormalized output density matrix, success probability)
-    pair per state in `states`.
+    be_anc is postselected on zero and every other register but the system
+    is traced out.  Simulates the circuit once (one column per system basis
+    state) and returns one (unnormalized output density matrix, success
+    probability) pair per state in `states`.
     """
     from .ir import validate_density
 
-    names = [n for n, _ in c.registers]
-    for group in (postselect, traceout):
-        for name in group:
-            if name not in names:
-                raise KeyError(f"no register named {name!r}")
-            if name == system:
-                raise ValueError("cannot postselect or trace the system register")
-    n = c.reg_size(system)
+    names = [name for name, _ in c.registers]
+    if "be_anc" not in names:
+        raise KeyError("no register named 'be_anc'")
+    n = c.reg_size("system")
     rhos = [validate_density(rho, n) for rho in states]
-    w = system_isometry(c, system, cap)
+    w = system_isometry(c, cap)
     dims = [1 << s for _, s in c.registers] + [1 << n]
-    w = w.reshape(dims)
-    # collapse each register axis: postselect keeps index 0, traceout stays
-    keep_axes = []
-    for axis, (name, _) in enumerate(c.registers):
-        if name == system:
-            continue
-        if name in postselect:
-            w = np.take(w, 0, axis=len(keep_axes))
-        else:
-            keep_axes.append(axis)
+    # one axis per register (the system last), then system-in; keep be_anc = 0
+    w = np.take(w.reshape(dims), 0, axis=names.index("be_anc"))
     # w now has one axis per traced register, then system-out, system-in
     flat = w.reshape(-1, 1 << n, 1 << n)
     flat_conj = flat.conj()
@@ -378,7 +350,7 @@ def _control_t(c: int) -> int:
     return 0 if c <= 1 else 4 * (c - 1)
 
 
-def cost_report(c: Circuit, system: str = "system") -> CostReport:
+def cost_report(c: Circuit) -> CostReport:
     wcc = 0
     t = 0
     toffolis = 0
@@ -414,7 +386,7 @@ def cost_report(c: Circuit, system: str = "system") -> CostReport:
             # state preparations and opaque boxes: control overhead only
             t += _control_t(nctrl)
     try:
-        sys_size = c.reg_size(system)
+        sys_size = c.reg_size("system")
     except KeyError:
         sys_size = 0
     return CostReport(
@@ -453,8 +425,8 @@ def gate_to_json(g: Gate) -> dict:
 def gate_from_json(d: dict) -> Gate:
     kind = d["kind"]
     if kind == "pauli":
-        return PauliGate(from_label(d["pauli"], d.get("phase_exp", 0)),
-                         tuple(d["qubits"]))
+        phase_exp = require_int(d.get("phase_exp", 0), "phase_exp")
+        return PauliGate(from_label(d["pauli"], phase_exp), tuple(d["qubits"]))
     if kind == "controlled":
         return Controlled(tuple((q, p) for q, p in d["controls"]),
                           gate_from_json(d["body"]))

@@ -239,6 +239,13 @@ def _c2pair(c: complex) -> list[float]:
     return [float(np.real(c)), float(np.imag(c))]
 
 
+def require_int(value, what: str) -> int:
+    """Integer fields are Python ints: a bool, float or string is rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _pair2c(p) -> complex:
     c = complex(p[0], p[1])
     if not cmath.isfinite(c):
@@ -276,10 +283,13 @@ def term_to_json(coeff: complex, prim: Primitive) -> dict:
 def term_from_json(d: dict) -> tuple[complex, Primitive]:
     coeff = _pair2c(d["coeff"])
     if "pauli" in d:
-        return coeff, PauliUnitary(from_label(d["pauli"], d.get("phase_exp", 0)))
+        phase_exp = require_int(d.get("phase_exp", 0), "phase_exp")
+        return coeff, PauliUnitary(from_label(d["pauli"], phase_exp))
     be = d["blockenc"]
     matrix = None if be.get("matrix") is None else matrix_from_json(be["matrix"])
-    return coeff, BlockEncRef(be["handle"], be["n"], be["alpha"], be["anc"], matrix)
+    return coeff, BlockEncRef(be["handle"], require_int(be["n"], "blockenc n"),
+                              be["alpha"], require_int(be["anc"], "blockenc anc"),
+                              matrix)
 
 
 def channel_to_json(c: ChannelExpr) -> dict:
@@ -290,10 +300,9 @@ def channel_to_json(c: ChannelExpr) -> dict:
 
 
 def channel_from_json(d: dict) -> ChannelExpr:
-    c = ChannelExpr(
-        int(d["n"]),
-        [KrausExpr(int(d["n"]), [term_from_json(t) for t in terms]) for terms in d["kraus"]],
-    )
+    n = require_int(d["n"], "n")
+    c = ChannelExpr(n, [KrausExpr(n, [term_from_json(t) for t in terms])
+                        for terms in d["kraus"]])
     typecheck(c)
     return c
 
@@ -323,7 +332,7 @@ def lindblad_to_json(spec: LindbladSpec) -> dict:
 def lindblad_from_json(d: dict) -> LindbladSpec:
     from .pauli import pauli_decompose
 
-    n = int(d["n"])
+    n = require_int(d["n"], "n")
     ham = pauli_sum_from_json(d.get("H", []), n)
     jumps = []
     for j in d.get("jumps", []):

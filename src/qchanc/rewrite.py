@@ -357,9 +357,9 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
     return ChannelExpr(n, new_kraus), trace
 
 
-def simplify(c: ChannelExpr, minimize: bool = False, cap: int | None = None) -> ChannelExpr:
+def simplify(c: ChannelExpr) -> ChannelExpr:
     """Fixed pipeline: canonicalize terms, drop zero Kraus, strip global
-    phases; optionally run minimize_kraus_rank.  Idempotent."""
+    phases.  Idempotent."""
     typecheck(c)
     out = []
     for k in c.kraus:
@@ -368,10 +368,7 @@ def simplify(c: ChannelExpr, minimize: bool = False, cap: int | None = None) -> 
             continue
         lead = kc.terms[0][0]
         out.append(scale_kraus(kc, np.conj(lead / abs(lead))) if lead != abs(lead) else kc)
-    chan = ChannelExpr(c.n, out)
-    if minimize:
-        chan = minimize_kraus_rank(chan, cap)[0]
-    return chan
+    return ChannelExpr(c.n, out)
 
 
 def trace_to_json(trace: list[dict]) -> list[dict]:

@@ -119,7 +119,58 @@ def test_householder_random_first_column():
 
 def test_state_prep_norm_validation():
     with pytest.raises(ValueError, match="unit norm"):
-        StatePrep((0,), (1.0, 1.0))
+        sys_circuit(1).add(StatePrep((0,), (1.0, 1.0)))
+
+
+X = from_label("X")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: PauliGate(X, (5,)), "outside"),
+    (lambda: PauliGate(from_label("XY"), (0,)), "qubit count"),
+    (lambda: PauliGate(from_label("XY"), (0, 0)), "distinct"),
+    (lambda: PauliGate(X, (True,)), "integer, got True"),
+    (lambda: PauliGate(X, (0.0,)), "integer, got 0.0"),
+    (lambda: PauliGate(X, ("0",)), "integer, got '0'"),
+    (lambda: Controlled(((0, 2),), PauliGate(X, (1,))), "polarity"),
+    (lambda: Controlled(((0, True),), PauliGate(X, (1,))), "got True"),
+    (lambda: Controlled(((0, 1), (0, 1)), PauliGate(X, (1,))),
+     "duplicate control"),
+    (lambda: Controlled(((0, 1),), PauliGate(X, (0,))), "overlap"),
+    (lambda: Controlled(((0, 1),), Controlled(((1, 1),), PauliGate(X, (2,)))),
+     "nest"),
+    (lambda: Controlled(((0.5, 1),), PauliGate(X, (1,))), "integer, got 0.5"),
+    (lambda: ToffoliCompute(0, 0, 1), "distinct"),
+    (lambda: ToffoliCompute(0, 1, 2.0), "integer, got 2.0"),
+    (lambda: ToffoliUncompute(0, 1, 2, p1=2), "polarity"),
+    (lambda: StatePrep((0,), (1.0,)), "length"),
+    (lambda: StatePrep((0,), (math.nan, 0.0)), "unit norm"),
+    (lambda: StatePrepAdjoint((0,), (1.0, 1.0)), "unit norm"),
+    (lambda: OpaqueUnitary("u", (0,), np.eye(4)), "shape"),
+], ids=["pauli-out-of-range", "pauli-qubit-count", "pauli-repeated-qubit",
+        "bool-qubit", "float-qubit", "string-qubit", "polarity-2",
+        "bool-polarity", "repeated-control", "control-overlaps-body",
+        "nested-controlled", "float-control-qubit", "toffoli-repeated-qubit",
+        "float-toffoli-target", "toffoli-polarity-2", "prep-length",
+        "prep-nan", "prep-adjoint-norm", "opaque-shape"])
+def test_bad_gate_rejected(make, message):
+    regs = (("anc", 2), ("system", 1))
+    with pytest.raises(ValueError, match=message):
+        Circuit(regs, [make()])
+    with pytest.raises(ValueError, match=message):
+        Circuit(regs).add(make())
+
+
+@pytest.mark.parametrize("registers, message", [
+    ((("system", 1.5),), "integer, got 1.5"),
+    ((("system", True),), "integer, got True"),
+    ((("system", -1),), "nonnegative"),
+    (((1, 1),), "string"),
+    ((("system", 1), ("system", 1)), "duplicate"),
+], ids=["float-size", "bool-size", "negative-size", "int-name", "repeated-name"])
+def test_bad_register_rejected(registers, message):
+    with pytest.raises(ValueError, match=message):
+        Circuit(registers)
 
 
 def test_random_circuit_unitary_and_adjoint():

@@ -145,8 +145,30 @@ class TestCompile:
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
             "handle": "h", "n": 1, "alpha": 1.0, "anc": 1.5}}]]},
          "failed to parse"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": "h", "n": 1, "alpha": 1.0, "anc": True}}]]},
+         "failed to parse: blockenc anc must be an integer, got True"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": "h", "n": 1.5, "alpha": 1.0, "anc": 1}}]]},
+         "failed to parse: blockenc n must be an integer, got 1.5"),
+        ({"n": 1.5, "kraus": [[{"coeff": [1, 0], "pauli": "X"}]]},
+         "failed to parse: n must be an integer, got 1.5"),
+        ({"n": True, "kraus": [[{"coeff": [1, 0], "pauli": "X"}]]},
+         "failed to parse: n must be an integer, got True"),
+        ({"n": "1", "kraus": [[{"coeff": [1, 0], "pauli": "X"}]]},
+         "failed to parse: n must be an integer, got '1'"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X",
+                              "phase_exp": 1.5}]]},
+         "failed to parse: phase_exp must be an integer, got 1.5"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X",
+                              "phase_exp": "1"}]]},
+         "failed to parse: phase_exp must be an integer, got '1'"),
+        ({"n": 1.9, "H": [{"coeff": [1, 0], "pauli": "Z"}], "jumps": []},
+         "failed to parse: n must be an integer, got 1.9"),
     ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
-            "blockenc-nan-alpha", "blockenc-fractional-anc"])
+            "blockenc-nan-alpha", "blockenc-fractional-anc", "blockenc-bool-anc",
+            "blockenc-fractional-n", "fractional-n", "bool-n", "string-n",
+            "fractional-phase-exp", "string-phase-exp", "spec-fractional-n"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
         bad = write_json(tmp_path / "bad.json", doc)
         code, _, err = run(capsys, "compile", bad, "--out",
@@ -197,6 +219,38 @@ class TestCompile:
         assert 0 < calls["optimize"] <= report["kraus_count"]
         assert calls["cost"] == 4
         assert report["cost"] == report["cost_grid"][report["setting"]]
+
+    def test_each_gate_checked_once(self, tmp_path, capsys, monkeypatch):
+        import qchanc.circuits as circuits
+        import qchanc.cli as cli
+
+        gate_classes = (circuits.PauliGate, circuits.Controlled,
+                        circuits.StatePrep, circuits.StatePrepAdjoint,
+                        circuits.ToffoliCompute, circuits.ToffoliUncompute,
+                        circuits.OpaqueUnitary)
+        assert not any("__post_init__" in vars(cls) for cls in gate_classes)
+        checks, costed = [], []
+        check = circuits.Circuit._check
+        cost = cli.cost_report
+
+        def spy_check(self, gate):
+            checks.append(gate)
+            return check(self, gate)
+
+        def spy_cost(circ):
+            costed.append(circ)
+            return cost(circ)
+
+        monkeypatch.setattr(circuits.Circuit, "_check", spy_check)
+        monkeypatch.setattr(cli, "cost_report", spy_cost)
+        spec = write_json(tmp_path / "tfim.json",
+                          lindblad_to_json(gen_tfim(3, 1.0)))
+        code, _, _ = run(capsys, "compile", spec, "--delta", "0.01",
+                         "--flatten", "--order", "--out", str(tmp_path / "run"))
+        assert code == 0
+        # the four cost-grid circuits are every circuit the compile builds
+        assert len(costed) == 4
+        assert len(checks) == sum(len(c.gates) for c in costed) > 0
 
 
 class TestVerify:
@@ -309,6 +363,29 @@ class TestVerify:
             argv += ["--reference", decay_file, "--delta", "0.01"]
         code, _, err = run(capsys, *argv)
         assert code == 2 and "cannot load circuit" in err
+
+    @pytest.mark.parametrize("command", ["verify", "cost"])
+    @pytest.mark.parametrize("kind, key, edit, shown", [
+        ("pauli", "qubits", lambda qs: [qs[0] + 0.7, *qs[1:]], ".7"),
+        ("toffoli", "target", lambda t: 2.5, "2.5"),
+        ("controlled", "controls", lambda cs: [[cs[0][0], 1.9], *cs[1:]], "1.9"),
+        ("controlled", "controls", lambda cs: [[cs[0][0], True], *cs[1:]], "True"),
+        ("pauli", "qubits", lambda qs: ["0", *qs[1:]], "'0'"),
+    ], ids=["pauli-qubit-plus-0.7", "toffoli-target-2.5", "polarity-1.9",
+            "polarity-true", "qubit-string"])
+    def test_bad_gate_field_rejected(self, tmp_path, decay_file, capsys,
+                                     command, kind, key, edit, shown):
+        doc = json.loads(Path(self.compile_decay(
+            tmp_path, decay_file, capsys, "--flatten", "--order")).read_text())
+        gate = next(g for g in doc["gates"] if g["kind"] == kind)
+        gate[key] = edit(gate[key])
+        circuit = write_json(tmp_path / "bad.json", doc)
+        argv = [command, circuit]
+        if command == "verify":
+            argv += ["--reference", decay_file, "--delta", "0.01"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "cannot load circuit" in err and shown in err
+        assert "Traceback" not in err
 
     def test_spec_reference_needs_delta(self, tmp_path, decay_file, capsys):
         circ = self.compile_decay(tmp_path, decay_file, capsys)

@@ -323,11 +323,7 @@ class TestChannelLcu:
         n = chan.n
         want_scale = None
         for rho in probe_states(n, samples, seed=13):
-            out, prob = run_channel(
-                circ, [rho],
-                postselect=("be_anc",),
-                traceout=("kraus_sel", "flat_anc"),
-                system="system")[0]
+            out, prob = run_channel(circ, [rho])[0]
             direct = apply_channel(chan, [rho])[0]
             if want_scale is None:
                 alphas = channel_alphas(chan, "naive")
@@ -343,9 +339,7 @@ class TestChannelLcu:
         assert circ.reg_size("kraus_sel") == 0
         assert circ.reg_size("flat_anc") == 0
         rho = probe_states(1, 1, seed=2)[-1]
-        out, prob = run_channel(
-            circ, [rho], postselect=("be_anc",),
-            traceout=("kraus_sel", "flat_anc"), system="system")[0]
+        out, prob = run_channel(circ, [rho])[0]
         assert np.max(np.abs(out - rho)) <= 1e-12
         assert prob == pytest.approx(1.0)
 
@@ -407,10 +401,8 @@ class TestChannelLcu:
         c1 = channel_lcu(chan)
         c2 = channel_lcu(phased)
         rho = probe_states(1, 3, seed=4)[-1]
-        kw = dict(postselect=("be_anc",), traceout=("kraus_sel", "flat_anc"),
-                  system="system")
-        o1, p1 = run_channel(c1, [rho], **kw)[0]
-        o2, p2 = run_channel(c2, [rho], **kw)[0]
+        o1, p1 = run_channel(c1, [rho])[0]
+        o2, p2 = run_channel(c2, [rho])[0]
         assert np.max(np.abs(o1 - o2)) <= 1e-12
         assert p1 == pytest.approx(p2)
 
@@ -421,12 +413,10 @@ class TestChannelLcu:
     def test_flat_naive_agree(self):
         chan = amplitude_damping(0.15)
         rho = probe_states(1, 2, seed=9)[-1]
-        kw = dict(postselect=("be_anc",), traceout=("kraus_sel", "flat_anc"),
-                  system="system")
         outs = []
         for mode in ("naive", "optimized"):
             for flat in (False, True):
-                out, prob = run_channel(channel_lcu(chan, mode, flat), [rho], **kw)[0]
+                out, prob = run_channel(channel_lcu(chan, mode, flat), [rho])[0]
                 outs.append((out, prob))
         ref_out, ref_prob = outs[0]
         for out, prob in outs[1:]:
