@@ -9,7 +9,9 @@ Gates are plain frozen records.  `Circuit._check` is the one gate validator:
 `Circuit.add`/`extend`, the `Circuit(registers, gates)` constructor and JSON
 ingest all run it once per gate.  It checks field types (every qubit index,
 polarity and register size is an int, never a bool, float or string; circuit
-JSON must hold JSON integers there), gate shapes and the qubit range.
+JSON must hold JSON integers there), gate shapes and the qubit range.  JSON
+amplitudes are [re, im] pairs of numbers, read by ir._pair2c like every
+complex number in the IR's JSON.
 
 Cost model: a gate with c controls costs 0 T for c <= 1 and 4(c-1) T for
 c >= 2; ToffoliCompute costs 4 T and ToffoliUncompute 0 T (measurement
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ir import matrix_from_json, matrix_to_json, require_int
+from .ir import _pair2c, matrix_from_json, matrix_to_json, require_int
 from .pauli import PauliString, check_cap, from_label, pauli_action, weight
 
 PREP_TOL = 1e-10
@@ -431,7 +433,7 @@ def gate_from_json(d: dict) -> Gate:
         return Controlled(tuple((q, p) for q, p in d["controls"]),
                           gate_from_json(d["body"]))
     if kind in ("state_prep", "state_prep_adj"):
-        amps = tuple(complex(re, im) for re, im in d["amps"])
+        amps = tuple(_pair2c(a) for a in d["amps"])
         cls = StatePrep if kind == "state_prep" else StatePrepAdjoint
         return cls(tuple(d["qubits"]), amps)
     if kind in ("toffoli", "toffoli_unc"):

@@ -2,13 +2,16 @@
 
 Subcommands: compile | verify | cost | bench | rewrite | error-sweep.
 Reports are JSON with sorted keys and no timestamps, so identical
-inputs and flags produce byte-identical output.
+inputs and flags produce byte-identical output.  `_dump` writes exactly the
+bytes of json.dumps(data, sort_keys=True, indent=2) plus a newline, without
+the stdlib's pure-Python encoder that indent=2 selects.
 """
 
 import argparse
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +51,13 @@ from .rewrite import (
     trace_to_json,
 )
 from .select_opt import g_table_json, mode_table_json
-from .synth import SELECT_MODES, channel_alphas, channel_lcu, encode_channel
+from .synth import (
+    SELECT_MODES,
+    channel_alphas,
+    channel_lcu,
+    cost_from_encodings,
+    encode_channel,
+)
 
 # the evaluation grid: (flatten, order) per named setting
 SETTINGS = (
@@ -188,9 +197,10 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
     alpha_sq = float(np.sum(np.square(alphas)))
     grid = {}
     for name, fl, om in SETTINGS:
-        m = "optimized" if om else "naive"
-        c = circ if name == setting else channel_lcu(chan, m, fl, encodings[m])
-        grid[name] = cost_report(c).to_json()
+        # only the emitted circuit is built; the other settings cost its records
+        cost = cost_report(circ) if name == setting else cost_from_encodings(
+            encodings["optimized" if om else "naive"], fl)
+        grid[name] = cost.to_json()
     report = {
         "n": chan.n,
         "frontend": frontend,
@@ -211,8 +221,51 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
     return circ, report
 
 
+def _encode(o, nl: str) -> str:
+    """o as json.dumps(sort_keys=True, indent=2) writes it, at the
+    indentation that `nl` (a newline and the current indent) opens.
+
+    Takes the exact types qchanc emits; any other value, subclasses such as
+    numpy scalars included, raises TypeError.
+    """
+    t = type(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        return ("[" + inner + ("," + inner).join([_encode(v, inner) for v in o])
+                + nl + "]")
+    if t is float:
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        # a key that is not a str fails in sorted() or the string encoder
+        return ("{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _encode(o[k], inner)
+            for k in sorted(o)]) + nl + "}")
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def _dump(data) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    return _encode(data, "\n") + "\n"
 
 
 def cmd_compile(args) -> int:

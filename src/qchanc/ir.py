@@ -246,8 +246,18 @@ def require_int(value, what: str) -> int:
     return value
 
 
+def require_number(value, what: str) -> float:
+    """Real fields are JSON numbers: a bool, string or null is rejected."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return value
+
+
 def _pair2c(p) -> complex:
-    c = complex(p[0], p[1])
+    if len(p) != 2:
+        raise ValueError(f"complex numbers are [re, im] pairs, got {p!r}")
+    c = complex(require_number(p[0], "real part"),
+                require_number(p[1], "imaginary part"))
     if not cmath.isfinite(c):
         raise ValueError(f"non-finite coefficient {p!r}")
     return c
@@ -288,7 +298,8 @@ def term_from_json(d: dict) -> tuple[complex, Primitive]:
     be = d["blockenc"]
     matrix = None if be.get("matrix") is None else matrix_from_json(be["matrix"])
     return coeff, BlockEncRef(be["handle"], require_int(be["n"], "blockenc n"),
-                              be["alpha"], require_int(be["anc"], "blockenc anc"),
+                              require_number(be["alpha"], "blockenc alpha"),
+                              require_int(be["anc"], "blockenc anc"),
                               matrix)
 
 

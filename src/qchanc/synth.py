@@ -7,6 +7,8 @@ KrausEncoding record; circuits, alphas and SELECT audits all read it.
 A channel is lowered by preparing kraus_sel amplitudes alpha_j/sqrt(sum a^2)
 and multiplexing the per-Kraus encodings; the preparation is deliberately not
 undone, since kraus_sel is traced out while be_anc is postselected to zero.
+cost_from_encodings gives the cost report of that circuit from the records
+alone, without building it.
 """
 
 from __future__ import annotations
@@ -18,14 +20,16 @@ import numpy as np
 
 from .circuits import (
     Circuit,
+    CostReport,
     Gate,
     OpaqueUnitary,
     PauliGate,
     StatePrep,
     StatePrepAdjoint,
+    _control_t,
 )
 from .ir import BlockEncRef, ChannelExpr, KrausExpr, PauliUnitary, TypecheckError, typecheck
-from .pauli import PauliString
+from .pauli import PauliString, weight
 from .rewrite import canonical_kraus
 from .select_opt import (
     GTable,
@@ -241,3 +245,56 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
     else:
         circ.extend(branches[0][1])
     return circ
+
+
+def _record_gates(enc: KrausEncoding) -> list[tuple[int, int | None]]:
+    """(controls, Pauli weight or None for a box) per gate of encode_kraus_gates."""
+    if enc.ref is not None:
+        return [(0, None)]
+    if enc.pauli is not None:
+        return [(0, weight(enc.pauli))]
+    if enc.gtable is not None:
+        body = [(addr.bit_count(), weight(g))
+                for addr, (g, _) in enc.gtable.entries.items()]
+    else:
+        body = [(enc.width, weight(p.string)) for _, p in enc.terms]
+    return [(0, None), *body, (0, None)]
+
+
+def cost_from_encodings(encodings: list[KrausEncoding],
+                        flatten: bool = False) -> CostReport:
+    """cost_report(channel_lcu(c, mode, flatten, encodings)), in closed form.
+
+    The multiplexor adds ell address controls to every body gate, or one
+    flag control when flattened; the flattened unary-iteration tree over
+    addresses 0..m-1 adds one Toffoli pair per tree node, two controlled X
+    gates per node with two children (m - 1 of them) and two root X gates.
+    """
+    m = len(encodings)
+    if m == 0:
+        raise ValueError("channel has no Kraus operators")
+    ell = math.ceil(math.log2(m)) if m > 1 else 0
+    outer = 0 if not ell else 1 if flatten else ell
+    gates = [(0, None)] if ell else []  # the kraus_sel preparation
+    for enc in encodings:
+        gates += [(c + outer, w) for c, w in _record_gates(enc)]
+    toffolis = 0
+    if flatten and ell:
+        gates += [(0, 1)] * 2 + [(1, 1)] * (2 * (m - 1))
+        toffolis = sum(((m - 1) >> k) + 1 for k in range(1, ell + 1))
+    wcc = cpauli = 0
+    t = _control_t(2) * toffolis  # computes only: uncomputes are measured
+    for c, w in gates:
+        t += _control_t(c)
+        if w is not None and c:
+            cpauli += 1
+            wcc += c * w
+    flat_width = ell + 1 if (flatten and ell) else 0
+    return CostReport(
+        weighted_control_cost=wcc,
+        t_count=t,
+        toffoli_count=toffolis,
+        controlled_pauli_count=cpauli,
+        total_gates=len(gates) + 2 * toffolis,
+        ancillas=ell + flat_width + max(enc.width for enc in encodings),
+    )

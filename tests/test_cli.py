@@ -16,7 +16,7 @@ from qchanc.ir import (
 )
 from qchanc.bench import gen_decay, gen_hypercube_like, gen_tfim
 from qchanc.lindblad import first_order
-from qchanc.cli import main
+from qchanc.cli import _dump, main
 
 
 def write_json(path, doc):
@@ -165,10 +165,27 @@ class TestCompile:
          "failed to parse: phase_exp must be an integer, got '1'"),
         ({"n": 1.9, "H": [{"coeff": [1, 0], "pauli": "Z"}], "jumps": []},
          "failed to parse: n must be an integer, got 1.9"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0, 5], "pauli": "X"}]]},
+         "failed to parse: complex numbers are [re, im] pairs, got [1, 0, 5]"),
+        ({"n": 1, "kraus": [[{"coeff": [True, 0], "pauli": "X"}]]},
+         "failed to parse: real part must be a number, got True"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": "h", "n": 1, "alpha": True, "anc": 1}}]]},
+         "failed to parse: blockenc alpha must be a number, got True"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": "h", "n": 1, "alpha": 1.0, "anc": 1,
+            "matrix": [[[1, 0], [False, 0]], [[0, 0], [1, 0]]]}}]]},
+         "failed to parse: real part must be a number, got False"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": "h", "n": 1, "alpha": 1.0, "anc": 1,
+            "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}}]]},
+         "failed to parse: real part must be a number, got True"),
     ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
             "blockenc-nan-alpha", "blockenc-fractional-anc", "blockenc-bool-anc",
             "blockenc-fractional-n", "fractional-n", "bool-n", "string-n",
-            "fractional-phase-exp", "string-phase-exp", "spec-fractional-n"])
+            "fractional-phase-exp", "string-phase-exp", "spec-fractional-n",
+            "long-coeff", "bool-coeff", "blockenc-bool-alpha", "blockenc-matrix-false",
+            "blockenc-matrix-true"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
         bad = write_json(tmp_path / "bad.json", doc)
         code, _, err = run(capsys, "compile", bad, "--out",
@@ -217,7 +234,7 @@ class TestCompile:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert 0 < calls["optimize"] <= report["kraus_count"]
-        assert calls["cost"] == 4
+        assert calls["cost"] == 1
         assert report["cost"] == report["cost_grid"][report["setting"]]
 
     def test_each_gate_checked_once(self, tmp_path, capsys, monkeypatch):
@@ -229,28 +246,95 @@ class TestCompile:
                         circuits.ToffoliCompute, circuits.ToffoliUncompute,
                         circuits.OpaqueUnitary)
         assert not any("__post_init__" in vars(cls) for cls in gate_classes)
-        checks, costed = [], []
+        checks, built = [], []
         check = circuits.Circuit._check
-        cost = cli.cost_report
+        lcu = cli.channel_lcu
 
         def spy_check(self, gate):
             checks.append(gate)
             return check(self, gate)
 
-        def spy_cost(circ):
-            costed.append(circ)
-            return cost(circ)
+        def spy_lcu(*args, **kwargs):
+            built.append(lcu(*args, **kwargs))
+            return built[-1]
 
         monkeypatch.setattr(circuits.Circuit, "_check", spy_check)
-        monkeypatch.setattr(cli, "cost_report", spy_cost)
+        monkeypatch.setattr(cli, "channel_lcu", spy_lcu)
         spec = write_json(tmp_path / "tfim.json",
                           lindblad_to_json(gen_tfim(3, 1.0)))
         code, _, _ = run(capsys, "compile", spec, "--delta", "0.01",
                          "--flatten", "--order", "--out", str(tmp_path / "run"))
         assert code == 0
-        # the four cost-grid circuits are every circuit the compile builds
-        assert len(costed) == 4
-        assert len(checks) == sum(len(c.gates) for c in costed) > 0
+        # the emitted circuit is the only circuit the compile builds
+        assert len(built) == 1
+        assert len(checks) == len(built[0].gates) > 0
+
+
+def stdlib_dump(data):
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+class TestDump:
+    def test_matches_stdlib_on_outputs(self, tmp_path, capsys, monkeypatch):
+        import qchanc.cli as cli
+
+        dumped = []
+        dump = cli._dump
+
+        def spy(data):
+            dumped.append(data)
+            return dump(data)
+
+        monkeypatch.setattr(cli, "_dump", spy)
+        tfim = write_json(tmp_path / "tfim.json", lindblad_to_json(gen_tfim(3, 1.0)))
+        decay = write_json(tmp_path / "decay.json", lindblad_to_json(gen_decay(1.0, 1.0)))
+        hc = write_json(tmp_path / "hc.json", channel_to_json(gen_hypercube_like(8, 1)))
+        opt = ["--flatten", "--order", "--minimize-rank"]
+        runs = [
+            ["compile", tfim, "--delta", "0.01", "--out", str(tmp_path / "a")],
+            ["compile", tfim, "--delta", "0.01", *opt, "--out", str(tmp_path / "b")],
+            ["compile", tfim, "--frontend", "order:2,2,2", "--delta", "0.01",
+             "--flatten", "--order", "--out", str(tmp_path / "c")],
+            ["compile", hc, "--frontend", "channel", *opt, "--out", str(tmp_path / "d")],
+            ["compile", decay, "--delta", "0.01", "--out", str(tmp_path / "v")],
+            ["rewrite", hc, "--minimize-rank"],
+            ["rewrite", hc, "--rule", "K2", "--rule-args", '{"kraus": 1, "theta": 0.5}'],
+            ["bench", "rndpauli", "--seed", "3", "--out", str(tmp_path / "e")],
+            ["bench", "decay", "--out", str(tmp_path / "e")],
+            ["verify", str(tmp_path / "v" / "circuit.json"), "--reference", decay,
+             "--delta", "0.01"],
+        ]
+        for argv in runs:
+            assert run(capsys, *argv)[0] == 0
+        # circuit.json and report.json per compile, one document per other run
+        assert len(dumped) == 5 * 2 + 5
+        for data in dumped:
+            assert dump(data) == stdlib_dump(data)
+
+    def test_matches_stdlib_on_edge_values(self):
+        data = {
+            "floats": [float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                       5e-324, 1e300, 0.1, 1 / 3],
+            "ints": [0, -1, 2 ** 70, -(2 ** 70)],
+            "strings": ["", "caf\u00e9", "\u2603\U0001f600", '"', "\\",
+                        "\x00\x1f\n\t\r\x7f", "a/b"],
+            "empty": [[], {}, (), [[]], [{}], {"x": {}}, {"y": []}],
+            "tuples": (1, (2, (3,)), ("a", None)),
+            "literals": [True, False, None],
+            "": "empty key",
+            "\u00e9": {"b": 1, "a": [2, {"d": 3, "c": 4}]},
+        }
+        assert _dump(data) == stdlib_dump(data)
+        for value in [[], {}, "x", 1, 1.5, None, True, float("nan"), ()]:
+            assert _dump(value) == stdlib_dump(value)
+
+    @pytest.mark.parametrize("value", [1j, np.int64(3), np.float64(0.5), {1: "a"},
+                                       {"a": 1, 2: 3}, [{(1,): 2}], {1, 2}],
+                             ids=["complex", "int64", "float64", "int-key",
+                                  "mixed-keys", "tuple-key", "set"])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            _dump(value)
 
 
 class TestVerify:
@@ -347,6 +431,8 @@ class TestVerify:
         ("verify", "alpha_sq_sum", True),
         ("verify", "amps", float("nan")),
         ("cost", "amps", float("nan")),
+        ("verify", "amps", True),
+        ("cost", "amps", True),
     ])
     def test_bad_circuit_number_rejected(self, tmp_path, decay_file, capsys,
                                          command, field, value):
@@ -363,6 +449,19 @@ class TestVerify:
             argv += ["--reference", decay_file, "--delta", "0.01"]
         code, _, err = run(capsys, *argv)
         assert code == 2 and "cannot load circuit" in err
+
+    @pytest.mark.parametrize("amps, shown", [
+        ([[True, 0], [0, 0]], "real part must be a number, got True"),
+        ([[0, 0], [1, False]], "imaginary part must be a number, got False"),
+        ([[1.0, 0], [None, 0]], "real part must be a number, got None"),
+        ([[1, 0, 7], [0, 0]], "[re, im] pairs, got [1, 0, 7]")])
+    def test_malformed_amplitude_rejected(self, tmp_path, capsys, amps, shown):
+        # each is a unit vector if read leniently
+        doc = {"registers": [{"name": "system", "size": 1}],
+               "gates": [{"kind": "state_prep", "qubits": [0], "amps": amps}]}
+        code, _, err = run(capsys, "cost", write_json(tmp_path / "c.json", doc))
+        assert code == 2 and "cannot load circuit" in err and shown in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["verify", "cost"])
     @pytest.mark.parametrize("kind, key, edit, shown", [

@@ -16,6 +16,7 @@ from qchanc.ir import (
 )
 from qchanc.circuits import (
     Controlled,
+    cost_report,
     OpaqueUnitary,
     PauliGate,
     StatePrep,
@@ -27,6 +28,8 @@ from qchanc.synth import (
     block_encode,
     channel_alphas,
     channel_lcu,
+    cost_from_encodings,
+    encode_channel,
     encode_kraus,
     encode_kraus_gates,
     prepare_pair,
@@ -437,3 +440,81 @@ class TestChannelLcu:
             alone_out, alone_prob = run_channel(circ, [rho])[0]
             assert np.array_equal(out, alone_out) and prob == alone_prob
             assert np.array_equal(direct, apply_channel(chan, [rho])[0])
+
+
+def _oracle_channels():
+    """name -> (channel factory, whether minimize_kraus_rank leaves it encodable)."""
+    from qchanc.bench import gen_decay, gen_hypercube_like, gen_random_pauli, gen_tfim
+    from qchanc.lindblad import QuadratureSpec, first_order, higher_order
+
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    a = np.array([[0.3, 0.1], [0.2, 0.5]])
+    out = {f"tfim{n}": (lambda n=n: first_order(gen_tfim(n, 1.0), 0.01), True)
+           for n in (2, 3, 4)}
+    for n in (2, 3):
+        for q in ((2, 2, 2), (1, 2, 2), (3, 3, 2)):
+            out[f"tfim{n}-order{q}"] = (lambda n=n, q=q: higher_order(
+                gen_tfim(n, 1.0), 0.01, QuadratureSpec(*q)), True)
+    out["decay"] = (lambda: first_order(gen_decay(1.0, 1.0), 0.01), True)
+    for v in (4, 8, 32):
+        for seed in (1, 2):
+            out[f"hc{v}-seed{seed}"] = (
+                lambda v=v, seed=seed: gen_hypercube_like(v, seed), True)
+    for n, m, seed in ((2, 5, 1), (4, 16, 2), (6, 64, 3)):
+        out[f"rndpauli-n{n}-m{m}"] = (lambda n=n, m=m, seed=seed: ChannelExpr(
+            n, [gen_random_pauli(n, m, seed)]), True)
+    out["one-kraus"] = (lambda: ChannelExpr(2, [
+        random_kraus(np.random.default_rng(1), 2, 6)]), True)
+    out["lone-terms"] = (lambda: ChannelExpr(1, [
+        ksum(1, [(0.5, "Z")]), ksum(1, [(0.5j, "X")]), ksum(1, [(0.7, "I")])]), True)
+
+    def random_channel(m):
+        rng = np.random.default_rng(m)
+        return ChannelExpr(3, [random_kraus(rng, 3, int(rng.integers(1, 9)))
+                               for _ in range(m)])
+
+    for m in (3, 5, 43):
+        out[f"random-{m}-kraus"] = (lambda m=m: random_channel(m), True)
+
+    def proportional_refs(anc, mat):
+        # two copies of one reference, which rank minimization merges
+        ref = BlockEncRef(f"anc{anc}", 1, 1.0, anc, mat)
+        return ChannelExpr(1, [KrausExpr(1, [(0.6, ref)]), KrausExpr(1, [(0.3, ref)])])
+
+    for anc, mat in ((0, h), (1, a), (2, a)):
+        out[f"opaque-anc{anc}"] = (lambda anc=anc, mat=mat: proportional_refs(anc, mat),
+                                   True)
+    # distinct references: rank minimization mixes them into one operator,
+    # which no LCU encodes
+    out["opaque-mixed"] = (lambda: ChannelExpr(1, [
+        KrausExpr(1, [(0.5, BlockEncRef("u", 1, 1.0, 0))]),
+        ksum(1, [(0.4, "I"), (0.2j, "Y")]),
+        KrausExpr(1, [(0.3, BlockEncRef("v", 1, 2.0, 3))]),
+        KrausExpr(1, [(0.1, BlockEncRef("w", 1, 1.0, 1, a))]),
+        ksum(1, [(0.2, "X")])]), False)
+    return out
+
+
+ORACLE_CHANNELS = _oracle_channels()
+
+
+class TestCostFromEncodings:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CHANNELS))
+    def test_matches_built_circuit(self, name):
+        from qchanc.rewrite import minimize_kraus_rank
+
+        make, minimizable = ORACLE_CHANNELS[name]
+        chan = make()
+        variants = [chan]
+        if minimizable:
+            variants.append(minimize_kraus_rank(chan)[0])
+        for c in variants:
+            for mode in ("naive", "optimized"):
+                encodings = encode_channel(c, mode)
+                for fl in (False, True):
+                    assert (cost_from_encodings(encodings, fl)
+                            == cost_report(channel_lcu(c, mode, fl, encodings)))
+
+    def test_empty_channel_rejected(self):
+        with pytest.raises(ValueError, match="no Kraus"):
+            cost_from_encodings([], True)
