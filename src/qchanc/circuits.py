@@ -315,12 +315,17 @@ def run_channel(c: Circuit, states,
     dims = [1 << s for _, s in c.registers] + [1 << n]
     # one axis per register (the system last), then system-in; keep be_anc = 0
     w = np.take(w.reshape(dims), 0, axis=names.index("be_anc"))
-    # w now has one axis per traced register, then system-out, system-in
-    flat = w.reshape(-1, 1 << n, 1 << n)
-    flat_conj = flat.conj()
+    # w now has one axis per traced register, then system-out, system-in:
+    # out = sum_a W_a rho W_a^dag, as (V rho) against conj(W) with the
+    # traced axis a moved next to the contracted system-in axis
+    dim = 1 << n
+    flat = w.reshape(-1, dim, dim)
+    v = flat.reshape(-1, dim)
+    right = flat.conj().transpose(1, 0, 2).reshape(dim, -1).T
     results = []
     for rho in rhos:
-        out = np.einsum("asi,atj,ij->st", flat, flat_conj, rho)
+        left = (v @ rho).reshape(-1, dim, dim).transpose(1, 0, 2).reshape(dim, -1)
+        out = left @ right
         results.append((out, float(np.real(np.trace(out)))))
     return results
 

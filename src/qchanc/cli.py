@@ -407,8 +407,7 @@ def sweep_rows(spec, deltas, orders, delta, cap=None, samples=8):
     lops = lindblad_opnorm(spec, cap)
     rows = []
 
-    def worst(chan, d):
-        sup = exact_propagator(spec, d, cap)
+    def worst(chan, sup):
         states = probe_states(spec.n, samples, seed=VERIFY_SEED)
         e = 0.0
         for rho, out in zip(states, apply_channel(chan, states, cap)):
@@ -420,12 +419,14 @@ def sweep_rows(spec, deltas, orders, delta, cap=None, samples=8):
             if d == 0:
                 rows.append(("delta", 0.0, 0.0, 0.0))
                 continue
-            err = worst(first_order(spec, d), d)
+            err = worst(first_order(spec, d), exact_propagator(spec, d, cap))
             rows.append(("delta", d, err, 5.0 * (d * lops) ** 2))
     else:
+        # every order is measured against the same exp(delta L)
+        sup = exact_propagator(spec, delta, cap)
         for k in orders:
             quad = QuadratureSpec(k, max(k, 2), 2)
-            err = worst(higher_order(spec, delta, quad, cap), delta)
+            err = worst(higher_order(spec, delta, quad, cap), sup)
             rows.append(("order", k, err, 5.0 * (delta * lops) ** (k + 1)))
     return rows
 

@@ -130,12 +130,18 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
                     upper = upper * x
                     times[i] = upper
                     scalar *= weights[node_idx[i]] * x ** i
+                # the drift factors depend on the nodes only
+                first = _taylor_exp(j, times[0], quad.drift_taylor_order)
+                drifts = [
+                    _taylor_exp(j, (times[i + 1] if i + 1 < level else delta) - times[i],
+                                quad.drift_taylor_order)
+                    for i in range(level)
+                ]
                 for jump_idx in product(range(len(jump_mats)), repeat=level):
-                    op = _taylor_exp(j, times[0], quad.drift_taylor_order)
+                    op = first
                     for i in range(level):
-                        gap = (times[i + 1] if i + 1 < level else delta) - times[i]
                         op = jump_mats[jump_idx[i]] @ op
-                        op = _taylor_exp(j, gap, quad.drift_taylor_order) @ op
+                        op = drifts[i] @ op
                     sums.append(pauli_decompose(sqrt(scalar) * op, spec.n,
                                                 DECOMPOSE_TOL, cap))
     # pauli_decompose sums are already canonical: distinct bare strings, each
@@ -156,15 +162,14 @@ def exact_propagator(spec: LindbladSpec, t: float,
                      cap: int | None = None) -> np.ndarray:
     """Dense superoperator exp(t L) acting on row-major vectorized rho."""
     check_cap(2 * spec.n, cap, "exact_propagator")
-    dim = 1 << spec.n
-    eye = np.eye(dim)
-    h = spec.hamiltonian.to_matrix(cap)
-    lind = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    # rho -> J rho + rho J^dag + sum_j L_j rho L_j^dag, with vec(A rho B)
+    # = (A kron B^T) vec(rho) in row-major order
+    eye = np.eye(1 << spec.n)
+    j = _drift_generator(spec, cap)
+    lind = np.kron(j, eye) + np.kron(eye, j.conj())
     for jump in spec.jumps:
         l = jump.to_matrix(cap)
-        ldl = l.conj().T @ l
         lind += np.kron(l, l.conj())
-        lind -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
     return scipy.linalg.expm(t * lind)
 
 

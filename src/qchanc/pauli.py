@@ -16,14 +16,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
-_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+_I_POWERS = np.array((1 + 0j, 1j, -1 + 0j, -1j))
 
 DEFAULT_QUBIT_CAP = 14
+# entries per dense_sum scatter: bounds its index and value scratch arrays
+_SCATTER_ENTRIES = 1 << 18
 _CAP_ENV = "QCHANC_CAP"
 
 
@@ -67,7 +70,7 @@ class PauliString:
         return self.x_mask == 0 and self.z_mask == 0
 
     def phase(self) -> complex:
-        return _I_POWERS[self.phase_exp]
+        return complex(_I_POWERS[self.phase_exp])
 
     def dagger(self) -> "PauliString":
         # the bare string is Hermitian, only the i-power conjugates
@@ -145,19 +148,57 @@ def to_matrix(p: PauliString, cap: int | None = None) -> np.ndarray:
     return dense_sum(p.n, [(1, p)], cap, "to_matrix")
 
 
+@lru_cache(maxsize=None)
+def _bit_reversal(n: int) -> np.ndarray:
+    """rev[mask]: an n-bit site mask as an index mask (site k is bit n-1-k),
+    and back (the map is an involution)."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    rev = np.zeros_like(masks)
+    for k in range(n):
+        rev |= ((masks >> k) & 1) << (n - 1 - k)
+    rev.flags.writeable = False
+    return rev
+
+
+def _scatter_strings(m: np.ndarray, run) -> None:
+    """Add sum c*P over a run of (c, PauliString) terms into m with one
+    unbuffered scatter, which adds to each entry in term order (so runs
+    may be split anywhere without changing a bit)."""
+    n = run[0][1].n
+    dim = 1 << n
+    rev = _bit_reversal(n)
+    x = np.array([p.x_mask for _, p in run], dtype=np.int64)
+    z = np.array([p.z_mask for _, p in run], dtype=np.int64)
+    e = np.array([p.phase_exp for _, p in run]) + np.bitwise_count(x & z)
+    # P|c> = i^e (-1)^|c & z| |c ^ x> over index masks
+    cols = np.arange(dim, dtype=np.int64)
+    powers = e[:, None] + 2 * np.bitwise_count(cols & rev[z][:, None])
+    vals = np.array([c for c, _ in run], dtype=complex)[:, None] * _I_POWERS[powers % 4]
+    flat = ((cols ^ rev[x][:, None]) << n) | cols
+    np.add.at(m.reshape(-1), flat.reshape(-1), vals.reshape(-1))
+
+
 def dense_sum(n: int, terms, cap: int | None, what: str) -> np.ndarray:
     """Dense matrix of sum c*op over (c, op) terms.  An op is a PauliString,
-    whose unit entries are scatter-added, or a 2^n x 2^n matrix."""
+    whose unit entries are scattered in, or a 2^n x 2^n matrix; every entry
+    is summed in term order."""
     check_cap(n, cap, what)
     dim = 1 << n
-    cols = np.arange(dim, dtype=np.int64)
     m = np.zeros((dim, dim), dtype=complex)
+    run = []
     for c, op in terms:
         if isinstance(op, PauliString):
-            rows, signs, e = pauli_action(op)
-            m[rows, cols] += c * (_I_POWERS[e] * signs)
-        else:
-            m += c * op
+            run.append((c, op))
+            if len(run) << n >= _SCATTER_ENTRIES:
+                _scatter_strings(m, run)
+                run = []
+            continue
+        if run:
+            _scatter_strings(m, run)
+            run = []
+        m += c * op
+    if run:
+        _scatter_strings(m, run)
     return m
 
 
@@ -243,7 +284,8 @@ def is_hermitian_sum(s: PauliSum, tol: float = 1e-10) -> bool:
 
 def pauli_decompose(m: np.ndarray, n: int | None = None, tol: float = 1e-12,
                     cap: int | None = None) -> PauliSum:
-    """Expand a dense matrix over bare Pauli strings, coeff = Tr(P^dag m)/2^n.
+    """Expand a dense matrix over bare Pauli strings, coeff = Tr(P^dag m)/2^n,
+    with one Walsh-Hadamard transform (O(n 4^n) work for all 4^n strings).
 
     Terms below tol are dropped; the kept terms reconstruct m within the
     truncation error.  Output order is by (z_mask, x_mask).
@@ -257,13 +299,30 @@ def pauli_decompose(m: np.ndarray, n: int | None = None, tol: float = 1e-12,
         raise ValueError("dimension does not match the site count")
     check_cap(n, cap, "pauli_decompose")
 
-    cols = np.arange(dim, dtype=np.int64)
-    terms: list[tuple[complex, PauliString]] = []
-    for z_mask in range(dim):
-        for x_mask in range(dim):
-            p = PauliString(n, x_mask, z_mask)
-            rows, signs, e = pauli_action(p)
-            coeff = _I_POWERS[-e % 4] * np.sum(signs * m[rows, cols]) / dim
-            if abs(coeff) > tol:
-                terms.append((complex(coeff), p))
-    return PauliSum(n, terms)
+    # coeff(X, Z) = i^-|X&Z| sum_c (-1)^|c&Z| m[c^X, c] / dim over index
+    # masks: gather g[X, c] = m[c^X, c] row by row, then a Walsh-Hadamard
+    # butterfly over c
+    idx = np.arange(dim, dtype=np.int64)
+    g = np.empty((dim, dim), dtype=complex)
+    for x in range(dim):
+        g[x] = m[idx ^ x, idx]
+    half = 1
+    while half < dim:
+        view = g.reshape(dim, dim // (2 * half), 2, half)
+        lo, hi = view[:, :, 0, :], view[:, :, 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        half *= 2
+    g /= dim
+    # the i-power has modulus one: only kept terms take it
+    xs, zs = np.nonzero(np.abs(g) > tol)
+    coeffs = g[xs, zs] * _I_POWERS[-np.bitwise_count(xs & zs).astype(np.int64) % 4]
+    rev = _bit_reversal(n)
+    x_masks, z_masks = rev[xs], rev[zs]
+    order = np.lexsort((x_masks, z_masks))
+    return PauliSum(n, [
+        (c, PauliString(n, x, z))
+        for c, x, z in zip(coeffs[order].tolist(), x_masks[order].tolist(),
+                           z_masks[order].tolist())
+    ])

@@ -761,3 +761,22 @@ class TestErrorSweep:
         expected = sum(len(higher_order(spec, 0.05, QuadratureSpec(k, max(k, 2), 2)).kraus)
                        for k in (1, 2))
         assert len(calls) == expected
+
+    def test_order_sweep_builds_one_propagator(self, tmp_path, capsys,
+                                               monkeypatch):
+        import qchanc.cli as cli
+
+        calls = []
+        original = cli.exact_propagator
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        path = write_json(tmp_path / "tfim.json",
+                          lindblad_to_json(gen_tfim(2, 1.0)))
+        monkeypatch.setattr(cli, "exact_propagator", counting)
+        code, stdout, _ = run(capsys, "error-sweep", path, "--orders", "1,2,3",
+                              "--delta", "0.05")
+        assert code == 0 and len(stdout.splitlines()) == 4
+        assert calls == [0.05]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qchanc.pauli import PauliSum, from_label, sums_close
 from qchanc.ir import (
@@ -201,6 +202,24 @@ class TestHigherOrder:
         assert len(c2.kraus) == 1 + 3 * 2 + 9 * 2
         assert typecheck(c2) == 1
 
+    def test_drift_factors_once_per_node_tuple(self, monkeypatch):
+        import qchanc.lindblad as lindblad
+        from qchanc.bench import gen_tfim
+
+        calls = []
+        original = lindblad._taylor_exp
+
+        def counting(j, t, order):
+            calls.append(t)
+            return original(j, t, order)
+
+        monkeypatch.setattr(lindblad, "_taylor_exp", counting)
+        # the tfim3 instance of the corpus at order:2,2,2
+        higher_order(gen_tfim(3, 1.0), 0.01, QuadratureSpec(2, 2, 2))
+        # exp(delta J), then per node tuple the first factor and one per
+        # level, whatever the jumps: 2 tuples at level 1, 4 at level 2
+        assert len(calls) == 1 + 2 * 2 + 4 * 3
+
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             higher_order(decay_spec(1.0, 0.0), -0.1, QuadratureSpec())
@@ -268,3 +287,23 @@ class TestExactPropagator:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="cap"):
             exact_propagator(tfim_spec(3, 1.0), 0.1, cap=5)
+
+    @pytest.mark.parametrize("spec, t", [
+        (decay_spec(1.0, 0.5), 0.7),
+        (tfim_spec(2, 0.4), 0.3),
+        (tfim_spec(3, 1.0), 0.05),
+    ])
+    def test_matches_separate_kron_generator(self, spec, t):
+        # the former construction: -i[H, .] and each dissipator term
+        # as its own Kronecker product
+        dim = 1 << spec.n
+        eye = np.eye(dim)
+        h = spec.hamiltonian.to_matrix()
+        lind = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for jump in spec.jumps:
+            l = jump.to_matrix()
+            ldl = l.conj().T @ l
+            lind += np.kron(l, l.conj())
+            lind -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
+        want = scipy.linalg.expm(t * lind)
+        assert np.max(np.abs(exact_propagator(spec, t) - want)) <= 1e-13

@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from qchanc import pauli
 from qchanc.ir import KrausExpr
 from qchanc.pauli import (
     PauliString,
     PauliSum,
     canonicalize_sum,
+    dense_sum,
     from_label,
     identity_sum,
     is_hermitian_sum,
     multiply,
+    pauli_action,
     pauli_decompose,
     sums_close,
     to_matrix,
@@ -193,6 +196,82 @@ def test_decompose_round_trip_random():
         back = pauli_decompose(m)
         assert np.allclose(back.to_matrix(), m, atol=1e-10)
         assert sums_close(back, s, tol=1e-10)
+
+
+def loop_decompose(m, n, tol=1e-12):
+    """Oracle: coeff = Tr(P^dag m)/2^n string by string, in (z, x) order."""
+    dim = 1 << n
+    cols = np.arange(dim)
+    terms = []
+    for z_mask in range(dim):
+        for x_mask in range(dim):
+            p = PauliString(n, x_mask, z_mask)
+            rows, signs, e = pauli_action(p)
+            coeff = (1j ** (-e % 4)) * np.sum(signs * m[rows, cols]) / dim
+            if abs(coeff) > tol:
+                terms.append((complex(coeff), p))
+    return PauliSum(n, terms)
+
+
+def random_matrices(rng, n):
+    m = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+    # dense complex, Hermitian, and a sparse sum whose other terms vanish
+    strs = all_strings(n)
+    idx = rng.choice(len(strs), size=min(5, len(strs)), replace=False)
+    sparse = PauliSum(n, [(complex(rng.normal(), rng.normal()), strs[int(k)])
+                          for k in idx])
+    return [m, m + m.conj().T, sparse.to_matrix()]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_decompose_matches_string_loop(n):
+    rng = np.random.default_rng(40 + n)
+    for m in random_matrices(rng, n):
+        got, want = pauli_decompose(m), loop_decompose(m, n)
+        assert [p for _, p in got.terms] == [p for _, p in want.terms]
+        assert sums_close(got, want, tol=1e-12)
+
+
+def test_decompose_tol_drops_small_terms():
+    m = PauliSum(2, [(1.0, from_label("XZ")), (1e-6, from_label("YI")),
+                     (1e-9j, from_label("ZZ"))]).to_matrix()
+    assert {p.label() for _, p in pauli_decompose(m, tol=1e-5).terms} == {"XZ"}
+    assert {p.label() for _, p in pauli_decompose(m, tol=1e-7).terms} == {"XZ", "YI"}
+    assert len(pauli_decompose(m).terms) == 3
+
+
+def term_scatter(n, terms):
+    """Oracle: each Pauli string's unit entries added by its own index-add."""
+    dim = 1 << n
+    cols = np.arange(dim)
+    m = np.zeros((dim, dim), dtype=complex)
+    for c, op in terms:
+        if isinstance(op, PauliString):
+            rows, signs, e = pauli_action(op)
+            m[rows, cols] += c * ((1j ** e) * signs)
+        else:
+            m += c * op
+    return m
+
+
+@pytest.mark.parametrize("block", [None, 8])
+def test_dense_sum_matches_term_scatter(block, monkeypatch):
+    if block is not None:  # split every run of strings into many scatters
+        monkeypatch.setattr(pauli, "_SCATTER_ENTRIES", block)
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        n = 1 + trial % 5
+        dim = 1 << n
+        terms = [(complex(rng.normal(), rng.normal()),
+                  PauliString(n, int(rng.integers(dim)), int(rng.integers(dim)),
+                              int(rng.integers(4))))
+                 for _ in range(int(rng.integers(1, 12)))]
+        # repeated strings sum in place; a matrix in the middle splits the run
+        terms += terms[:2]
+        mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        terms.insert(int(rng.integers(len(terms) + 1)), (0.3 - 0.2j, mat))
+        assert np.array_equal(dense_sum(n, terms, None, "test"),
+                              term_scatter(n, terms))
 
 
 def test_sum_product_matches_dense():

@@ -441,6 +441,29 @@ class TestChannelLcu:
             assert np.array_equal(out, alone_out) and prob == alone_prob
             assert np.array_equal(direct, apply_channel(chan, [rho])[0])
 
+    @pytest.mark.parametrize("order", [False, True])
+    def test_matches_three_operand_einsum(self, order):
+        from qchanc.bench import gen_tfim
+        from qchanc.circuits import system_isometry
+        from qchanc.lindblad import QuadratureSpec, first_order, higher_order
+
+        spec = gen_tfim(2, 1.0)
+        if order:  # --frontend order:1,2,2 --flatten --order
+            chan = higher_order(spec, 0.05, QuadratureSpec(1, 2, 2))
+            circ = channel_lcu(chan, "optimized", True)
+        else:
+            circ = channel_lcu(first_order(spec, 0.05), "naive", False)
+        names = [name for name, _ in circ.registers]
+        dims = [1 << s for _, s in circ.registers] + [4]
+        w = np.take(system_isometry(circ).reshape(dims), 0,
+                    axis=names.index("be_anc"))
+        flat = w.reshape(-1, 4, 4)
+        states = probe_states(2, 4, seed=3)
+        for rho, (out, prob) in zip(states, run_channel(circ, states)):
+            want = np.einsum("asi,atj,ij->st", flat, flat.conj(), rho)
+            assert np.max(np.abs(out - want)) <= 1e-14
+            assert abs(prob - np.trace(want).real) <= 1e-14
+
 
 def _oracle_channels():
     """name -> (channel factory, whether minimize_kraus_rank leaves it encodable)."""
