@@ -8,7 +8,7 @@ from math import sqrt
 
 import numpy as np
 
-from .ir import ChannelExpr, KrausExpr, LindbladSpec, PauliUnitary
+from .ir import ChannelExpr, LindbladSpec
 from .pauli import PauliString, PauliSum, canonicalize_sum, multiply
 
 
@@ -56,7 +56,7 @@ def gen_tfim(n: int, gamma: float) -> LindbladSpec:
     return LindbladSpec(n, PauliSum(n, terms), jumps)
 
 
-def gen_random_pauli(n: int, m: int, seed: int) -> KrausExpr:
+def gen_random_pauli(n: int, m: int, seed: int) -> PauliSum:
     """m distinct non-identity strings with Gaussian complex coefficients."""
     if n < 1:
         raise ValueError("need at least one site")
@@ -72,8 +72,8 @@ def gen_random_pauli(n: int, m: int, seed: int) -> KrausExpr:
             continue
         seen.add((x, z))
         coeff = complex(rng.normal(), rng.normal())
-        terms.append((coeff, PauliUnitary(PauliString(n, x, z))))
-    return KrausExpr(n, terms)
+        terms.append((coeff, PauliString(n, x, z)))
+    return PauliSum(n, terms)
 
 
 def gen_hypercube_like(n_vertices: int, seed: int = 0) -> ChannelExpr:
@@ -107,6 +107,6 @@ def gen_hypercube_like(n_vertices: int, seed: int = 0) -> ChannelExpr:
         terms = []
         for coeff, q in base:
             r = multiply(p, q)
-            terms.append((scale * coeff * r.phase(), PauliUnitary(r.bare())))
-        kraus.append(KrausExpr(nq, terms))
+            terms.append((scale * coeff * r.phase(), r.bare()))
+        kraus.append(PauliSum(nq, terms))
     return ChannelExpr(nq, kraus)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ir import _pair2c, matrix_from_json, matrix_to_json, require_int
+from .ir import _pair2c, matrix_from_json, matrix_to_json, require_int, validate_density
 from .pauli import PauliString, check_cap, from_label, pauli_action, weight
 
 PREP_TOL = 1e-10
@@ -304,8 +304,6 @@ def run_channel(c: Circuit, states,
     state) and returns one (unnormalized output density matrix, success
     probability) pair per state in `states`.
     """
-    from .ir import validate_density
-
     names = [name for name, _ in c.registers]
     if "be_anc" not in names:
         raise KeyError("no register named 'be_anc'")

@@ -1,10 +1,12 @@
 """Kraus-form channel IR.
 
-A channel is a list of Kraus operators; each Kraus operator is a complex
-combination of primitives.  Primitives are either Pauli strings (phases
-restricted to powers of i; any other phase belongs in the coefficient) or
-opaque references to externally supplied block encodings.  Dense semantics:
-apply_channel(C, [rho]) = [sum_i K_i rho K_i^dag].
+A channel is a list of Kraus operators; each Kraus operator is a
+`pauli.PauliSum`, a complex combination of primitives.  Primitives are
+either Pauli strings (phases restricted to powers of i; any other phase
+belongs in the coefficient) or opaque references to externally supplied
+block encodings.  Dense semantics: apply_channel(C, [rho]) =
+[sum_i K_i rho K_i^dag], with each K_i from eval_kraus, the one dense
+evaluator of a term list.
 """
 
 from __future__ import annotations
@@ -18,28 +20,13 @@ import numpy as np
 from .pauli import (
     PauliString,
     PauliSum,
+    TypecheckError,  # re-exported: pauli cannot import ir
     dense_sum,
     from_label,
     is_hermitian_sum,
+    pauli_decompose,
 )
 
-
-class TypecheckError(ValueError):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class PauliUnitary:
-    """A Pauli-string primitive; string.phase_exp carries any i-power."""
-
-    string: PauliString
-
-    @property
-    def n(self) -> int:
-        return self.string.n
-
-    def bare(self) -> "PauliUnitary":
-        return PauliUnitary(self.string.bare())
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,38 +57,19 @@ class BlockEncRef:
             object.__setattr__(self, "matrix", m)
 
 
-Primitive = PauliUnitary | BlockEncRef
-
-
-@dataclass(slots=True)
-class KrausExpr:
-    n: int
-    terms: list[tuple[complex, Primitive]]
-
-    @staticmethod
-    def from_pauli_sum(s: PauliSum) -> "KrausExpr":
-        return KrausExpr(s.n, [(c, PauliUnitary(p)) for c, p in s.terms])
-
-    def pauli_sum(self) -> PauliSum:
-        """View as a PauliSum; rejects opaque primitives."""
-        out = []
-        for c, prim in self.terms:
-            if not isinstance(prim, PauliUnitary):
-                raise TypecheckError("Kraus term is not a Pauli primitive")
-            out.append((c, prim.string))
-        return PauliSum(self.n, out)
+Primitive = PauliString | BlockEncRef
 
 
 @dataclass(slots=True)
 class ChannelExpr:
     n: int
-    kraus: list[KrausExpr]
+    kraus: list[PauliSum]
 
-    @staticmethod
-    def from_pauli_sums(sums: list[PauliSum]) -> "ChannelExpr":
-        if not sums:
-            raise ValueError("need at least one Kraus operator")
-        return ChannelExpr(sums[0].n, [KrausExpr.from_pauli_sum(s) for s in sums])
+
+def _require_pauli(s: PauliSum, what: str) -> None:
+    for t, (_, p) in enumerate(s.terms):
+        if not isinstance(p, PauliString):
+            raise TypecheckError(f"{what} term {t} is not a Pauli string")
 
 
 @dataclass(slots=True)
@@ -115,44 +83,43 @@ class LindbladSpec:
     def __post_init__(self):
         if self.hamiltonian.n != self.n:
             raise TypecheckError("Hamiltonian site count differs from n")
+        _require_pauli(self.hamiltonian, "Hamiltonian")
         if not is_hermitian_sum(self.hamiltonian):
             raise TypecheckError("Hamiltonian must be Hermitian")
         for k, j in enumerate(self.jumps):
             if j.n != self.n:
                 raise TypecheckError(f"jump {k} site count differs from n")
+            _require_pauli(j, f"jump {k}")
 
 
 def typecheck(expr) -> int:
-    """Check dimension consistency; returns the system size n."""
+    """Check dimension consistency; returns the system size n.  A term's
+    site count is checked where its PauliSum is built."""
     if isinstance(expr, ChannelExpr):
         for i, k in enumerate(expr.kraus):
             if k.n != expr.n:
                 raise TypecheckError(f"Kraus {i}: size {k.n} != channel size {expr.n}")
             typecheck(k)
         return expr.n
-    if isinstance(expr, KrausExpr):
-        for t, (coeff, prim) in enumerate(expr.terms):
-            if not isinstance(prim, (PauliUnitary, BlockEncRef)):
+    if isinstance(expr, PauliSum):
+        for t, (_, prim) in enumerate(expr.terms):
+            if not isinstance(prim, (PauliString, BlockEncRef)):
                 raise TypecheckError(f"term {t}: unknown primitive {type(prim).__name__}")
-            if prim.n != expr.n:
-                raise TypecheckError(
-                    f"term {t} ({type(prim).__name__}): size {prim.n} != {expr.n}"
-                )
         return expr.n
     if isinstance(expr, LindbladSpec):
         return expr.n
     raise TypecheckError(f"not an IR node: {type(expr).__name__}")
 
 
-def eval_kraus(k: KrausExpr, cap: int | None = None) -> np.ndarray:
-    """Dense matrix of one Kraus operator."""
+def eval_kraus(k: PauliSum, cap: int | None = None) -> np.ndarray:
+    """Dense matrix of one term list (Kraus operator, H or jump)."""
     return dense_sum(k.n, ((c, _dense_operand(p)) for c, p in k.terms), cap,
                      "eval_kraus")
 
 
 def _dense_operand(prim: Primitive):
-    if isinstance(prim, PauliUnitary):
-        return prim.string
+    if isinstance(prim, PauliString):
+        return prim
     if prim.matrix is None:
         raise TypecheckError(f"block encoding {prim.handle!r} has no matrix to evaluate")
     return prim.matrix
@@ -272,11 +239,11 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 def term_to_json(coeff: complex, prim: Primitive) -> dict:
-    if isinstance(prim, PauliUnitary):
+    if isinstance(prim, PauliString):
         return {
             "coeff": _c2pair(coeff),
-            "pauli": prim.string.label(),
-            "phase_exp": prim.string.phase_exp,
+            "pauli": prim.label(),
+            "phase_exp": prim.phase_exp,
         }
     return {
         "coeff": _c2pair(coeff),
@@ -294,7 +261,7 @@ def term_from_json(d: dict) -> tuple[complex, Primitive]:
     coeff = _pair2c(d["coeff"])
     if "pauli" in d:
         phase_exp = require_int(d.get("phase_exp", 0), "phase_exp")
-        return coeff, PauliUnitary(from_label(d["pauli"], phase_exp))
+        return coeff, from_label(d["pauli"], phase_exp)
     be = d["blockenc"]
     matrix = None if be.get("matrix") is None else matrix_from_json(be["matrix"])
     return coeff, BlockEncRef(be["handle"], require_int(be["n"], "blockenc n"),
@@ -303,33 +270,24 @@ def term_from_json(d: dict) -> tuple[complex, Primitive]:
                               matrix)
 
 
+def pauli_sum_to_json(s: PauliSum) -> list:
+    """The term list of a Kraus operator, H or jump."""
+    return [term_to_json(c, p) for c, p in s.terms]
+
+
+def pauli_sum_from_json(terms, n: int) -> PauliSum:
+    return PauliSum(n, [term_from_json(t) for t in terms])
+
+
 def channel_to_json(c: ChannelExpr) -> dict:
-    return {
-        "n": c.n,
-        "kraus": [[term_to_json(a, p) for a, p in k.terms] for k in c.kraus],
-    }
+    return {"n": c.n, "kraus": [pauli_sum_to_json(k) for k in c.kraus]}
 
 
 def channel_from_json(d: dict) -> ChannelExpr:
     n = require_int(d["n"], "n")
-    c = ChannelExpr(n, [KrausExpr(n, [term_from_json(t) for t in terms])
-                        for terms in d["kraus"]])
+    c = ChannelExpr(n, [pauli_sum_from_json(terms, n) for terms in d["kraus"]])
     typecheck(c)
     return c
-
-
-def pauli_sum_to_json(s: PauliSum) -> list:
-    return [term_to_json(c, PauliUnitary(p)) for c, p in s.terms]
-
-
-def pauli_sum_from_json(terms, n: int) -> PauliSum:
-    out = []
-    for t in terms:
-        coeff, prim = term_from_json(t)
-        if not isinstance(prim, PauliUnitary):
-            raise TypecheckError("expected a Pauli term")
-        out.append((coeff, prim.string))
-    return PauliSum(n, out)
 
 
 def lindblad_to_json(spec: LindbladSpec) -> dict:
@@ -341,8 +299,6 @@ def lindblad_to_json(spec: LindbladSpec) -> dict:
 
 
 def lindblad_from_json(d: dict) -> LindbladSpec:
-    from .pauli import pauli_decompose
-
     n = require_int(d["n"], "n")
     ham = pauli_sum_from_json(d.get("H", []), n)
     jumps = []

@@ -13,7 +13,7 @@ from math import factorial, sqrt
 import numpy as np
 import scipy.linalg
 
-from .ir import ChannelExpr, KrausExpr, LindbladSpec
+from .ir import ChannelExpr, LindbladSpec, eval_kraus
 from .pauli import (
     PauliSum,
     canonicalize_sum,
@@ -69,16 +69,16 @@ def first_order(spec: LindbladSpec, delta: float) -> ChannelExpr:
         # all-zero jumps contribute nothing; keep the channel literal
         if aj.terms:
             sums.append(aj)
-    return ChannelExpr.from_pauli_sums(sums)
+    return ChannelExpr(spec.n, sums)
 
 
 def _drift_generator(spec: LindbladSpec, cap: int | None) -> np.ndarray:
     """Dense J = -iH - (1/2) sum L^dag L."""
     check_cap(spec.n, cap, "drift generator")
-    h = spec.hamiltonian.to_matrix(cap)
+    h = eval_kraus(spec.hamiltonian, cap)
     j = -1j * h
     for jump in spec.jumps:
-        l = jump.to_matrix(cap)
+        l = eval_kraus(jump, cap)
         j -= 0.5 * (l.conj().T @ l)
     return j
 
@@ -117,7 +117,7 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
     sums = [pauli_decompose(_taylor_exp(j, delta, quad.drift_taylor_order),
                             spec.n, DECOMPOSE_TOL, cap)]
     if spec.jumps:
-        jump_mats = [jump.to_matrix(cap) for jump in spec.jumps]
+        jump_mats = [eval_kraus(jump, cap) for jump in spec.jumps]
         nodes, weights = _unit_legendre(quad.nodes_per_level)
         for level in range(1, quad.expansion_order + 1):
             for node_idx in product(range(len(nodes)), repeat=level):
@@ -146,15 +146,15 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
                                                 DECOMPOSE_TOL, cap))
     # pauli_decompose sums are already canonical: distinct bare strings, each
     # with |c| > DECOMPOSE_TOL; the drift Kraus always carries the identity
-    return ChannelExpr(spec.n, [KrausExpr.from_pauli_sum(s) for s in sums if s.terms])
+    return ChannelExpr(spec.n, [s for s in sums if s.terms])
 
 
 def lindblad_opnorm(spec: LindbladSpec, cap: int | None = None) -> float:
     """||H||_2 + sum_j ||L_j||_2^2 via dense singular values."""
     check_cap(spec.n, cap, "lindblad_opnorm")
-    total = float(np.linalg.norm(spec.hamiltonian.to_matrix(cap), 2))
+    total = float(np.linalg.norm(eval_kraus(spec.hamiltonian, cap), 2))
     for jump in spec.jumps:
-        total += float(np.linalg.norm(jump.to_matrix(cap), 2)) ** 2
+        total += float(np.linalg.norm(eval_kraus(jump, cap), 2)) ** 2
     return total
 
 
@@ -168,7 +168,7 @@ def exact_propagator(spec: LindbladSpec, t: float,
     j = _drift_generator(spec, cap)
     lind = np.kron(j, eye) + np.kron(eye, j.conj())
     for jump in spec.jumps:
-        l = jump.to_matrix(cap)
+        l = eval_kraus(jump, cap)
         lind += np.kron(l, l.conj())
     return scipy.linalg.expm(t * lind)
 

@@ -30,6 +30,11 @@ _SCATTER_ENTRIES = 1 << 18
 _CAP_ENV = "QCHANC_CAP"
 
 
+class TypecheckError(ValueError):
+    """An IR node whose parts do not fit together (site counts, primitive
+    kinds)."""
+
+
 def check_cap(n: int, cap: int | None, what: str) -> None:
     """Raise ValueError if `what` needs more than the dense-matrix qubit cap:
     the argument, else the environment variable, else the default."""
@@ -204,15 +209,22 @@ def dense_sum(n: int, terms, cap: int | None, what: str) -> np.ndarray:
 
 @dataclass(slots=True)
 class PauliSum:
-    """Linear combination of Pauli strings; terms may be non-canonical."""
+    """Linear combination of primitives; terms may be non-canonical.
+
+    A primitive is a PauliString or an opaque block-encoding reference
+    (`ir.BlockEncRef`), so the same term list is a Hamiltonian, a jump
+    operator or a Kraus operator.  Every primitive acts on n sites.  `+`
+    and `scaled` take any terms; `*` and `dagger` need Pauli strings only.
+    """
 
     n: int
     terms: list[tuple[complex, PauliString]]
 
     def __post_init__(self):
-        for _, p in self.terms:
+        for t, (_, p) in enumerate(self.terms):
             if p.n != self.n:
-                raise ValueError("term site count differs from the sum's")
+                raise TypecheckError(
+                    f"term {t} ({type(p).__name__}): size {p.n} != {self.n}")
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if other.n != self.n:
@@ -235,9 +247,6 @@ class PauliSum:
     def dagger(self) -> "PauliSum":
         return PauliSum(self.n, [(np.conj(a), p.dagger()) for a, p in self.terms])
 
-    def to_matrix(self, cap: int | None = None) -> np.ndarray:
-        return dense_sum(self.n, self.terms, cap, "PauliSum.to_matrix")
-
 
 def identity_sum(n: int, coeff: complex = 1.0) -> PauliSum:
     return PauliSum(n, [(complex(coeff), PauliString(n, 0, 0))])
@@ -245,22 +254,20 @@ def identity_sum(n: int, coeff: complex = 1.0) -> PauliSum:
 
 def fold_terms(pairs, tol: float | None = None) -> dict:
     """The one canonical form of (coeff, primitive) pairs, as
-    {key: (coeff, primitive)} in first-appearance order: i-powers folded
-    into coefficients (only then is a primitive rebuilt, by bare()), equal
-    keys summed and, given a tol, terms with |c| <= tol dropped.  The key is
-    the bare PauliString a primitive is or wraps as `.string`, else the
-    (opaque) primitive itself.  First coefficients are kept as given."""
+    {primitive: (coeff, primitive)} in first-appearance order: i-powers
+    folded into coefficients (only then is a primitive rebuilt, by bare()),
+    equal primitives summed and, given a tol, terms with |c| <= tol dropped.
+    A bare PauliString is its own key, and so is an opaque primitive.  First
+    coefficients are kept as given."""
     acc: dict = {}
     for coeff, prim in pairs:
-        key = getattr(prim, "string", prim)
-        if key.phase_exp:
-            coeff = coeff * 1j ** key.phase_exp
+        if prim.phase_exp:
+            coeff = coeff * 1j ** prim.phase_exp
             prim = prim.bare()
-            key = getattr(prim, "string", prim)
         new = (coeff, prim)
-        old = acc.setdefault(key, new)
+        old = acc.setdefault(prim, new)
         if old is not new:
-            acc[key] = (old[0] + coeff, old[1])
+            acc[prim] = (old[0] + coeff, old[1])
     if tol is not None:
         for key in [key for key, (c, _) in acc.items() if abs(c) <= tol]:
             del acc[key]

@@ -17,15 +17,8 @@ import operator
 
 import numpy as np
 
-from .ir import (
-    ChannelExpr,
-    KrausExpr,
-    PauliUnitary,
-    eval_kraus,
-    matrix_to_json,
-    typecheck,
-)
-from .pauli import PauliString, fold_terms
+from .ir import ChannelExpr, eval_kraus, matrix_to_json, typecheck
+from .pauli import PauliString, PauliSum, fold_terms
 
 # rule -> the argument keys it reads; any other key is rejected
 RULES = {
@@ -60,34 +53,30 @@ class RuleNotApplicable(RewriteError):
     pass
 
 
-def merge_terms(k: KrausExpr) -> KrausExpr:
+def merge_terms(k: PauliSum) -> PauliSum:
     """PS1: fold Pauli phases into coefficients and merge duplicate terms."""
-    return KrausExpr(k.n, list(fold_terms(k.terms).values()))
+    return PauliSum(k.n, list(fold_terms(k.terms).values()))
 
 
-def drop_zero_terms(k: KrausExpr, tol: float = ZERO_TOL) -> KrausExpr:
+def drop_zero_terms(k: PauliSum, tol: float = ZERO_TOL) -> PauliSum:
     """PS2."""
-    return KrausExpr(k.n, [(c, p) for c, p in k.terms if abs(c) > tol])
+    return PauliSum(k.n, [(c, p) for c, p in k.terms if abs(c) > tol])
 
 
-def canonical_kraus(k: KrausExpr, tol: float = ZERO_TOL) -> KrausExpr:
+def canonical_kraus(k: PauliSum, tol: float = ZERO_TOL) -> PauliSum:
     """PS1 then PS2."""
-    return KrausExpr(k.n, list(fold_terms(k.terms, tol).values()))
+    return PauliSum(k.n, list(fold_terms(k.terms, tol).values()))
 
 
-def scale_kraus(k: KrausExpr, c: complex) -> KrausExpr:
-    return KrausExpr(k.n, [(c * a, p) for a, p in k.terms])
-
-
-def combine_kraus(n: int, pairs) -> KrausExpr:
+def combine_kraus(n: int, pairs) -> PauliSum:
     """Canonical form of sum_i c_i K_i."""
     terms = []
     for c, k in pairs:
         terms.extend((c * a, p) for a, p in k.terms)
-    return canonical_kraus(KrausExpr(n, terms))
+    return canonical_kraus(PauliSum(n, terms))
 
 
-def proportionality(a: KrausExpr, b: KrausExpr, tol: float = PROP_TOL):
+def proportionality(a: PauliSum, b: PauliSum, tol: float = PROP_TOL):
     """Ratio r with b = r*a in canonical form, or None."""
     return _folded_ratio(fold_terms(a.terms, ZERO_TOL),
                          fold_terms(b.terms, ZERO_TOL), tol)
@@ -107,11 +96,11 @@ def _folded_ratio(da: dict, db: dict, tol: float = PROP_TOL):
     return None
 
 
-def is_zero_kraus(k: KrausExpr, tol: float = 1e-8, cap: int | None = None) -> bool:
+def is_zero_kraus(k: PauliSum, tol: float = 1e-8, cap: int | None = None) -> bool:
     kc = canonical_kraus(k, tol=0.0)
     if not kc.terms:
         return True
-    if all(isinstance(p, PauliUnitary) for _, p in kc.terms):
+    if all(isinstance(p, PauliString) for _, p in kc.terms):
         # bare Pauli strings are orthogonal, so coefficients tell the norm
         return max(abs(c) for c, _ in kc.terms) <= tol
     return float(np.max(np.abs(eval_kraus(kc, cap)))) <= tol
@@ -183,7 +172,7 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
         j = index("kraus")
         theta = need("theta", float)
         out = list(c.kraus)
-        out[j] = scale_kraus(out[j], np.exp(-1j * theta))
+        out[j] = out[j].scaled(np.exp(-1j * theta))
         return ChannelExpr(c.n, out)
 
     if rule == "C1":
@@ -234,7 +223,7 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
             ratios.append(r)
         factor = np.sqrt(1.0 + sum(abs(r) ** 2 for r in ratios))
         out = list(c.kraus)
-        out[lead] = scale_kraus(out[lead], factor)
+        out[lead] = out[lead].scaled(factor)
         for j in reversed(idxs[1:]):
             del out[j]
         return ChannelExpr(c.n, out)
@@ -263,7 +252,7 @@ def _axis_basis(y: np.ndarray, floor: float) -> np.ndarray:
     return basis
 
 
-def _merge_proportional(kraus: list[KrausExpr], n: int, trace: list) -> list[KrausExpr]:
+def _merge_proportional(kraus: list[PauliSum], n: int, trace: list) -> list[PauliSum]:
     # operators with different canonical key sets are never proportional, so
     # each one is folded once and compared only with the groups of its key set
     folds = [fold_terms(k.terms, ZERO_TOL) for k in kraus]
@@ -309,24 +298,22 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
     if m == 0:
         return ChannelExpr(n, []), trace
 
-    # one coefficient row per operator over the keys: Pauli strings by
-    # (z_mask, x_mask), then opaque references in first-appearance order
-    prims: dict = {}
-    for k in work:
-        for _, p in k.terms:
-            prims.setdefault(getattr(p, "string", p), p)
-    keys = sorted((key for key in prims if isinstance(key, PauliString)),
+    # one coefficient row per operator over the keys (the canonical, bare
+    # primitives): Pauli strings by (z_mask, x_mask), then opaque references
+    # in first-appearance order
+    seen = list(dict.fromkeys(p for k in work for _, p in k.terms))
+    keys = sorted((p for p in seen if isinstance(p, PauliString)),
                   key=lambda s: (s.z_mask, s.x_mask))
-    pauli_only = len(keys) == len(prims)
-    keys += [key for key in prims if not isinstance(key, PauliString)]
+    pauli_only = len(keys) == len(seen)
+    keys += [p for p in seen if not isinstance(p, PauliString)]
     col = {key: i for i, key in enumerate(keys)}
     w = np.zeros((m, len(keys)), dtype=complex)
     for j, k in enumerate(work):
         for coeff, p in k.terms:
-            w[j, col[getattr(p, "string", p)]] = coeff
+            w[j, col[p]] = coeff
     # bare Pauli strings are orthogonal, so their coefficients are the rows
     rows = w if pauli_only else w @ np.array(
-        [eval_kraus(KrausExpr(n, [(1.0, prims[key])]), cap).ravel() for key in keys])
+        [eval_kraus(PauliSum(n, [(1.0, key)]), cap).ravel() for key in keys])
 
     lam, vec = np.linalg.eigh(rows.conj() @ rows.T)
     order = np.argsort(-lam, kind="stable")
@@ -349,7 +336,7 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
             phase = np.conj(row[keep[0]]) / abs(row[keep[0]])
             row *= phase
             vec[:, j] *= phase
-        new_kraus.append(KrausExpr(n, [(row[a], prims[keys[a]]) for a in keep.tolist()]))
+        new_kraus.append(PauliSum(n, [(row[a], keys[a]) for a in keep.tolist()]))
     trace.append({"rule": "C2", "args": {"unitary": vec.T}, "kraus_count_after": m})
     for j in range(m - r):
         trace.append({"rule": "K1", "args": {"kraus": r},
@@ -367,7 +354,7 @@ def simplify(c: ChannelExpr) -> ChannelExpr:
         if not kc.terms:
             continue
         lead = kc.terms[0][0]
-        out.append(scale_kraus(kc, np.conj(lead / abs(lead))) if lead != abs(lead) else kc)
+        out.append(kc.scaled(np.conj(lead / abs(lead))) if lead != abs(lead) else kc)
     return ChannelExpr(c.n, out)
 
 

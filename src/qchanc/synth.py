@@ -28,8 +28,8 @@ from .circuits import (
     StatePrepAdjoint,
     _control_t,
 )
-from .ir import BlockEncRef, ChannelExpr, KrausExpr, PauliUnitary, TypecheckError, typecheck
-from .pauli import PauliString, weight
+from .ir import BlockEncRef, ChannelExpr, TypecheckError, typecheck
+from .pauli import PauliString, PauliSum, weight
 from .rewrite import canonical_kraus
 from .select_opt import (
     GTable,
@@ -113,13 +113,13 @@ class KrausEncoding:
     gtable: GTable | None = None
 
 
-def encode_kraus(k: KrausExpr, select_mode: str = "naive") -> KrausEncoding:
+def encode_kraus(k: PauliSum, select_mode: str = "naive") -> KrausEncoding:
     """Build the encoding record; every validity check happens here."""
     if select_mode not in SELECT_MODES:
         raise ValueError(f"unknown select mode {select_mode!r}")
     terms = tuple(canonical_kraus(k).terms)
-    paulis = [(c, p.string) for c, p in terms if isinstance(p, PauliUnitary)]
-    blocks = [(c, p) for c, p in terms if not isinstance(p, PauliUnitary)]
+    paulis = [(c, p) for c, p in terms if isinstance(p, PauliString)]
+    blocks = [(c, p) for c, p in terms if not isinstance(p, PauliString)]
     if blocks and paulis:
         raise TypecheckError("Kraus mixes Pauli and opaque primitives")
     if len(blocks) > 1:
@@ -178,12 +178,12 @@ def encode_kraus_gates(enc: KrausEncoding, anc_qubits, sys_qubits) -> list[Gate]
     if enc.gtable is not None:
         body = build_monotone_select(enc.gtable, sel, sys_qubits)
     else:
-        body = naive_select([(j, [PauliGate(p.string, sys_qubits)])
+        body = naive_select([(j, [PauliGate(p, sys_qubits)])
                              for j, (_, p) in enumerate(enc.terms)], sel)
     return [StatePrep(sel, d), *body, StatePrepAdjoint(sel, c)]
 
 
-def block_encode(k: KrausExpr, select_mode: str = "naive"):
+def block_encode(k: PauliSum, select_mode: str = "naive"):
     """Standalone block encoding: (Circuit, alpha).
 
     The top-left 2^n x 2^n block of the circuit unitary is eval_kraus/alpha.
@@ -257,7 +257,7 @@ def _record_gates(enc: KrausEncoding) -> list[tuple[int, int | None]]:
         body = [(addr.bit_count(), weight(g))
                 for addr, (g, _) in enc.gtable.entries.items()]
     else:
-        body = [(enc.width, weight(p.string)) for _, p in enc.terms]
+        body = [(enc.width, weight(p)) for _, p in enc.terms]
     return [(0, None), *body, (0, None)]
 
 

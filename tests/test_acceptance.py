@@ -10,11 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from qchanc.pauli import PauliString, from_label
+from qchanc.pauli import PauliString, PauliSum, from_label
 from qchanc.ir import (
     ChannelExpr,
-    KrausExpr,
-    PauliUnitary,
     apply_channel,
     channel_distance,
     eval_kraus,
@@ -75,18 +73,18 @@ def _random_channel(rng):
         if kind < 0.15 and kraus:
             base = kraus[int(rng.integers(0, len(kraus)))]
             c = complex(rng.normal(), rng.normal())
-            kraus.append(KrausExpr(n, [(c * a, p) for a, p in base.terms]))
+            kraus.append(PauliSum(n, [(c * a, p) for a, p in base.terms]))
             continue
         if kind < 0.25:
-            kraus.append(KrausExpr(n, []))
+            kraus.append(PauliSum(n, []))
             continue
         terms = []
         for _ in range(int(rng.integers(1, 5))):
             coeff = complex(rng.normal(), rng.normal())
             p = PauliString(n, int(rng.integers(0, 1 << n)),
                             int(rng.integers(0, 1 << n)))
-            terms.append((coeff, PauliUnitary(p)))
-        kraus.append(KrausExpr(n, terms))
+            terms.append((coeff, p))
+        kraus.append(PauliSum(n, terms))
     return ChannelExpr(n, kraus)
 
 
@@ -166,9 +164,9 @@ def _redundant_channel(rng):
             coeff = complex(rng.normal(), rng.normal())
             p = PauliString(n, int(rng.integers(0, 1 << n)),
                             int(rng.integers(0, 1 << n)))
-            terms.append((coeff, PauliUnitary(p)))
-        base.append(KrausExpr(n, terms))
-    padded = base + [KrausExpr(n, []) for _ in range(m - r)]
+            terms.append((coeff, p))
+        base.append(PauliSum(n, terms))
+    padded = base + [PauliSum(n, []) for _ in range(m - r)]
     q = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
     mixed = [combine_kraus(n, [(q[i, k], padded[k]) for k in range(m)])
              for i in range(m)]
@@ -185,11 +183,11 @@ def test_criterion_02_rank_minimization_matches_gram_oracle():
         assert channel_distance(chan, out, samples=8, seed=3) < 1e-9, trial
 
     # dephasing example reduces to {I/sqrt2, Z/sqrt2} up to phase
-    half_i = (0.5, PauliUnitary(from_label("I")))
-    half_z = (0.5, PauliUnitary(from_label("Z")))
+    half_i = (0.5, from_label("I"))
+    half_z = (0.5, from_label("Z"))
     dephase = ChannelExpr(1, [
-        KrausExpr(1, [half_i, half_z]),
-        KrausExpr(1, [half_i, (-0.5, half_z[1])]),
+        PauliSum(1, [half_i, half_z]),
+        PauliSum(1, [half_i, (-0.5, half_z[1])]),
     ])
     out, _ = minimize_kraus_rank(dephase)
     assert len(out.kraus) == 2
@@ -197,7 +195,7 @@ def test_criterion_02_rank_minimization_matches_gram_oracle():
     for k in out.kraus:
         assert len(k.terms) == 1
         c, p = k.terms[0]
-        got[p.string.label()] = abs(c)
+        got[p.label()] = abs(c)
     assert got.keys() == {"I", "Z"}
     assert got["I"] == pytest.approx(np.sqrt(0.5), abs=1e-12)
     assert got["Z"] == pytest.approx(np.sqrt(0.5), abs=1e-12)

@@ -6,11 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qchanc.pauli import PauliString
+from qchanc.pauli import PauliString, PauliSum
 from qchanc.ir import (
     ChannelExpr,
-    KrausExpr,
-    PauliUnitary,
     channel_to_json,
     lindblad_to_json,
 )
@@ -93,9 +91,9 @@ class TestCompile:
         assert report["cost_grid"]["basic+order"]["weighted_control_cost"] > 0
 
     def test_minimize_rank_traces_rules(self, tmp_path, capsys):
-        x = PauliUnitary(PauliString(1, 1, 0))
-        chan = ChannelExpr(1, [KrausExpr(1, [(0.6, x)]),
-                               KrausExpr(1, [(0.3, x)])])
+        x = PauliString(1, 1, 0)
+        chan = ChannelExpr(1, [PauliSum(1, [(0.6, x)]),
+                               PauliSum(1, [(0.3, x)])])
         path = write_json(tmp_path / "red.json", channel_to_json(chan))
         out = tmp_path / "run"
         code, _, _ = run(capsys, "compile", path, "--frontend", "channel",
@@ -106,8 +104,8 @@ class TestCompile:
         assert any(e["rule"] == "C3" for e in report["rewrite_trace"])
 
     def test_channel_passthrough_identity(self, tmp_path, capsys):
-        ident = ChannelExpr(1, [KrausExpr(
-            1, [(1.0, PauliUnitary(PauliString(1, 0, 0)))])])
+        ident = ChannelExpr(1, [PauliSum(
+            1, [(1.0, PauliString(1, 0, 0))])])
         path = write_json(tmp_path / "id.json", channel_to_json(ident))
         out = tmp_path / "run"
         code, _, _ = run(capsys, "compile", path, "--frontend", "channel",
@@ -180,12 +178,19 @@ class TestCompile:
             "handle": "h", "n": 1, "alpha": 1.0, "anc": 1,
             "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}}]]},
          "failed to parse: real part must be a number, got True"),
+        ({"n": 1, "H": [{"coeff": [1, 0], "blockenc": {
+            "handle": "h", "n": 1, "alpha": 1.0, "anc": 0}}], "jumps": []},
+         "failed to parse: Hamiltonian term 0 is not a Pauli string"),
+        ({"n": 1, "H": [], "jumps": [[{"coeff": [1, 0], "pauli": "X"}], [
+            {"coeff": [1, 0], "blockenc": {
+                "handle": "h", "n": 1, "alpha": 1.0, "anc": 0}}]]},
+         "failed to parse: jump 1 term 0 is not a Pauli string"),
     ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
             "blockenc-nan-alpha", "blockenc-fractional-anc", "blockenc-bool-anc",
             "blockenc-fractional-n", "fractional-n", "bool-n", "string-n",
             "fractional-phase-exp", "string-phase-exp", "spec-fractional-n",
             "long-coeff", "bool-coeff", "blockenc-bool-alpha", "blockenc-matrix-false",
-            "blockenc-matrix-true"])
+            "blockenc-matrix-true", "spec-blockenc-H", "spec-blockenc-jump"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
         bad = write_json(tmp_path / "bad.json", doc)
         code, _, err = run(capsys, "compile", bad, "--out",
@@ -368,8 +373,8 @@ class TestVerify:
         assert 0 < stats["success_prob"]["min"] <= 1
 
     def test_identity_roundtrip(self, tmp_path, capsys):
-        ident = ChannelExpr(1, [KrausExpr(
-            1, [(1.0, PauliUnitary(PauliString(1, 0, 0)))])])
+        ident = ChannelExpr(1, [PauliSum(
+            1, [(1.0, PauliString(1, 0, 0))])])
         path = write_json(tmp_path / "id.json", channel_to_json(ident))
         out = tmp_path / "run"
         run(capsys, "compile", path, "--frontend", "channel",
@@ -538,7 +543,7 @@ class TestCost:
         strings = [PauliString(2, x, z) for x, z in
                    [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0), (1, 1), (2, 2)]]
         chan = ChannelExpr(2, [
-            KrausExpr(2, [(1 / np.sqrt(8), PauliUnitary(p))]) for p in strings])
+            PauliSum(2, [(1 / np.sqrt(8), p)]) for p in strings])
         path = write_json(tmp_path / "m8.json", channel_to_json(chan))
         out = tmp_path / "run"
         code, _, _ = run(capsys, "compile", path, "--frontend", "channel",
@@ -601,10 +606,10 @@ class TestBench:
 
 class TestRewrite:
     def test_drop_zero_kraus_rule(self, tmp_path, capsys):
-        x = PauliUnitary(PauliString(1, 1, 0))
-        z = PauliUnitary(PauliString(1, 0, 1))
-        chan = ChannelExpr(1, [KrausExpr(1, [(1.0, x)]),
-                               KrausExpr(1, [(0.0, z)])])
+        x = PauliString(1, 1, 0)
+        z = PauliString(1, 0, 1)
+        chan = ChannelExpr(1, [PauliSum(1, [(1.0, x)]),
+                               PauliSum(1, [(0.0, z)])])
         path = write_json(tmp_path / "c.json", channel_to_json(chan))
         code, stdout, _ = run(capsys, "rewrite", path, "--rule", "K1",
                               "--rule-args", '{"kraus": 1}')
@@ -636,8 +641,8 @@ class TestRewrite:
             "tol-too-large"])
     @pytest.mark.parametrize("kraus", [1, 2])
     def test_bad_rule_args_rejected(self, tmp_path, capsys, kraus, argv):
-        ops = [KrausExpr(1, [(1.0, PauliUnitary(PauliString(1, 1, 0)))]),
-               KrausExpr(1, [(0.5, PauliUnitary(PauliString(1, 0, 1)))])]
+        ops = [PauliSum(1, [(1.0, PauliString(1, 1, 0))]),
+               PauliSum(1, [(0.5, PauliString(1, 0, 1))])]
         path = write_json(tmp_path / "c.json",
                           channel_to_json(ChannelExpr(1, ops[:kraus])))
         code, _, err = run(capsys, "rewrite", path, *argv)
@@ -645,8 +650,8 @@ class TestRewrite:
         assert "rewrite failed:" in err or "--rule-args" in err
 
     def test_rule_args_echoed_in_trace(self, tmp_path, capsys):
-        ops = [KrausExpr(1, [(0.6, PauliUnitary(PauliString(1, 1, 0)))]),
-               KrausExpr(1, [(0.8, PauliUnitary(PauliString(1, 0, 1)))])]
+        ops = [PauliSum(1, [(0.6, PauliString(1, 1, 0))]),
+               PauliSum(1, [(0.8, PauliString(1, 0, 1))])]
         path = write_json(tmp_path / "c.json", channel_to_json(ChannelExpr(1, ops)))
         for rule, args in [("C2", {"unitary": [[0, 1], [1, 0]]}),
                            ("C2p", {"i": 0, "j": 1, "a": "0.6+0.8j", "b": 0})]:
@@ -657,8 +662,8 @@ class TestRewrite:
                 {"rule": rule, "args": args, "kraus_count_after": 2}]
 
     def test_inapplicable_rule_fails(self, tmp_path, capsys):
-        x = PauliUnitary(PauliString(1, 1, 0))
-        chan = ChannelExpr(1, [KrausExpr(1, [(1.0, x)])])
+        x = PauliString(1, 1, 0)
+        chan = ChannelExpr(1, [PauliSum(1, [(1.0, x)])])
         path = write_json(tmp_path / "c.json", channel_to_json(chan))
         code, _, err = run(capsys, "rewrite", path, "--rule", "K1",
                            "--rule-args", '{"kraus": 0}')

@@ -63,7 +63,7 @@ def tfim_spec(n=3, gamma=1.0):
 
 
 def coeff_map(kraus):
-    return {p.label(): c for c, p in kraus.pauli_sum().terms}
+    return {p.label(): c for c, p in kraus.terms}
 
 
 def tp_defect(chan):
@@ -147,7 +147,7 @@ class TestFirstOrder:
         for c, p in diss.terms:
             assert p.phase_exp == 0
             assert abs(c.imag) <= 1e-12
-        m = diss.to_matrix()
+        m = eval_kraus(diss)
         assert np.max(np.abs(m - m.conj().T)) <= 1e-12
 
     def test_rejects_bad_delta(self):
@@ -166,7 +166,7 @@ class TestHigherOrder:
         hi = higher_order(spec, delta, QuadratureSpec(1, 1, 1))
         lo = first_order(spec, delta)
         assert len(hi.kraus) == len(lo.kraus)
-        assert sums_close(hi.kraus[0].pauli_sum(), lo.kraus[0].pauli_sum(), 1e-12)
+        assert sums_close(hi.kraus[0], lo.kraus[0], 1e-12)
         assert channel_distance(hi, lo, samples=8, seed=3) <= 3 * delta ** 2
 
     def test_zero_generator_identity(self):
@@ -298,10 +298,10 @@ class TestExactPropagator:
         # as its own Kronecker product
         dim = 1 << spec.n
         eye = np.eye(dim)
-        h = spec.hamiltonian.to_matrix()
+        h = eval_kraus(spec.hamiltonian)
         lind = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
         for jump in spec.jumps:
-            l = jump.to_matrix()
+            l = eval_kraus(jump)
             ldl = l.conj().T @ l
             lind += np.kron(l, l.conj())
             lind -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))

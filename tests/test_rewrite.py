@@ -6,8 +6,6 @@ import pytest
 from qchanc.ir import (
     BlockEncRef,
     ChannelExpr,
-    KrausExpr,
-    PauliUnitary,
     TypecheckError,
     channel_distance,
     eval_kraus,
@@ -23,14 +21,13 @@ from qchanc.rewrite import (
     canonical_kraus,
     minimize_kraus_rank,
     proportionality,
-    scale_kraus,
     simplify,
     trace_to_json,
 )
 
 
 def pu(label, phase_exp=0):
-    return PauliUnitary(from_label(label, phase_exp))
+    return from_label(label, phase_exp)
 
 
 def random_channel(rng, n=None, m=None, terms=None):
@@ -44,8 +41,8 @@ def random_channel(rng, n=None, m=None, terms=None):
             x = int(rng.integers(0, 1 << n))
             z = int(rng.integers(0, 1 << n))
             c = complex(rng.normal(), rng.normal())
-            ts.append((c, PauliUnitary(PauliString(n, x, z))))
-        kraus.append(KrausExpr(n, ts))
+            ts.append((c, PauliString(n, x, z)))
+        kraus.append(PauliSum(n, ts))
     return ChannelExpr(n, kraus)
 
 
@@ -62,29 +59,29 @@ def gram_rank_oracle(c, rtol=1e-9):
 
 
 def dephasing():
-    k0 = KrausExpr(1, [(0.5, pu("I")), (0.5, pu("Z"))])
-    k1 = KrausExpr(1, [(0.5, pu("I")), (-0.5, pu("Z"))])
+    k0 = PauliSum(1, [(0.5, pu("I")), (0.5, pu("Z"))])
+    k1 = PauliSum(1, [(0.5, pu("I")), (-0.5, pu("Z"))])
     return ChannelExpr(1, [k0, k1])
 
 
 def test_ps1_merges_and_folds_phases():
-    k = KrausExpr(1, [(1.0, pu("Y", 1)), (2.0, pu("Y"))])
+    k = PauliSum(1, [(1.0, pu("Y", 1)), (2.0, pu("Y"))])
     c = apply_rule(ChannelExpr(1, [k]), "PS1", {"kraus": 0})
     (coeff, prim), = c.kraus[0].terms
     assert coeff == 2 + 1j
-    assert prim.string == PauliString(1, 1, 1, 0)
+    assert prim == PauliString(1, 1, 1, 0)
 
 
 def test_ps2_drops_zero_terms():
-    k = KrausExpr(1, [(0.0, pu("X")), (1.0, pu("Z"))])
+    k = PauliSum(1, [(0.0, pu("X")), (1.0, pu("Z"))])
     c = apply_rule(ChannelExpr(1, [k]), "PS2", {"kraus": 0})
     assert len(c.kraus[0].terms) == 1
     assert c.kraus[0].terms[0][0] == 1.0
 
 
 def test_rule_tol_that_changes_the_channel_rejected():
-    c = ChannelExpr(1, [KrausExpr(1, [(0.6, pu("X"))]),
-                        KrausExpr(1, [(0.8, pu("Z"))])])
+    c = ChannelExpr(1, [PauliSum(1, [(0.6, pu("X"))]),
+                        PauliSum(1, [(0.8, pu("Z"))])])
     for rule in ("PS2", "K1"):
         with pytest.raises(InvalidRuleArgs, match="tol"):
             apply_rule(c, rule, {"kraus": 0, "tol": 0.9})
@@ -93,8 +90,8 @@ def test_rule_tol_that_changes_the_channel_rejected():
 
 
 def test_k1_removes_zero_kraus_only():
-    zero = KrausExpr(1, [(1.0, pu("X")), (-1.0, pu("X"))])
-    keep = KrausExpr(1, [(1.0, pu("I"))])
+    zero = PauliSum(1, [(1.0, pu("X")), (-1.0, pu("X"))])
+    keep = PauliSum(1, [(1.0, pu("I"))])
     c = ChannelExpr(1, [zero, keep])
     out = apply_rule(c, "K1", {"kraus": 0})
     assert len(out.kraus) == 1
@@ -107,8 +104,8 @@ def test_k2_strips_global_phase():
     base = random_channel(rng, n=2, m=2)
     theta = 0.81
     shifted = ChannelExpr(2, list(base.kraus))
-    shifted.kraus[0] = KrausExpr(2, [(c * np.exp(1j * theta), p)
-                                     for c, p in shifted.kraus[0].terms])
+    shifted.kraus[0] = PauliSum(2, [(c * np.exp(1j * theta), p)
+                                    for c, p in shifted.kraus[0].terms])
     out = apply_rule(shifted, "K2", {"kraus": 0, "theta": theta})
     assert channel_distance(out, base) < 1e-12
     for (ca, _), (cb, _) in zip(out.kraus[0].terms, base.kraus[0].terms):
@@ -152,8 +149,8 @@ def test_c2p_dephasing():
     out = apply_rule(dephasing(), "C2p", {"i": 0, "j": 1, "a": s, "b": s})
     (c0, p0), = out.kraus[0].terms
     (c1, p1), = out.kraus[1].terms
-    assert abs(c0 - s) < 1e-15 and p0.string.label() == "I"
-    assert abs(c1 + s) < 1e-15 and p1.string.label() == "Z"
+    assert abs(c0 - s) < 1e-15 and p0.label() == "I"
+    assert abs(c1 + s) < 1e-15 and p1.label() == "Z"
     fixed = apply_rule(out, "K2", {"kraus": 1, "theta": math.pi})
     assert abs(fixed.kraus[1].terms[0][0] - s) < 1e-12
     assert channel_distance(out, dephasing()) < 1e-12
@@ -162,35 +159,35 @@ def test_c2p_dephasing():
 
 
 def test_c3p_merges_proportional():
-    k = KrausExpr(1, [(0.25, pu("X")), (0.5j, pu("Z"))])
-    c = ChannelExpr(1, [KrausExpr(1, [(0.6 * a, p) for a, p in k.terms]),
-                        KrausExpr(1, [(0.8 * a, p) for a, p in k.terms])])
+    k = PauliSum(1, [(0.25, pu("X")), (0.5j, pu("Z"))])
+    c = ChannelExpr(1, [PauliSum(1, [(0.6 * a, p) for a, p in k.terms]),
+                        PauliSum(1, [(0.8 * a, p) for a, p in k.terms])])
     out = apply_rule(c, "C3p", {"i": 0, "j": 1})
     assert len(out.kraus) == 1
     for (ca, _), (cb, _) in zip(out.kraus[0].terms, k.terms):
         assert abs(ca - cb) < 1e-12
-    bad = ChannelExpr(1, [KrausExpr(1, [(1.0, pu("X"))]),
-                          KrausExpr(1, [(1.0, pu("Z"))])])
+    bad = ChannelExpr(1, [PauliSum(1, [(1.0, pu("X"))]),
+                          PauliSum(1, [(1.0, pu("Z"))])])
     with pytest.raises(RuleNotApplicable):
         apply_rule(bad, "C3p", {"i": 0, "j": 1})
 
 
 def test_proportionality_detection():
-    a = KrausExpr(2, [(0.3, pu("XZ")), (0.1j, pu("YI"))])
-    b = KrausExpr(2, [(0.3j, pu("XZ")), (-0.1, pu("YI"))])
+    a = PauliSum(2, [(0.3, pu("XZ")), (0.1j, pu("YI"))])
+    b = PauliSum(2, [(0.3j, pu("XZ")), (-0.1, pu("YI"))])
     assert abs(proportionality(a, b) - 1j) < 1e-12
-    c = KrausExpr(2, [(0.3, pu("XZ"))])
+    c = PauliSum(2, [(0.3, pu("XZ"))])
     assert proportionality(a, c) is None
 
 
 def test_minimize_three_identical():
-    k = KrausExpr(1, [(0.3, pu("X"))])
+    k = PauliSum(1, [(0.3, pu("X"))])
     c = ChannelExpr(1, [k, k, k])
     out, trace = minimize_kraus_rank(c)
     assert len(out.kraus) == 1
     (coeff, prim), = out.kraus[0].terms
     assert abs(coeff - 0.3 * math.sqrt(3)) < 1e-12
-    assert prim.string.label() == "X"
+    assert prim.label() == "X"
     assert trace[0]["rule"] == "C3"
 
 
@@ -199,7 +196,7 @@ def test_minimize_dephasing_exact():
     assert len(out.kraus) == 2
     (c0, p0), = out.kraus[0].terms
     (c1, p1), = out.kraus[1].terms
-    assert p0.string.label() == "I" and p1.string.label() == "Z"
+    assert p0.label() == "I" and p1.label() == "Z"
     s = math.sqrt(0.5)
     assert abs(c0 - s) < 1e-15 and abs(c1 - s) < 1e-15
     rules = [t["rule"] for t in trace]
@@ -215,7 +212,7 @@ def test_minimize_matches_gram_oracle():
         terms = []
         for c, k in zip(w, base.kraus):
             terms.extend((c * a, p) for a, p in k.terms)
-        kraus.append(KrausExpr(2, terms))
+        kraus.append(PauliSum(2, terms))
     padded = ChannelExpr(2, kraus)
     out, trace = minimize_kraus_rank(padded)
     r = gram_rank_oracle(padded)
@@ -245,10 +242,10 @@ def test_minimize_trace_replays():
     terms = []
     for a, p in c.kraus[0].terms:
         terms.append((0.7 * a, p))
-    padded = ChannelExpr(2, list(c.kraus) + [KrausExpr(2, terms)])
+    padded = ChannelExpr(2, list(c.kraus) + [PauliSum(2, terms)])
     # [A, B, 2A, 3B]: the second group's positions shift after the first merge
     a, b = c.kraus
-    interleaved = ChannelExpr(2, [a, b, scale_kraus(a, 2.0), scale_kraus(b, 3.0)])
+    interleaved = ChannelExpr(2, [a, b, a.scaled(2.0), b.scaled(3.0)])
     for chan in (padded, interleaved):
         out, trace = minimize_kraus_rank(chan)
         replay = ChannelExpr(chan.n, [canonical_kraus(k) for k in chan.kraus])
@@ -265,9 +262,9 @@ def test_minimize_trace_replays():
 
 def test_minimize_blockenc_dense_route():
     a = np.array([[0.2, 0.1], [0.1, -0.3]], dtype=complex)
-    ka = KrausExpr(1, [(1.0, BlockEncRef("ext", 1, 1.0, 1, a))])
-    kx = KrausExpr(1, [(0.5, pu("X"))])
-    mix = KrausExpr(1, [(0.6, BlockEncRef("ext", 1, 1.0, 1, a)), (0.4, pu("X"))])
+    ka = PauliSum(1, [(1.0, BlockEncRef("ext", 1, 1.0, 1, a))])
+    kx = PauliSum(1, [(0.5, pu("X"))])
+    mix = PauliSum(1, [(0.6, BlockEncRef("ext", 1, 1.0, 1, a)), (0.4, pu("X"))])
     c = ChannelExpr(1, [ka, kx, mix])
     out, _ = minimize_kraus_rank(c)
     assert len(out.kraus) == gram_rank_oracle(c) == 2
@@ -276,16 +273,16 @@ def test_minimize_blockenc_dense_route():
     after = sum(eval_kraus(k) @ rho @ eval_kraus(k).conj().T for k in out.kraus)
     assert np.allclose(before, after, atol=1e-10)
 
-    missing = ChannelExpr(1, [KrausExpr(1, [(1.0, BlockEncRef("ext", 1, 1.0, 1))])])
+    missing = ChannelExpr(1, [PauliSum(1, [(1.0, BlockEncRef("ext", 1, 1.0, 1))])])
     with pytest.raises(TypecheckError):
         minimize_kraus_rank(missing)
 
 
 def test_simplify_pipeline():
     noisy = ChannelExpr(1, [
-        KrausExpr(1, [(0.5, pu("X")), (0.5, pu("X")), (0.0, pu("Z"))]),
-        KrausExpr(1, [(1e-30, pu("Y"))]),
-        KrausExpr(1, [(-0.25, pu("Z"))]),
+        PauliSum(1, [(0.5, pu("X")), (0.5, pu("X")), (0.0, pu("Z"))]),
+        PauliSum(1, [(1e-30, pu("Y"))]),
+        PauliSum(1, [(-0.25, pu("Z"))]),
     ])
     out = simplify(noisy)
     assert len(out.kraus) == 2
@@ -326,13 +323,13 @@ def quadratic_form_spectrum(c):
     form w^T conj(w) of a Pauli channel: the same nonzero spectrum as its Gram
     matrix, taken the long way as a reference."""
     kraus = [canonical_kraus(k) for k in c.kraus]
-    keys = sorted({p.string.key() for k in kraus for _, p in k.terms},
+    keys = sorted({p.key() for k in kraus for _, p in k.terms},
                   key=lambda t: (t[1], t[0]))
     col = {key: i for i, key in enumerate(keys)}
     w = np.zeros((len(kraus), len(keys)), dtype=complex)
     for j, k in enumerate(kraus):
         for coeff, prim in k.terms:
-            w[j, col[prim.string.key()]] = coeff
+            w[j, col[prim.key()]] = coeff
     lam = np.sort(np.linalg.eigvalsh(w.T @ w.conj()))[::-1]
     return lam[lam > RANK_RTOL * max(lam[0], 0.0)]
 
@@ -361,9 +358,9 @@ def test_minimize_takes_one_gram_eigh(eigh_calls):
     a = np.array([[0.2, 0.1], [0.1, -0.3]], dtype=complex)
     ref = BlockEncRef("ext", 1, 1.0, 1, a)
     blockenc = ChannelExpr(1, [
-        KrausExpr(1, [(1.0, ref)]),
-        KrausExpr(1, [(0.5, pu("X"))]),
-        KrausExpr(1, [(0.6, ref), (0.4, pu("X"))]),
+        PauliSum(1, [(1.0, ref)]),
+        PauliSum(1, [(0.5, pu("X"))]),
+        PauliSum(1, [(0.6, ref), (0.4, pu("X"))]),
     ])
     pauli = simplify(higher_order(gen_tfim(3, 1.0), 0.01, QuadratureSpec(2, 2, 2)))
     for chan in (pauli, blockenc):
@@ -380,8 +377,8 @@ def test_minimize_matches_quadratic_form_spectrum(eigh_calls):
         kraus = list(base.kraus)
         for _ in range(int(rng.integers(0, 3))):  # dependent operators
             w = rng.normal(size=len(base.kraus)) + 1j * rng.normal(size=len(base.kraus))
-            kraus.append(KrausExpr(base.n, [(c * a, p) for c, k in zip(w, base.kraus)
-                                            for a, p in k.terms]))
+            kraus.append(PauliSum(base.n, [(c * a, p) for c, k in zip(w, base.kraus)
+                                           for a, p in k.terms]))
         chan = ChannelExpr(base.n, kraus)
         want = quadratic_form_spectrum(chan)
         eigh_calls.clear()

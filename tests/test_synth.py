@@ -3,12 +3,10 @@
 import numpy as np
 import pytest
 
-from qchanc.pauli import PauliString, from_label, to_matrix
+from qchanc.pauli import PauliString, PauliSum, from_label, to_matrix
 from qchanc.ir import (
     BlockEncRef,
     ChannelExpr,
-    KrausExpr,
-    PauliUnitary,
     TypecheckError,
     apply_channel,
     eval_kraus,
@@ -37,8 +35,8 @@ from qchanc.synth import (
 
 
 def ksum(n, pairs):
-    return KrausExpr(
-        n, [(complex(c), PauliUnitary(from_label(l))) for c, l in pairs])
+    return PauliSum(
+        n, [(complex(c), from_label(l)) for c, l in pairs])
 
 
 def random_kraus(rng, n, m):
@@ -53,7 +51,7 @@ def random_kraus(rng, n, m):
         seen.add((x, z))
         c = complex(rng.normal(), rng.normal())
         terms.append((c, PauliString(n, x, z)))
-    return KrausExpr(n, [(c, PauliUnitary(p)) for c, p in terms])
+    return PauliSum(n, [(c, p) for c, p in terms])
 
 
 def extract_block(circ, n):
@@ -179,7 +177,7 @@ class TestBlockEncode:
         rng = np.random.default_rng(5)
         k = random_kraus(rng, 2, 6)
         perm = list(rng.permutation(len(k.terms)))
-        k2 = KrausExpr(2, [k.terms[i] for i in perm])
+        k2 = PauliSum(2, [k.terms[i] for i in perm])
         for mode in ("naive", "optimized"):
             b1 = extract_block(*(block_encode(k, mode)[:1] + (2,)))
             b2 = extract_block(*(block_encode(k2, mode)[:1] + (2,)))
@@ -197,7 +195,7 @@ class TestBlockEncode:
         assert np.max(np.abs(block - eval_kraus(k) / alpha)) <= 1e-12
 
     def test_zero_kraus_rejected(self):
-        k = KrausExpr(1, [])
+        k = PauliSum(1, [])
         with pytest.raises(ValueError):
             block_encode(k, "naive")
 
@@ -239,7 +237,7 @@ class TestOpaqueRefs:
         rng = np.random.default_rng(3)
         a, alpha = self.rand_contraction(rng, 1)
         ref = BlockEncRef("amp", 1, alpha, 1, matrix=a)
-        k = KrausExpr(1, [(1.0, ref)])
+        k = PauliSum(1, [(1.0, ref)])
         circ, got_alpha = block_encode(k, "naive")
         assert got_alpha == pytest.approx(alpha)
         assert circ.reg_size("be_anc") == 1
@@ -251,7 +249,7 @@ class TestOpaqueRefs:
         rng = np.random.default_rng(4)
         a, alpha = self.rand_contraction(rng, 2)
         ref = BlockEncRef("amp2", 2, alpha, 1, matrix=a)
-        k = KrausExpr(2, [(0.5, ref)])
+        k = PauliSum(2, [(0.5, ref)])
         circ, got_alpha = block_encode(k, "naive")
         assert got_alpha == pytest.approx(0.5 * alpha)
         block = extract_block(circ, 2)
@@ -261,7 +259,7 @@ class TestOpaqueRefs:
         rng = np.random.default_rng(6)
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         ref = BlockEncRef("u", 1, 2.0, 0, matrix=2.0 * q)
-        k = KrausExpr(1, [(1.0, ref)])
+        k = PauliSum(1, [(1.0, ref)])
         circ, alpha = block_encode(k, "naive")
         assert alpha == pytest.approx(2.0)
         assert circ.reg_size("be_anc") == 0
@@ -270,20 +268,20 @@ class TestOpaqueRefs:
     def test_zero_ancilla_nonunitary_rejected(self):
         a = np.diag([1.0, 0.5]).astype(complex)
         ref = BlockEncRef("bad", 1, 1.0, 0, matrix=a)
-        k = KrausExpr(1, [(1.0, ref)])
+        k = PauliSum(1, [(1.0, ref)])
         with pytest.raises(ValueError):
             block_encode(k, "naive")
 
     def test_alpha_below_norm_rejected(self):
         a = np.diag([2.0, 1.0]).astype(complex)
         ref = BlockEncRef("tight", 1, 1.0, 1, matrix=a)
-        k = KrausExpr(1, [(1.0, ref)])
+        k = PauliSum(1, [(1.0, ref)])
         with pytest.raises(ValueError, match="spectral norm"):
             block_encode(k, "naive")
 
     def test_missing_matrix_stays_opaque(self):
         ref = BlockEncRef("ext", 1, 3.0, 2)
-        k = KrausExpr(1, [(1.0, ref)])
+        k = PauliSum(1, [(1.0, ref)])
         circ, alpha = block_encode(k, "naive")
         assert alpha == pytest.approx(3.0)
         assert circ.reg_size("be_anc") == 2
@@ -294,20 +292,20 @@ class TestOpaqueRefs:
 
     def test_mixed_kinds_rejected(self):
         ref = BlockEncRef("h", 1, 1.0, 1, matrix=np.eye(2, dtype=complex))
-        k = KrausExpr(1, [(1.0, ref), (0.5, PauliUnitary(from_label("X")))])
+        k = PauliSum(1, [(1.0, ref), (0.5, from_label("X"))])
         with pytest.raises(TypecheckError):
             block_encode(k, "naive")
 
     def test_multiple_refs_rejected(self):
         r1 = BlockEncRef("a", 1, 1.0, 1, matrix=np.eye(2, dtype=complex))
         r2 = BlockEncRef("b", 1, 1.0, 1, matrix=np.eye(2, dtype=complex))
-        k = KrausExpr(1, [(1.0, r1), (1.0, r2)])
+        k = PauliSum(1, [(1.0, r1), (1.0, r2)])
         with pytest.raises(TypecheckError):
             block_encode(k, "naive")
 
     def test_complex_ref_coefficient_rejected(self):
         ref = BlockEncRef("h", 1, 1.0, 1, matrix=np.eye(2, dtype=complex))
-        k = KrausExpr(1, [(1j, ref)])
+        k = PauliSum(1, [(1j, ref)])
         with pytest.raises(ValueError):
             block_encode(k, "naive")
 
@@ -389,7 +387,7 @@ class TestChannelLcu:
         ref = BlockEncRef("ext", 1, alpha, 1, matrix=a)
         chan = ChannelExpr(1, [
             ksum(1, [(0.6, "I"), (0.2, "X")]),
-            KrausExpr(1, [(1.0, ref)]),
+            PauliSum(1, [(1.0, ref)]),
         ])
         circ = channel_lcu(chan, select_mode="naive")
         assert circ.reg_size("be_anc") == 1
@@ -399,7 +397,7 @@ class TestChannelLcu:
         chan = amplitude_damping(0.4)
         phased = ChannelExpr(1, [
             chan.kraus[0],
-            KrausExpr(1, [(1j * c, p) for c, p in chan.kraus[1].terms]),
+            PauliSum(1, [(1j * c, p) for c, p in chan.kraus[1].terms]),
         ])
         c1 = channel_lcu(chan)
         c2 = channel_lcu(phased)
@@ -502,7 +500,7 @@ def _oracle_channels():
     def proportional_refs(anc, mat):
         # two copies of one reference, which rank minimization merges
         ref = BlockEncRef(f"anc{anc}", 1, 1.0, anc, mat)
-        return ChannelExpr(1, [KrausExpr(1, [(0.6, ref)]), KrausExpr(1, [(0.3, ref)])])
+        return ChannelExpr(1, [PauliSum(1, [(0.6, ref)]), PauliSum(1, [(0.3, ref)])])
 
     for anc, mat in ((0, h), (1, a), (2, a)):
         out[f"opaque-anc{anc}"] = (lambda anc=anc, mat=mat: proportional_refs(anc, mat),
@@ -510,10 +508,10 @@ def _oracle_channels():
     # distinct references: rank minimization mixes them into one operator,
     # which no LCU encodes
     out["opaque-mixed"] = (lambda: ChannelExpr(1, [
-        KrausExpr(1, [(0.5, BlockEncRef("u", 1, 1.0, 0))]),
+        PauliSum(1, [(0.5, BlockEncRef("u", 1, 1.0, 0))]),
         ksum(1, [(0.4, "I"), (0.2j, "Y")]),
-        KrausExpr(1, [(0.3, BlockEncRef("v", 1, 2.0, 3))]),
-        KrausExpr(1, [(0.1, BlockEncRef("w", 1, 1.0, 1, a))]),
+        PauliSum(1, [(0.3, BlockEncRef("v", 1, 2.0, 3))]),
+        PauliSum(1, [(0.1, BlockEncRef("w", 1, 1.0, 1, a))]),
         ksum(1, [(0.2, "X")])]), False)
     return out
 
