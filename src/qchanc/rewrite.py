@@ -232,6 +232,9 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
 RANK_RTOL = 1e-9
 # Gram eigenvalues this close, relative to the largest, share one eigenspace
 DEGEN_RTOL = 1e-12
+# a new operator's phase anchor is its first coefficient above this share of
+# its largest, far from the rounding that moves coefficients near ZERO_TOL
+ANCHOR_RTOL = 1e-6
 
 
 def _axis_basis(y: np.ndarray, floor: float) -> np.ndarray:
@@ -331,9 +334,11 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
     new_kraus = []
     for j in range(r):
         row = vec[:, j] @ w
-        keep = np.flatnonzero(np.abs(row) > ZERO_TOL)
-        if keep.size:  # anchor phase: the first kept coefficient is positive
-            phase = np.conj(row[keep[0]]) / abs(row[keep[0]])
+        mags = np.abs(row)
+        keep = np.flatnonzero(mags > ZERO_TOL)
+        if keep.size:  # anchor phase: the first large coefficient is positive
+            lead = row[np.argmax(mags > max(ZERO_TOL, ANCHOR_RTOL * mags.max()))]
+            phase = np.conj(lead) / abs(lead)
             row *= phase
             vec[:, j] *= phase
         new_kraus.append(PauliSum(n, [(row[a], keys[a]) for a in keep.tolist()]))

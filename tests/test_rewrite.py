@@ -405,3 +405,20 @@ def test_minimize_basis_ignores_input_rotation(vertices):
     for ka, kb in zip(a.kraus, b.kraus):
         assert [p for _, p in ka.terms] == [p for _, p in kb.terms]
         assert max(abs(ca - cb) for (ca, _), (cb, _) in zip(ka.terms, kb.terms)) <= 1e-10
+
+
+def test_minimize_coefficients_ignore_input_rotation():
+    # tfim3 order:2,2,2 has Gram eigenvalues 5e-9*lambda_max apart, which
+    # LAPACK mixes at about 1e-8: each output's phase anchor must not be a
+    # coefficient that this mixing can push across ZERO_TOL
+    chan = higher_order(gen_tfim(3, 1.0), 0.01, QuadratureSpec(2, 2, 2))
+    want, _ = minimize_kraus_rank(chan)
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        u = random_unitary(rng, len(chan.kraus))
+        got, _ = minimize_kraus_rank(apply_rule(chan, "C2", {"unitary": u}))
+        assert len(got.kraus) == len(want.kraus)
+        for ka, kb in zip(want.kraus, got.kraus):
+            a = {p: c for c, p in ka.terms}
+            b = {p: c for c, p in kb.terms}
+            assert max(abs(a.get(p, 0) - b.get(p, 0)) for p in a.keys() | b.keys()) <= 1e-6
