@@ -28,7 +28,6 @@ from .pauli import (
 )
 
 
-
 @dataclass(frozen=True, slots=True)
 class BlockEncRef:
     """Reference to an externally supplied block encoding.
