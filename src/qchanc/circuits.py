@@ -281,10 +281,6 @@ def apply_circuit(c: Circuit, state: np.ndarray, cap: int | None = None) -> np.n
     return state
 
 
-def simulate_unitary(c: Circuit, cap: int | None = None) -> np.ndarray:
-    return apply_circuit(c, np.eye(1 << c.total_qubits, dtype=complex), cap)
-
-
 def system_isometry(c: Circuit, cap: int | None = None) -> np.ndarray:
     """Columns U|0...0, j> for each system basis state j (other regs zero)."""
     n = c.reg_size("system")

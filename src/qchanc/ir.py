@@ -91,19 +91,32 @@ class LindbladSpec:
             _require_pauli(j, f"jump {k}")
 
 
+def _check_terms(k: PauliSum, refs: dict) -> None:
+    """Primitive kinds, and one matrix per reference: equal references
+    compare without their matrices, so merging terms would keep only one."""
+    for t, (_, prim) in enumerate(k.terms):
+        if isinstance(prim, PauliString):
+            continue
+        if not isinstance(prim, BlockEncRef):
+            raise TypecheckError(f"term {t}: unknown primitive {type(prim).__name__}")
+        a, b = refs.setdefault(prim, prim).matrix, prim.matrix
+        if a is not b and not np.array_equal(a, b):  # None matches only None
+            raise TypecheckError(
+                f"block encoding {prim.handle!r} is given two different matrices")
+
+
 def typecheck(expr) -> int:
     """Check dimension consistency; returns the system size n.  A term's
     site count is checked where its PauliSum is built."""
     if isinstance(expr, ChannelExpr):
+        refs: dict[BlockEncRef, BlockEncRef] = {}
         for i, k in enumerate(expr.kraus):
             if k.n != expr.n:
                 raise TypecheckError(f"Kraus {i}: size {k.n} != channel size {expr.n}")
-            typecheck(k)
+            _check_terms(k, refs)
         return expr.n
     if isinstance(expr, PauliSum):
-        for t, (_, prim) in enumerate(expr.terms):
-            if not isinstance(prim, (PauliString, BlockEncRef)):
-                raise TypecheckError(f"term {t}: unknown primitive {type(prim).__name__}")
+        _check_terms(expr, {})
         return expr.n
     if isinstance(expr, LindbladSpec):
         return expr.n

@@ -106,6 +106,13 @@ def is_zero_kraus(k: PauliSum, tol: float = 1e-8, cap: int | None = None) -> boo
     return float(np.max(np.abs(eval_kraus(kc, cap)))) <= tol
 
 
+def _has_bool(v) -> bool:
+    """True if v, or an entry of v at any depth of nesting, is a bool."""
+    if isinstance(v, (list, tuple)) or np.ndim(v):
+        return any(_has_bool(e) for e in v)
+    return isinstance(v, (bool, np.bool_))
+
+
 def _index_list(v) -> list[int]:
     return [operator.index(j) for j in v]
 
@@ -124,12 +131,15 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
     m = len(c.kraus)
 
     def need(key, kind=None, default=None):
-        """args[key] converted by kind; a bad or non-finite value is InvalidRuleArgs."""
+        """args[key] converted by kind; a bool anywhere in it, or a bad or
+        non-finite value, is InvalidRuleArgs."""
         if key not in args:
             if default is None:
                 raise InvalidRuleArgs(f"rule {rule} needs argument {key!r}")
             return default
         try:
+            if _has_bool(args[key]):
+                raise TypeError("bool")
             val = args[key] if kind is None else kind(args[key])
             if isinstance(val, (float, complex)) and not cmath.isfinite(val):
                 raise ValueError("not finite")

@@ -80,12 +80,6 @@ class Gf2Span:
     def contains(self, vec: int) -> bool:
         return self.reduce(vec)[0] == 0
 
-    def decode(self, vec: int) -> int:
-        red, comb = self.reduce(vec)
-        if red:
-            raise ValueError("vector is not in the span")
-        return comb
-
     def insert(self, vec: int, tag: int) -> bool:
         red, comb = self.reduce(vec)
         if red == 0:
@@ -147,68 +141,52 @@ def greedy_basis_selection(rows: list[tuple[int, int]], s: int, n: int):
 
 
 def assign_additional_modes(entries: dict, generators: list[tuple[int, int]],
-                            remaining: list, s: int, n: int,
-                            assigned_weights: dict) -> None:
+                            remaining: list, s: int) -> None:
     """Place uncovered rows at free addresses, minimizing weight mismatch.
 
-    `remaining` holds records (x, z, payload) in sorted order; `entries` maps
-    address -> payload and is extended in place.  `assigned_weights` maps
-    address -> target weight for the fallback sort key.
+    `entries` maps address -> record (x, z, payload); the records of
+    `remaining`, in sorted order, are added in place.  span[u] is the XOR of
+    the generators at the set bits of u.  Block mp (addresses mp << d | u)
+    may take the lightest row v0 at u = 0 as its base; then each u takes the
+    row nearest base ^ span[u].  A greedy placing the least (mismatch, u,
+    row position) pair each time makes the choices of one walk down the
+    sorted pairs that skips used rows and addresses, since a placement only
+    removes pairs.  Leftover rows fill the other free addresses, fewest set
+    bits first, then lowest.
     """
     d = len(generators)
     r = s - d
-
-    def bofu(u: int) -> tuple[int, int]:
-        x = z = 0
-        for i in range(d):
-            if (u >> i) & 1:
-                x ^= generators[i][0]
-                z ^= generators[i][1]
-        return x, z
-
+    span = [(0, 0)]
+    for gx, gz in generators:
+        span += [(x ^ gx, z ^ gz) for x, z in span]
     rem = list(remaining)
-
-    def place(addr: int, rec) -> None:
-        entries[addr] = rec[2]
-        assigned_weights[addr] = _vw(rec[0], rec[1])
-
     for mp in range(1, 1 << r):
         if not rem:
             break
-        avail = list(range(1, 1 << d))
-        if len(rem) > ((1 << r) - mp + 1) * ((1 << d) - 1):
+        bx = bz = 0
+        if len(rem) > ((1 << r) - mp + 1) * (len(span) - 1):
             v0 = min(rem, key=lambda rec: _vw(rec[0], rec[1]))
-            place(mp << d, v0)
+            entries[mp << d] = v0
             rem.remove(v0)
-            base = (v0[0], v0[1])
-        else:
-            base = (0, 0)
-        refs = {u: (base[0] ^ bofu(u)[0], base[1] ^ bofu(u)[1]) for u in avail}
-        while rem and avail:
-            best = None
-            for rec in rem:
-                for u in avail:
-                    mm = _vw(rec[0] ^ refs[u][0], rec[1] ^ refs[u][1])
-                    if best is None or mm < best[0] or (mm == best[0]
-                                                        and u < best[1]):
-                        best = (mm, u, rec)
-            _, u, rec = best
-            place((mp << d) | u, rec)
-            rem.remove(rec)
-            avail.remove(u)
+            bx, bz = v0[0], v0[1]
+        pairs = sorted((_vw(x ^ bx ^ sx, z ^ bz ^ sz), u, i)
+                       for i, (x, z, _) in enumerate(rem)
+                       for u, (sx, sz) in enumerate(span) if u)
+        placed, used = set(), set()
+        for _, u, i in pairs:
+            if i not in placed and u not in used:
+                entries[(mp << d) | u] = rem[i]
+                placed.add(i)
+                used.add(u)
+        rem = [rec for i, rec in enumerate(rem) if i not in placed]
 
-    if rem:
-        free = [c for c in range(1, 1 << s) if c not in entries]
-        while rem and free:
-            free.sort(key=lambda c: (c.bit_count(),
-                                     sum(w for a, w in assigned_weights.items()
-                                         if a < c), c))
-            c = free.pop(0)
-            u = c & ((1 << d) - 1)
-            bx, bz = bofu(u)
-            rec = min(rem, key=lambda rec: _vw(rec[0] ^ bx, rec[1] ^ bz))
-            place(c, rec)
-            rem.remove(rec)
+    free = sorted((c for c in range(1, 1 << s) if c not in entries),
+                  key=lambda c: (c.bit_count(), c))
+    for c in free[:len(rem)]:
+        sx, sz = span[c & ((1 << d) - 1)]
+        rec = min(rem, key=lambda rec: _vw(rec[0] ^ sx, rec[1] ^ sz))
+        entries[c] = rec
+        rem.remove(rec)
     if rem:
         raise RuntimeError("ran out of control addresses")
 
@@ -224,16 +202,12 @@ def invert_modes_with_phases(modes: ModeTable):
         return GTable(modes.s), {}
     n = next(iter(modes.entries.values()))[0].n
     g: dict[int, PauliString] = {}
-    if 0 in modes.entries and not modes.entries[0][0].is_identity():
-        p0 = modes.entries[0][0]
-        g[0] = PauliString(n, p0.x_mask, p0.z_mask)
+    # ascending addresses: every strict subset of b already has its factor
     for b in sorted(modes.entries):
-        if b == 0:
-            continue
         p, _ = modes.entries[b]
         gx, gz = p.x_mask, p.z_mask
         for c, q in g.items():
-            if c != b and (c & b) == c:
+            if (c & b) == c:
                 gx ^= q.x_mask
                 gz ^= q.z_mask
         if gx or gz:
@@ -296,14 +270,10 @@ def optimize_pauli_select(terms: list[tuple[complex, PauliString]]):
     else:
         rows, sel, cov = rows_z, sel_on_z, cov_on_z
 
-    entries: dict[int, tuple] = {}
-    assigned_weights: dict[int, int] = {}
-    for j, addr in cov.items():
-        entries[addr] = rows[j][2]
-        assigned_weights[addr] = _vw(rows[j][0], rows[j][1])
+    entries = {addr: rows[j] for j, addr in cov.items()}
     generators = [(rows[i][0], rows[i][1]) for i in sel]
     remaining = [rows[j] for j in range(len(rows)) if j not in cov]
-    assign_additional_modes(entries, generators, remaining, s, n, assigned_weights)
+    assign_additional_modes(entries, generators, remaining, s)
 
     mode = ModeTable(s)
     if anchor is not None:
@@ -311,18 +281,13 @@ def optimize_pauli_select(terms: list[tuple[complex, PauliString]]):
     elif id_coeff is not None:
         mode.entries[0] = (PauliString(n, 0, 0), 0)
     coeffs = {0: anchor[0] if anchor is not None else id_coeff}
-    for addr, (c, p, phi) in entries.items():
+    for addr, (_, _, (c, p, phi)) in entries.items():
         mode.entries[addr] = (p, phi)
         coeffs[addr] = c
     gtable, phi_ad = invert_modes_with_phases(mode)
     permuted = {addr: coeffs[addr] * (1j) ** phi_ad[addr]
                 for addr in sorted(mode.entries)}
     return mode, gtable, s, permuted
-
-
-def select_cost(g: GTable) -> int:
-    """Weighted control cost: sum of hw(address) * weight(g)."""
-    return sum(a.bit_count() * weight(p) for a, (p, _) in g.entries.items())
 
 
 # --- circuit builders -------------------------------------------------------

@@ -42,16 +42,16 @@ from qchanc.select_opt import (
     flatten_select,
     naive_select,
     optimize_pauli_select,
-    select_cost,
 )
 from qchanc.circuits import (
     Circuit,
     PauliGate,
     cost_report,
     run_channel,
-    simulate_unitary,
 )
 from qchanc.cli import main as cli_main
+
+from helpers import select_cost, simulate_unitary
 
 from test_select_opt import (
     best_assignment_cost,

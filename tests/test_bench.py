@@ -128,7 +128,7 @@ class TestRandomPauli:
 
     def test_block_encode_round_trip(self):
         from qchanc.synth import block_encode
-        from qchanc.circuits import simulate_unitary
+        from helpers import simulate_unitary
         k = gen_random_pauli(4, 12, seed=9)
         circ, alpha = block_encode(k, select_mode="optimized")
         block = simulate_unitary(circ)[:16, :16]

@@ -23,10 +23,11 @@ from qchanc.circuits import (
     gate_to_json,
     householder_prep,
     run_channel,
-    simulate_unitary,
     system_isometry,
 )
 from qchanc.pauli import from_label, to_matrix
+
+from helpers import simulate_unitary
 
 
 def sys_circuit(n, extra=()):

@@ -131,6 +131,20 @@ class TestCompile:
                            "--out", str(tmp_path / "y"))
         assert code == 2 and "frontend" in err
 
+    def test_equal_refs_with_different_matrices_rejected(self, tmp_path, capsys):
+        # 0.5*I + 0.5*X through two references equal apart from their matrices
+        def ref(matrix):
+            return {"coeff": [1, 0], "blockenc": {
+                "handle": "u", "n": 1, "alpha": 1.0, "anc": 1,
+                "matrix": [[[v, 0] for v in row] for row in matrix]}}
+        doc = {"n": 1, "kraus": [[ref([[0.5, 0], [0, 0.5]]),
+                                  ref([[0, 0.5], [0.5, 0]])]]}
+        path = write_json(tmp_path / "c.json", doc)
+        code, _, err = run(capsys, "compile", path, "--frontend", "channel",
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "block encoding 'u' is given two different matrices" in err
+
     @pytest.mark.parametrize("doc, message", [
         ({"bogus": 1}, "kraus"),
         ({"n": 1, "kraus": 5}, "failed to parse"),
@@ -648,6 +662,29 @@ class TestRewrite:
         code, _, err = run(capsys, "rewrite", path, *argv)
         assert code == 2
         assert "rewrite failed:" in err or "--rule-args" in err
+
+    @pytest.mark.parametrize("rule, args", [
+        ("K2", {"kraus": True, "theta": 0.5}),
+        ("K2", {"kraus": 0, "theta": True}),
+        ("PS2", {"kraus": 0, "tol": False}),
+        ("C1", {"perm": [True, False]}),
+        ("C2", {"unitary": [[False, True], [True, False]]}),
+        ("C2p", {"i": False, "j": True, "a": 1, "b": 0}),
+        ("C2p", {"i": 0, "j": 1, "a": True, "b": 0}),
+        ("C2p", {"i": 0, "j": 1, "a": 1, "b": False}),
+        ("C3", {"indices": [False, True]}),
+        ("C3p", {"i": 0, "j": True}),
+    ], ids=["K2-kraus", "K2-theta", "PS2-tol", "C1-perm", "C2-unitary",
+            "C2p-index", "C2p-a", "C2p-b", "C3-indices", "C3p-j"])
+    def test_bool_rule_args_rejected(self, tmp_path, capsys, rule, args):
+        # each argument is accepted with the bool replaced by its int
+        ops = [PauliSum(1, [(0.6, PauliString(1, 1, 0))]),
+               PauliSum(1, [(0.8, PauliString(1, 1, 0))])]
+        path = write_json(tmp_path / "c.json", channel_to_json(ChannelExpr(1, ops)))
+        code, _, err = run(capsys, "rewrite", path, "--rule", rule,
+                           "--rule-args", json.dumps(args))
+        assert code == 2
+        assert "rewrite failed:" in err and "bad argument" in err
 
     def test_rule_args_echoed_in_trace(self, tmp_path, capsys):
         ops = [PauliSum(1, [(0.6, PauliString(1, 1, 0))]),

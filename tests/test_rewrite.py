@@ -12,7 +12,7 @@ from qchanc.ir import (
 )
 from qchanc.bench import gen_hypercube_like, gen_tfim
 from qchanc.lindblad import QuadratureSpec, higher_order
-from qchanc.pauli import PauliString, PauliSum, from_label
+from qchanc.pauli import PauliString, PauliSum, from_label, to_matrix
 from qchanc.rewrite import (
     RANK_RTOL,
     InvalidRuleArgs,
@@ -276,6 +276,35 @@ def test_minimize_blockenc_dense_route():
     missing = ChannelExpr(1, [PauliSum(1, [(1.0, BlockEncRef("ext", 1, 1.0, 1))])])
     with pytest.raises(TypecheckError):
         minimize_kraus_rank(missing)
+
+
+def _refs_u(*matrices):
+    """References that agree on handle, n, alpha and anc: equal as terms."""
+    return [BlockEncRef("u", 1, 1.0, 1, m) for m in matrices]
+
+
+def test_equal_refs_with_different_matrices_rejected():
+    half_i, half_x = 0.5 * np.eye(2), 0.5 * to_matrix(pu("X"))
+    a, b = _refs_u(half_i, half_x)
+    with pytest.raises(TypecheckError, match="'u'"):
+        simplify(ChannelExpr(1, [PauliSum(1, [(1, a), (1, b)])]))
+    # a reference without a matrix does not match one with a matrix
+    a, bare = _refs_u(half_i, None)
+    with pytest.raises(TypecheckError, match="'u'"):
+        simplify(ChannelExpr(1, [PauliSum(1, [(1, a), (1, bare)])]))
+    # the same matrix twice merges as before
+    a, b = _refs_u(half_i, half_i.copy())
+    out = simplify(ChannelExpr(1, [PauliSum(1, [(1, a), (1, b)])]))
+    assert np.allclose(eval_kraus(out.kraus[0]), np.eye(2))
+
+
+def test_equal_refs_across_kraus_operators_rejected():
+    # minimize_kraus_rank keys terms on the reference in one list for all
+    # operators, so the two matrices would be read as one
+    a, b = _refs_u(0.5 * np.eye(2), 0.5 * to_matrix(pu("X")))
+    chan = ChannelExpr(1, [PauliSum(1, [(1, a)]), PauliSum(1, [(1, b)])])
+    with pytest.raises(TypecheckError, match="'u'"):
+        minimize_kraus_rank(chan)
 
 
 def test_simplify_pipeline():

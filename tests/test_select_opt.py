@@ -8,10 +8,10 @@ from qchanc.circuits import (
     Controlled,
     PauliGate,
     cost_report,
-    simulate_unitary,
 )
 from qchanc.pauli import (PauliString, PauliSum, canonicalize_sum, from_label,
                           multiply, to_matrix, weight)
+from qchanc import select_opt
 from qchanc.select_opt import (
     GTable,
     Gf2Span,
@@ -25,8 +25,9 @@ from qchanc.select_opt import (
     mode_table_json,
     naive_select,
     optimize_pauli_select,
-    select_cost,
 )
+
+from helpers import decode, select_cost, simulate_unitary
 
 RNG = np.random.default_rng
 
@@ -68,9 +69,9 @@ class TestGf2Span:
         assert sp.insert(0b0011, 2)
         assert not sp.insert(0b0110, 4)
         assert sp.contains(0b0110)
-        assert sp.decode(0b0110) == 3
+        assert decode(sp, 0b0110) == 3
         with pytest.raises(ValueError):
-            sp.decode(0b1000)
+            decode(sp, 0b1000)
 
     def test_residual_names_the_coset(self):
         rng = RNG(5)
@@ -86,7 +87,7 @@ class TestGf2Span:
             assert all(red >> bit & 1 == 0 for bit in sp.pivots)
             assert {sp.reduce(vec ^ w)[0] for w in span} == {red}
             # the residual differs from vec by the span vector of comb
-            assert sp.decode(vec ^ red) == comb
+            assert decode(sp, vec ^ red) == comb
 
 
 def probe_span_greedy(rows, s, n):
@@ -147,7 +148,7 @@ class TestGreedy:
             fresh = Gf2Span()
             for k, i in enumerate(sel):
                 fresh.insert((rows[i][0] << n) | rows[i][1], 1 << k)
-            assert cov == {j: fresh.decode((rows[j][0] << n) | rows[j][1])
+            assert cov == {j: decode(fresh, (rows[j][0] << n) | rows[j][1])
                            for j in cov}
 
     def test_reductions_linear_per_step(self, monkeypatch):
@@ -388,22 +389,189 @@ def best_assignment_cost(targets, s, ub):
     return best
 
 
+def parent_assign_additional_modes(entries, generators, remaining, s, n,
+                                   assigned_weights, ran):
+    """Oracle: the rescanning greedy the sorted walk replaced, as it was
+    (entries map address -> payload, weights kept alongside), plus the two
+    `ran.add` lines that record which branches ran."""
+    d = len(generators)
+    r = s - d
+
+    def bofu(u):
+        x = z = 0
+        for i in range(d):
+            if (u >> i) & 1:
+                x ^= generators[i][0]
+                z ^= generators[i][1]
+        return x, z
+
+    def vw(x, z):
+        return (x | z).bit_count()
+
+    rem = list(remaining)
+
+    def place(addr, rec):
+        entries[addr] = rec[2]
+        assigned_weights[addr] = vw(rec[0], rec[1])
+
+    for mp in range(1, 1 << r):
+        if not rem:
+            break
+        avail = list(range(1, 1 << d))
+        if len(rem) > ((1 << r) - mp + 1) * ((1 << d) - 1):
+            ran.add("v0")
+            v0 = min(rem, key=lambda rec: vw(rec[0], rec[1]))
+            place(mp << d, v0)
+            rem.remove(v0)
+            base = (v0[0], v0[1])
+        else:
+            base = (0, 0)
+        refs = {u: (base[0] ^ bofu(u)[0], base[1] ^ bofu(u)[1]) for u in avail}
+        while rem and avail:
+            best = None
+            for rec in rem:
+                for u in avail:
+                    mm = vw(rec[0] ^ refs[u][0], rec[1] ^ refs[u][1])
+                    if best is None or mm < best[0] or (mm == best[0]
+                                                        and u < best[1]):
+                        best = (mm, u, rec)
+            _, u, rec = best
+            place((mp << d) | u, rec)
+            rem.remove(rec)
+            avail.remove(u)
+
+    if rem:
+        ran.add("fallback")
+        free = [c for c in range(1, 1 << s) if c not in entries]
+        while rem and free:
+            free.sort(key=lambda c: (c.bit_count(),
+                                     sum(w for a, w in assigned_weights.items()
+                                         if a < c), c))
+            c = free.pop(0)
+            u = c & ((1 << d) - 1)
+            bx, bz = bofu(u)
+            rec = min(rem, key=lambda rec: vw(rec[0] ^ bx, rec[1] ^ bz))
+            place(c, rec)
+            rem.remove(rec)
+    if rem:
+        raise RuntimeError("ran out of control addresses")
+
+
+def parent_factors(modes):
+    """Oracle: the monotone factor loop of invert_modes_with_phases as it
+    was, with address 0 handled on its own."""
+    n = next(iter(modes.entries.values()))[0].n
+    g = {}
+    if 0 in modes.entries and not modes.entries[0][0].is_identity():
+        p0 = modes.entries[0][0]
+        g[0] = PauliString(n, p0.x_mask, p0.z_mask)
+    for b in sorted(modes.entries):
+        if b == 0:
+            continue
+        p, _ = modes.entries[b]
+        gx, gz = p.x_mask, p.z_mask
+        for c, q in g.items():
+            if c != b and (c & b) == c:
+                gx ^= q.x_mask
+                gz ^= q.z_mask
+        if gx or gz:
+            g[b] = PauliString(n, gx, gz)
+    return g
+
+
+def parent_assign(ran):
+    """assign_additional_modes' signature over the oracle: records in,
+    records out, the oracle's payload map and weights in between."""
+    def assign(entries, generators, remaining, s):
+        payloads = {a: rec[2] for a, rec in entries.items()}
+        weights = {a: (rec[0] | rec[1]).bit_count() for a, rec in entries.items()}
+        parent_assign_additional_modes(payloads, generators, remaining, s, 0,
+                                       weights, ran)
+        by_payload = {id(rec[2]): rec for rec in remaining}
+        for a, payload in payloads.items():
+            if a not in entries:
+                entries[a] = by_payload[id(payload)]
+    return assign
+
+
+def tie_heavy_case(rng):
+    """(entries, generators, remaining, s): rows of two or three weights,
+    d from 0 to s generators at one-hot addresses, some other addresses
+    below 2^d taken, and up to every free address's worth of rows left."""
+    n = int(rng.integers(2, 5))
+    s = int(rng.integers(2, 5))
+    d = int(rng.integers(0, s + 1))
+    weights = rng.choice([1, 2, 3], size=int(rng.integers(2, 4)), replace=False)
+    pool = [(x, z) for x in range(1 << n) for z in range(1 << n)
+            if (x | z).bit_count() in weights]
+    order = rng.permutation(len(pool))
+    rows = [(*pool[k], f"r{k}") for k in order]
+    gens, rows = rows[:d], rows[d:]
+    entries = {1 << k: rec for k, rec in enumerate(gens)}
+    for a in range(3, 1 << d):
+        if a.bit_count() > 1 and rows and rng.random() < 0.3:
+            entries[a] = rows.pop()
+    room = (1 << s) - 1 - len(entries)
+    remaining = rows[:int(rng.integers(1, room + 1))] if room and rows else []
+    remaining.sort(key=lambda r: ((r[0] | r[1]).bit_count(), r[1], r[0]))
+    return entries, [(x, z) for x, z, _ in gens], remaining, s
+
+
+def random_pauli_sum(rng):
+    n = int(rng.integers(2, 6))
+    m = int(rng.integers(2, min(40, 4 ** n) + 1))
+    keys = rng.choice(4 ** n, size=m, replace=False)
+    # few distinct magnitudes: ties in the anchor and weight orders
+    return [(complex(rng.choice([0.5, 1.0, -1.0]), rng.choice([0.0, 0.25])),
+             PauliString(n, int(k) >> n, int(k) & ((1 << n) - 1))) for k in keys]
+
+
 class TestAssignFallback:
     def test_fallback_uses_free_subspace_address(self):
         # One generator X1 on two qubits, three leftover rows, s = 2: the
         # prefix pass places two, the fallback sweeps up the last one.
         entries = {}
-        weights = {1: 1}
         gens = [(0b01, 0)]
         remaining = [(0b10, 0, "a"), (0b11, 0, "b"), (0, 0b01, "c")]
-        assign_additional_modes(entries, gens, remaining, 2, 2, weights)
+        assign_additional_modes(entries, gens, remaining, 2)
         # v0 branch puts "a" at prefix||0, "b" matches the generator reference
         # exactly, and the fallback sweeps "c" into the free address 1.
-        assert entries == {2: "a", 3: "b", 1: "c"}
+        assert {a: rec[2] for a, rec in entries.items()} == {2: "a", 3: "b", 1: "c"}
 
     def test_overflow_raises(self):
         with pytest.raises(RuntimeError):
-            assign_additional_modes({}, [], [(1, 0, "a"), (2, 0, "b")], 1, 2, {})
+            assign_additional_modes({}, [], [(1, 0, "a"), (2, 0, "b")], 1)
+
+
+class TestParentLoops:
+    def test_walk_matches_rescanning_greedy(self):
+        rng = RNG(23)
+        ran = set()
+        for _ in range(400):
+            entries, gens, remaining, s = tie_heavy_case(rng)
+            want = {a: rec[2] for a, rec in entries.items()}
+            weights = {a: (rec[0] | rec[1]).bit_count() for a, rec in entries.items()}
+            parent_assign_additional_modes(want, gens, remaining, s, 0, weights, ran)
+            assign_additional_modes(entries, gens, remaining, s)
+            # same addresses, same rows, placed in the same order
+            assert [(a, rec[2]) for a, rec in entries.items()] == list(want.items())
+        assert ran == {"v0", "fallback"}
+
+    def test_optimize_matches_parent_loops(self, monkeypatch):
+        rng = RNG(29)
+        ran = set()
+        for _ in range(150):
+            terms = random_pauli_sum(rng)
+            mode, gt, s, permuted = optimize_pauli_select(terms)
+            assert list(gt.entries.items()) == [
+                (b, (q, 0)) for b, q in parent_factors(mode).items()]
+            with monkeypatch.context() as mp:
+                mp.setattr(select_opt, "assign_additional_modes", parent_assign(ran))
+                want = optimize_pauli_select(terms)
+            assert list(mode.entries.items()) == list(want[0].entries.items())
+            assert list(gt.entries.items()) == list(want[1].entries.items())
+            assert (s, permuted) == want[2:]
+        assert ran == {"v0", "fallback"}
 
 
 def walk_registers(b, n_sys):

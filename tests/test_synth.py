@@ -20,7 +20,6 @@ from qchanc.circuits import (
     StatePrep,
     StatePrepAdjoint,
     run_channel,
-    simulate_unitary,
 )
 from qchanc.synth import (
     block_encode,
@@ -32,6 +31,8 @@ from qchanc.synth import (
     encode_kraus_gates,
     prepare_pair,
 )
+
+from helpers import simulate_unitary
 
 
 def ksum(n, pairs):
