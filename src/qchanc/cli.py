@@ -37,11 +37,10 @@ from .ir import (
 )
 from .lindblad import (
     QuadratureSpec,
-    exact_propagator,
+    evolve,
     first_order,
     higher_order,
     lindblad_opnorm,
-    propagate,
 )
 from .rewrite import (
     RewriteError,
@@ -296,17 +295,12 @@ def _load_circuit(path: str):
 
 def verify_stats(circ, scale, reference, delta, samples, cap=None) -> dict:
     """Max trace distance of the rescaled circuit channel vs the reference."""
-    if isinstance(reference, ChannelExpr):
-        n = reference.n
-        direct = lambda states: apply_channel(reference, states, cap)
-        bound = None
-    else:
-        n = reference.n
-        if delta is None:
-            raise CliError("verifying against a spec requires --delta")
-        sup = exact_propagator(reference, delta, cap)
-        direct = lambda states: [propagate(sup, rho) for rho in states]
-        bound = 5.0 * (delta * lindblad_opnorm(reference, cap)) ** 2
+    n = reference.n
+    is_spec = not isinstance(reference, ChannelExpr)
+    if is_spec and delta is None:
+        raise CliError("verifying against a spec requires --delta")
+    if is_spec and not delta > 0:
+        raise CliError(f"--delta must be positive, got {delta!r}")
     names = [name for name, _ in circ.registers]
     for reg in ("system", "be_anc", "kraus_sel", "flat_anc"):
         if reg not in names:
@@ -315,10 +309,16 @@ def verify_stats(circ, scale, reference, delta, samples, cap=None) -> dict:
         raise CliError(f"circuit system has {circ.reg_size('system')} qubits, "
                        f"reference has {n}")
     states = probe_states(n, samples, seed=VERIFY_SEED)
+    if is_spec:
+        refs = evolve(reference, delta, states, cap)
+        bound = 5.0 * (delta * lindblad_opnorm(reference, cap)) ** 2
+    else:
+        refs = apply_channel(reference, states, cap)
+        bound = None
     runs = run_channel(circ, states, cap=cap)
     worst = 0.0
     probs = []
-    for (out, prob), ref in zip(runs, direct(states)):
+    for (out, prob), ref in zip(runs, refs):
         worst = max(worst, trace_distance(scale * out, ref))
         probs.append(prob)
     stats = {
@@ -405,28 +405,28 @@ def cmd_rewrite(args) -> int:
 def sweep_rows(spec, deltas, orders, delta, cap=None, samples=8):
     """(parameter, error, bound) rows for the requested sweep."""
     lops = lindblad_opnorm(spec, cap)
+    states = probe_states(spec.n, samples, seed=VERIFY_SEED)
     rows = []
 
-    def worst(chan, sup):
-        states = probe_states(spec.n, samples, seed=VERIFY_SEED)
-        e = 0.0
-        for rho, out in zip(states, apply_channel(chan, states, cap)):
-            e = max(e, trace_distance(out, propagate(sup, rho)))
-        return e
+    def worst(chan, refs):
+        return max((trace_distance(out, ref) for out, ref in
+                    zip(apply_channel(chan, states, cap), refs)), default=0.0)
 
     if deltas is not None:
         for d in deltas:
             if d == 0:
                 rows.append(("delta", 0.0, 0.0, 0.0))
                 continue
-            err = worst(first_order(spec, d), exact_propagator(spec, d, cap))
+            # the reference first: it rejects a delta too large to evolve
+            refs = evolve(spec, d, states, cap)
+            err = worst(first_order(spec, d), refs)
             rows.append(("delta", d, err, 5.0 * (d * lops) ** 2))
     else:
-        # every order is measured against the same exp(delta L)
-        sup = exact_propagator(spec, delta, cap)
+        # every order is measured against the same exp(delta L) rho
+        refs = evolve(spec, delta, states, cap)
         for k in orders:
             quad = QuadratureSpec(k, max(k, 2), 2)
-            err = worst(higher_order(spec, delta, quad, cap), sup)
+            err = worst(higher_order(spec, delta, quad, cap), refs)
             rows.append(("order", k, err, 5.0 * (delta * lops) ** (k + 1)))
     return rows
 

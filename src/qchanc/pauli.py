@@ -91,6 +91,27 @@ class PauliString:
         return multiply(self, other)
 
 
+# the slot setters, which skip the frozen __setattr__ and __post_init__
+_STRING_SLOTS = tuple(PauliString.__dict__[f].__set__
+                      for f in ("n", "x_mask", "z_mask", "phase_exp"))
+
+
+def _bare_strings(n: int, x_masks, z_masks) -> list[PauliString]:
+    """Bare strings from masks already known to lie below 2^n (n >= 1), built
+    without the __post_init__ checks, which cannot fail for them."""
+    new = object.__new__
+    set_n, set_x, set_z, set_phase = _STRING_SLOTS
+    out = []
+    for x, z in zip(x_masks, z_masks):
+        p = new(PauliString)
+        set_n(p, n)
+        set_x(p, x)
+        set_z(p, z)
+        set_phase(p, 0)
+        out.append(p)
+    return out
+
+
 def from_label(label: str, phase_exp: int = 0) -> PauliString:
     """Build a PauliString from an IXYZ text label (site 0 is the first char)."""
     if not label:
@@ -304,6 +325,8 @@ def pauli_decompose(m: np.ndarray, n: int | None = None, tol: float = 1e-12,
         n = dim.bit_length() - 1
     if (1 << n) != dim:
         raise ValueError("dimension does not match the site count")
+    if n < 1:
+        raise ValueError("need at least one site")
     check_cap(n, cap, "pauli_decompose")
 
     # coeff(X, Z) = i^-|X&Z| sum_c (-1)^|c&Z| m[c^X, c] / dim over index
@@ -328,8 +351,5 @@ def pauli_decompose(m: np.ndarray, n: int | None = None, tol: float = 1e-12,
     rev = _bit_reversal(n)
     x_masks, z_masks = rev[xs], rev[zs]
     order = np.lexsort((x_masks, z_masks))
-    return PauliSum(n, [
-        (c, PauliString(n, x, z))
-        for c, x, z in zip(coeffs[order].tolist(), x_masks[order].tolist(),
-                           z_masks[order].tolist())
-    ])
+    strings = _bare_strings(n, x_masks[order].tolist(), z_masks[order].tolist())
+    return PauliSum(n, list(zip(coeffs[order].tolist(), strings)))

@@ -408,6 +408,31 @@ class TestVerify:
         assert exc.value.code == 2
         assert "got 'nan'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["-0.01", "0", "-0"])
+    def test_non_positive_delta_rejected(self, tmp_path, decay_file, capsys,
+                                         value):
+        circuit = self.compile_decay(tmp_path, decay_file, capsys)
+        code, stdout, err = run(capsys, "verify", circuit, "--reference",
+                                decay_file, "--delta", value)
+        assert code == 2 and stdout == ""
+        assert "--delta must be positive" in err
+
+    def test_channel_reference_ignores_delta(self, tmp_path, decay_file,
+                                             capsys):
+        circuit = self.compile_decay(tmp_path, decay_file, capsys)
+        lowered = write_json(tmp_path / "lowered.json",
+                             channel_to_json(first_order(gen_decay(1, 1), 0.01)))
+        code, _, _ = run(capsys, "verify", circuit, "--reference", lowered,
+                         "--delta", "-0.01")
+        assert code == 0
+
+    def test_huge_delta_hits_step_limit(self, tmp_path, decay_file, capsys):
+        circuit = self.compile_decay(tmp_path, decay_file, capsys)
+        code, stdout, err = run(capsys, "verify", circuit, "--reference",
+                                decay_file, "--delta", "1e308")
+        assert code == 2 and stdout == ""
+        assert "t = 1e+308" in err and "norm bound" in err
+
     @pytest.mark.parametrize("value", ["-3", "x"])
     def test_bad_sample_count_rejected(self, tmp_path, decay_file, capsys,
                                        value):
@@ -804,21 +829,49 @@ class TestErrorSweep:
                        for k in (1, 2))
         assert len(calls) == expected
 
-    def test_order_sweep_builds_one_propagator(self, tmp_path, capsys,
-                                               monkeypatch):
+    def test_order_sweep_evolves_probes_once(self, tmp_path, capsys,
+                                             monkeypatch):
         import qchanc.cli as cli
 
         calls = []
-        original = cli.exact_propagator
+        original = cli.evolve
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append((args[1], len(args[2])))
             return original(*args, **kwargs)
 
         path = write_json(tmp_path / "tfim.json",
                           lindblad_to_json(gen_tfim(2, 1.0)))
-        monkeypatch.setattr(cli, "exact_propagator", counting)
+        monkeypatch.setattr(cli, "evolve", counting)
         code, stdout, _ = run(capsys, "error-sweep", path, "--orders", "1,2,3",
                               "--delta", "0.05")
         assert code == 0 and len(stdout.splitlines()) == 4
-        assert calls == [0.05]
+        # one call, on the 4 basis states and the 8 default samples
+        assert calls == [(0.05, 12)]
+
+    def test_delta_sweep_draws_probes_once(self, tmp_path, capsys,
+                                           monkeypatch):
+        import qchanc.cli as cli
+
+        calls = []
+        original = cli.probe_states
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "probe_states", counting)
+        path = write_json(tmp_path / "tfim.json",
+                          lindblad_to_json(gen_tfim(2, 1.0)))
+        code, stdout, _ = run(capsys, "error-sweep", path,
+                              "--deltas", "0.02,0.01,0.005")
+        assert code == 0 and len(stdout.splitlines()) == 4
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("flags", [("--deltas", "0.01,1e308"),
+                                       ("--orders", "1", "--delta", "1e308")])
+    def test_huge_delta_hits_step_limit(self, decay_file, capsys, flags):
+        code, stdout, err = run(capsys, "error-sweep", decay_file, *flags)
+        assert code == 2 and stdout == ""
+        assert "t = 1e+308" in err and "norm bound" in err
+        assert "Taylor steps" in err

@@ -15,8 +15,10 @@ from qchanc.ir import (
     trace_distance,
     typecheck,
 )
+import qchanc.lindblad as lindblad
 from qchanc.lindblad import (
     QuadratureSpec,
+    evolve,
     exact_propagator,
     first_order,
     higher_order,
@@ -307,3 +309,91 @@ class TestExactPropagator:
             lind -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
         want = scipy.linalg.expm(t * lind)
         assert np.max(np.abs(exact_propagator(spec, t) - want)) <= 1e-13
+
+
+class TestEvolve:
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.05, 0.7])
+    @pytest.mark.parametrize("spec", [
+        decay_spec(1.0, 0.5), tfim_spec(2, 0.4), tfim_spec(3, 1.0),
+        tfim_spec(4, 1.0),
+    ], ids=["decay", "tfim2", "tfim3", "tfim4"])
+    def test_matches_dense_propagator(self, spec, t):
+        states = probe_states(spec.n, 4, seed=5)
+        sup = exact_propagator(spec, t)
+        for got, rho in zip(evolve(spec, t, states), states):
+            assert np.max(np.abs(got - propagate(sup, rho))) <= 1e-13
+
+    def test_thermal_fixed_point(self):
+        nbar = 1.0
+        (rho_inf,) = evolve(decay_spec(1.0, nbar), 40.0,
+                            [np.diag([1.0, 0.0]).astype(complex)])
+        assert rho_inf[0, 0].real == pytest.approx(nbar / (2 * nbar + 1), abs=1e-9)
+        assert rho_inf[1, 1].real == pytest.approx((nbar + 1) / (2 * nbar + 1), abs=1e-9)
+        assert abs(rho_inf[0, 1]) <= 1e-9
+
+    def test_linear_on_any_matrix(self):
+        # the generator is applied as J rho + rho J^dag + sum L rho L^dag,
+        # so a matrix that is not a state evolves by the same linear map
+        spec = tfim_spec(2, 0.4)
+        rng = np.random.default_rng(1)
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        (got,) = evolve(spec, 0.3, [m])
+        want = propagate(exact_propagator(spec, 0.3), m)
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    def test_bitwise_deterministic(self):
+        spec = tfim_spec(3, 1.0)
+        states = probe_states(3, 8, seed=7)
+        a = evolve(spec, 0.05, states)
+        b = evolve(spec, 0.05, states)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+    def test_trace_preserving_and_hermitian(self):
+        spec = tfim_spec(3, 0.4)
+        states = probe_states(3, 4, seed=5)
+        outs = evolve(spec, 0.7, states)
+        assert len(outs) == len(states)
+        for out in outs:
+            assert out.shape == (8, 8)
+            assert abs(np.trace(out) - 1.0) <= 1e-12
+            assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+
+    def test_inputs_untouched(self):
+        states = probe_states(2, 2, seed=5)
+        before = [rho.copy() for rho in states]
+        evolve(tfim_spec(2, 1.0), 0.05, states)
+        assert all(np.array_equal(a, b) for a, b in zip(states, before))
+
+    def test_empty_input(self):
+        assert evolve(tfim_spec(2, 1.0), 0.05, []) == []
+
+    def test_cap_applies_to_n(self):
+        spec = tfim_spec(3, 1.0)
+        states = probe_states(3, 1, seed=5)
+        # the dense superoperator needs 2n = 6 qubits, evolve only n = 3
+        with pytest.raises(ValueError, match="cap"):
+            exact_propagator(spec, 0.1, cap=5)
+        assert len(evolve(spec, 0.1, states, cap=3)) == len(states)
+        with pytest.raises(ValueError, match="cap"):
+            evolve(spec, 0.1, states, cap=2)
+
+    def test_rejects_wrong_state_shape(self):
+        with pytest.raises(ValueError, match="4 x 4"):
+            evolve(tfim_spec(2, 1.0), 0.05, [np.eye(2)])
+
+    @pytest.mark.parametrize("t", [1e308, 1e5, np.inf, np.nan, -1e308])
+    def test_step_limit(self, t):
+        with pytest.raises(ValueError, match="Taylor steps") as exc:
+            evolve(decay_spec(1.0, 1.0), t, probe_states(1, 1, seed=5))
+        assert "norm bound 5 " in str(exc.value)
+
+    def test_step_limit_is_the_module_constant(self, monkeypatch):
+        # decay_spec(1, 1) has norm bound 5: t = 20 needs ceil(100 / 9.9) = 11
+        # steps of degree 55
+        spec = decay_spec(1.0, 1.0)
+        states = probe_states(1, 1, seed=5)
+        monkeypatch.setattr(lindblad, "MAX_TAYLOR_STEPS", 11)
+        assert len(evolve(spec, 20.0, states)) == len(states)
+        monkeypatch.setattr(lindblad, "MAX_TAYLOR_STEPS", 10)
+        with pytest.raises(ValueError, match="more than 10 Taylor steps"):
+            evolve(spec, 20.0, states)
