@@ -199,24 +199,6 @@ def householder_prep(v: np.ndarray) -> np.ndarray:
     return h
 
 
-def adjoint_gate(g: Gate) -> Gate:
-    if isinstance(g, PauliGate):
-        return PauliGate(g.string.dagger(), g.qubits)
-    if isinstance(g, Controlled):
-        return Controlled(g.controls, adjoint_gate(g.body))
-    if isinstance(g, StatePrep):
-        return StatePrepAdjoint(g.qubits, g.amps)
-    if isinstance(g, StatePrepAdjoint):
-        return StatePrep(g.qubits, g.amps)
-    if isinstance(g, ToffoliCompute):
-        return ToffoliUncompute(g.c1, g.c2, g.target, g.p1, g.p2)
-    if isinstance(g, ToffoliUncompute):
-        return ToffoliCompute(g.c1, g.c2, g.target, g.p1, g.p2)
-    if g.matrix is None:
-        raise ValueError(f"opaque gate {g.handle!r} has no matrix to adjoint")
-    return OpaqueUnitary(g.handle + ".adj", g.qubits, g.matrix.conj().T)
-
-
 # --- simulation -------------------------------------------------------------
 
 

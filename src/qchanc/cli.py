@@ -192,7 +192,8 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
         circ = channel_lcu(chan, mode, flatten, encodings[mode])
         alphas = channel_alphas(chan, mode, encodings[mode])
     except (RewriteError, TypecheckError, ValueError) as exc:
-        raise CliError(f"compilation failed: {exc}") from exc
+        at = "" if isinstance(obj, ChannelExpr) else f" at --delta {delta:g}"
+        raise CliError(f"compilation failed{at}: {exc}") from exc
     alpha_sq = float(np.sum(np.square(alphas)))
     grid = {}
     for name, fl, om in SETTINGS:

@@ -17,7 +17,6 @@ from itertools import product
 from math import ceil, sqrt
 
 import numpy as np
-import scipy.linalg
 
 from .ir import ChannelExpr, LindbladSpec, eval_kraus
 from .pauli import (
@@ -134,6 +133,20 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            sums = _duhamel_sums(spec, delta, quad, cap)
+    except (OverflowError, FloatingPointError) as exc:
+        raise ValueError(f"delta = {delta:g} overflows the order-"
+                         f"{quad.expansion_order} expansion") from exc
+    # pauli_decompose sums are already canonical: distinct bare strings, each
+    # with |c| > DECOMPOSE_TOL; the drift Kraus always carries the identity
+    return ChannelExpr(spec.n, [s for s in sums if s.terms])
+
+
+def _duhamel_sums(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
+                  cap: int | None) -> list[PauliSum]:
+    """higher_order's Kraus operators, empty ones included."""
     j, jump_mats = _drift_generator(spec, cap)
     sums = [pauli_decompose(_taylor_exp(j, delta, quad.drift_taylor_order),
                             spec.n, DECOMPOSE_TOL, cap)]
@@ -164,9 +177,7 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
                         op = drifts[i] @ op
                     sums.append(pauli_decompose(sqrt(scalar) * op, spec.n,
                                                 DECOMPOSE_TOL, cap))
-    # pauli_decompose sums are already canonical: distinct bare strings, each
-    # with |c| > DECOMPOSE_TOL; the drift Kraus always carries the identity
-    return ChannelExpr(spec.n, [s for s in sums if s.terms])
+    return sums
 
 
 def lindblad_opnorm(spec: LindbladSpec, cap: int | None = None) -> float:
@@ -181,6 +192,7 @@ def lindblad_opnorm(spec: LindbladSpec, cap: int | None = None) -> float:
 def exact_propagator(spec: LindbladSpec, t: float,
                      cap: int | None = None) -> np.ndarray:
     """Dense superoperator exp(t L) acting on row-major vectorized rho."""
+    import scipy.linalg  # only this test oracle needs scipy: off the CLI's path
     check_cap(2 * spec.n, cap, "exact_propagator")
     # rho -> J rho + rho J^dag + sum_j L_j rho L_j^dag, with vec(A rho B)
     # = (A kron B^T) vec(rho) in row-major order

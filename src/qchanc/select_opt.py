@@ -30,35 +30,38 @@ from .pauli import PauliString, PauliSum, canonicalize_sum, multiply, weight
 
 @dataclass(slots=True)
 class ModeTable:
-    """Address assignment: address -> (target Pauli, phase exponent)."""
+    """Address assignment: address -> target Pauli."""
 
     s: int
-    entries: dict[int, tuple[PauliString, int]] = field(default_factory=dict)
+    entries: dict[int, PauliString] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
 class GTable:
-    """Monotone factors: address -> (g, theta); gates fire on set bits."""
+    """Monotone factors: address -> g; gates fire on set bits."""
 
     s: int
-    entries: dict[int, tuple[PauliString, int]] = field(default_factory=dict)
+    entries: dict[int, PauliString] = field(default_factory=dict)
 
 
+# the audit keys "phase_exp" and "theta" are always 0: phases live in the
+# prepared coefficients
 def mode_table_json(m: ModeTable) -> list:
     return [{"address": format(a, f"0{m.s}b"), "target": p.label(),
-             "phase_exp": phi} for a, (p, phi) in sorted(m.entries.items())]
+             "phase_exp": 0} for a, p in sorted(m.entries.items())]
 
 
 def g_table_json(g: GTable) -> list:
-    return [{"address": format(a, f"0{g.s}b"), "g": p.label(), "theta": th}
-            for a, (p, th) in sorted(g.entries.items())]
+    return [{"address": format(a, f"0{g.s}b"), "g": p.label(), "theta": 0}
+            for a, p in sorted(g.entries.items())]
 
 
 class Gf2Span:
     """Row space over F2 with pivot elimination and combination tracking.
 
     `pivots` maps each pivot bit, highest first, to (row with that top bit,
-    XOR of the inserted tags the row combines).
+    XOR of the inserted tags the row combines).  The greedy keeps its
+    residuals current itself; this is the reference it is tested against.
     """
 
     def __init__(self):
@@ -89,10 +92,6 @@ class Gf2Span:
         return True
 
 
-def _vec(x: int, z: int, n: int) -> int:
-    return (x << n) | z
-
-
 def _vw(x: int, z: int) -> int:
     return (x | z).bit_count()
 
@@ -108,21 +107,23 @@ def greedy_basis_selection(rows: list[tuple[int, int]], s: int, n: int):
     k at address 1 << k.  Stops at s generators, full coverage, or when
     accepting the best candidate would leave more uncovered rows than free
     non-subspace addresses.
+
+    Each uncovered row keeps (residual, combination) modulo the generators
+    chosen so far, with every pivot bit clear.  Such a residual is unique,
+    so XORing each new pivot into the rows that have its top bit gives what
+    a fresh reduction would.
     """
-    total = len(rows)
-    span = Gf2Span()
     chosen: list[int] = []
     covered: dict[int, int] = {}
-    while len(chosen) < s and len(covered) < total:
-        reduced = {j: span.reduce(_vec(x, z, n))
-                   for j, (x, z) in enumerate(rows) if j not in covered}
+    reduced = {j: ((x << n) | z, 0) for j, (x, z) in enumerate(rows)}
+    while len(chosen) < s and reduced:
         counts = Counter(red for red, _ in reduced.values())
         free_after = (1 << s) - (1 << (len(chosen) + 1))
         best = None
         best_score = 0.0
         for i, (red, _) in reduced.items():
             newly = counts[red]
-            if free_after < total - len(covered) - newly:
+            if free_after < len(reduced) - newly:
                 continue
             score = newly / _vw(*rows[i])
             if best is None or score > best_score + 1e-12:
@@ -131,12 +132,14 @@ def greedy_basis_selection(rows: list[tuple[int, int]], s: int, n: int):
             break
         red, comb = reduced[best]
         tag = 1 << len(chosen)
-        span.insert(_vec(*rows[best], n), tag)
         chosen.append(best)
         # same residual: row j = row best + the span rows of comb ^ comb_j
+        for j in [j for j, (red_j, _) in reduced.items() if red_j == red]:
+            covered[j] = tag ^ comb ^ reduced.pop(j)[1]
+        top = red.bit_length() - 1
         for j, (red_j, comb_j) in reduced.items():
-            if red_j == red:
-                covered[j] = tag ^ comb ^ comb_j
+            if red_j >> top & 1:
+                reduced[j] = (red_j ^ red, comb_j ^ comb ^ tag)
     return chosen, covered
 
 
@@ -197,33 +200,26 @@ def invert_modes_with_phases(modes: ModeTable):
     Returns (GTable, phi_ad) where phi_ad[b] is the phase exponent to fold
     into the prepared coefficient at address b so that the ordered product of
     the g factors over the set bits of b reproduces i^{phi_b} P_b exactly.
+    Ascending addresses: the factors at b's strict subsets are all placed,
+    their product (taken in address order) fixes g_b, and g_b times it the
+    phase.
     """
-    if not modes.entries:
-        return GTable(modes.s), {}
-    n = next(iter(modes.entries.values()))[0].n
     g: dict[int, PauliString] = {}
-    # ascending addresses: every strict subset of b already has its factor
-    for b in sorted(modes.entries):
-        p, _ = modes.entries[b]
-        gx, gz = p.x_mask, p.z_mask
-        for c, q in g.items():
-            if (c & b) == c:
-                gx ^= q.x_mask
-                gz ^= q.z_mask
-        if gx or gz:
-            g[b] = PauliString(n, gx, gz)
     phi_ad: dict[int, int] = {}
     for b in sorted(modes.entries):
-        p, phi = modes.entries[b]
-        acc = PauliString(n, 0, 0, 0)
-        for c in sorted(g):
+        p = modes.entries[b]
+        acc = PauliString(p.n, 0, 0)
+        for c, q in g.items():
             if (c & b) == c:
-                acc = multiply(g[c], acc)
+                acc = multiply(q, acc)
+        gx, gz = p.x_mask ^ acc.x_mask, p.z_mask ^ acc.z_mask
+        if gx or gz:
+            g[b] = PauliString(p.n, gx, gz)
+            acc = multiply(g[b], acc)
         if (acc.x_mask, acc.z_mask) != (p.x_mask, p.z_mask):
             raise RuntimeError(f"mode inversion failed at address {b:b}")
-        phi_ad[b] = (phi - acc.phase_exp) % 4
-    table = GTable(modes.s, {b: (q, 0) for b, q in g.items()})
-    return table, phi_ad
+        phi_ad[b] = -acc.phase_exp % 4
+    return GTable(modes.s, g), phi_ad
 
 
 def optimize_pauli_select(terms: list[tuple[complex, PauliString]]):
@@ -254,13 +250,9 @@ def optimize_pauli_select(terms: list[tuple[complex, PauliString]]):
         anchor = min(targets, key=lambda t: (weight(t[1]), t[1].z_mask, t[1].x_mask))
         targets = [t for t in targets if t is not anchor]
 
-    def shifted(p: PauliString) -> tuple[int, int]:
-        if anchor is None:
-            return p.x_mask, p.z_mask
-        return p.x_mask ^ anchor[1].x_mask, p.z_mask ^ anchor[1].z_mask
-
-    # records: (vec_x, vec_z, (coeff, target, phase))
-    recs = [(shifted(p)[0], shifted(p)[1], (c, p, 0)) for c, p in targets]
+    # records: (vec_x, vec_z, (coeff, target)), the vector shifted by the anchor
+    ax, az = (0, 0) if anchor is None else (anchor[1].x_mask, anchor[1].z_mask)
+    recs = [(p.x_mask ^ ax, p.z_mask ^ az, (c, p)) for c, p in targets]
     rows_z = sorted(recs, key=lambda r: (_vw(r[0], r[1]), r[1], r[0]))
     rows_x = sorted(recs, key=lambda r: (_vw(r[0], r[1]), r[0], r[1]))
     sel_on_x, cov_on_x = greedy_basis_selection([(r[0], r[1]) for r in rows_x], s, n)
@@ -276,14 +268,13 @@ def optimize_pauli_select(terms: list[tuple[complex, PauliString]]):
     assign_additional_modes(entries, generators, remaining, s)
 
     mode = ModeTable(s)
+    coeffs = {}
     if anchor is not None:
-        mode.entries[0] = (anchor[1], 0)
+        coeffs[0], mode.entries[0] = anchor
     elif id_coeff is not None:
-        mode.entries[0] = (PauliString(n, 0, 0), 0)
-    coeffs = {0: anchor[0] if anchor is not None else id_coeff}
-    for addr, (_, _, (c, p, phi)) in entries.items():
-        mode.entries[addr] = (p, phi)
-        coeffs[addr] = c
+        coeffs[0], mode.entries[0] = id_coeff, PauliString(n, 0, 0)
+    for addr, (_, _, (c, p)) in entries.items():
+        coeffs[addr], mode.entries[addr] = c, p
     gtable, phi_ad = invert_modes_with_phases(mode)
     permuted = {addr: coeffs[addr] * (1j) ** phi_ad[addr]
                 for addr in sorted(mode.entries)}
@@ -308,8 +299,7 @@ def _addr_controls(addr: int, sel_qubits, polarity_for_zero: bool):
 def build_monotone_select(g: GTable, sel_qubits, sys_qubits) -> list[Gate]:
     """One positively controlled Pauli per entry, ascending addresses."""
     gates: list[Gate] = []
-    for addr in sorted(g.entries):
-        p, _ = g.entries[addr]
+    for addr, p in sorted(g.entries.items()):
         body = PauliGate(p, tuple(sys_qubits))
         gates.append(controlled(_addr_controls(addr, sel_qubits, False), body))
     return gates

@@ -54,8 +54,11 @@ def prepare_pair(coeffs):
         raise ValueError("prepare_pair needs at least one nonzero coefficient")
     width = 1 << max(0, math.ceil(math.log2(y.size)))
     y = np.pad(y, (0, width - y.size))
-    mags = np.abs(y)
-    beta = float(mags.sum())
+    with np.errstate(over="ignore"):
+        mags = np.abs(y)
+        beta = float(mags.sum())
+    if not math.isfinite(beta):
+        raise ValueError("the coefficients' l1 norm overflows")
     c = np.sqrt(mags / beta)
     phases = np.ones(width, dtype=complex)
     nz = mags > 0
@@ -233,6 +236,8 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
                 for j, enc in enumerate(encodings)]
     alphas = [enc.alpha for enc in encodings]
     norm = math.sqrt(sum(a * a for a in alphas))
+    if not math.isfinite(norm):
+        raise ValueError("the sum of the squared alphas overflows")
 
     if ell:
         amps = np.zeros(1 << ell, dtype=complex)
@@ -255,7 +260,7 @@ def _record_gates(enc: KrausEncoding) -> list[tuple[int, int | None]]:
         return [(0, weight(enc.pauli))]
     if enc.gtable is not None:
         body = [(addr.bit_count(), weight(g))
-                for addr, (g, _) in enc.gtable.entries.items()]
+                for addr, g in enc.gtable.entries.items()]
     else:
         body = [(enc.width, weight(p)) for _, p in enc.terms]
     return [(0, None), *body, (0, None)]

@@ -14,7 +14,7 @@ def simulate_unitary(c: Circuit, cap: int | None = None) -> np.ndarray:
 
 def select_cost(g: GTable) -> int:
     """Weighted control cost: sum of hw(address) * weight(g)."""
-    return sum(a.bit_count() * weight(p) for a, (p, _) in g.entries.items())
+    return sum(a.bit_count() * weight(p) for a, p in g.entries.items())
 
 
 def decode(span: Gf2Span, vec: int) -> int:

@@ -1,6 +1,9 @@
 """End-to-end tests for the command-line pipeline."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +232,31 @@ class TestCompile:
         assert exc.value.code == 2
         assert f"got '{value}'" in capsys.readouterr().err
 
+    # a numpy overflow warning would fail these tests (pytest makes it an error)
+    @pytest.mark.parametrize("frontend, delta, message", [
+        ("order:2,2,2", "1e308",
+         "lowering failed: delta = 1e+308 overflows the order-2 expansion"),
+        ("first", "1e308", "compilation failed at --delta 1e+308: "
+                           "the coefficients' l1 norm overflows"),
+        ("first", "1e200", "compilation failed at --delta 1e+200: "
+                           "the sum of the squared alphas overflows"),
+    ], ids=["order-lowering", "first-l1-norm", "first-alpha-squares"])
+    def test_huge_delta_named(self, tmp_path, capsys, frontend, delta, message):
+        path = write_json(tmp_path / "tfim3.json",
+                          lindblad_to_json(gen_tfim(3, 1.0)))
+        code, stdout, err = run(capsys, "compile", path, "--frontend", frontend,
+                                "--delta", delta, "--out", str(tmp_path / "x"))
+        assert (code, stdout, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_huge_channel_alphas_rejected(self, tmp_path, capsys):
+        big = {"coeff": [1e200, 0], "pauli": "X"}
+        path = write_json(tmp_path / "big.json", {"n": 1, "kraus": [[big], [big]]})
+        code, _, err = run(capsys, "compile", path, "--frontend", "channel",
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err == "error: compilation failed: the sum of the squared alphas overflows\n"
+
     def test_each_kraus_encoded_once(self, tmp_path, capsys, monkeypatch):
         import qchanc.cli as cli
         import qchanc.synth as synth
@@ -291,6 +319,16 @@ class TestCompile:
 
 def stdlib_dump(data):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy backs only the tests' dense oracle, exact_propagator
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qchanc.cli; sys.exit('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0
 
 
 class TestDump:

@@ -1,5 +1,7 @@
 """Tests for the Lindbladian short-time frontends."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -225,6 +227,12 @@ class TestHigherOrder:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             higher_order(decay_spec(1.0, 0.0), -0.1, QuadratureSpec())
+
+    @pytest.mark.parametrize("delta", [1e308, 1e160])
+    def test_overflow_is_value_error(self, delta):
+        # a FloatingPointError or OverflowError inside, a ValueError outside
+        with pytest.raises(ValueError, match=re.escape(f"delta = {delta:g} overflows")):
+            higher_order(decay_spec(1.0, 0.0), delta, QuadratureSpec(2, 2, 2))
 
     def test_cap_enforced(self):
         spec = tfim_spec(3, 1.0)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -45,12 +46,12 @@ def tfim3_terms():
 def reconstruct(mode, gtable, permuted, coeff_map):
     """Exact integer identity: ordered product of g over set bits of each
     address, phase-corrected coefficient equals the original coefficient."""
-    n = next(iter(mode.entries.values()))[0].n
-    for addr, (p, phi) in mode.entries.items():
+    n = next(iter(mode.entries.values())).n
+    for addr, p in mode.entries.items():
         acc = PauliString(n, 0, 0, 0)
         for c in sorted(gtable.entries):
             if (c & addr) == c:
-                acc = multiply(gtable.entries[c][0], acc)
+                acc = multiply(gtable.entries[c], acc)
         assert (acc.x_mask, acc.z_mask) == (p.x_mask, p.z_mask)
         want = coeff_map[(p.x_mask, p.z_mask)]
         assert permuted[addr] * (1j) ** acc.phase_exp == want
@@ -151,20 +152,28 @@ class TestGreedy:
             assert cov == {j: decode(fresh, (rows[j][0] << n) | rows[j][1])
                            for j in cov}
 
-    def test_reductions_linear_per_step(self, monkeypatch):
-        calls = []
-        original = Gf2Span.reduce
+    def test_matches_parent_greedy_without_a_span(self, monkeypatch):
+        rng = RNG(23)
+        cases = []
+        for _ in range(150):
+            n = int(rng.integers(1, 6))
+            rows = random_rows(rng, n, int(rng.integers(1, min(4 ** n, 80))))
+            s = max(1, math.ceil(math.log2(len(rows) + 1)))
+            cases.append((rows, s, n, parent_greedy_basis_selection(rows, s, n)))
 
-        def counting(self, vec):
-            calls.append(vec)
-            return original(self, vec)
+        class NoSpan:
+            def __init__(self):
+                raise AssertionError("the greedy built a Gf2Span")
 
-        monkeypatch.setattr(Gf2Span, "reduce", counting)
-        # 64 rows plus an anchor: s = 7 select bits
-        n, m, s = 4, 64, 7
-        sel, cov = greedy_basis_selection(random_rows(RNG(23), n, m), s, n)
-        assert len(sel) >= 2
-        assert len(calls) <= (s + 1) * (m + 1)
+        monkeypatch.setattr(select_opt, "Gf2Span", NoSpan)
+        steps = set()
+        for rows, s, n, (want_sel, want_cov) in cases:
+            sel, cov = greedy_basis_selection(rows, s, n)
+            assert sel == want_sel
+            # same covered rows, same addresses, inserted in the same order
+            assert list(cov.items()) == list(want_cov.items())
+            steps.add(len(sel))
+        assert max(steps) >= 4
 
     def test_pair_product_coverage(self):
         # {X1, X2, X1X2}: two generators cover all three.
@@ -194,24 +203,46 @@ class TestGreedy:
 class TestInvert:
     def test_one_hot_and_product_address(self):
         mode = ModeTable(2, {
-            1: (ps("ZI"), 0),
-            2: (ps("IX"), 0),
-            3: (PauliString(2, 0b10, 0b01), 0),  # Z1 X2
+            1: ps("ZI"),
+            2: ps("IX"),
+            3: PauliString(2, 0b10, 0b01),  # Z1 X2
         })
         gt, phi_ad = invert_modes_with_phases(mode)
-        assert gt.entries[1][0] == ps("ZI")
-        assert gt.entries[2][0] == ps("IX")
+        assert gt.entries[1] == ps("ZI")
+        assert gt.entries[2] == ps("IX")
         assert 3 not in gt.entries  # product of subsets, g = I
         assert phi_ad == {1: 0, 2: 0, 3: 0}
 
     def test_anticommuting_product_phase(self):
         # Address 3 holds X1 while address 1 holds Z1: g_3 = Y1 and the
         # ordered product Y1 * Z1 = i X1 needs a compensating i^3.
-        mode = ModeTable(2, {1: (ps("ZI"), 0), 3: (ps("XI"), 0)})
+        mode = ModeTable(2, {1: ps("ZI"), 3: ps("XI")})
         gt, phi_ad = invert_modes_with_phases(mode)
-        assert gt.entries[3][0] == PauliString(2, 0b01, 0b01)
+        assert gt.entries[3] == PauliString(2, 0b01, 0b01)
         assert phi_ad[1] == 0
         assert phi_ad[3] == 3
+
+    def test_matches_parent_two_walks(self):
+        rng = RNG(31)
+        phases = set()
+        for _ in range(200):
+            n = int(rng.integers(1, 4))
+            s = int(rng.integers(1, 5))
+            addrs = rng.choice(1 << s, size=int(rng.integers(1, (1 << s) + 1)),
+                               replace=False)
+            mode = ModeTable(s, {int(a): PauliString(n, int(rng.integers(1 << n)),
+                                                     int(rng.integers(1 << n)))
+                                 for a in addrs})
+            gt, phi_ad = invert_modes_with_phases(mode)
+            g, want_phi = parent_invert_modes_with_phases(mode)
+            assert list(gt.entries.items()) == list(g.items())
+            assert list(phi_ad.items()) == list(want_phi.items())
+            phases.update(phi_ad.values())
+        assert phases == {0, 1, 2, 3}
+
+    def test_empty_table(self):
+        gt, phi_ad = invert_modes_with_phases(ModeTable(3))
+        assert (gt.s, gt.entries, phi_ad) == (3, {}, {})
 
 
 class TestOptimize:
@@ -224,13 +255,14 @@ class TestOptimize:
             0b0100: "IIZ", 0b0101: "ZIZ", 0b0110: "IZZ",
             0b1001: "XII", 0b1010: "IXI", 0b1100: "IIX",
         }
-        assert {a: p.label() for a, (p, _) in mode.entries.items()} == want_modes
+        assert {a: p.label() for a, p in mode.entries.items()} == want_modes
         want_g = {
             0b0001: "ZII", 0b0010: "IZI", 0b0100: "IIZ",
             0b1001: "YII", 0b1010: "IYI", 0b1100: "IIY",
         }
-        assert {a: p.label() for a, (p, _) in gt.entries.items()} == want_g
-        assert all(th == 0 for _, th in gt.entries.values())
+        assert {a: p.label() for a, p in gt.entries.items()} == want_g
+        assert all(e["theta"] == 0 for e in g_table_json(gt))
+        assert all(e["phase_exp"] == 0 for e in mode_table_json(mode))
         assert select_cost(gt) == 9
         reconstruct(mode, gt, permuted, coeffs_of(terms))
 
@@ -249,7 +281,7 @@ class TestOptimize:
         assert s == 4
         want_g = {0b0001: PauliString(2, 0b01, 0), 0b0010: PauliString(2, 0b10, 0),
                   0b0100: PauliString(2, 0, 0b01), 0b1000: PauliString(2, 0, 0b10)}
-        assert {a: p for a, (p, _) in gt.entries.items()} == want_g
+        assert gt.entries == want_g
         assert select_cost(gt) == 4
         assert len(mode.entries) == 16
         reconstruct(mode, gt, permuted, coeffs_of(terms))
@@ -262,7 +294,7 @@ class TestOptimize:
         mode, gt, s, permuted = optimize_pauli_select([(0.7 + 0j, ps("X"))])
         assert s == 1
         assert list(mode.entries) == [1]
-        assert gt.entries[1][0] == ps("X")
+        assert gt.entries[1] == ps("X")
         assert permuted == {1: 0.7 + 0j}
         assert select_cost(gt) == 1
 
@@ -271,10 +303,8 @@ class TestOptimize:
         terms = [(1.0 + 0j, ps("X")), (1j, ps("Y"))]
         mode, gt, s, permuted = optimize_pauli_select(terms)
         assert s == 1
-        assert mode.entries[0][0] == ps("X")
-        assert mode.entries[1][0] == ps("Y")
-        assert gt.entries[0][0] == ps("X")
-        assert gt.entries[1][0] == ps("Z")
+        assert mode.entries == {0: ps("X"), 1: ps("Y")}
+        assert gt.entries == {0: ps("X"), 1: ps("Z")}
         reconstruct(mode, gt, permuted, coeffs_of(terms))
         assert permuted[0] == 1.0 + 0j
         assert permuted[1] == 1.0 + 0j  # i from the coefficient cancels Z.X
@@ -286,10 +316,10 @@ class TestOptimize:
         assert s == 3
         # Greedy keeps only X1 (capacity), prefix loop then packs overflow
         # rows two per prefix via the v0 branch.
-        assert mode.entries[0b001][0] == ps("XII")
-        assert mode.entries[0b010][0] == ps("IXI")
-        assert mode.entries[0b011][0] == ps("XXX")
-        assert mode.entries[0b100][0] == ps("IIX")
+        assert mode.entries[0b001] == ps("XII")
+        assert mode.entries[0b010] == ps("IXI")
+        assert mode.entries[0b011] == ps("XXX")
+        assert mode.entries[0b100] == ps("IIX")
         assert len(mode.entries) == 8
         reconstruct(mode, gt, permuted, coeffs_of(terms))
 
@@ -312,7 +342,7 @@ class TestOptimize:
             assert s == max(1, int(np.ceil(np.log2(m))))
             assert len(mode.entries) == m
             assert all(0 <= a < (1 << s) for a in mode.entries)
-            assert {(p.x_mask, p.z_mask) for p, _ in mode.entries.values()} == seen
+            assert {(p.x_mask, p.z_mask) for p in mode.entries.values()} == seen
             reconstruct(mode, gt, permuted, coeffs_of(terms))
             # Never worse than the naive select baseline (every target under
             # full-width address controls).
@@ -457,26 +487,71 @@ def parent_assign_additional_modes(entries, generators, remaining, s, n,
         raise RuntimeError("ran out of control addresses")
 
 
-def parent_factors(modes):
-    """Oracle: the monotone factor loop of invert_modes_with_phases as it
-    was, with address 0 handled on its own."""
-    n = next(iter(modes.entries.values()))[0].n
+def parent_invert_modes_with_phases(modes):
+    """Oracle: invert_modes_with_phases as it was, one walk for the factors
+    and a second, re-sorting g per address, for the phases.  Returns
+    ({address: g}, phi_ad)."""
+    if not modes.entries:
+        return {}, {}
+    n = next(iter(modes.entries.values())).n
     g = {}
-    if 0 in modes.entries and not modes.entries[0][0].is_identity():
-        p0 = modes.entries[0][0]
-        g[0] = PauliString(n, p0.x_mask, p0.z_mask)
     for b in sorted(modes.entries):
-        if b == 0:
-            continue
-        p, _ = modes.entries[b]
+        p = modes.entries[b]
         gx, gz = p.x_mask, p.z_mask
         for c, q in g.items():
-            if c != b and (c & b) == c:
+            if (c & b) == c:
                 gx ^= q.x_mask
                 gz ^= q.z_mask
         if gx or gz:
             g[b] = PauliString(n, gx, gz)
-    return g
+    phi_ad = {}
+    for b in sorted(modes.entries):
+        p = modes.entries[b]
+        acc = PauliString(n, 0, 0, 0)
+        for c in sorted(g):
+            if (c & b) == c:
+                acc = multiply(g[c], acc)
+        assert (acc.x_mask, acc.z_mask) == (p.x_mask, p.z_mask)
+        phi_ad[b] = -acc.phase_exp % 4
+    return g, phi_ad
+
+
+def parent_invert(modes):
+    """invert_modes_with_phases' signature over the oracle."""
+    g, phi_ad = parent_invert_modes_with_phases(modes)
+    return GTable(modes.s, g), phi_ad
+
+
+def parent_greedy_basis_selection(rows, s, n):
+    """Oracle: greedy_basis_selection as it was, every uncovered row
+    reduced afresh through a Gf2Span at every step."""
+    total = len(rows)
+    span = Gf2Span()
+    chosen, covered = [], {}
+    while len(chosen) < s and len(covered) < total:
+        reduced = {j: span.reduce((x << n) | z)
+                   for j, (x, z) in enumerate(rows) if j not in covered}
+        counts = Counter(red for red, _ in reduced.values())
+        free_after = (1 << s) - (1 << (len(chosen) + 1))
+        best = None
+        best_score = 0.0
+        for i, (red, _) in reduced.items():
+            newly = counts[red]
+            if free_after < total - len(covered) - newly:
+                continue
+            score = newly / (rows[i][0] | rows[i][1]).bit_count()
+            if best is None or score > best_score + 1e-12:
+                best, best_score = i, score
+        if best is None:
+            break
+        red, comb = reduced[best]
+        tag = 1 << len(chosen)
+        span.insert((rows[best][0] << n) | rows[best][1], tag)
+        chosen.append(best)
+        for j, (red_j, comb_j) in reduced.items():
+            if red_j == red:
+                covered[j] = tag ^ comb ^ comb_j
+    return chosen, covered
 
 
 def parent_assign(ran):
@@ -563,14 +638,19 @@ class TestParentLoops:
         for _ in range(150):
             terms = random_pauli_sum(rng)
             mode, gt, s, permuted = optimize_pauli_select(terms)
-            assert list(gt.entries.items()) == [
-                (b, (q, 0)) for b, q in parent_factors(mode).items()]
+            g, phi_ad = parent_invert_modes_with_phases(mode)
+            assert list(gt.entries.items()) == list(g.items())
+            assert list(invert_modes_with_phases(mode)[1].items()) == list(phi_ad.items())
             with monkeypatch.context() as mp:
                 mp.setattr(select_opt, "assign_additional_modes", parent_assign(ran))
+                mp.setattr(select_opt, "greedy_basis_selection",
+                           parent_greedy_basis_selection)
+                mp.setattr(select_opt, "invert_modes_with_phases", parent_invert)
                 want = optimize_pauli_select(terms)
             assert list(mode.entries.items()) == list(want[0].entries.items())
             assert list(gt.entries.items()) == list(want[1].entries.items())
-            assert (s, permuted) == want[2:]
+            assert s == want[2]
+            assert list(permuted.items()) == list(want[3].items())
         assert ran == {"v0", "fallback"}
 
 
@@ -647,7 +727,7 @@ class TestMonotoneBuilder:
         coeff = coeffs_of(terms)
         rng = RNG(3)
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        for addr, (p, _) in mode.entries.items():
+        for addr, p in mode.entries.items():
             block = u[addr * dim:(addr + 1) * dim, addr * dim:(addr + 1) * dim]
             out = permuted[addr] * (block @ psi)
             want = coeff[(p.x_mask, p.z_mask)] * (to_matrix(p) @ psi)
