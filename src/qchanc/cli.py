@@ -4,14 +4,21 @@ Subcommands: compile | verify | cost | bench | rewrite | error-sweep.
 Reports are JSON with sorted keys and no timestamps, so identical
 inputs and flags produce byte-identical output.  `_dump` writes exactly the
 bytes of json.dumps(data, sort_keys=True, indent=2) plus a newline, without
-the stdlib's pure-Python encoder that indent=2 selects.
+the stdlib's pure-Python encoder that indent=2 selects.  Pauli term lists
+are read and written in bulk: `ir.pauli_sum_from_json` checks a whole list
+at once with every check of the per-term reader, `ir.pauli_sum_to_json`
+builds labels and [re, im] pairs with numpy, and `_dump` writes each term
+from one template.  Any list the bulk paths do not take goes term by term,
+with the same bytes and error messages.
 """
 
 import argparse
 import json
 import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +117,9 @@ def load_input(path: str):
             return channel_from_json(data)
         if "H" in data:
             return lindblad_from_json(data)
-    except (TypecheckError, ValueError, LookupError, TypeError, AttributeError) as exc:
+    # OverflowError: an integer too large for a float
+    except (TypecheckError, ValueError, LookupError, TypeError, AttributeError,
+            OverflowError) as exc:
         raise CliError(f"{path} failed to parse: {exc}") from exc
     raise CliError(f"{path}: expected a 'kraus' or 'H' key")
 
@@ -221,6 +230,35 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
     return circ, report
 
 
+_TERM_PARTS = itemgetter("coeff", "pauli", "phase_exp")
+
+
+def _encode_terms(o, nl: str) -> str | None:
+    """_encode of a Pauli term list, one %-template per term, or None unless
+    every term is a dict with exactly the keys coeff, pauli and phase_exp,
+    holding a list of two finite floats, a str and an int."""
+    if set(map(type, o)) != {dict} or set(map(len, o)) != {3}:
+        return None
+    try:
+        cs, labels, phases = zip(*map(_TERM_PARTS, o))
+    except KeyError:
+        return None
+    if (set(map(type, cs)) != {list} or set(map(len, cs)) != {2}
+            or set(map(type, labels)) != {str} or set(map(type, phases)) != {int}):
+        return None
+    parts = list(chain.from_iterable(cs))
+    if set(map(type, parts)) != {float} or not all(map(math.isfinite, parts)):
+        return None
+    item = nl + "  "
+    key, part = item + "  ", item + "    "
+    # %r and %d write float.__repr__ and int.__repr__ of these exact types
+    template = ("{" + key + '"coeff": [' + part + "%r," + part + "%r" + key
+                + "]," + key + '"pauli": %s,' + key + '"phase_exp": %d' + item + "}")
+    return ("[" + item + ("," + item).join([
+        template % (c[0], c[1], encode_basestring_ascii(label), phase)
+        for c, label, phase in zip(cs, labels, phases)]) + nl + "]")
+
+
 def _encode(o, nl: str) -> str:
     """o as json.dumps(sort_keys=True, indent=2) writes it, at the
     indentation that `nl` (a newline and the current indent) opens.
@@ -232,6 +270,8 @@ def _encode(o, nl: str) -> str:
     if t is list or t is tuple:
         if not o:
             return "[]"
+        if type(o[0]) is dict and (terms := _encode_terms(o, nl)) is not None:
+            return terms
         inner = nl + "  "
         return ("[" + inner + ("," + inner).join([_encode(v, inner) for v in o])
                 + nl + "]")
@@ -287,10 +327,12 @@ def _load_circuit(path: str):
     try:
         data = json.loads(Path(path).read_text())
         circ, scale = circuit_from_json(data), data.get("alpha_sq_sum", 1.0)
-        if type(scale) not in (int, float) or not 0 < scale < math.inf:  # not bool, NaN
+        if type(scale) not in (int, float) or not 0 < float(scale) < math.inf:  # not bool, NaN
             raise ValueError(f"alpha_sq_sum must be a finite positive number, got {scale!r}")
         return circ, scale
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer too large for a float
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            OverflowError) as exc:
         raise CliError(f"cannot load circuit {path}: {exc}") from exc
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .pauli import (
     PauliString,
     PauliSum,
     TypecheckError,  # re-exported: pauli cannot import ir
+    _unchecked_strings,
     dense_sum,
     from_label,
     is_hermitian_sum,
@@ -214,8 +216,22 @@ def channel_distance(a: ChannelExpr, b: ChannelExpr, samples: int = 32,
 # Lindblad: {"n": n, "H": [term, ...], "jumps": [[term, ...] | {"matrix": m}, ...]}
 
 
+# Pauli term lists are read and written in bulk: labels through byte tables,
+# coefficients as one float array.  Masks of up to _BULK_SITES sites fit the
+# uint64 arrays; other lists take the per-term path.
+_BULK_SITES = 64
+_CODE_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)  # x bit | z bit << 1
+_LETTER_CODES = np.full(256, 4, dtype=np.uint8)  # label byte -> code, 4 if bad
+_LETTER_CODES[_CODE_LETTERS] = np.arange(4)
+
+
 def _c2pair(c: complex) -> list[float]:
     return [float(np.real(c)), float(np.imag(c))]
+
+
+def _pairs(a: np.ndarray) -> list:
+    """[re, im] float pairs of a complex array, nested as the array is."""
+    return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
 def require_int(value, what: str) -> int:
@@ -243,7 +259,7 @@ def _pair2c(p) -> complex:
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[_c2pair(x) for x in row] for row in np.asarray(m, dtype=complex)]
+    return _pairs(np.asarray(m, dtype=complex))
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -283,12 +299,67 @@ def term_from_json(d: dict) -> tuple[complex, Primitive]:
 
 
 def pauli_sum_to_json(s: PauliSum) -> list:
-    """The term list of a Kraus operator, H or jump."""
-    return [term_to_json(c, p) for c, p in s.terms]
+    """The term list of a Kraus operator, H or jump; written in bulk when
+    every primitive is a Pauli string, else term by term."""
+    prims = [p for _, p in s.terms]
+    if set(map(type, prims)) != {PauliString} or s.n > _BULK_SITES:
+        return [term_to_json(c, p) for c, p in s.terms]
+    n = s.n
+    sites = np.arange(n, dtype=np.uint64)
+    x = np.array([p.x_mask for p in prims], dtype=np.uint64)[:, None] >> sites
+    z = np.array([p.z_mask for p in prims], dtype=np.uint64)[:, None] >> sites
+    text = _CODE_LETTERS[(x & 1) | (z & 1) << 1].tobytes().decode("ascii")
+    coeffs = _pairs(np.array([c for c, _ in s.terms], dtype=complex))
+    return [{"coeff": c, "pauli": text[i:i + n], "phase_exp": p.phase_exp}
+            for c, i, p in zip(coeffs, range(0, len(text), n), prims)]
+
+
+def _pauli_terms_in_bulk(terms, n: int) -> list | None:
+    """The (coeff, PauliString) pairs of a regular all-Pauli term list, or
+    None if some term is irregular, for the per-term path to read (or reject
+    with its own message).  Regular means exact dict, list, str, int and
+    float types (so no bools), [re, im] pairs of finite numbers, IXYZ labels
+    of length n, and int phase_exps."""
+    if type(terms) is not list or not 1 <= n <= _BULK_SITES:
+        return None
+    if set(map(type, terms)) != {dict}:
+        return None
+    get = dict.get
+    cs = list(map(get, terms, repeat("coeff")))
+    labels = list(map(get, terms, repeat("pauli")))
+    phases = list(map(get, terms, repeat("phase_exp"), repeat(0)))
+    if (set(map(type, cs)) != {list} or set(map(len, cs)) != {2}
+            or set(map(type, labels)) != {str} or set(map(len, labels)) != {n}
+            or set(map(type, phases)) != {int}):
+        return None
+    parts = list(chain.from_iterable(cs))
+    if not set(map(type, parts)) <= {int, float}:
+        return None
+    try:
+        re_im = np.array(parts, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        return None
+    text = "".join(labels)
+    if not (np.isfinite(re_im).all() and text.isascii()):
+        return None
+    codes = _LETTER_CODES[np.frombuffer(text.encode("ascii"), dtype=np.uint8)]
+    if (codes > 3).any():
+        return None
+    codes = codes.reshape(len(terms), n).astype(np.uint64)
+    sites = np.arange(n, dtype=np.uint64)
+    x = ((codes & 1) << sites).sum(axis=1, dtype=np.uint64)
+    z = ((codes >> 1) << sites).sum(axis=1, dtype=np.uint64)
+    # a view keeps each part as given; re + 1j*im can drop a zero's sign
+    coeffs = re_im.view(complex).tolist()
+    return list(zip(coeffs, _unchecked_strings(n, x.tolist(), z.tolist(), phases)))
 
 
 def pauli_sum_from_json(terms, n: int) -> PauliSum:
-    return PauliSum(n, [term_from_json(t) for t in terms])
+    """A term list read in bulk when it is regular, else term by term."""
+    pairs = _pauli_terms_in_bulk(terms, n)
+    if pairs is None:
+        pairs = [term_from_json(t) for t in terms]
+    return PauliSum(n, pairs)
 
 
 def channel_to_json(c: ChannelExpr) -> dict:

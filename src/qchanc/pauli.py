@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -96,18 +97,19 @@ _STRING_SLOTS = tuple(PauliString.__dict__[f].__set__
                       for f in ("n", "x_mask", "z_mask", "phase_exp"))
 
 
-def _bare_strings(n: int, x_masks, z_masks) -> list[PauliString]:
-    """Bare strings from masks already known to lie below 2^n (n >= 1), built
-    without the __post_init__ checks, which cannot fail for them."""
+def _unchecked_strings(n: int, x_masks, z_masks, phases=None) -> list[PauliString]:
+    """Strings from masks already known to lie below 2^n (n >= 1), built
+    without the __post_init__ checks, which cannot fail for them: bare, or
+    with the given integer i-powers, reduced mod 4 as __post_init__ does."""
     new = object.__new__
     set_n, set_x, set_z, set_phase = _STRING_SLOTS
     out = []
-    for x, z in zip(x_masks, z_masks):
+    for x, z, e in zip(x_masks, z_masks, repeat(0) if phases is None else phases):
         p = new(PauliString)
         set_n(p, n)
         set_x(p, x)
         set_z(p, z)
-        set_phase(p, 0)
+        set_phase(p, e % 4)
         out.append(p)
     return out
 
@@ -275,20 +277,22 @@ def identity_sum(n: int, coeff: complex = 1.0) -> PauliSum:
 
 def fold_terms(pairs, tol: float | None = None) -> dict:
     """The one canonical form of (coeff, primitive) pairs, as
-    {primitive: (coeff, primitive)} in first-appearance order: i-powers
-    folded into coefficients (only then is a primitive rebuilt, by bare()),
-    equal primitives summed and, given a tol, terms with |c| <= tol dropped.
-    A bare PauliString is its own key, and so is an opaque primitive.  First
+    {key: (coeff, primitive)} in first-appearance order: i-powers folded
+    into coefficients (only then is a primitive rebuilt, by bare()), equal
+    primitives summed and, given a tol, terms with |c| <= tol dropped.  A
+    bare PauliString's key is (n, x_mask, z_mask), whose tuple hash is
+    cheaper than the dataclass's; an opaque primitive is its own key.  First
     coefficients are kept as given."""
     acc: dict = {}
     for coeff, prim in pairs:
         if prim.phase_exp:
             coeff = coeff * 1j ** prim.phase_exp
             prim = prim.bare()
+        key = (prim.n, prim.x_mask, prim.z_mask) if type(prim) is PauliString else prim
         new = (coeff, prim)
-        old = acc.setdefault(prim, new)
+        old = acc.setdefault(key, new)
         if old is not new:
-            acc[prim] = (old[0] + coeff, old[1])
+            acc[key] = (old[0] + coeff, old[1])
     if tol is not None:
         for key in [key for key, (c, _) in acc.items() if abs(c) <= tol]:
             del acc[key]
@@ -351,5 +355,5 @@ def pauli_decompose(m: np.ndarray, n: int | None = None, tol: float = 1e-12,
     rev = _bit_reversal(n)
     x_masks, z_masks = rev[xs], rev[zs]
     order = np.lexsort((x_masks, z_masks))
-    strings = _bare_strings(n, x_masks[order].tolist(), z_masks[order].tolist())
+    strings = _unchecked_strings(n, x_masks[order].tolist(), z_masks[order].tolist())
     return PauliSum(n, list(zip(coeffs[order].tolist(), strings)))

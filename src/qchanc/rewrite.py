@@ -324,11 +324,16 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
     for j, k in enumerate(work):
         for coeff, p in k.terms:
             w[j, col[p]] = coeff
-    # bare Pauli strings are orthogonal, so their coefficients are the rows
-    rows = w if pauli_only else w @ np.array(
-        [eval_kraus(PauliSum(n, [(1.0, key)]), cap).ravel() for key in keys])
+    with np.errstate(over="ignore", invalid="ignore"):
+        # bare Pauli strings are orthogonal, so their coefficients are the rows
+        rows = w if pauli_only else w @ np.array(
+            [eval_kraus(PauliSum(n, [(1.0, key)]), cap).ravel() for key in keys])
+        gram = rows.conj() @ rows.T
+    if not np.isfinite(gram).all():
+        raise RewriteError("the Kraus coefficients overflow: their Gram matrix "
+                           "is not finite")
 
-    lam, vec = np.linalg.eigh(rows.conj() @ rows.T)
+    lam, vec = np.linalg.eigh(gram)
     order = np.argsort(-lam, kind="stable")
     lam, vec = lam[order], vec[:, order]
     lam_max = max(lam[0], 0.0)

@@ -222,37 +222,30 @@ def invert_modes_with_phases(modes: ModeTable):
     return GTable(modes.s, g), phi_ad
 
 
-def optimize_pauli_select(terms: list[tuple[complex, PauliString]]):
-    """Assign addresses and monotone factors for a Pauli-sum SELECT.
+def _select_tables(n: int, keys: list[PauliString]):
+    """(ModeTable, GTable, s, phi_ad) of distinct canonical Pauli keys.
 
-    Returns (ModeTable, GTable, s, permuted) where permuted maps address ->
-    phase-corrected coefficient for the PREPARE stage.
+    Every step orders the keys totally (the anchor, both row sorts, the
+    greedy, the fallback and the inversion), so the tables depend on the
+    set of keys only, never on their order or coefficients.
     """
-    if not terms:
-        raise ValueError("empty term list")
-    n = terms[0][1].n
-    canon = canonicalize_sum(PauliSum(n, list(terms)))
-    if not canon.terms:
-        raise ValueError("all coefficients vanish")
-    m = len(canon.terms)
-    s = max(1, math.ceil(math.log2(m)))
-
-    id_coeff = None
+    s = max(1, math.ceil(math.log2(len(keys))))
+    identity = None
     targets = []
-    for c, p in canon.terms:
+    for p in keys:
         if p.is_identity():
-            id_coeff = c
+            identity = p
         else:
-            targets.append((c, p))
+            targets.append(p)
 
     anchor = None
-    if id_coeff is None and len(targets) >= 2:
-        anchor = min(targets, key=lambda t: (weight(t[1]), t[1].z_mask, t[1].x_mask))
-        targets = [t for t in targets if t is not anchor]
+    if identity is None and len(targets) >= 2:
+        anchor = min(targets, key=lambda p: (weight(p), p.z_mask, p.x_mask))
+        targets = [p for p in targets if p is not anchor]
 
-    # records: (vec_x, vec_z, (coeff, target)), the vector shifted by the anchor
-    ax, az = (0, 0) if anchor is None else (anchor[1].x_mask, anchor[1].z_mask)
-    recs = [(p.x_mask ^ ax, p.z_mask ^ az, (c, p)) for c, p in targets]
+    # records: (vec_x, vec_z, target), the vector shifted by the anchor
+    ax, az = (0, 0) if anchor is None else (anchor.x_mask, anchor.z_mask)
+    recs = [(p.x_mask ^ ax, p.z_mask ^ az, p) for p in targets]
     rows_z = sorted(recs, key=lambda r: (_vw(r[0], r[1]), r[1], r[0]))
     rows_x = sorted(recs, key=lambda r: (_vw(r[0], r[1]), r[0], r[1]))
     sel_on_x, cov_on_x = greedy_basis_selection([(r[0], r[1]) for r in rows_x], s, n)
@@ -268,15 +261,41 @@ def optimize_pauli_select(terms: list[tuple[complex, PauliString]]):
     assign_additional_modes(entries, generators, remaining, s)
 
     mode = ModeTable(s)
-    coeffs = {}
-    if anchor is not None:
-        coeffs[0], mode.entries[0] = anchor
-    elif id_coeff is not None:
-        coeffs[0], mode.entries[0] = id_coeff, PauliString(n, 0, 0)
-    for addr, (_, _, (c, p)) in entries.items():
-        coeffs[addr], mode.entries[addr] = c, p
+    if identity is not None:
+        mode.entries[0] = identity
+    elif anchor is not None:
+        mode.entries[0] = anchor
+    for addr, (_, _, p) in entries.items():
+        mode.entries[addr] = p
     gtable, phi_ad = invert_modes_with_phases(mode)
-    permuted = {addr: coeffs[addr] * (1j) ** phi_ad[addr]
+    return mode, gtable, s, phi_ad
+
+
+def optimize_pauli_select(terms: list[tuple[complex, PauliString]],
+                          tables: dict | None = None):
+    """Assign addresses and monotone factors for a Pauli-sum SELECT.
+
+    Returns (ModeTable, GTable, s, permuted) where permuted maps address ->
+    phase-corrected coefficient for the PREPARE stage.  Only `permuted`
+    reads the coefficients: the tables depend on the set of canonical keys,
+    and `tables`, when given, keeps them by (n, key set) for the next sum
+    with the same keys.  The tables it returns are shared; nothing may
+    change them.
+    """
+    if not terms:
+        raise ValueError("empty term list")
+    n = terms[0][1].n
+    canon = canonicalize_sum(PauliSum(n, list(terms)))
+    if not canon.terms:
+        raise ValueError("all coefficients vanish")
+    coeffs = {p.key(): c for c, p in canon.terms}
+    if tables is None:
+        tables = {}
+    keyset = (n, frozenset(coeffs))
+    if (found := tables.get(keyset)) is None:
+        found = tables[keyset] = _select_tables(n, [p for _, p in canon.terms])
+    mode, gtable, s, phi_ad = found
+    permuted = {addr: coeffs[mode.entries[addr].key()] * (1j) ** phi_ad[addr]
                 for addr in sorted(mode.entries)}
     return mode, gtable, s, permuted
 

@@ -116,8 +116,11 @@ class KrausEncoding:
     gtable: GTable | None = None
 
 
-def encode_kraus(k: PauliSum, select_mode: str = "naive") -> KrausEncoding:
-    """Build the encoding record; every validity check happens here."""
+def encode_kraus(k: PauliSum, select_mode: str = "naive",
+                 tables: dict | None = None) -> KrausEncoding:
+    """Build the encoding record; every validity check happens here.
+    `tables` shares SELECT address tables between operators (see
+    optimize_pauli_select)."""
     if select_mode not in SELECT_MODES:
         raise ValueError(f"unknown select mode {select_mode!r}")
     terms = tuple(canonical_kraus(k).terms)
@@ -133,16 +136,16 @@ def encode_kraus(k: PauliSum, select_mode: str = "naive") -> KrausEncoding:
             raise ValueError(
                 "opaque block encodings take real positive coefficients; "
                 "strip the phase with rule K2 first")
-        return KrausEncoding(terms, coeff.real * ref.alpha, ref.anc, ref=ref,
+        return KrausEncoding(terms, float(coeff.real) * ref.alpha, ref.anc, ref=ref,
                              unitary=_dilation_unitary(ref))
     if not paulis:
         raise ValueError("cannot block-encode a zero Kraus operator")
     if len(paulis) == 1 and paulis[0][0].imag == 0 and paulis[0][0].real > 0:
         coeff, p = paulis[0]
-        return KrausEncoding(terms, coeff.real, 0, pauli=p)
+        return KrausEncoding(terms, float(coeff.real), 0, pauli=p)
 
     if select_mode == "optimized":
-        modes, gtable, s, permuted = optimize_pauli_select(paulis)
+        modes, gtable, s, permuted = optimize_pauli_select(paulis, tables)
         y = np.zeros(1 << s, dtype=complex)
         for addr, cc in permuted.items():
             y[addr] = cc
@@ -159,9 +162,11 @@ def encode_kraus(k: PauliSum, select_mode: str = "naive") -> KrausEncoding:
 
 
 def encode_channel(c: ChannelExpr, select_mode: str = "naive") -> list[KrausEncoding]:
-    """One encoding record per Kraus operator."""
+    """One encoding record per Kraus operator; operators with the same
+    canonical Pauli keys share one set of SELECT tables."""
     typecheck(c)
-    return [encode_kraus(k, select_mode) for k in c.kraus]
+    tables: dict = {}
+    return [encode_kraus(k, select_mode, tables) for k in c.kraus]
 
 
 def encode_kraus_gates(enc: KrausEncoding, anc_qubits, sys_qubits) -> list[Gate]:

@@ -20,6 +20,9 @@ from qchanc.lindblad import first_order
 from qchanc.cli import _dump, main
 
 
+GRAM_OVERFLOW = "the Kraus coefficients overflow: their Gram matrix is not finite"
+
+
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
@@ -256,6 +259,40 @@ class TestCompile:
                            "--out", str(tmp_path / "x"))
         assert code == 2
         assert err == "error: compilation failed: the sum of the squared alphas overflows\n"
+
+    @pytest.mark.parametrize("delta", ["1e200", "1e308"])
+    def test_huge_delta_rank_minimization_named(self, tmp_path, capsys, delta):
+        path = write_json(tmp_path / "tfim3.json",
+                          lindblad_to_json(gen_tfim(3, 1.0)))
+        code, stdout, err = run(capsys, "compile", path, "--frontend", "first",
+                                "--delta", delta, "--minimize-rank",
+                                "--out", str(tmp_path / "x"))
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: compilation failed at --delta {float(delta):g}: "
+                       f"{GRAM_OVERFLOW}\n")
+
+    @pytest.mark.parametrize("big", [
+        {"coeff": [1e308, 1e308], "pauli": "X"},
+        {"coeff": [0, 1e200], "blockenc": {
+            "handle": "h", "n": 1, "alpha": 1e200, "anc": 0}},
+    ], ids=["pauli", "blockenc"])
+    def test_huge_lone_term_alpha_rejected(self, tmp_path, capsys, big):
+        # simplify strips the phase through numpy, which leaves one real
+        # alpha near 1.4e308, or one whose product with alpha overflows
+        path = write_json(tmp_path / "big.json", {"n": 1, "kraus": [[big], [big]]})
+        code, _, err = run(capsys, "compile", path, "--frontend", "channel",
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err == "error: compilation failed: the sum of the squared alphas overflows\n"
+
+    def test_huge_integer_coefficient_rejected(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text('{"n": 1, "kraus": [[{"coeff": [1' + "0" * 400
+                        + ', 0], "pauli": "X"}]]}')
+        code, _, err = run(capsys, "compile", str(path), "--frontend", "channel",
+                           "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert err == f"error: {path} failed to parse: int too large to convert to float\n"
 
     def test_each_kraus_encoded_once(self, tmp_path, capsys, monkeypatch):
         import qchanc.cli as cli
@@ -515,6 +552,9 @@ class TestVerify:
         ("cost", "amps", float("nan")),
         ("verify", "amps", True),
         ("cost", "amps", True),
+        pytest.param("verify", "alpha_sq_sum", 10 ** 400, id="verify-alpha_sq_sum-huge-int"),
+        pytest.param("verify", "amps", 10 ** 400, id="verify-amps-huge-int"),
+        pytest.param("cost", "amps", 10 ** 400, id="cost-amps-huge-int"),
     ])
     def test_bad_circuit_number_rejected(self, tmp_path, decay_file, capsys,
                                          command, field, value):
@@ -704,6 +744,24 @@ class TestRewrite:
         assert code == 0
         doc = json.loads(outfile.read_text())
         assert len(doc["channel"]["kraus"]) <= len(chan.kraus)
+
+    @pytest.mark.parametrize("scale, message", [
+        (1e200, GRAM_OVERFLOW), (1e150, None)], ids=["overflow", "finite"])
+    def test_minimize_overflow_rejected(self, tmp_path, capsys, scale, message):
+        # X and X + Z: squared norms of 1e400 overflow, 1e300 do not
+        def term(label):
+            return {"coeff": [scale, 0], "pauli": label}
+        doc = {"n": 1, "kraus": [[term("X")], [term("Z"), term("X")]]}
+        path = write_json(tmp_path / "c.json", doc)
+        out = tmp_path / "min.json"
+        code, _, err = run(capsys, "rewrite", path, "--minimize-rank",
+                           "--out", str(out))
+        if message is None:
+            assert code == 0 and err == ""
+            assert len(json.loads(out.read_text())["channel"]["kraus"]) == 2
+        else:
+            assert (code, err) == (2, f"error: rewrite failed: {message}\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ("--rule", "C1", "--rule-args", "5"),

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from qchanc.ir import (
     ChannelExpr,
     LindbladSpec,
     TypecheckError,
+    _c2pair,
+    _pauli_terms_in_bulk,
     apply_channel,
     channel_distance,
     channel_from_json,
@@ -18,6 +21,10 @@ from qchanc.ir import (
     lindblad_to_json,
     matrix_from_json,
     matrix_to_json,
+    pauli_sum_from_json,
+    pauli_sum_to_json,
+    term_from_json,
+    term_to_json,
     trace_distance,
     typecheck,
     validate_density,
@@ -147,6 +154,85 @@ def test_matrix_json_exact():
     rng = np.random.default_rng(5)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
+
+
+def test_matrix_json_matches_per_entry_pairs():
+    m = np.array([[-0.0, 1 + 2j], [np.complex64(0.1 - 0.3j), complex(5e-324, -0.0)]])
+    want = [[_c2pair(x) for x in row] for row in m]
+    got = matrix_to_json(m)
+    assert json.dumps(got) == json.dumps(want)
+    assert all(type(v) is float for row in got for pair in row for v in pair)
+
+
+def test_bulk_writer_matches_per_term_writer():
+    rng = np.random.default_rng(9)
+    bits = random.Random(9).getrandbits
+    for n in (1, 3, 63, 64, 65):  # masks fill uint64 at 64; 65 is per term
+        full = (1 << n) - 1
+        terms = [(np.complex128(complex(*rng.normal(size=2))),
+                  PauliString(n, bits(n), bits(n), e)) for e in range(4)]
+        terms += [(complex(-0.0, 0.0), PauliString(n, full, full, 2)),
+                  (1, PauliString(n, 0, full))]
+        s = PauliSum(n, terms)
+        want = [term_to_json(c, p) for c, p in s.terms]
+        assert json.dumps(pauli_sum_to_json(s)) == json.dumps(want)
+        back = pauli_sum_from_json(json.loads(json.dumps(want)), n)
+        assert [p for _, p in back.terms] == [p for _, p in terms]
+    ref = BlockEncRef("h", 1, 1.0, 0)
+    mixed = PauliSum(1, [(0.5j, from_label("Y")), (2.0, ref)])
+    assert pauli_sum_to_json(mixed) == [term_to_json(c, p) for c, p in mixed.terms]
+    assert pauli_sum_to_json(PauliSum(1, [])) == []
+
+
+REGULAR_TERM = {"coeff": [0.5, -1], "pauli": "XZ", "phase_exp": 3}
+
+
+@pytest.mark.parametrize("change, bulk", [
+    ({}, True),
+    ({"phase_exp": None}, True),  # absent: phase 0
+    ({"note": 1}, True),  # extra keys are ignored, as term_from_json does
+    ({"coeff": [10 ** 400, 0]}, False),
+    ({"coeff": [True, 0]}, False),
+    ({"coeff": ["1", 0]}, False),
+    ({"coeff": [float("nan"), 0]}, False),
+    ({"coeff": [1.0]}, False),
+    ({"coeff": [1.0, 0, 0]}, False),
+    ({"coeff": (1.0, 0)}, False),
+    ({"coeff": None}, False),
+    ({"pauli": "XA"}, False),
+    ({"pauli": "X\u00e9"}, False),
+    ({"pauli": "X"}, False),
+    ({"pauli": "XYZ"}, False),
+    ({"phase_exp": True}, False),
+    ({"phase_exp": 1.0}, False),
+], ids=["regular", "no-phase", "extra-key", "huge-int", "bool-part",
+        "str-part", "nan-part", "short-pair", "long-pair", "tuple-pair",
+        "no-coeff", "bad-letter", "non-ascii", "short-label", "long-label",
+        "bool-phase", "float-phase"])
+def test_bulk_reader_takes_regular_lists_only(change, bulk):
+    odd = {**REGULAR_TERM, **change}
+    odd = {k: v for k, v in odd.items() if v is not None}
+    terms = [dict(REGULAR_TERM), odd]
+    assert (_pauli_terms_in_bulk(terms, 2) is not None) == bulk
+    try:
+        want = PauliSum(2, [term_from_json(t) for t in terms])
+    except (ValueError, LookupError, OverflowError) as exc:
+        with pytest.raises(type(exc)) as got:
+            pauli_sum_from_json(terms, 2)
+        assert str(got.value) == str(exc)
+    else:
+        assert pauli_sum_from_json(terms, 2) == want
+
+
+def test_bulk_reader_keeps_signed_zeros_and_phases():
+    terms = [{"coeff": [-0.0, -0.0], "pauli": "Y", "phase_exp": 7},
+             {"coeff": [0, -0.0], "pauli": "I"}]
+    got = pauli_sum_from_json(terms, 1)
+    assert [(repr(c), p) for c, p in got.terms] == [
+        ("(-0-0j)", PauliString(1, 1, 1, 3)), ("-0j", PauliString(1, 0, 0))]
+    assert [type(c) for c, _ in got.terms] == [complex, complex]
+    for bad_n in (0, 65):
+        assert _pauli_terms_in_bulk(terms, bad_n) is None
 
 
 def test_lindblad_json_round_trip_and_dense_jump():

@@ -1,4 +1,5 @@
-"""Property tests: channel JSON round trips and rewrite soundness.
+"""Property tests: channel JSON round trips, the bulk term-list codecs and
+rewrite soundness.
 
 Skipped where hypothesis is not installed; examples are derandomized, so
 every run draws the same ones.
@@ -12,13 +13,16 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qchanc.cli import _dump  # noqa: E402
+from qchanc.cli import _dump, _encode_terms  # noqa: E402
 from qchanc.ir import (  # noqa: E402
     BlockEncRef,
     ChannelExpr,
+    _pauli_terms_in_bulk,
     channel_from_json,
     channel_to_json,
     eval_kraus,
+    pauli_sum_from_json,
+    term_from_json,
 )
 from qchanc.pauli import PauliString, PauliSum  # noqa: E402
 from qchanc.rewrite import apply_rule, canonical_kraus, minimize_kraus_rank  # noqa: E402
@@ -72,6 +76,108 @@ def test_channel_json_round_trip(chan):
                 assert (p.matrix is None) == (q.matrix is None)
                 assert p.matrix is None or np.array_equal(p.matrix, q.matrix)
     assert _dump(channel_to_json(back)) == text
+
+
+# --- term lists: the bulk codecs against the per-term ones -----------------
+
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 5e-324, -5e-324, 1e308]))
+odd_parts = st.one_of(st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+                      st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.text(max_size=2))
+
+
+@st.composite
+def regular_terms(draw, n, label_alphabet="IXYZ"):
+    return {"coeff": draw(st.lists(finite, min_size=2, max_size=2)),
+            "pauli": draw(st.text(label_alphabet, min_size=n, max_size=n)),
+            "phase_exp": draw(st.integers(-6, 6))}
+
+
+@st.composite
+def odd_terms(draw, n):
+    """A regular term with one thing wrong or unusual about it."""
+    t = draw(regular_terms(n))
+    kind = draw(st.sampled_from([
+        "part", "tuple-pair", "short-pair", "long-pair", "bad-letter",
+        "non-ascii", "empty-label", "long-label", "bool-phase", "float-phase",
+        "no-phase", "no-coeff", "no-pauli", "extra-key", "blockenc"]))
+    if kind == "part":
+        t["coeff"][draw(st.integers(0, 1))] = draw(odd_parts)
+    elif kind == "tuple-pair":
+        t["coeff"] = tuple(t["coeff"])
+    elif kind == "short-pair":
+        del t["coeff"][1]
+    elif kind == "long-pair":
+        t["coeff"].append(draw(finite))
+    elif kind == "bad-letter":
+        t["pauli"] = t["pauli"][:-1] + draw(st.sampled_from("ixyzA0 "))
+    elif kind == "non-ascii":
+        t["pauli"] = t["pauli"][:-1] + draw(st.sampled_from("\u00e9\u2603"))
+    elif kind == "empty-label":
+        t["pauli"] = ""
+    elif kind == "long-label":
+        t["pauli"] += "X"
+    elif kind == "bool-phase":
+        t["phase_exp"] = draw(st.booleans())
+    elif kind == "float-phase":
+        t["phase_exp"] = float(t["phase_exp"])
+    elif kind == "no-phase":
+        del t["phase_exp"]
+    elif kind in ("no-coeff", "no-pauli"):
+        del t[kind[3:]]
+    elif kind == "extra-key":
+        t[draw(st.sampled_from(["blockenc", "note", ""]))] = draw(finite)
+    else:
+        t = {"coeff": t["coeff"], "blockenc": {"handle": "h", "n": n,
+                                               "alpha": 1.0, "anc": 0}}
+    return t
+
+
+@st.composite
+def term_lists(draw):
+    """(n, terms, regular): a list of regular terms, maybe with one odd term."""
+    n = draw(st.integers(1, 3))
+    terms = draw(st.lists(regular_terms(n), max_size=5))
+    regular = bool(terms) and draw(st.booleans())
+    if not regular:
+        terms.insert(draw(st.integers(0, len(terms))), draw(odd_terms(n)))
+    return n, terms, regular
+
+
+def read(fn):
+    """The terms fn() reads, with each coefficient's repr (which keeps the
+    sign of a zero part), or the type and message of what it raises."""
+    try:
+        s = fn()
+    except Exception as exc:  # the two readers must fail alike
+        return type(exc), str(exc)
+    return s.n, [(type(c), repr(c), p) for c, p in s.terms]
+
+
+TERM_LISTS = settings(PROPERTY, max_examples=400)
+
+
+@TERM_LISTS
+@given(term_lists())
+def test_bulk_reader_matches_per_term_reader(case):
+    n, terms, regular = case
+    per_term = read(lambda: PauliSum(n, [term_from_json(t) for t in terms]))
+    assert read(lambda: pauli_sum_from_json(terms, n)) == per_term
+    if regular:
+        assert _pauli_terms_in_bulk(terms, n) is not None
+
+
+@TERM_LISTS
+@given(term_lists(), st.booleans(), st.data())
+def test_dump_matches_stdlib_on_term_lists(case, as_tuple, data):
+    _, terms, regular = case
+    if regular:
+        assert _encode_terms(terms, "\n") is not None
+    if data.draw(st.booleans()):  # labels the reader would reject
+        terms.append(data.draw(regular_terms(2, "IXYZ\u00e9\u2603\"")))
+    doc = {"n": 1, "kraus": [tuple(terms) if as_tuple else terms, []]}
+    for x in (terms, doc):
+        assert _dump(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
 
 
 def choi(chan):

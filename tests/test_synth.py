@@ -540,3 +540,42 @@ class TestCostFromEncodings:
     def test_empty_channel_rejected(self):
         with pytest.raises(ValueError, match="no Kraus"):
             cost_from_encodings([], True)
+
+
+class TestSharedSelectTables:
+    @pytest.mark.parametrize("sites, quad, shared", [
+        (2, (3, 3, 2), 70), (3, (2, 2, 2), 24), (2, (2, 2, 2), 15)],
+        ids=["tfim2-o332", "tfim3-o222", "tfim2-o222"])
+    def test_cached_records_equal_fresh(self, sites, quad, shared):
+        from qchanc.bench import gen_tfim
+        from qchanc.cli import _select_audits
+        from qchanc.lindblad import QuadratureSpec, higher_order
+        from qchanc.rewrite import simplify
+
+        chan = simplify(higher_order(gen_tfim(sites, 1.0), 0.01,
+                                     QuadratureSpec(*quad)))
+        encodings = encode_channel(chan, "optimized")
+        # operators with equal key sets share one ModeTable and GTable
+        assert len(encodings) - len({id(e.gtable) for e in encodings}) == shared
+        # every reader of the records runs before the comparison, so a
+        # reader that changed a shared table would show below
+        channel_lcu(chan, "optimized", True, encodings)
+        cost_from_encodings(encodings, True)
+        _select_audits(encodings)
+        for k, enc in zip(chan.kraus, encodings):
+            fresh = encode_kraus(k, "optimized")
+            assert enc == fresh
+            assert list(enc.modes.entries.items()) == list(fresh.modes.entries.items())
+            assert list(enc.gtable.entries.items()) == list(fresh.gtable.entries.items())
+
+    def test_tables_keyed_by_key_set_not_coefficients(self):
+        # same keys in another order and with other coefficients: one set of
+        # tables, and each operator's own phase-corrected coefficients
+        rng = np.random.default_rng(11)
+        k = random_kraus(rng, 3, 9)
+        other = PauliSum(3, [(complex(rng.normal(), rng.normal()), p)
+                             for _, p in reversed(k.terms)])
+        a, b = encode_channel(ChannelExpr(3, [k, other]), "optimized")
+        assert a.modes is b.modes and a.gtable is b.gtable
+        assert a.prep != b.prep
+        assert b == encode_kraus(other, "optimized")
