@@ -13,16 +13,26 @@ JSON must hold JSON integers there), gate shapes and the qubit range.  JSON
 amplitudes are [re, im] pairs of numbers, read by ir._pair2c like every
 complex number in the IR's JSON.
 
-Cost model: a gate with c controls costs 0 T for c <= 1 and 4(c-1) T for
-c >= 2; ToffoliCompute costs 4 T and ToffoliUncompute 0 T (measurement
-assisted); StatePrep and opaque interiors are excluded from T counts, though
-their control overhead is charged.  weighted_control_cost sums
-(#controls) * pauli_weight(body) over every controlled Pauli gate.
+Cost model.  Every cost report, of a built circuit or of encoding records,
+is priced by `cost_from_shapes` from one (controls, Pauli weight or None)
+shape per gate, the number of Toffoli computes (toffoli_count) and the
+ancilla count (every qubit outside the system register):
+- a shape with c controls costs 0 T for c <= 1 and 4(c-1) T for c >= 2;
+- a controlled Pauli (c >= 1, weight w) adds c*w to weighted_control_cost
+  and counts in controlled_pauli_count;
+- every shape is one gate of total_gates.
+A Pauli gate under c controls is (c, weight); a state preparation or opaque
+box under c controls is (c, None), so its control overhead is charged but its
+interior is not; a ToffoliCompute under c controls is (c + 2, None), 4 T when
+uncontrolled, and a ToffoliUncompute is (0, None), measurement assisted.
+`cost_report` reduces a circuit to these shapes and checks that every
+uncompute closes a matching compute; `synth.cost_from_encodings` lists the
+same shapes from the encoding records without building the circuit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -319,67 +329,54 @@ class CostReport:
     ancillas: int
 
     def to_json(self) -> dict:
-        return {
-            "weighted_control_cost": self.weighted_control_cost,
-            "t_count": self.t_count,
-            "toffoli_count": self.toffoli_count,
-            "controlled_pauli_count": self.controlled_pauli_count,
-            "total_gates": self.total_gates,
-            "ancillas": self.ancillas,
-        }
+        return asdict(self)
 
 
 def _control_t(c: int) -> int:
     return 0 if c <= 1 else 4 * (c - 1)
 
 
+def cost_from_shapes(shapes: list[tuple[int, int | None]], toffolis: int,
+                     ancillas: int) -> CostReport:
+    """The cost model: one (controls, Pauli weight or None) shape per gate."""
+    wcc = t = cpauli = 0
+    for c, w in shapes:
+        t += _control_t(c)
+        if w is not None and c:
+            cpauli += 1
+            wcc += c * w
+    return CostReport(wcc, t, toffolis, cpauli, len(shapes), ancillas)
+
+
 def cost_report(c: Circuit) -> CostReport:
-    wcc = 0
-    t = 0
+    shapes = []
     toffolis = 0
-    cpauli = 0
     open_toffoli: dict[int, list] = {}
     for g in c.gates:
-        body = g
-        nctrl = 0
-        if isinstance(g, Controlled):
-            body = g.body
-            nctrl = len(g.controls)
+        body, nctrl = (g.body, len(g.controls)) if isinstance(g, Controlled) else (g, 0)
         if isinstance(body, PauliGate):
-            if nctrl:
-                cpauli += 1
-                wcc += nctrl * weight(body.string)
-                t += _control_t(nctrl)
+            shapes.append((nctrl, weight(body.string)))
         elif isinstance(body, ToffoliCompute):
             toffolis += 1
-            t += _control_t(nctrl + 2)
-            open_toffoli.setdefault(body.target, []).append((body, nctrl))
+            shapes.append((nctrl + 2, None))
+            open_toffoli.setdefault(body.target, []).append(body)
         elif isinstance(body, ToffoliUncompute):
             stack = open_toffoli.get(body.target, [])
             if not stack:
                 raise ValueError(
                     f"ToffoliUncompute on qubit {body.target} has no open compute")
-            prev, _ = stack.pop()
+            prev = stack.pop()
             if (prev.c1, prev.c2, prev.p1, prev.p2) != (body.c1, body.c2,
                                                         body.p1, body.p2):
                 raise ValueError(
                     f"ToffoliUncompute on qubit {body.target} does not match "
                     "its compute")
+            shapes.append((0, None))
         else:
-            # state preparations and opaque boxes: control overhead only
-            t += _control_t(nctrl)
-    try:
-        sys_size = c.reg_size("system")
-    except KeyError:
-        sys_size = 0
-    return CostReport(
-        weighted_control_cost=wcc,
-        t_count=t,
-        toffoli_count=toffolis,
-        controlled_pauli_count=cpauli,
-        total_gates=len(c.gates),
-        ancillas=c.total_qubits - sys_size,
-    )
+            shapes.append((nctrl, None))
+    names = [n for n, _ in c.registers]
+    sys_size = c.reg_size("system") if "system" in names else 0
+    return cost_from_shapes(shapes, toffolis, c.total_qubits - sys_size)
 
 
 # --- JSON -------------------------------------------------------------------

@@ -90,15 +90,20 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
 
 
-def _nonnegative_int(text: str) -> int:
-    """argparse type: a nonnegative integer."""
-    try:
-        if (value := int(text)) >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(
-        f"expected a nonnegative integer, got {text!r}")
+def _int_from(low: int, what: str):
+    """argparse type: an integer of at least `low`, described as `what`."""
+    def parse(text: str) -> int:
+        try:
+            if (value := int(text)) >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_nonnegative_int = _int_from(0, "a nonnegative integer")
+_positive_int = _int_from(1, "a positive integer")
 
 
 def load_input(path: str):
@@ -204,12 +209,10 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
         at = "" if isinstance(obj, ChannelExpr) else f" at --delta {delta:g}"
         raise CliError(f"compilation failed{at}: {exc}") from exc
     alpha_sq = float(np.sum(np.square(alphas)))
-    grid = {}
-    for name, fl, om in SETTINGS:
-        # only the emitted circuit is built; the other settings cost its records
-        cost = cost_report(circ) if name == setting else cost_from_encodings(
-            encodings["optimized" if om else "naive"], fl)
-        grid[name] = cost.to_json()
+    # every setting is priced from its records, the emitted one included
+    grid = {name: cost_from_encodings(encodings["optimized" if om else "naive"],
+                                      fl).to_json()
+            for name, fl, om in SETTINGS}
     report = {
         "n": chan.n,
         "frontend": frontend,
@@ -514,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--cap", type=int, default=None,
+        p.add_argument("--cap", type=_positive_int, default=None,
                        help="dense-matrix qubit cap (env QCHANC_CAP)")
 
     p = sub.add_parser("compile", help="lower, synthesize, and report")

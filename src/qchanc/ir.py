@@ -366,8 +366,15 @@ def channel_to_json(c: ChannelExpr) -> dict:
     return {"n": c.n, "kraus": [pauli_sum_to_json(k) for k in c.kraus]}
 
 
-def channel_from_json(d: dict) -> ChannelExpr:
+def _sites_from_json(d: dict) -> int:
     n = require_int(d["n"], "n")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    return n
+
+
+def channel_from_json(d: dict) -> ChannelExpr:
+    n = _sites_from_json(d)
     c = ChannelExpr(n, [pauli_sum_from_json(terms, n) for terms in d["kraus"]])
     typecheck(c)
     return c
@@ -382,7 +389,7 @@ def lindblad_to_json(spec: LindbladSpec) -> dict:
 
 
 def lindblad_from_json(d: dict) -> LindbladSpec:
-    n = require_int(d["n"], "n")
+    n = _sites_from_json(d)
     ham = pauli_sum_from_json(d.get("H", []), n)
     jumps = []
     for j in d.get("jumps", []):

@@ -41,7 +41,13 @@ def check_cap(n: int, cap: int | None, what: str) -> None:
     the argument, else the environment variable, else the default."""
     if cap is None:
         env = os.environ.get(_CAP_ENV)
-        cap = int(env) if env else DEFAULT_QUBIT_CAP
+        try:
+            cap = int(env) if env else DEFAULT_QUBIT_CAP
+            if cap < 1:
+                raise ValueError
+        except ValueError:
+            raise ValueError(
+                f"{_CAP_ENV} must be a positive integer, got {env!r}") from None
     if n > cap:
         raise ValueError(f"{what} needs {n} qubits, above the cap of {cap}")
 

@@ -313,17 +313,24 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
 
     # one coefficient row per operator over the keys (the canonical, bare
     # primitives): Pauli strings by (z_mask, x_mask), then opaque references
-    # in first-appearance order
-    seen = list(dict.fromkeys(p for k in work for _, p in k.terms))
-    keys = sorted((p for p in seen if isinstance(p, PauliString)),
-                  key=lambda s: (s.z_mask, s.x_mask))
-    pauli_only = len(keys) == len(seen)
-    keys += [p for p in seen if not isinstance(p, PauliString)]
-    col = {key: i for i, key in enumerate(keys)}
+    # in first-appearance order.  A string's column is keyed by its masks,
+    # as in pauli.fold_terms, which hashes cheaper than the dataclass.
+    def column(p):
+        return (p.z_mask, p.x_mask) if type(p) is PauliString else p
+
+    seen: dict = {}  # column key -> the first primitive with it
+    for k in work:
+        for _, p in k.terms:
+            seen.setdefault(column(p), p)
+    order = sorted(key for key, p in seen.items() if type(p) is PauliString)
+    pauli_only = len(order) == len(seen)
+    order += [key for key, p in seen.items() if type(p) is not PauliString]
+    keys = [seen[key] for key in order]
+    col = {key: i for i, key in enumerate(order)}
     w = np.zeros((m, len(keys)), dtype=complex)
     for j, k in enumerate(work):
         for coeff, p in k.terms:
-            w[j, col[p]] = coeff
+            w[j, col[column(p)]] = coeff
     with np.errstate(over="ignore", invalid="ignore"):
         # bare Pauli strings are orthogonal, so their coefficients are the rows
         rows = w if pauli_only else w @ np.array(

@@ -7,8 +7,8 @@ KrausEncoding record; circuits, alphas and SELECT audits all read it.
 A channel is lowered by preparing kraus_sel amplitudes alpha_j/sqrt(sum a^2)
 and multiplexing the per-Kraus encodings; the preparation is deliberately not
 undone, since kraus_sel is traced out while be_anc is postselected to zero.
-cost_from_encodings gives the cost report of that circuit from the records
-alone, without building it.
+cost_from_encodings prices that circuit from the records alone, without
+building it, by the one cost model in the circuits module docstring.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .circuits import (
     PauliGate,
     StatePrep,
     StatePrepAdjoint,
-    _control_t,
+    cost_from_shapes,
 )
 from .ir import BlockEncRef, ChannelExpr, TypecheckError, typecheck
 from .pauli import PauliString, PauliSum, weight
@@ -222,14 +222,9 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
     probability is 1/sum alpha_j^2 for a trace-preserving channel.
     """
     n = typecheck(c)
-    m = len(c.kraus)
-    if m == 0:
-        raise ValueError("channel has no Kraus operators")
     if encodings is None:
         encodings = encode_channel(c, select_mode)
-    ell = math.ceil(math.log2(m)) if m > 1 else 0
-    be_width = max(enc.width for enc in encodings)
-    flat_width = ell + 1 if (flatten and ell > 0) else 0
+    ell, flat_width, be_width = _register_widths(encodings, flatten)
     circ = Circuit((("kraus_sel", ell), ("flat_anc", flat_width),
                     ("be_anc", be_width), ("system", n)))
     kq = circ.reg_qubits("kraus_sel")
@@ -246,7 +241,7 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
 
     if ell:
         amps = np.zeros(1 << ell, dtype=complex)
-        amps[:m] = np.asarray(alphas) / norm
+        amps[:len(alphas)] = np.asarray(alphas) / norm
         circ.add(StatePrep(kq, tuple(amps)))
         if flatten:
             circ.extend(flatten_select(branches, kq, fq))
@@ -257,8 +252,18 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
     return circ
 
 
-def _record_gates(enc: KrausEncoding) -> list[tuple[int, int | None]]:
-    """(controls, Pauli weight or None for a box) per gate of encode_kraus_gates."""
+def _register_widths(encodings: list[KrausEncoding],
+                     flatten: bool) -> tuple[int, int, int]:
+    """Widths of the channel-LCU registers kraus_sel, flat_anc and be_anc."""
+    m = len(encodings)
+    if m == 0:
+        raise ValueError("channel has no Kraus operators")
+    ell = math.ceil(math.log2(m)) if m > 1 else 0
+    return ell, ell + 1 if (flatten and ell) else 0, max(enc.width for enc in encodings)
+
+
+def _record_shapes(enc: KrausEncoding) -> list[tuple[int, int | None]]:
+    """Cost shape per gate of encode_kraus_gates (see the circuits docstring)."""
     if enc.ref is not None:
         return [(0, None)]
     if enc.pauli is not None:
@@ -280,31 +285,15 @@ def cost_from_encodings(encodings: list[KrausEncoding],
     addresses 0..m-1 adds one Toffoli pair per tree node, two controlled X
     gates per node with two children (m - 1 of them) and two root X gates.
     """
+    ell, flat_width, be_width = _register_widths(encodings, flatten)
     m = len(encodings)
-    if m == 0:
-        raise ValueError("channel has no Kraus operators")
-    ell = math.ceil(math.log2(m)) if m > 1 else 0
     outer = 0 if not ell else 1 if flatten else ell
-    gates = [(0, None)] if ell else []  # the kraus_sel preparation
+    shapes = [(0, None)] if ell else []  # the kraus_sel preparation
     for enc in encodings:
-        gates += [(c + outer, w) for c, w in _record_gates(enc)]
+        shapes += [(c + outer, w) for c, w in _record_shapes(enc)]
     toffolis = 0
-    if flatten and ell:
-        gates += [(0, 1)] * 2 + [(1, 1)] * (2 * (m - 1))
+    if flat_width:
         toffolis = sum(((m - 1) >> k) + 1 for k in range(1, ell + 1))
-    wcc = cpauli = 0
-    t = _control_t(2) * toffolis  # computes only: uncomputes are measured
-    for c, w in gates:
-        t += _control_t(c)
-        if w is not None and c:
-            cpauli += 1
-            wcc += c * w
-    flat_width = ell + 1 if (flatten and ell) else 0
-    return CostReport(
-        weighted_control_cost=wcc,
-        t_count=t,
-        toffoli_count=toffolis,
-        controlled_pauli_count=cpauli,
-        total_gates=len(gates) + 2 * toffolis,
-        ancillas=ell + flat_width + max(enc.width for enc in encodings),
-    )
+        shapes += [(0, 1)] * 2 + [(1, 1)] * (2 * (m - 1))
+        shapes += [(2, None), (0, None)] * toffolis  # compute, measured uncompute
+    return cost_from_shapes(shapes, toffolis, ell + flat_width + be_width)

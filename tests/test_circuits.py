@@ -17,6 +17,7 @@ from qchanc.circuits import (
     circuit_from_json,
     circuit_to_json,
     controlled,
+    cost_from_shapes,
     cost_report,
     gate_from_json,
     gate_to_json,
@@ -244,6 +245,24 @@ def test_cost_report_examples():
     cs.add(controlled([(0, 1), (1, 1)], StatePrep((2,), (s, s))))
     assert cost_report(cs).t_count == 4
     assert cost_report(cs).ancillas == 2
+
+
+def test_cost_from_shapes_rules():
+    # (controls, Pauli weight or None): an uncontrolled Pauli, two controlled
+    # ones, a doubly controlled box and a measured uncompute
+    r = cost_from_shapes([(0, 3), (1, 2), (3, 1), (2, None), (0, None)], 1, 4)
+    assert r == CostReport(weighted_control_cost=1 * 2 + 3 * 1, t_count=8 + 4,
+                           toffoli_count=1, controlled_pauli_count=2,
+                           total_gates=5, ancillas=4)
+    assert r.to_json() == {
+        "weighted_control_cost": 5, "t_count": 12, "toffoli_count": 1,
+        "controlled_pauli_count": 2, "total_gates": 5, "ancillas": 4}
+
+
+def test_cost_report_uncontrolled_pauli_is_free():
+    c = sys_circuit(2)
+    c.add(PauliGate(from_label("XY"), (0, 1)))
+    assert cost_report(c) == CostReport(0, 0, 0, 0, 1, 0)
 
 
 def test_unmatched_uncompute_rejected():

@@ -15,7 +15,7 @@ from qchanc.ir import (
     channel_to_json,
     lindblad_to_json,
 )
-from qchanc.bench import gen_decay, gen_hypercube_like, gen_tfim
+from qchanc.bench import gen_decay, gen_hypercube_like, gen_random_pauli, gen_tfim
 from qchanc.lindblad import first_order
 from qchanc.cli import _dump, main
 
@@ -205,12 +205,15 @@ class TestCompile:
             {"coeff": [1, 0], "blockenc": {
                 "handle": "h", "n": 1, "alpha": 1.0, "anc": 0}}]]},
          "failed to parse: jump 1 term 0 is not a Pauli string"),
+        ({"n": -1, "kraus": []}, "failed to parse: n must be at least 1, got -1"),
+        ({"n": 0, "H": [], "jumps": []}, "failed to parse: n must be at least 1, got 0"),
     ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
             "blockenc-nan-alpha", "blockenc-fractional-anc", "blockenc-bool-anc",
             "blockenc-fractional-n", "fractional-n", "bool-n", "string-n",
             "fractional-phase-exp", "string-phase-exp", "spec-fractional-n",
             "long-coeff", "bool-coeff", "blockenc-bool-alpha", "blockenc-matrix-false",
-            "blockenc-matrix-true", "spec-blockenc-H", "spec-blockenc-jump"])
+            "blockenc-matrix-true", "spec-blockenc-H", "spec-blockenc-jump",
+            "negative-n", "spec-zero-n"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
         bad = write_json(tmp_path / "bad.json", doc)
         code, _, err = run(capsys, "compile", bad, "--out",
@@ -294,6 +297,23 @@ class TestCompile:
         assert code == 2
         assert err == f"error: {path} failed to parse: int too large to convert to float\n"
 
+    def test_cap_below_need_named(self, tmp_path, capsys):
+        path = write_json(tmp_path / "tfim3.json",
+                          lindblad_to_json(gen_tfim(3, 1.0)))
+        code, _, err = run(capsys, "compile", path, "--frontend", "order:2,2,2",
+                           "--delta", "0.01", "--cap", "2",
+                           "--out", str(tmp_path / "x"))
+        assert (code, err) == (2, "error: lowering failed: drift generator "
+                                  "needs 3 qubits, above the cap of 2\n")
+
+    @pytest.mark.parametrize("value", ["0", "-5", "1.5"])
+    def test_cap_must_be_positive(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", "in.json", "--out", "x", "--cap", value])
+        assert exc.value.code == 2
+        assert (f"argument --cap: expected a positive integer, got '{value}'"
+                in capsys.readouterr().err)
+
     def test_each_kraus_encoded_once(self, tmp_path, capsys, monkeypatch):
         import qchanc.cli as cli
         import qchanc.synth as synth
@@ -318,7 +338,7 @@ class TestCompile:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert 0 < calls["optimize"] <= report["kraus_count"]
-        assert calls["cost"] == 1
+        assert calls["cost"] == 0  # every grid cell is priced from the records
         assert report["cost"] == report["cost_grid"][report["setting"]]
 
     def test_each_gate_checked_once(self, tmp_path, capsys, monkeypatch):
@@ -460,6 +480,16 @@ class TestVerify:
         assert stats["bound"] == pytest.approx(5 * (0.01 * 3) ** 2)
         assert stats["max_trace_distance"] <= stats["bound"]
         assert 0 < stats["success_prob"]["min"] <= 1
+
+    def test_cap_overrides_env(self, tmp_path, decay_file, capsys, monkeypatch):
+        circ = self.compile_decay(tmp_path, decay_file, capsys)
+        monkeypatch.setenv("QCHANC_CAP", "3")
+        argv = ("verify", circ, "--reference", decay_file, "--delta", "0.01")
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "above the cap of 3" in err
+        code, stdout, _ = run(capsys, *argv, "--cap", "14")
+        assert code == 0
+        assert json.loads(stdout)["max_trace_distance"] < 1e-3
 
     def test_identity_roundtrip(self, tmp_path, capsys):
         ident = ChannelExpr(1, [PauliSum(
@@ -672,6 +702,47 @@ class TestCost:
         assert rep["toffoli_count"] == 7
 
 
+GRID_INSTANCES = {
+    "tfim2": lambda: lindblad_to_json(gen_tfim(2, 1.0)),
+    "tfim3": lambda: lindblad_to_json(gen_tfim(3, 1.0)),
+    "decay": lambda: lindblad_to_json(gen_decay(1.0, 0.5)),
+    "hc8": lambda: channel_to_json(gen_hypercube_like(8, seed=1)),
+    "rp5x16": lambda: channel_to_json(
+        ChannelExpr(5, [gen_random_pauli(5, 16, seed=1)])),
+}
+
+
+class TestCostGrid:
+    """Every cost-grid cell equals `qchanc cost` of the circuit that the
+    compile emits for that setting."""
+
+    @pytest.mark.parametrize("inst, frontend", [
+        ("tfim2", "first"), ("tfim2", "order:2,2,2"),
+        ("tfim3", "first"), ("tfim3", "order:2,2,2"),
+        ("decay", "first"), ("decay", "order:2,2,2"),
+        ("hc8", "channel"), ("rp5x16", "channel"),
+    ])
+    def test_each_cell_is_the_emitted_circuit_cost(self, tmp_path, capsys,
+                                                   inst, frontend):
+        path = write_json(tmp_path / "in.json", GRID_INSTANCES[inst]())
+        delta = () if frontend == "channel" else ("--delta", "0.01")
+
+        def compile_and_cost(*flags):
+            out = tmp_path / "_".join(("run",) + flags)
+            code, _, err = run(capsys, "compile", path, "--frontend", frontend,
+                               *delta, *flags, "--out", str(out))
+            assert (code, err) == (0, "")
+            report = json.loads((out / "report.json").read_text())
+            code, stdout, _ = run(capsys, "cost", str(out / "circuit.json"))
+            assert code == 0 and stdout == _dump(report["cost"])
+            return report
+
+        grids = [compile_and_cost(*flags)["cost_grid"] for flags in
+                 [(), ("--flatten",), ("--order",), ("--flatten", "--order")]]
+        assert all(grid == grids[0] for grid in grids)
+        compile_and_cost("--flatten", "--order", "--minimize-rank")
+
+
 class TestBench:
     def test_decay_file_name_and_content(self, tmp_path, capsys):
         code, stdout, _ = run(capsys, "bench", "decay", "--gamma", "1",
@@ -744,6 +815,16 @@ class TestRewrite:
         assert code == 0
         doc = json.loads(outfile.read_text())
         assert len(doc["channel"]["kraus"]) <= len(chan.kraus)
+
+    @pytest.mark.parametrize("n, argv", [
+        (-1, ("--rule", "C1", "--rule-args", '{"perm": []}')),
+        (0, ("--minimize-rank",)),
+    ], ids=["negative-C1", "zero-minimize"])
+    def test_site_count_below_one_rejected(self, tmp_path, capsys, n, argv):
+        path = write_json(tmp_path / "c.json", {"n": n, "kraus": []})
+        code, stdout, err = run(capsys, "rewrite", path, *argv)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {path} failed to parse: n must be at least 1, got {n}\n"
 
     @pytest.mark.parametrize("scale, message", [
         (1e200, GRAM_OVERFLOW), (1e150, None)], ids=["overflow", "finite"])

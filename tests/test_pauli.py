@@ -302,3 +302,11 @@ def test_cap_env_override(monkeypatch):
         to_matrix(PauliString(3, 0, 0))
     monkeypatch.delenv("QCHANC_CAP")
     to_matrix(PauliString(3, 0, 0))
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+def test_cap_env_must_be_positive_integer(monkeypatch, value):
+    monkeypatch.setenv("QCHANC_CAP", value)
+    with pytest.raises(ValueError, match=(
+            f"^QCHANC_CAP must be a positive integer, got '{value}'$")):
+        to_matrix(PauliString(1, 0, 0))

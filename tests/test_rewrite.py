@@ -236,6 +236,15 @@ def test_minimize_is_fixed_point():
                 assert abs(ca - cb) < 1e-14
 
 
+def test_minimize_lists_strings_by_z_then_x_mask():
+    chan = higher_order(gen_tfim(2, 1.0), 0.01, QuadratureSpec(2, 2, 2))
+    out, _ = minimize_kraus_rank(chan)
+    assert max(len(k.terms) for k in out.kraus) > 1
+    for k in out.kraus:
+        masks = [(p.z_mask, p.x_mask) for _, p in k.terms]
+        assert masks == sorted(set(masks))
+
+
 def test_minimize_trace_replays():
     rng = np.random.default_rng(6)
     c = random_channel(rng, n=2, m=2)
