@@ -26,8 +26,8 @@ box under c controls is (c, None), so its control overhead is charged but its
 interior is not; a ToffoliCompute under c controls is (c + 2, None), 4 T when
 uncontrolled, and a ToffoliUncompute is (0, None), measurement assisted.
 `cost_report` reduces a circuit to these shapes and checks that every
-uncompute closes a matching compute; `synth.cost_from_encodings` lists the
-same shapes from the encoding records without building the circuit.
+uncompute closes a matching compute; `synth.cost_cells` lists the same
+shapes from the encoding records without building the circuit.
 """
 
 from __future__ import annotations
@@ -177,9 +177,11 @@ class Circuit:
                 raise ValueError("amplitude vector length must be 2^(#qubits)")
             if not abs(np.linalg.norm(body.amps) - 1.0) <= PREP_TOL:  # NaN fails too
                 raise ValueError("amplitude vector is not unit norm")
-        if (isinstance(body, OpaqueUnitary) and body.matrix is not None
-                and np.shape(body.matrix) != (dim, dim)):
-            raise ValueError("matrix shape does not match qubit count")
+        if isinstance(body, OpaqueUnitary):
+            if type(body.handle) is not str:
+                raise ValueError(f"opaque gate handle must be a string, got {body.handle!r}")
+            if body.matrix is not None and np.shape(body.matrix) != (dim, dim):
+                raise ValueError("matrix shape does not match qubit count")
 
 
 def controlled(controls, body: Gate) -> Gate:

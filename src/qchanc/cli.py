@@ -48,6 +48,7 @@ from .lindblad import (
     first_order,
     higher_order,
     lindblad_opnorm,
+    short_time_bound,
 )
 from .rewrite import (
     RewriteError,
@@ -61,7 +62,7 @@ from .synth import (
     SELECT_MODES,
     channel_alphas,
     channel_lcu,
-    cost_from_encodings,
+    cost_cells,
     encode_channel,
 )
 
@@ -171,7 +172,7 @@ def lower_input(obj, frontend: str, delta: float, cap=None) -> ChannelExpr:
 
 
 def _select_audits(encodings: list) -> list:
-    """ModeTable/GTable JSON per Pauli-sum Kraus operator's optimized encoding."""
+    """SelectTable JSON per Pauli-sum Kraus operator's optimized encoding."""
     audits = []
     for idx, enc in enumerate(encodings):
         if enc.ref is not None:
@@ -182,8 +183,8 @@ def _select_audits(encodings: list) -> list:
             audits.append({
                 "kraus": idx,
                 "select_bits": enc.width,
-                "mode_table": mode_table_json(enc.modes),
-                "g_table": g_table_json(enc.gtable),
+                "mode_table": mode_table_json(enc.table),
+                "g_table": g_table_json(enc.table),
             })
     return audits
 
@@ -209,9 +210,10 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
         at = "" if isinstance(obj, ChannelExpr) else f" at --delta {delta:g}"
         raise CliError(f"compilation failed{at}: {exc}") from exc
     alpha_sq = float(np.sum(np.square(alphas)))
-    # every setting is priced from its records, the emitted one included
-    grid = {name: cost_from_encodings(encodings["optimized" if om else "naive"],
-                                      fl).to_json()
+    # every setting is priced from its records, the emitted one included;
+    # each select mode lists its record shapes once for both of its cells
+    cells = {m: cost_cells(encodings[m]) for m in SELECT_MODES}
+    grid = {name: cells["optimized" if om else "naive"][fl].to_json()
             for name, fl, om in SETTINGS}
     report = {
         "n": chan.n,
@@ -357,7 +359,7 @@ def verify_stats(circ, scale, reference, delta, samples, cap=None) -> dict:
     states = probe_states(n, samples, seed=VERIFY_SEED)
     if is_spec:
         refs = evolve(reference, delta, states, cap)
-        bound = 5.0 * (delta * lindblad_opnorm(reference, cap)) ** 2
+        bound = short_time_bound(delta, lindblad_opnorm(reference, cap), 1)
     else:
         refs = apply_channel(reference, states, cap)
         bound = None
@@ -466,14 +468,14 @@ def sweep_rows(spec, deltas, orders, delta, cap=None, samples=8):
             # the reference first: it rejects a delta too large to evolve
             refs = evolve(spec, d, states, cap)
             err = worst(first_order(spec, d), refs)
-            rows.append(("delta", d, err, 5.0 * (d * lops) ** 2))
+            rows.append(("delta", d, err, short_time_bound(d, lops, 1)))
     else:
         # every order is measured against the same exp(delta L) rho
         refs = evolve(spec, delta, states, cap)
         for k in orders:
             quad = QuadratureSpec(k, max(k, 2), 2)
             err = worst(higher_order(spec, delta, quad, cap), refs)
-            rows.append(("order", k, err, 5.0 * (delta * lops) ** (k + 1)))
+            rows.append(("order", k, err, short_time_bound(delta, lops, k)))
     return rows
 
 

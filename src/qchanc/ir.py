@@ -47,6 +47,8 @@ class BlockEncRef:
     phase_exp = 0  # an opaque encoding carries no i-power of its own
 
     def __post_init__(self):
+        if type(self.handle) is not str:
+            raise ValueError(f"blockenc handle must be a string, got {self.handle!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
         if not isinstance(self.anc, (int, np.integer)) or self.anc < 0:

@@ -189,6 +189,12 @@ def lindblad_opnorm(spec: LindbladSpec, cap: int | None = None) -> float:
     return total
 
 
+def short_time_bound(delta: float, opnorm: float, order: int) -> float:
+    """Short-time error bound 5 (delta ||L||)^(order + 1) of an order-K
+    lowering, with ||L|| from lindblad_opnorm."""
+    return 5.0 * (delta * opnorm) ** (order + 1)
+
+
 def exact_propagator(spec: LindbladSpec, t: float,
                      cap: int | None = None) -> np.ndarray:
     """Dense superoperator exp(t L) acting on row-major vectorized rho."""

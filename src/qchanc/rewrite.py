@@ -17,7 +17,8 @@ import operator
 
 import numpy as np
 
-from .ir import ChannelExpr, eval_kraus, matrix_to_json, typecheck
+from .ir import (ChannelExpr, eval_kraus, matrix_from_json, matrix_to_json,
+                 typecheck)
 from .pauli import PauliString, PauliSum, fold_terms
 
 # rule -> the argument keys it reads; any other key is rejected
@@ -192,7 +193,9 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
         return ChannelExpr(c.n, [c.kraus[p] for p in perm])
 
     if rule == "C2":
-        u = need("unitary", lambda v: np.asarray(v, dtype=complex))
+        # real entries, or the [re, im] pairs that trace_to_json writes
+        u = need("unitary", lambda v: matrix_from_json(v) if np.ndim(v) == 3
+                 else np.asarray(v, dtype=complex))
         if u.shape != (m, m):
             raise InvalidRuleArgs(f"C2: matrix must be {m}x{m}")
         if not np.max(np.abs(u.conj().T @ u - np.eye(m))) <= UNITARY_TOL:

@@ -9,14 +9,17 @@ addresses so that the product of the gates g_c over the set bits c of an
 address reproduces the target there; generators of a well-chosen subspace sit
 at one-hot addresses and products come for free.  The address assignment is
 the greedy heuristic over symplectic (x|z) vectors; phase corrections from
-reordered Pauli products are folded into the prepared coefficients.
+reordered Pauli products are folded into the prepared coefficients.  One
+SelectTable holds the result for a set of canonical keys (address bits,
+targets, factors and phases); optimize_pauli_select pairs it with the PREPARE
+vector of one operator's coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuits import (
     Gate,
@@ -28,32 +31,32 @@ from .circuits import (
 from .pauli import PauliString, PauliSum, canonicalize_sum, multiply, weight
 
 
-@dataclass(slots=True)
-class ModeTable:
-    """Address assignment: address -> target Pauli."""
+@dataclass(frozen=True, slots=True)
+class SelectTable:
+    """The SELECT of one canonical key set, on s address bits.
+
+    `targets` maps each used address to its Pauli, `factors` each address
+    whose monotone factor g is not the identity to g (gates fire on set
+    bits), and `phases` each used address to the exponent of i folded into
+    its prepared coefficient.  Shared between operators; nothing may change it.
+    """
 
     s: int
-    entries: dict[int, PauliString] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
-class GTable:
-    """Monotone factors: address -> g; gates fire on set bits."""
-
-    s: int
-    entries: dict[int, PauliString] = field(default_factory=dict)
+    targets: dict[int, PauliString]
+    factors: dict[int, PauliString]
+    phases: dict[int, int]
 
 
 # the audit keys "phase_exp" and "theta" are always 0: phases live in the
 # prepared coefficients
-def mode_table_json(m: ModeTable) -> list:
-    return [{"address": format(a, f"0{m.s}b"), "target": p.label(),
-             "phase_exp": 0} for a, p in sorted(m.entries.items())]
+def mode_table_json(t: SelectTable) -> list:
+    return [{"address": format(a, f"0{t.s}b"), "target": p.label(),
+             "phase_exp": 0} for a, p in sorted(t.targets.items())]
 
 
-def g_table_json(g: GTable) -> list:
-    return [{"address": format(a, f"0{g.s}b"), "g": p.label(), "theta": 0}
-            for a, p in sorted(g.entries.items())]
+def g_table_json(t: SelectTable) -> list:
+    return [{"address": format(a, f"0{t.s}b"), "g": p.label(), "theta": 0}
+            for a, p in sorted(t.factors.items())]
 
 
 class Gf2Span:
@@ -194,20 +197,20 @@ def assign_additional_modes(entries: dict, generators: list[tuple[int, int]],
         raise RuntimeError("ran out of control addresses")
 
 
-def invert_modes_with_phases(modes: ModeTable):
+def invert_modes_with_phases(targets: dict[int, PauliString]):
     """Peel assigned targets into monotone factors (Alg: subset-XOR).
 
-    Returns (GTable, phi_ad) where phi_ad[b] is the phase exponent to fold
+    Returns (factors, phases) where phases[b] is the exponent of i to fold
     into the prepared coefficient at address b so that the ordered product of
-    the g factors over the set bits of b reproduces i^{phi_b} P_b exactly.
+    the factors over the set bits of b reproduces i^{phases[b]} P_b exactly.
     Ascending addresses: the factors at b's strict subsets are all placed,
     their product (taken in address order) fixes g_b, and g_b times it the
     phase.
     """
     g: dict[int, PauliString] = {}
-    phi_ad: dict[int, int] = {}
-    for b in sorted(modes.entries):
-        p = modes.entries[b]
+    phases: dict[int, int] = {}
+    for b in sorted(targets):
+        p = targets[b]
         acc = PauliString(p.n, 0, 0)
         for c, q in g.items():
             if (c & b) == c:
@@ -218,33 +221,27 @@ def invert_modes_with_phases(modes: ModeTable):
             acc = multiply(g[b], acc)
         if (acc.x_mask, acc.z_mask) != (p.x_mask, p.z_mask):
             raise RuntimeError(f"mode inversion failed at address {b:b}")
-        phi_ad[b] = -acc.phase_exp % 4
-    return GTable(modes.s, g), phi_ad
+        phases[b] = -acc.phase_exp % 4
+    return g, phases
 
 
-def _select_tables(n: int, keys: list[PauliString]):
-    """(ModeTable, GTable, s, phi_ad) of distinct canonical Pauli keys.
+def _select_tables(n: int, keys: list[PauliString]) -> SelectTable:
+    """The SelectTable of distinct canonical Pauli keys.
 
     Every step orders the keys totally (the anchor, both row sorts, the
-    greedy, the fallback and the inversion), so the tables depend on the
+    greedy, the fallback and the inversion), so the table depends on the
     set of keys only, never on their order or coefficients.
     """
     s = max(1, math.ceil(math.log2(len(keys))))
-    identity = None
-    targets = []
-    for p in keys:
-        if p.is_identity():
-            identity = p
-        else:
-            targets.append(p)
+    # address 0 holds the identity, else (with two or more keys) an anchor
+    base = next((p for p in keys if p.is_identity()), None)
+    targets = [p for p in keys if p is not base]
+    if base is None and len(targets) >= 2:
+        base = min(targets, key=lambda p: (weight(p), p.z_mask, p.x_mask))
+        targets = [p for p in targets if p is not base]
 
-    anchor = None
-    if identity is None and len(targets) >= 2:
-        anchor = min(targets, key=lambda p: (weight(p), p.z_mask, p.x_mask))
-        targets = [p for p in targets if p is not anchor]
-
-    # records: (vec_x, vec_z, target), the vector shifted by the anchor
-    ax, az = (0, 0) if anchor is None else (anchor.x_mask, anchor.z_mask)
+    # records: (vec_x, vec_z, target), the vector shifted by the base
+    ax, az = (0, 0) if base is None else (base.x_mask, base.z_mask)
     recs = [(p.x_mask ^ ax, p.z_mask ^ az, p) for p in targets]
     rows_z = sorted(recs, key=lambda r: (_vw(r[0], r[1]), r[1], r[0]))
     rows_x = sorted(recs, key=lambda r: (_vw(r[0], r[1]), r[0], r[1]))
@@ -260,27 +257,20 @@ def _select_tables(n: int, keys: list[PauliString]):
     remaining = [rows[j] for j in range(len(rows)) if j not in cov]
     assign_additional_modes(entries, generators, remaining, s)
 
-    mode = ModeTable(s)
-    if identity is not None:
-        mode.entries[0] = identity
-    elif anchor is not None:
-        mode.entries[0] = anchor
-    for addr, (_, _, p) in entries.items():
-        mode.entries[addr] = p
-    gtable, phi_ad = invert_modes_with_phases(mode)
-    return mode, gtable, s, phi_ad
+    placed = {} if base is None else {0: base}
+    placed.update((addr, p) for addr, (_, _, p) in entries.items())
+    return SelectTable(s, placed, *invert_modes_with_phases(placed))
 
 
 def optimize_pauli_select(terms: list[tuple[complex, PauliString]],
                           tables: dict | None = None):
     """Assign addresses and monotone factors for a Pauli-sum SELECT.
 
-    Returns (ModeTable, GTable, s, permuted) where permuted maps address ->
-    phase-corrected coefficient for the PREPARE stage.  Only `permuted`
-    reads the coefficients: the tables depend on the set of canonical keys,
-    and `tables`, when given, keeps them by (n, key set) for the next sum
-    with the same keys.  The tables it returns are shared; nothing may
-    change them.
+    Returns (SelectTable, y) where y is the 2^s PREPARE vector: the
+    phase-corrected coefficient at each used address, zero elsewhere.  Only
+    y reads the coefficients: the table depends on the set of canonical
+    keys, and `tables`, when given, keeps it by (n, key set) for the next sum
+    with the same keys.
     """
     if not terms:
         raise ValueError("empty term list")
@@ -292,12 +282,12 @@ def optimize_pauli_select(terms: list[tuple[complex, PauliString]],
     if tables is None:
         tables = {}
     keyset = (n, frozenset(coeffs))
-    if (found := tables.get(keyset)) is None:
-        found = tables[keyset] = _select_tables(n, [p for _, p in canon.terms])
-    mode, gtable, s, phi_ad = found
-    permuted = {addr: coeffs[mode.entries[addr].key()] * (1j) ** phi_ad[addr]
-                for addr in sorted(mode.entries)}
-    return mode, gtable, s, permuted
+    if (table := tables.get(keyset)) is None:
+        table = tables[keyset] = _select_tables(n, [p for _, p in canon.terms])
+    y = [0j] * (1 << table.s)
+    for addr, p in table.targets.items():
+        y[addr] = coeffs[p.key()] * (1j) ** table.phases[addr]
+    return table, y
 
 
 # --- circuit builders -------------------------------------------------------
@@ -315,10 +305,10 @@ def _addr_controls(addr: int, sel_qubits, polarity_for_zero: bool):
     return tuple(ctrls)
 
 
-def build_monotone_select(g: GTable, sel_qubits, sys_qubits) -> list[Gate]:
-    """One positively controlled Pauli per entry, ascending addresses."""
+def build_monotone_select(t: SelectTable, sel_qubits, sys_qubits) -> list[Gate]:
+    """One positively controlled Pauli per factor, ascending addresses."""
     gates: list[Gate] = []
-    for addr, p in sorted(g.entries.items()):
+    for addr, p in sorted(t.factors.items()):
         body = PauliGate(p, tuple(sys_qubits))
         gates.append(controlled(_addr_controls(addr, sel_qubits, False), body))
     return gates

@@ -3,12 +3,17 @@
 Each Pauli-sum Kraus operator K = sum_j y_j P_j becomes PREP_R, SELECT,
 PREP_L-adjoint on a be_anc register, encoding K/alpha with alpha = sum|y_j|.
 encode_kraus decides that encoding once per select mode as a qubit-free
-KrausEncoding record; circuits, alphas and SELECT audits all read it.
+KrausEncoding record; circuits, alphas and SELECT audits all read it.  Both
+modes prepare the coefficient vector y the same way: the terms in order
+(naive, full-address SELECT), or the PREPARE vector that comes with the
+operator's SelectTable (optimized, monotone SELECT).
 A channel is lowered by preparing kraus_sel amplitudes alpha_j/sqrt(sum a^2)
 and multiplexing the per-Kraus encodings; the preparation is deliberately not
 undone, since kraus_sel is traced out while be_anc is postselected to zero.
-cost_from_encodings prices that circuit from the records alone, without
-building it, by the one cost model in the circuits module docstring.
+cost_cells prices that circuit from the records alone, without building it,
+by the one cost model in the circuits module docstring: one listing of the
+record shapes per select mode serves both the plain and the flattened
+multiplexor.
 """
 
 from __future__ import annotations
@@ -32,8 +37,7 @@ from .ir import BlockEncRef, ChannelExpr, TypecheckError, typecheck
 from .pauli import PauliString, PauliSum, weight
 from .rewrite import canonical_kraus
 from .select_opt import (
-    GTable,
-    ModeTable,
+    SelectTable,
     build_monotone_select,
     flatten_select,
     naive_select,
@@ -102,7 +106,7 @@ class KrausEncoding:
     `terms` are the canonical (coeff, primitive) pairs and `width` the be_anc
     qubits used.  One payload is set: an opaque `ref` with its dilation
     `unitary`, a lone positive `pauli`, or the PREPARE pair `prep` = (c, d),
-    with the `modes`/`gtable` address assignment in optimized mode.
+    with the SELECT `table` in optimized mode.
     """
 
     terms: tuple
@@ -112,14 +116,13 @@ class KrausEncoding:
     unitary: np.ndarray | None = None
     pauli: PauliString | None = None
     prep: tuple | None = None
-    modes: ModeTable | None = None
-    gtable: GTable | None = None
+    table: SelectTable | None = None
 
 
 def encode_kraus(k: PauliSum, select_mode: str = "naive",
                  tables: dict | None = None) -> KrausEncoding:
     """Build the encoding record; every validity check happens here.
-    `tables` shares SELECT address tables between operators (see
+    `tables` shares SelectTables between operators (see
     optimize_pauli_select)."""
     if select_mode not in SELECT_MODES:
         raise ValueError(f"unknown select mode {select_mode!r}")
@@ -145,25 +148,18 @@ def encode_kraus(k: PauliSum, select_mode: str = "naive",
         return KrausEncoding(terms, float(coeff.real), 0, pauli=p)
 
     if select_mode == "optimized":
-        modes, gtable, s, permuted = optimize_pauli_select(paulis, tables)
-        y = np.zeros(1 << s, dtype=complex)
-        for addr, cc in permuted.items():
-            y[addr] = cc
-        beta, c, d = prepare_pair(y)
-        return KrausEncoding(terms, beta, s, prep=(tuple(c), tuple(d)),
-                             modes=modes, gtable=gtable)
-
-    coeffs = [cc for cc, _ in paulis]
-    if len(coeffs) == 1:
-        coeffs.append(0j)  # a lone complex term still takes one selector qubit
-    beta, c, d = prepare_pair(coeffs)
+        table, y = optimize_pauli_select(paulis, tables)
+    else:
+        table, y = None, [cc for cc, _ in paulis]
+        y += [0j] * (len(y) == 1)  # a lone complex term still takes one selector qubit
+    beta, c, d = prepare_pair(y)
     return KrausEncoding(terms, beta, int(math.log2(len(c))),
-                         prep=(tuple(c), tuple(d)))
+                         prep=(tuple(c), tuple(d)), table=table)
 
 
 def encode_channel(c: ChannelExpr, select_mode: str = "naive") -> list[KrausEncoding]:
     """One encoding record per Kraus operator; operators with the same
-    canonical Pauli keys share one set of SELECT tables."""
+    canonical Pauli keys share one SelectTable."""
     typecheck(c)
     tables: dict = {}
     return [encode_kraus(k, select_mode, tables) for k in c.kraus]
@@ -183,8 +179,8 @@ def encode_kraus_gates(enc: KrausEncoding, anc_qubits, sys_qubits) -> list[Gate]
         return [PauliGate(enc.pauli, sys_qubits)]
     c, d = enc.prep
     sel = tuple(anc_qubits[:enc.width])
-    if enc.gtable is not None:
-        body = build_monotone_select(enc.gtable, sel, sys_qubits)
+    if enc.table is not None:
+        body = build_monotone_select(enc.table, sel, sys_qubits)
     else:
         body = naive_select([(j, [PauliGate(p, sys_qubits)])
                              for j, (_, p) in enumerate(enc.terms)], sel)
@@ -268,32 +264,42 @@ def _record_shapes(enc: KrausEncoding) -> list[tuple[int, int | None]]:
         return [(0, None)]
     if enc.pauli is not None:
         return [(0, weight(enc.pauli))]
-    if enc.gtable is not None:
+    if enc.table is not None:
         body = [(addr.bit_count(), weight(g))
-                for addr, g in enc.gtable.entries.items()]
+                for addr, g in enc.table.factors.items()]
     else:
         body = [(enc.width, weight(p)) for _, p in enc.terms]
     return [(0, None), *body, (0, None)]
 
 
-def cost_from_encodings(encodings: list[KrausEncoding],
-                        flatten: bool = False) -> CostReport:
-    """cost_report(channel_lcu(c, mode, flatten, encodings)), in closed form.
+def cost_cells(encodings: list[KrausEncoding]) -> dict[bool, CostReport]:
+    """cost_report(channel_lcu(c, mode, flatten, encodings)) by flatten, in
+    closed form, both from one listing of the record shapes.
 
     The multiplexor adds ell address controls to every body gate, or one
     flag control when flattened; the flattened unary-iteration tree over
     addresses 0..m-1 adds one Toffoli pair per tree node, two controlled X
     gates per node with two children (m - 1 of them) and two root X gates.
     """
-    ell, flat_width, be_width = _register_widths(encodings, flatten)
+    body = [shape for enc in encodings for shape in _record_shapes(enc)]
     m = len(encodings)
-    outer = 0 if not ell else 1 if flatten else ell
-    shapes = [(0, None)] if ell else []  # the kraus_sel preparation
-    for enc in encodings:
-        shapes += [(c + outer, w) for c, w in _record_shapes(enc)]
-    toffolis = 0
-    if flat_width:
-        toffolis = sum(((m - 1) >> k) + 1 for k in range(1, ell + 1))
-        shapes += [(0, 1)] * 2 + [(1, 1)] * (2 * (m - 1))
-        shapes += [(2, None), (0, None)] * toffolis  # compute, measured uncompute
-    return cost_from_shapes(shapes, toffolis, ell + flat_width + be_width)
+    cells = {}
+    for flatten in (False, True):
+        ell, flat_width, be_width = _register_widths(encodings, flatten)
+        outer = 0 if not ell else 1 if flatten else ell
+        shapes = [(0, None)] if ell else []  # the kraus_sel preparation
+        shapes += [(c + outer, w) for c, w in body]
+        toffolis = 0
+        if flat_width:
+            toffolis = sum(((m - 1) >> k) + 1 for k in range(1, ell + 1))
+            shapes += [(0, 1)] * 2 + [(1, 1)] * (2 * (m - 1))
+            shapes += [(2, None), (0, None)] * toffolis  # compute, measured uncompute
+        cells[flatten] = cost_from_shapes(shapes, toffolis,
+                                          ell + flat_width + be_width)
+    return cells
+
+
+def cost_from_encodings(encodings: list[KrausEncoding],
+                        flatten: bool = False) -> CostReport:
+    """One cell of cost_cells."""
+    return cost_cells(encodings)[flatten]

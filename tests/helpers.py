@@ -4,7 +4,7 @@ import numpy as np
 
 from qchanc.circuits import Circuit, apply_circuit
 from qchanc.pauli import weight
-from qchanc.select_opt import GTable, Gf2Span
+from qchanc.select_opt import Gf2Span, SelectTable
 
 
 def simulate_unitary(c: Circuit, cap: int | None = None) -> np.ndarray:
@@ -12,9 +12,9 @@ def simulate_unitary(c: Circuit, cap: int | None = None) -> np.ndarray:
     return apply_circuit(c, np.eye(1 << c.total_qubits, dtype=complex), cap)
 
 
-def select_cost(g: GTable) -> int:
+def select_cost(t: SelectTable) -> int:
     """Weighted control cost: sum of hw(address) * weight(g)."""
-    return sum(a.bit_count() * weight(p) for a, p in g.entries.items())
+    return sum(a.bit_count() * weight(p) for a, p in t.factors.items())
 
 
 def decode(span: Gf2Span, vec: int) -> int:

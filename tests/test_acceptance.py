@@ -268,22 +268,21 @@ def test_criterion_05_select_optimization():
             seen.add((x, z))
             terms.append((complex(rng.normal(), rng.normal()),
                           PauliString(n, x, z)))
-        mode, gt, s, permuted = optimize_pauli_select(terms)
-        reconstruct(mode, gt, permuted, coeffs_of(terms))
+        reconstruct(*optimize_pauli_select(terms), coeffs_of(terms))
 
     # TFIM-3: weighted cost 9, optimal per exhaustive oracle
     terms = tfim3_terms()
-    _, gates, s, _ = optimize_pauli_select(terms)
-    assert select_cost(gates) == 9
+    table, _ = optimize_pauli_select(terms)
+    assert select_cost(table) == 9
     targets = [(p.x_mask, p.z_mask) for _, p in terms if not p.is_identity()]
-    assert best_assignment_cost(targets, s, 9) == 9
+    assert best_assignment_cost(targets, table.s, 9) == 9
 
     # all 16 two-qubit strings: weighted cost 4 = 2n (one-hot generators)
     terms2 = [(1.0 + 0j, from_label(a + b)) for a in "IXYZ" for b in "IXYZ"]
-    _, gates2, s2, _ = optimize_pauli_select(terms2)
-    assert select_cost(gates2) == 4
+    table2, _ = optimize_pauli_select(terms2)
+    assert select_cost(table2) == 4
     targets2 = [(p.x_mask, p.z_mask) for _, p in terms2 if not p.is_identity()]
-    assert best_assignment_cost(targets2, s2, 4) == 4
+    assert best_assignment_cost(targets2, table2.s, 4) == 4
 
 
 # --- 6. Technique I flattening ----------------------------------------------

@@ -12,11 +12,14 @@ import pytest
 from qchanc.pauli import PauliString, PauliSum
 from qchanc.ir import (
     ChannelExpr,
+    channel_from_json,
     channel_to_json,
+    eval_kraus,
     lindblad_to_json,
 )
 from qchanc.bench import gen_decay, gen_hypercube_like, gen_random_pauli, gen_tfim
-from qchanc.lindblad import first_order
+from qchanc.lindblad import QuadratureSpec, first_order, higher_order
+from qchanc.rewrite import simplify
 from qchanc.cli import _dump, main
 
 
@@ -38,6 +41,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def replay_trace(capsys, tmp_path, path, entries):
+    """Apply each trace entry with `rewrite --rule --rule-args`, checking the
+    Kraus count after each; returns the last channel document."""
+    doc = None
+    for i, entry in enumerate(entries):
+        out = tmp_path / f"step{i}.json"
+        code, _, err = run(capsys, "rewrite", path, "--rule", entry["rule"],
+                           "--rule-args", json.dumps(entry["args"]),
+                           "--out", str(out))
+        assert (code, err) == (0, ""), (i, entry["rule"])
+        doc = json.loads(out.read_text())["channel"]
+        assert len(doc["kraus"]) == entry["kraus_count_after"]
+        path = write_json(tmp_path / f"chan{i}.json", doc)
+    return doc
 
 
 class TestCompile:
@@ -207,13 +226,20 @@ class TestCompile:
          "failed to parse: jump 1 term 0 is not a Pauli string"),
         ({"n": -1, "kraus": []}, "failed to parse: n must be at least 1, got -1"),
         ({"n": 0, "H": [], "jumps": []}, "failed to parse: n must be at least 1, got 0"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": 5, "n": 1, "alpha": 1.0, "anc": 0}}]]},
+         "failed to parse: blockenc handle must be a string, got 5"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": None, "n": 1, "alpha": 1.0, "anc": 0}}]]},
+         "failed to parse: blockenc handle must be a string, got None"),
     ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
             "blockenc-nan-alpha", "blockenc-fractional-anc", "blockenc-bool-anc",
             "blockenc-fractional-n", "fractional-n", "bool-n", "string-n",
             "fractional-phase-exp", "string-phase-exp", "spec-fractional-n",
             "long-coeff", "bool-coeff", "blockenc-bool-alpha", "blockenc-matrix-false",
             "blockenc-matrix-true", "spec-blockenc-H", "spec-blockenc-jump",
-            "negative-n", "spec-zero-n"])
+            "negative-n", "spec-zero-n", "blockenc-int-handle",
+            "blockenc-null-handle"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
         bad = write_json(tmp_path / "bad.json", doc)
         code, _, err = run(capsys, "compile", bad, "--out",
@@ -340,6 +366,26 @@ class TestCompile:
         assert 0 < calls["optimize"] <= report["kraus_count"]
         assert calls["cost"] == 0  # every grid cell is priced from the records
         assert report["cost"] == report["cost_grid"][report["setting"]]
+
+    def test_record_shapes_listed_once_per_mode(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the basic and flattened cells of a select mode share one listing
+        import qchanc.synth as synth
+
+        listed = []
+        shapes = synth._record_shapes
+        monkeypatch.setattr(synth, "_record_shapes",
+                            lambda enc: listed.append(enc) or shapes(enc))
+        spec = write_json(tmp_path / "tfim.json",
+                          lindblad_to_json(gen_tfim(3, 1.0)))
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, "compile", spec, "--frontend", "order:2,2,2",
+                         "--delta", "0.01", "--flatten", "--order",
+                         "--out", str(out))
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        assert len(listed) == 2 * report["kraus_count"]
+        assert len({id(enc) for enc in listed}) == len(listed)
 
     def test_each_gate_checked_once(self, tmp_path, capsys, monkeypatch):
         import qchanc.circuits as circuits
@@ -638,6 +684,28 @@ class TestVerify:
         assert code == 2 and "cannot load circuit" in err and shown in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["verify", "cost"])
+    @pytest.mark.parametrize("handle", ["u", 5, None])
+    def test_opaque_handle_must_be_string(self, tmp_path, decay_file, capsys,
+                                          command, handle):
+        # an identity opaque gate on the system qubit, loadable with handle "u"
+        doc = json.loads(Path(self.compile_decay(tmp_path, decay_file,
+                                                 capsys)).read_text())
+        total = sum(reg["size"] for reg in doc["registers"])
+        doc["gates"].append({"kind": "opaque", "handle": handle,
+                             "qubits": [total - 1],
+                             "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]})
+        circuit = write_json(tmp_path / "opaque.json", doc)
+        argv = [command, circuit]
+        if command == "verify":
+            argv += ["--reference", decay_file, "--delta", "0.01"]
+        code, _, err = run(capsys, *argv)
+        if handle == "u":
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2 and "cannot load circuit" in err
+            assert f"opaque gate handle must be a string, got {handle!r}" in err
+
     def test_spec_reference_needs_delta(self, tmp_path, decay_file, capsys):
         circ = self.compile_decay(tmp_path, decay_file, capsys)
         code, _, err = run(capsys, "verify", circ, "--reference", decay_file)
@@ -815,6 +883,38 @@ class TestRewrite:
         assert code == 0
         doc = json.loads(outfile.read_text())
         assert len(doc["channel"]["kraus"]) <= len(chan.kraus)
+
+    @pytest.mark.parametrize("vertices", [4, 32], ids=["hc4", "hc32"])
+    def test_minimize_trace_replays(self, tmp_path, capsys, vertices):
+        # the C2 unitary goes back in as the trace writes it, [re, im] pairs
+        path = write_json(tmp_path / "c.json",
+                          channel_to_json(gen_hypercube_like(vertices, seed=0)))
+        code, _, _ = run(capsys, "rewrite", path, "--minimize-rank",
+                         "--out", str(tmp_path / "min.json"))
+        assert code == 0
+        written = json.loads((tmp_path / "min.json").read_text())
+        assert "C2" in [entry["rule"] for entry in written["trace"]]
+        doc = replay_trace(capsys, tmp_path, path, written["trace"])
+        replayed = channel_from_json(doc)
+        want = channel_from_json(written["channel"])
+        assert len(replayed.kraus) == len(want.kraus)
+        for k, w in zip(replayed.kraus, want.kraus):
+            assert np.max(np.abs(eval_kraus(k) - eval_kraus(w))) <= 1e-9
+
+    def test_minimize_trace_replays_merges_and_transform(self, tmp_path, capsys):
+        # tfim2 at order:3,3,2: the operators K1 drops are up to 9e-6, above
+        # K1's largest tol, so only the C3 merges and the C2 are replayed
+        chan = simplify(higher_order(gen_tfim(2, 1.0), 0.01,
+                                     QuadratureSpec(3, 3, 2)))
+        path = write_json(tmp_path / "c.json", channel_to_json(chan))
+        code, _, _ = run(capsys, "rewrite", path, "--minimize-rank",
+                         "--out", str(tmp_path / "min.json"))
+        assert code == 0
+        trace = json.loads((tmp_path / "min.json").read_text())["trace"]
+        rules = [entry["rule"] for entry in trace]
+        c2 = rules.index("C2")
+        assert set(rules[:c2]) == {"C3"} and set(rules[c2 + 1:]) == {"K1"}
+        replay_trace(capsys, tmp_path, path, trace[:c2 + 1])
 
     @pytest.mark.parametrize("n, argv", [
         (-1, ("--rule", "C1", "--rule-args", '{"perm": []}')),

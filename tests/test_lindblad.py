@@ -27,6 +27,7 @@ from qchanc.lindblad import (
     jump_dissipator,
     lindblad_opnorm,
     propagate,
+    short_time_bound,
 )
 
 
@@ -243,6 +244,12 @@ class TestHigherOrder:
 class TestOpnorm:
     def test_decay_value(self):
         assert lindblad_opnorm(decay_spec(1.0, 1.0)) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("delta, norm, order", [
+        (0.01, 3.0, 1), (0.05, 1.7, 2), (1e-3, 12.25, 4)])
+    def test_short_time_bound(self, delta, norm, order):
+        # the expression verify and error-sweep have always written
+        assert short_time_bound(delta, norm, order) == 5.0 * (delta * norm) ** (order + 1)
 
     def test_hamiltonian_only(self):
         spec = LindbladSpec(1, PauliSum(1, [(1.0, from_label("Z"))]))

@@ -144,6 +144,26 @@ def test_c2_rejects_non_unitary():
         apply_rule(c, "C2", {"unitary": np.eye(3)})
 
 
+def test_c2_takes_json_pairs():
+    # trace_to_json's [re, im] pairs give the same channel as the matrix
+    rng = np.random.default_rng(4)
+    c = random_channel(rng, n=1, m=3)
+    u = random_unitary(rng, 3)
+    (pairs,) = trace_to_json([{"rule": "C2", "args": {"unitary": u},
+                               "kraus_count_after": 3}])
+    out = apply_rule(c, "C2", pairs["args"])
+    want = apply_rule(c, "C2", {"unitary": u})
+    for k, w in zip(out.kraus, want.kraus):
+        assert np.max(np.abs(eval_kraus(k) - eval_kraus(w))) == 0.0
+    bad_pairs = ([[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]],
+                 [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]],
+                 [[[1, 0], [0, 0]], [[0, 0], ["1", 0]]])
+    c2 = random_channel(rng, n=1, m=2)
+    for bad in bad_pairs:
+        with pytest.raises(InvalidRuleArgs, match="bad argument unitary"):
+            apply_rule(c2, "C2", {"unitary": bad})
+
+
 def test_c2p_dephasing():
     s = 1 / math.sqrt(2)
     out = apply_rule(dephasing(), "C2p", {"i": 0, "j": 1, "a": s, "b": s})

@@ -14,9 +14,7 @@ from qchanc.pauli import (PauliString, PauliSum, canonicalize_sum, from_label,
                           multiply, to_matrix, weight)
 from qchanc import select_opt
 from qchanc.select_opt import (
-    GTable,
     Gf2Span,
-    ModeTable,
     assign_additional_modes,
     build_monotone_select,
     flatten_select,
@@ -43,18 +41,22 @@ def tfim3_terms():
     return [(c, ps(l)) for c, l in zip(coeffs, labels)]
 
 
-def reconstruct(mode, gtable, permuted, coeff_map):
+def reconstruct(table, y, coeff_map):
     """Exact integer identity: ordered product of g over set bits of each
-    address, phase-corrected coefficient equals the original coefficient."""
-    n = next(iter(mode.entries.values())).n
-    for addr, p in mode.entries.items():
+    address, phase-corrected coefficient equals the original coefficient;
+    y is zero at every unused address."""
+    n = next(iter(table.targets.values())).n
+    assert len(y) == 1 << table.s
+    assert all(y[a] == 0 for a in range(len(y)) if a not in table.targets)
+    for addr, p in table.targets.items():
         acc = PauliString(n, 0, 0, 0)
-        for c in sorted(gtable.entries):
+        for c in sorted(table.factors):
             if (c & addr) == c:
-                acc = multiply(gtable.entries[c], acc)
+                acc = multiply(table.factors[c], acc)
         assert (acc.x_mask, acc.z_mask) == (p.x_mask, p.z_mask)
+        assert table.phases[addr] == -acc.phase_exp % 4
         want = coeff_map[(p.x_mask, p.z_mask)]
-        assert permuted[addr] * (1j) ** acc.phase_exp == want
+        assert y[addr] * (1j) ** acc.phase_exp == want
 
 
 def coeffs_of(terms):
@@ -202,25 +204,23 @@ class TestGreedy:
 
 class TestInvert:
     def test_one_hot_and_product_address(self):
-        mode = ModeTable(2, {
+        g, phases = invert_modes_with_phases({
             1: ps("ZI"),
             2: ps("IX"),
             3: PauliString(2, 0b10, 0b01),  # Z1 X2
         })
-        gt, phi_ad = invert_modes_with_phases(mode)
-        assert gt.entries[1] == ps("ZI")
-        assert gt.entries[2] == ps("IX")
-        assert 3 not in gt.entries  # product of subsets, g = I
-        assert phi_ad == {1: 0, 2: 0, 3: 0}
+        assert g[1] == ps("ZI")
+        assert g[2] == ps("IX")
+        assert 3 not in g  # product of subsets, g = I
+        assert phases == {1: 0, 2: 0, 3: 0}
 
     def test_anticommuting_product_phase(self):
         # Address 3 holds X1 while address 1 holds Z1: g_3 = Y1 and the
         # ordered product Y1 * Z1 = i X1 needs a compensating i^3.
-        mode = ModeTable(2, {1: ps("ZI"), 3: ps("XI")})
-        gt, phi_ad = invert_modes_with_phases(mode)
-        assert gt.entries[3] == PauliString(2, 0b01, 0b01)
-        assert phi_ad[1] == 0
-        assert phi_ad[3] == 3
+        g, phases = invert_modes_with_phases({1: ps("ZI"), 3: ps("XI")})
+        assert g[3] == PauliString(2, 0b01, 0b01)
+        assert phases[1] == 0
+        assert phases[3] == 3
 
     def test_matches_parent_two_walks(self):
         rng = RNG(31)
@@ -230,46 +230,45 @@ class TestInvert:
             s = int(rng.integers(1, 5))
             addrs = rng.choice(1 << s, size=int(rng.integers(1, (1 << s) + 1)),
                                replace=False)
-            mode = ModeTable(s, {int(a): PauliString(n, int(rng.integers(1 << n)),
-                                                     int(rng.integers(1 << n)))
-                                 for a in addrs})
-            gt, phi_ad = invert_modes_with_phases(mode)
-            g, want_phi = parent_invert_modes_with_phases(mode)
-            assert list(gt.entries.items()) == list(g.items())
-            assert list(phi_ad.items()) == list(want_phi.items())
-            phases.update(phi_ad.values())
+            targets = {int(a): PauliString(n, int(rng.integers(1 << n)),
+                                           int(rng.integers(1 << n)))
+                       for a in addrs}
+            g, phi = invert_modes_with_phases(targets)
+            want_g, want_phi = parent_invert_modes_with_phases(targets)
+            assert list(g.items()) == list(want_g.items())
+            assert list(phi.items()) == list(want_phi.items())
+            phases.update(phi.values())
         assert phases == {0, 1, 2, 3}
 
     def test_empty_table(self):
-        gt, phi_ad = invert_modes_with_phases(ModeTable(3))
-        assert (gt.s, gt.entries, phi_ad) == (3, {}, {})
+        assert invert_modes_with_phases({}) == ({}, {})
 
 
 class TestOptimize:
     def test_tfim3_frozen_tables(self):
         terms = tfim3_terms()
-        mode, gt, s, permuted = optimize_pauli_select(terms)
-        assert s == 4
+        table, y = optimize_pauli_select(terms)
+        assert table.s == 4
         want_modes = {
             0b0000: "III", 0b0001: "ZII", 0b0010: "IZI", 0b0011: "ZZI",
             0b0100: "IIZ", 0b0101: "ZIZ", 0b0110: "IZZ",
             0b1001: "XII", 0b1010: "IXI", 0b1100: "IIX",
         }
-        assert {a: p.label() for a, p in mode.entries.items()} == want_modes
+        assert {a: p.label() for a, p in table.targets.items()} == want_modes
         want_g = {
             0b0001: "ZII", 0b0010: "IZI", 0b0100: "IIZ",
             0b1001: "YII", 0b1010: "IYI", 0b1100: "IIY",
         }
-        assert {a: p.label() for a, p in gt.entries.items()} == want_g
-        assert all(e["theta"] == 0 for e in g_table_json(gt))
-        assert all(e["phase_exp"] == 0 for e in mode_table_json(mode))
-        assert select_cost(gt) == 9
-        reconstruct(mode, gt, permuted, coeffs_of(terms))
+        assert {a: p.label() for a, p in table.factors.items()} == want_g
+        assert all(e["theta"] == 0 for e in g_table_json(table))
+        assert all(e["phase_exp"] == 0 for e in mode_table_json(table))
+        assert select_cost(table) == 9
+        reconstruct(table, y, coeffs_of(terms))
 
     def test_tfim3_weighted_cost_optimal_by_exhaustion(self):
         terms = tfim3_terms()
         targets = [(p.x_mask, p.z_mask) for _, p in terms if p.x_mask or p.z_mask]
-        assert select_cost(optimize_pauli_select(terms)[1]) == 9
+        assert select_cost(optimize_pauli_select(terms)[0]) == 9
         assert best_assignment_cost(targets, 4, ub=9) == 9
 
     def test_all_pauli_n2_one_hot(self):
@@ -277,51 +276,51 @@ class TestOptimize:
         for x in range(4):
             for z in range(4):
                 terms.append((1.0 + 0j, PauliString(2, x, z)))
-        mode, gt, s, permuted = optimize_pauli_select(terms)
-        assert s == 4
+        table, y = optimize_pauli_select(terms)
+        assert table.s == 4
         want_g = {0b0001: PauliString(2, 0b01, 0), 0b0010: PauliString(2, 0b10, 0),
                   0b0100: PauliString(2, 0, 0b01), 0b1000: PauliString(2, 0, 0b10)}
-        assert gt.entries == want_g
-        assert select_cost(gt) == 4
-        assert len(mode.entries) == 16
-        reconstruct(mode, gt, permuted, coeffs_of(terms))
+        assert table.factors == want_g
+        assert select_cost(table) == 4
+        assert len(table.targets) == 16
+        reconstruct(table, y, coeffs_of(terms))
         # Lower bound: four independent one-hot generators of weight 1 are
         # unbeatable, confirmed by the exhaustive search as well.
         targets = [(x, z) for x in range(4) for z in range(4) if x or z]
         assert best_assignment_cost(targets, 4, ub=4) == 4
 
     def test_single_term(self):
-        mode, gt, s, permuted = optimize_pauli_select([(0.7 + 0j, ps("X"))])
-        assert s == 1
-        assert list(mode.entries) == [1]
-        assert gt.entries[1] == ps("X")
-        assert permuted == {1: 0.7 + 0j}
-        assert select_cost(gt) == 1
+        table, y = optimize_pauli_select([(0.7 + 0j, ps("X"))])
+        assert table.s == 1
+        assert list(table.targets) == [1]
+        assert table.factors[1] == ps("X")
+        assert y == [0j, 0.7 + 0j]
+        assert select_cost(table) == 1
 
     def test_anchor_without_identity(self):
         # {X, iY} on one qubit: X unconditional, Z on the address-1 control.
         terms = [(1.0 + 0j, ps("X")), (1j, ps("Y"))]
-        mode, gt, s, permuted = optimize_pauli_select(terms)
-        assert s == 1
-        assert mode.entries == {0: ps("X"), 1: ps("Y")}
-        assert gt.entries == {0: ps("X"), 1: ps("Z")}
-        reconstruct(mode, gt, permuted, coeffs_of(terms))
-        assert permuted[0] == 1.0 + 0j
-        assert permuted[1] == 1.0 + 0j  # i from the coefficient cancels Z.X
+        table, y = optimize_pauli_select(terms)
+        assert table.s == 1
+        assert table.targets == {0: ps("X"), 1: ps("Y")}
+        assert table.factors == {0: ps("X"), 1: ps("Z")}
+        reconstruct(table, y, coeffs_of(terms))
+        assert y[0] == 1.0 + 0j
+        assert y[1] == 1.0 + 0j  # i from the coefficient cancels Z.X
 
     def test_v0_branch(self):
         labels = ["XII", "IXI", "IIX", "ZII", "IZI", "IIZ", "XXX"]
         terms = [(1.0 + 0j, ps(l)) for l in labels] + [(0.5 + 0j, ps("III"))]
-        mode, gt, s, permuted = optimize_pauli_select(terms)
-        assert s == 3
+        table, y = optimize_pauli_select(terms)
+        assert table.s == 3
         # Greedy keeps only X1 (capacity), prefix loop then packs overflow
         # rows two per prefix via the v0 branch.
-        assert mode.entries[0b001] == ps("XII")
-        assert mode.entries[0b010] == ps("IXI")
-        assert mode.entries[0b011] == ps("XXX")
-        assert mode.entries[0b100] == ps("IIX")
-        assert len(mode.entries) == 8
-        reconstruct(mode, gt, permuted, coeffs_of(terms))
+        assert table.targets[0b001] == ps("XII")
+        assert table.targets[0b010] == ps("IXI")
+        assert table.targets[0b011] == ps("XXX")
+        assert table.targets[0b100] == ps("IIX")
+        assert len(table.targets) == 8
+        reconstruct(table, y, coeffs_of(terms))
 
     def test_reconstruction_fuzz(self):
         rng = RNG(11)
@@ -338,16 +337,17 @@ class TestOptimize:
                 seen.add((x, z))
                 c = complex(rng.normal(), rng.normal())
                 terms.append((c, PauliString(n, x, z)))
-            mode, gt, s, permuted = optimize_pauli_select(terms)
+            table, y = optimize_pauli_select(terms)
+            s = table.s
             assert s == max(1, int(np.ceil(np.log2(m))))
-            assert len(mode.entries) == m
-            assert all(0 <= a < (1 << s) for a in mode.entries)
-            assert {(p.x_mask, p.z_mask) for p in mode.entries.values()} == seen
-            reconstruct(mode, gt, permuted, coeffs_of(terms))
+            assert len(table.targets) == m
+            assert all(0 <= a < (1 << s) for a in table.targets)
+            assert {(p.x_mask, p.z_mask) for p in table.targets.values()} == seen
+            reconstruct(table, y, coeffs_of(terms))
             # Never worse than the naive select baseline (every target under
             # full-width address controls).
             naive = s * sum(weight(p) for _, p in terms if p.x_mask or p.z_mask)
-            assert select_cost(gt) <= naive
+            assert select_cost(table) <= naive
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -356,9 +356,9 @@ class TestOptimize:
             optimize_pauli_select([(0.0 + 0j, ps("X"))])
 
     def test_json_helpers(self):
-        mode, gt, s, _ = optimize_pauli_select(tfim3_terms())
-        mj = mode_table_json(mode)
-        gj = g_table_json(gt)
+        table, _ = optimize_pauli_select(tfim3_terms())
+        mj = mode_table_json(table)
+        gj = g_table_json(table)
         assert {"address": "0001", "target": "ZII", "phase_exp": 0} in mj
         assert {"address": "1001", "g": "YII", "theta": 0} in gj
 
@@ -487,16 +487,16 @@ def parent_assign_additional_modes(entries, generators, remaining, s, n,
         raise RuntimeError("ran out of control addresses")
 
 
-def parent_invert_modes_with_phases(modes):
+def parent_invert_modes_with_phases(targets):
     """Oracle: invert_modes_with_phases as it was, one walk for the factors
     and a second, re-sorting g per address, for the phases.  Returns
     ({address: g}, phi_ad)."""
-    if not modes.entries:
+    if not targets:
         return {}, {}
-    n = next(iter(modes.entries.values())).n
+    n = next(iter(targets.values())).n
     g = {}
-    for b in sorted(modes.entries):
-        p = modes.entries[b]
+    for b in sorted(targets):
+        p = targets[b]
         gx, gz = p.x_mask, p.z_mask
         for c, q in g.items():
             if (c & b) == c:
@@ -505,8 +505,8 @@ def parent_invert_modes_with_phases(modes):
         if gx or gz:
             g[b] = PauliString(n, gx, gz)
     phi_ad = {}
-    for b in sorted(modes.entries):
-        p = modes.entries[b]
+    for b in sorted(targets):
+        p = targets[b]
         acc = PauliString(n, 0, 0, 0)
         for c in sorted(g):
             if (c & b) == c:
@@ -514,12 +514,6 @@ def parent_invert_modes_with_phases(modes):
         assert (acc.x_mask, acc.z_mask) == (p.x_mask, p.z_mask)
         phi_ad[b] = -acc.phase_exp % 4
     return g, phi_ad
-
-
-def parent_invert(modes):
-    """invert_modes_with_phases' signature over the oracle."""
-    g, phi_ad = parent_invert_modes_with_phases(modes)
-    return GTable(modes.s, g), phi_ad
 
 
 def parent_greedy_basis_selection(rows, s, n):
@@ -637,20 +631,21 @@ class TestParentLoops:
         ran = set()
         for _ in range(150):
             terms = random_pauli_sum(rng)
-            mode, gt, s, permuted = optimize_pauli_select(terms)
-            g, phi_ad = parent_invert_modes_with_phases(mode)
-            assert list(gt.entries.items()) == list(g.items())
-            assert list(invert_modes_with_phases(mode)[1].items()) == list(phi_ad.items())
+            table, y = optimize_pauli_select(terms)
+            g, phi_ad = parent_invert_modes_with_phases(table.targets)
+            assert list(table.factors.items()) == list(g.items())
+            assert list(table.phases.items()) == list(phi_ad.items())
             with monkeypatch.context() as mp:
                 mp.setattr(select_opt, "assign_additional_modes", parent_assign(ran))
                 mp.setattr(select_opt, "greedy_basis_selection",
                            parent_greedy_basis_selection)
-                mp.setattr(select_opt, "invert_modes_with_phases", parent_invert)
-                want = optimize_pauli_select(terms)
-            assert list(mode.entries.items()) == list(want[0].entries.items())
-            assert list(gt.entries.items()) == list(want[1].entries.items())
-            assert s == want[2]
-            assert list(permuted.items()) == list(want[3].items())
+                mp.setattr(select_opt, "invert_modes_with_phases",
+                           parent_invert_modes_with_phases)
+                want, want_y = optimize_pauli_select(terms)
+            assert list(table.targets.items()) == list(want.targets.items())
+            assert list(table.factors.items()) == list(want.factors.items())
+            assert table.s == want.s
+            assert y == want_y
         assert ran == {"v0", "fallback"}
 
 
@@ -717,26 +712,27 @@ class TestFlatten:
 class TestMonotoneBuilder:
     def test_tfim3_select_semantics(self):
         terms = tfim3_terms()
-        mode, gt, s, permuted = optimize_pauli_select(terms)
+        table, y = optimize_pauli_select(terms)
+        s = table.s
         regs = (("sel", s), ("system", 3))
         sel = tuple(range(s))
         sysq = (s, s + 1, s + 2)
-        circ = Circuit(regs, build_monotone_select(gt, sel, sysq))
+        circ = Circuit(regs, build_monotone_select(table, sel, sysq))
         u = simulate_unitary(circ)
         dim = 8
         coeff = coeffs_of(terms)
         rng = RNG(3)
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        for addr, p in mode.entries.items():
+        for addr, p in table.targets.items():
             block = u[addr * dim:(addr + 1) * dim, addr * dim:(addr + 1) * dim]
-            out = permuted[addr] * (block @ psi)
+            out = y[addr] * (block @ psi)
             want = coeff[(p.x_mask, p.z_mask)] * (to_matrix(p) @ psi)
             assert np.max(np.abs(out - want)) <= 1e-12
 
     def test_anchor_circuit_is_x_then_cz(self):
         terms = [(1.0 + 0j, ps("X")), (1j, ps("Y"))]
-        _, gt, s, _ = optimize_pauli_select(terms)
-        gates = build_monotone_select(gt, (0,), (1,))
+        table, _ = optimize_pauli_select(terms)
+        gates = build_monotone_select(table, (0,), (1,))
         assert isinstance(gates[0], PauliGate) and gates[0].string == ps("X")
         assert isinstance(gates[1], Controlled)
         assert gates[1].controls == ((0, 1),)
@@ -744,8 +740,9 @@ class TestMonotoneBuilder:
 
     def test_wcc_matches_select_cost(self):
         terms = tfim3_terms()
-        _, gt, s, _ = optimize_pauli_select(terms)
+        table, _ = optimize_pauli_select(terms)
+        s = table.s
         regs = (("sel", s), ("system", 3))
-        circ = Circuit(regs, build_monotone_select(gt, tuple(range(s)),
+        circ = Circuit(regs, build_monotone_select(table, tuple(range(s)),
                                                    (s, s + 1, s + 2)))
-        assert cost_report(circ).weighted_control_cost == select_cost(gt) == 9
+        assert cost_report(circ).weighted_control_cost == select_cost(table) == 9

@@ -555,8 +555,8 @@ class TestSharedSelectTables:
         chan = simplify(higher_order(gen_tfim(sites, 1.0), 0.01,
                                      QuadratureSpec(*quad)))
         encodings = encode_channel(chan, "optimized")
-        # operators with equal key sets share one ModeTable and GTable
-        assert len(encodings) - len({id(e.gtable) for e in encodings}) == shared
+        # operators with equal key sets share one SelectTable
+        assert len(encodings) - len({id(e.table) for e in encodings}) == shared
         # every reader of the records runs before the comparison, so a
         # reader that changed a shared table would show below
         channel_lcu(chan, "optimized", True, encodings)
@@ -565,8 +565,9 @@ class TestSharedSelectTables:
         for k, enc in zip(chan.kraus, encodings):
             fresh = encode_kraus(k, "optimized")
             assert enc == fresh
-            assert list(enc.modes.entries.items()) == list(fresh.modes.entries.items())
-            assert list(enc.gtable.entries.items()) == list(fresh.gtable.entries.items())
+            assert list(enc.table.targets.items()) == list(fresh.table.targets.items())
+            assert list(enc.table.factors.items()) == list(fresh.table.factors.items())
+            assert list(enc.table.phases.items()) == list(fresh.table.phases.items())
 
     def test_tables_keyed_by_key_set_not_coefficients(self):
         # same keys in another order and with other coefficients: one set of
@@ -576,6 +577,6 @@ class TestSharedSelectTables:
         other = PauliSum(3, [(complex(rng.normal(), rng.normal()), p)
                              for _, p in reversed(k.terms)])
         a, b = encode_channel(ChannelExpr(3, [k, other]), "optimized")
-        assert a.modes is b.modes and a.gtable is b.gtable
+        assert a.table is b.table
         assert a.prep != b.prep
         assert b == encode_kraus(other, "optimized")
