@@ -40,7 +40,6 @@ from .ir import (
     lindblad_to_json,
     probe_states,
     trace_distance,
-    typecheck,
 )
 from .lindblad import (
     QuadratureSpec,
@@ -108,7 +107,8 @@ _positive_int = _int_from(1, "a positive integer")
 
 
 def load_input(path: str):
-    """Read a LindbladSpec or ChannelExpr JSON file, sniffing the kind."""
+    """Read a LindbladSpec or ChannelExpr JSON file, sniffing the kind; a
+    rewrite output ({"channel": ..., "trace": ...}) reads as its channel."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -123,11 +123,16 @@ def load_input(path: str):
             return channel_from_json(data)
         if "H" in data:
             return lindblad_from_json(data)
+        if "channel" in data:
+            if not isinstance(data["channel"], dict):
+                raise TypeError("channel must be a JSON object, got "
+                                f"{type(data['channel']).__name__}")
+            return channel_from_json(data["channel"])
     # OverflowError: an integer too large for a float
     except (TypecheckError, ValueError, LookupError, TypeError, AttributeError,
             OverflowError) as exc:
         raise CliError(f"{path} failed to parse: {exc}") from exc
-    raise CliError(f"{path}: expected a 'kraus' or 'H' key")
+    raise CliError(f"{path}: expected a 'kraus', 'H' or 'channel' key")
 
 
 def _parse_frontend(text: str):
@@ -197,7 +202,6 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
                    if (fl, om) == (flatten, order))
     mode = "optimized" if order else "naive"
     try:
-        typecheck(chan)
         chan = simplify(chan)
         trace = []
         if minimize_rank:

@@ -4,6 +4,8 @@ Two frontends share the LindbladSpec input: a symbolic first-order
 expansion that keeps coefficients exact in the Pauli algebra, and a
 Duhamel-series expansion that works densely (matrix exponentials force
 that) and converts each Kraus operator back to a Pauli sum afterwards.
+Both emit canonical sums, with coefficients at or below `pauli.ZERO_TOL`
+dropped.
 
 The exact reference exp(t L) rho that `verify` and `error-sweep` check
 against comes from `evolve`, which applies the generator to the probe
@@ -26,8 +28,6 @@ from .pauli import (
     identity_sum,
     pauli_decompose,
 )
-
-DECOMPOSE_TOL = 1e-12
 
 # Al-Mohy & Higham, "Computing the action of the matrix exponential" (SIAM
 # J. Sci. Comput. 2011): a degree-m Taylor step keeps a 2^-53 backward
@@ -140,7 +140,7 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
         raise ValueError(f"delta = {delta:g} overflows the order-"
                          f"{quad.expansion_order} expansion") from exc
     # pauli_decompose sums are already canonical: distinct bare strings, each
-    # with |c| > DECOMPOSE_TOL; the drift Kraus always carries the identity
+    # with |c| > ZERO_TOL; the drift Kraus always carries the identity
     return ChannelExpr(spec.n, [s for s in sums if s.terms])
 
 
@@ -149,7 +149,7 @@ def _duhamel_sums(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
     """higher_order's Kraus operators, empty ones included."""
     j, jump_mats = _drift_generator(spec, cap)
     sums = [pauli_decompose(_taylor_exp(j, delta, quad.drift_taylor_order),
-                            spec.n, DECOMPOSE_TOL, cap)]
+                            spec.n, cap=cap)]
     if jump_mats:
         nodes, weights = _unit_legendre(quad.nodes_per_level)
         for level in range(1, quad.expansion_order + 1):
@@ -175,8 +175,7 @@ def _duhamel_sums(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
                     for i in range(level):
                         op = jump_mats[jump_idx[i]] @ op
                         op = drifts[i] @ op
-                    sums.append(pauli_decompose(sqrt(scalar) * op, spec.n,
-                                                DECOMPOSE_TOL, cap))
+                    sums.append(pauli_decompose(sqrt(scalar) * op, spec.n, cap=cap))
     return sums
 
 

@@ -29,6 +29,8 @@ DEFAULT_QUBIT_CAP = 14
 # entries per dense_sum scatter: bounds its index and value scratch arrays
 _SCATTER_ENTRIES = 1 << 18
 _CAP_ENV = "QCHANC_CAP"
+# the one zero tolerance: canonical forms and expansions drop |c| <= ZERO_TOL
+ZERO_TOL = 1e-12
 
 
 class TypecheckError(ValueError):
@@ -74,9 +76,6 @@ class PauliString:
         if self.phase_exp == 0:
             return self
         return PauliString(self.n, self.x_mask, self.z_mask, 0)
-
-    def key(self) -> tuple[int, int]:
-        return (self.x_mask, self.z_mask)
 
     def is_identity(self) -> bool:
         return self.x_mask == 0 and self.z_mask == 0
@@ -287,8 +286,9 @@ def fold_terms(pairs, tol: float | None = None) -> dict:
     into coefficients (only then is a primitive rebuilt, by bare()), equal
     primitives summed and, given a tol, terms with |c| <= tol dropped.  A
     bare PauliString's key is (n, x_mask, z_mask), whose tuple hash is
-    cheaper than the dataclass's; an opaque primitive is its own key.  First
-    coefficients are kept as given."""
+    cheaper than the dataclass's, and the one key a string is looked up by;
+    an opaque primitive is its own key.  First coefficients are kept as
+    given."""
     acc: dict = {}
     for coeff, prim in pairs:
         if prim.phase_exp:
@@ -305,7 +305,7 @@ def fold_terms(pairs, tol: float | None = None) -> dict:
     return acc
 
 
-def canonicalize_sum(s: PauliSum, tol: float = 1e-12) -> PauliSum:
+def canonicalize_sum(s: PauliSum, tol: float = ZERO_TOL) -> PauliSum:
     """fold_terms of the sum: bare strings in first-appearance order, terms
     with |c| <= tol dropped."""
     return PauliSum(s.n, list(fold_terms(s.terms, tol).values()))
@@ -320,7 +320,7 @@ def is_hermitian_sum(s: PauliSum, tol: float = 1e-10) -> bool:
     return sums_close(s, s.dagger(), tol)
 
 
-def pauli_decompose(m: np.ndarray, n: int | None = None, tol: float = 1e-12,
+def pauli_decompose(m: np.ndarray, n: int | None = None, tol: float = ZERO_TOL,
                     cap: int | None = None) -> PauliSum:
     """Expand a dense matrix over bare Pauli strings, coeff = Tr(P^dag m)/2^n,
     with one Walsh-Hadamard transform (O(n 4^n) work for all 4^n strings).

@@ -3,10 +3,16 @@
 Rule set: PS1 (term merging), PS2 (zero-term elimination), K1 (zero Kraus
 elimination), K2 (global phase elimination), C1 (Kraus permutation), C2
 (Kraus unitary transform), C2p (two-Kraus unitary transform), C3 (Kraus
-merging), C3p (two-Kraus merging).  minimize_kraus_rank drives the channel
-to the minimal Kraus count via C3 merges, one C2 and K1 eliminations.  The
-C2 unitary comes from one eigh of the m x m Gram matrix of the operators'
-coefficient rows; inside a degenerate eigenspace its basis is the one
+merging), C3p (two-Kraus merging).  The canonical form they rest on is
+`pauli.fold_terms` with its one zero tolerance `pauli.ZERO_TOL`: PS1 is the
+fold, PS2 the drop.
+
+minimize_kraus_rank drives the channel to the minimal Kraus count via C3
+merges, one C2 and K1 eliminations.  It folds each operator once, groups
+proportional operators by their folds and merges each group with the C3
+scale, from the ratios it found while grouping.  The C2 unitary comes from
+one eigh of the m x m Gram matrix of the operators' coefficient rows, over
+the fold keys; inside a degenerate eigenspace its basis is the one
 Gram-Schmidt builds from the projected row axes, in order.
 """
 
@@ -19,7 +25,7 @@ import numpy as np
 
 from .ir import (ChannelExpr, eval_kraus, matrix_from_json, matrix_to_json,
                  typecheck)
-from .pauli import PauliString, PauliSum, fold_terms
+from .pauli import ZERO_TOL, PauliString, PauliSum, canonicalize_sum, fold_terms
 
 # rule -> the argument keys it reads; any other key is rejected
 RULES = {
@@ -36,7 +42,6 @@ RULES = {
 
 UNITARY_TOL = 1e-10
 PROP_TOL = 1e-10
-ZERO_TOL = 1e-12
 # largest `tol` PS2 and K1 accept: a larger one could drop a term or an
 # operator that changes the channel
 MAX_RULE_TOL = 1e-6
@@ -54,19 +59,8 @@ class RuleNotApplicable(RewriteError):
     pass
 
 
-def merge_terms(k: PauliSum) -> PauliSum:
-    """PS1: fold Pauli phases into coefficients and merge duplicate terms."""
-    return PauliSum(k.n, list(fold_terms(k.terms).values()))
-
-
-def drop_zero_terms(k: PauliSum, tol: float = ZERO_TOL) -> PauliSum:
-    """PS2."""
-    return PauliSum(k.n, [(c, p) for c, p in k.terms if abs(c) > tol])
-
-
-def canonical_kraus(k: PauliSum, tol: float = ZERO_TOL) -> PauliSum:
-    """PS1 then PS2."""
-    return PauliSum(k.n, list(fold_terms(k.terms, tol).values()))
+# PS1 then PS2, kept as a name: perfbench/tracing.py counts calls through it
+canonical_kraus = canonicalize_sum
 
 
 def combine_kraus(n: int, pairs) -> PauliSum:
@@ -74,16 +68,15 @@ def combine_kraus(n: int, pairs) -> PauliSum:
     terms = []
     for c, k in pairs:
         terms.extend((c * a, p) for a, p in k.terms)
-    return canonical_kraus(PauliSum(n, terms))
+    return canonicalize_sum(PauliSum(n, terms))
 
 
-def proportionality(a: PauliSum, b: PauliSum, tol: float = PROP_TOL):
+def proportionality(a: PauliSum, b: PauliSum):
     """Ratio r with b = r*a in canonical form, or None."""
-    return _folded_ratio(fold_terms(a.terms, ZERO_TOL),
-                         fold_terms(b.terms, ZERO_TOL), tol)
+    return _folded_ratio(fold_terms(a.terms, ZERO_TOL), fold_terms(b.terms, ZERO_TOL))
 
 
-def _folded_ratio(da: dict, db: dict, tol: float = PROP_TOL):
+def _folded_ratio(da: dict, db: dict):
     """proportionality of two fold_terms results."""
     if set(da) != set(db):
         return None
@@ -92,13 +85,18 @@ def _folded_ratio(da: dict, db: dict, tol: float = PROP_TOL):
     anchor, (ca, _) = max(da.items(), key=lambda item: abs(item[1][0]))
     r = db[anchor][0] / ca
     scale = max(1.0, max(abs(c) for c, _ in db.values()))
-    if all(abs(db[key][0] - r * c) <= tol * scale for key, (c, _) in da.items()):
+    if all(abs(db[key][0] - r * c) <= PROP_TOL * scale for key, (c, _) in da.items()):
         return r
     return None
 
 
+def _c3_scale(ratios):
+    """C3's factor sqrt(1 + sum |r_i|^2) on a lead whose members are r_i times it."""
+    return np.sqrt(1.0 + sum(abs(r) ** 2 for r in ratios))
+
+
 def is_zero_kraus(k: PauliSum, tol: float = 1e-8, cap: int | None = None) -> bool:
-    kc = canonical_kraus(k, tol=0.0)
+    kc = canonicalize_sum(k, tol=0.0)
     if not kc.terms:
         return True
     if all(isinstance(p, PauliString) for _, p in kc.terms):
@@ -164,13 +162,14 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
     if rule == "PS1":
         j = index("kraus")
         out = list(c.kraus)
-        out[j] = merge_terms(out[j])
+        out[j] = PauliSum(c.n, list(fold_terms(out[j].terms).values()))
         return ChannelExpr(c.n, out)
 
     if rule == "PS2":
         j = index("kraus")
+        t = tol(ZERO_TOL)
         out = list(c.kraus)
-        out[j] = drop_zero_terms(out[j], tol(ZERO_TOL))
+        out[j] = PauliSum(c.n, [(a, p) for a, p in out[j].terms if abs(a) > t])
         return ChannelExpr(c.n, out)
 
     if rule == "K1":
@@ -234,9 +233,8 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
                 raise RuleNotApplicable(
                     f"{rule}: Kraus {j} is not proportional to Kraus {lead}")
             ratios.append(r)
-        factor = np.sqrt(1.0 + sum(abs(r) ** 2 for r in ratios))
         out = list(c.kraus)
-        out[lead] = out[lead].scaled(factor)
+        out[lead] = out[lead].scaled(_c3_scale(ratios))
         for j in reversed(idxs[1:]):
             del out[j]
         return ChannelExpr(c.n, out)
@@ -268,33 +266,35 @@ def _axis_basis(y: np.ndarray, floor: float) -> np.ndarray:
     return basis
 
 
-def _merge_proportional(kraus: list[PauliSum], n: int, trace: list) -> list[PauliSum]:
+def _merge_proportional(kraus: list[PauliSum], trace: list) -> list[dict]:
+    """The canonical forms, as fold_terms dicts, of the operators after one C3
+    per group of proportional operators, each recorded in trace."""
     # operators with different canonical key sets are never proportional, so
     # each one is folded once and compared only with the groups of its key set
     folds = [fold_terms(k.terms, ZERO_TOL) for k in kraus]
-    groups: list[list[int]] = []
-    buckets: dict[frozenset, list[list[int]]] = {}
+    groups: list[tuple[int, list]] = []  # (lead, [(member, ratio), ...])
+    buckets: dict[frozenset, list[tuple[int, list]]] = {}
     for j, fold in enumerate(folds):
         bucket = buckets.setdefault(frozenset(fold), [])
-        for g in bucket:
-            if _folded_ratio(folds[g[0]], fold) is not None:
-                g.append(j)
+        for lead, members in bucket:
+            if (r := _folded_ratio(folds[lead], fold)) is not None:
+                members.append((j, r))
                 break
         else:
-            bucket.append([j])
+            bucket.append((j, []))
             groups.append(bucket[-1])
-    work = ChannelExpr(n, list(kraus))
     tags = list(range(len(kraus)))  # original index of each remaining operator
-    for g in groups:
-        if len(g) < 2:
+    for lead, members in groups:
+        if not members:
             continue
-        pos = [tags.index(t) for t in g]
-        work = apply_rule(work, "C3", {"indices": pos})
+        pos = [tags.index(t) for t in (lead, *(j for j, _ in members))]
         for p in reversed(pos[1:]):
             del tags[p]
+        scale = _c3_scale([r for _, r in members])
+        folds[lead] = {key: (scale * c, p) for key, (c, p) in folds[lead].items()}
         trace.append({"rule": "C3", "args": {"indices": pos},
-                      "kraus_count_after": len(work.kraus)})
-    return work.kraus
+                      "kraus_count_after": len(tags)})
+    return [folds[t] for t in tags]
 
 
 def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
@@ -308,32 +308,28 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
     typecheck(c)
     n = c.n
     trace: list[dict] = []
-    work = [canonical_kraus(k) for k in c.kraus]
-    work = _merge_proportional(work, n, trace)
+    work = _merge_proportional(c.kraus, trace)
     m = len(work)
     if m == 0:
         return ChannelExpr(n, []), trace
 
-    # one coefficient row per operator over the keys (the canonical, bare
-    # primitives): Pauli strings by (z_mask, x_mask), then opaque references
-    # in first-appearance order.  A string's column is keyed by its masks,
-    # as in pauli.fold_terms, which hashes cheaper than the dataclass.
-    def column(p):
-        return (p.z_mask, p.x_mask) if type(p) is PauliString else p
-
-    seen: dict = {}  # column key -> the first primitive with it
-    for k in work:
-        for _, p in k.terms:
-            seen.setdefault(column(p), p)
-    order = sorted(key for key, p in seen.items() if type(p) is PauliString)
+    # one coefficient row per operator over the fold keys (the canonical,
+    # bare primitives): Pauli strings by (z_mask, x_mask), then opaque
+    # references in first-appearance order
+    seen: dict = {}  # fold key -> the first primitive with it
+    for fold in work:
+        for key, (_, p) in fold.items():
+            seen.setdefault(key, p)
+    order = sorted((key for key, p in seen.items() if type(p) is PauliString),
+                   key=lambda key: (key[2], key[1]))
     pauli_only = len(order) == len(seen)
     order += [key for key, p in seen.items() if type(p) is not PauliString]
     keys = [seen[key] for key in order]
     col = {key: i for i, key in enumerate(order)}
     w = np.zeros((m, len(keys)), dtype=complex)
-    for j, k in enumerate(work):
-        for coeff, p in k.terms:
-            w[j, col[column(p)]] = coeff
+    for j, fold in enumerate(work):
+        for key, (coeff, _) in fold.items():
+            w[j, col[key]] = coeff
     with np.errstate(over="ignore", invalid="ignore"):
         # bare Pauli strings are orthogonal, so their coefficients are the rows
         rows = w if pauli_only else w @ np.array(
@@ -380,7 +376,7 @@ def simplify(c: ChannelExpr) -> ChannelExpr:
     typecheck(c)
     out = []
     for k in c.kraus:
-        kc = canonical_kraus(k)
+        kc = canonicalize_sum(k)
         if not kc.terms:
             continue
         lead = kc.terms[0][0]

@@ -28,7 +28,7 @@ from .circuits import (
     ToffoliUncompute,
     controlled,
 )
-from .pauli import PauliString, PauliSum, canonicalize_sum, multiply, weight
+from .pauli import ZERO_TOL, PauliString, fold_terms, multiply, weight
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,24 +269,23 @@ def optimize_pauli_select(terms: list[tuple[complex, PauliString]],
     Returns (SelectTable, y) where y is the 2^s PREPARE vector: the
     phase-corrected coefficient at each used address, zero elsewhere.  Only
     y reads the coefficients: the table depends on the set of canonical
-    keys, and `tables`, when given, keeps it by (n, key set) for the next sum
-    with the same keys.
+    keys, and `tables`, when given, keeps it by that key set (fold_terms
+    keys, which hold n) for the next sum with the same keys.
     """
     if not terms:
         raise ValueError("empty term list")
     n = terms[0][1].n
-    canon = canonicalize_sum(PauliSum(n, list(terms)))
-    if not canon.terms:
+    folded = fold_terms(terms, ZERO_TOL)
+    if not folded:
         raise ValueError("all coefficients vanish")
-    coeffs = {p.key(): c for c, p in canon.terms}
     if tables is None:
         tables = {}
-    keyset = (n, frozenset(coeffs))
+    keyset = frozenset(folded)
     if (table := tables.get(keyset)) is None:
-        table = tables[keyset] = _select_tables(n, [p for _, p in canon.terms])
+        table = tables[keyset] = _select_tables(n, [p for _, p in folded.values()])
     y = [0j] * (1 << table.s)
     for addr, p in table.targets.items():
-        y[addr] = coeffs[p.key()] * (1j) ** table.phases[addr]
+        y[addr] = folded[p.n, p.x_mask, p.z_mask][0] * (1j) ** table.phases[addr]
     return table, y
 
 

@@ -34,8 +34,7 @@ from .circuits import (
     cost_from_shapes,
 )
 from .ir import BlockEncRef, ChannelExpr, TypecheckError, typecheck
-from .pauli import PauliString, PauliSum, weight
-from .rewrite import canonical_kraus
+from .pauli import PauliString, PauliSum, canonicalize_sum, weight
 from .select_opt import (
     SelectTable,
     build_monotone_select,
@@ -126,7 +125,7 @@ def encode_kraus(k: PauliSum, select_mode: str = "naive",
     optimize_pauli_select)."""
     if select_mode not in SELECT_MODES:
         raise ValueError(f"unknown select mode {select_mode!r}")
-    terms = tuple(canonical_kraus(k).terms)
+    terms = tuple(canonicalize_sum(k).terms)
     paulis = [(c, p) for c, p in terms if isinstance(p, PauliString)]
     blocks = [(c, p) for c, p in terms if not isinstance(p, PauliString)]
     if blocks and paulis:
@@ -297,9 +296,3 @@ def cost_cells(encodings: list[KrausEncoding]) -> dict[bool, CostReport]:
         cells[flatten] = cost_from_shapes(shapes, toffolis,
                                           ell + flat_width + be_width)
     return cells
-
-
-def cost_from_encodings(encodings: list[KrausEncoding],
-                        flatten: bool = False) -> CostReport:
-    """One cell of cost_cells."""
-    return cost_cells(encodings)[flatten]

@@ -44,18 +44,19 @@ def run(capsys, *argv):
 
 
 def replay_trace(capsys, tmp_path, path, entries):
-    """Apply each trace entry with `rewrite --rule --rule-args`, checking the
-    Kraus count after each; returns the last channel document."""
+    """Apply each trace entry with `rewrite --rule --rule-args`, each step
+    reading the previous step's output, checking the Kraus count after each;
+    returns the last channel document."""
     doc = None
     for i, entry in enumerate(entries):
-        out = tmp_path / f"step{i}.json"
+        out = str(tmp_path / f"step{i}.json")
         code, _, err = run(capsys, "rewrite", path, "--rule", entry["rule"],
                            "--rule-args", json.dumps(entry["args"]),
-                           "--out", str(out))
+                           "--out", out)
         assert (code, err) == (0, ""), (i, entry["rule"])
-        doc = json.loads(out.read_text())["channel"]
+        doc = json.loads(Path(out).read_text())["channel"]
         assert len(doc["kraus"]) == entry["kraus_count_after"]
-        path = write_json(tmp_path / f"chan{i}.json", doc)
+        path = out
     return doc
 
 
@@ -915,6 +916,43 @@ class TestRewrite:
         c2 = rules.index("C2")
         assert set(rules[:c2]) == {"C3"} and set(rules[c2 + 1:]) == {"K1"}
         replay_trace(capsys, tmp_path, path, trace[:c2 + 1])
+
+    def test_rewrite_output_reads_back(self, tmp_path, capsys):
+        # a rewrite's {"channel", "trace"} document is itself an input
+        path = write_json(tmp_path / "c.json",
+                          channel_to_json(gen_hypercube_like(8, seed=0)))
+        minimized = str(tmp_path / "min.json")
+        code, _, err = run(capsys, "rewrite", path, "--minimize-rank",
+                           "--out", minimized)
+        assert (code, err) == (0, "")
+        want = json.loads(Path(minimized).read_text())["channel"]
+        perm = list(range(len(want["kraus"])))[::-1]
+        code, stdout, err = run(capsys, "rewrite", minimized, "--rule", "C1",
+                                "--rule-args", json.dumps({"perm": perm}))
+        assert (code, err) == (0, "")
+        assert json.loads(stdout)["channel"]["kraus"] == want["kraus"][::-1]
+        # compiled as the channel it holds, byte for byte
+        extracted = write_json(tmp_path / "chan.json", want)
+        for name, src in (("doc", minimized), ("chan", extracted)):
+            code, _, err = run(capsys, "compile", src, "--frontend", "channel",
+                               "--order", "--out", str(tmp_path / name))
+            assert (code, err) == (0, "")
+        for f in ("report.json", "circuit.json"):
+            assert ((tmp_path / "doc" / f).read_bytes()
+                    == (tmp_path / "chan" / f).read_bytes())
+        report = json.loads((tmp_path / "doc" / "report.json").read_text())
+        assert report["kraus_count"] == len(want["kraus"])
+
+    @pytest.mark.parametrize("doc", [{"channel": 5}, {"channel": {"n": 1}}],
+                             ids=["number", "no-kraus"])
+    def test_bad_channel_document_rejected(self, tmp_path, capsys, doc):
+        bad = write_json(tmp_path / "bad.json", doc)
+        for argv in (("rewrite", bad, "--minimize-rank"),
+                     ("compile", bad, "--frontend", "channel",
+                      "--out", str(tmp_path / "x"))):
+            code, stdout, err = run(capsys, *argv)
+            assert (code, stdout) == (2, "")
+            assert f"{bad} failed to parse" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("n, argv", [
         (-1, ("--rule", "C1", "--rule-args", '{"perm": []}')),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qchanc import rewrite
 from qchanc.ir import (
     BlockEncRef,
     ChannelExpr,
@@ -17,6 +18,7 @@ from qchanc.rewrite import (
     RANK_RTOL,
     InvalidRuleArgs,
     RuleNotApplicable,
+    _merge_proportional,
     apply_rule,
     canonical_kraus,
     minimize_kraus_rank,
@@ -381,13 +383,13 @@ def quadratic_form_spectrum(c):
     form w^T conj(w) of a Pauli channel: the same nonzero spectrum as its Gram
     matrix, taken the long way as a reference."""
     kraus = [canonical_kraus(k) for k in c.kraus]
-    keys = sorted({p.key() for k in kraus for _, p in k.terms},
+    keys = sorted({(p.x_mask, p.z_mask) for k in kraus for _, p in k.terms},
                   key=lambda t: (t[1], t[0]))
     col = {key: i for i, key in enumerate(keys)}
     w = np.zeros((len(kraus), len(keys)), dtype=complex)
     for j, k in enumerate(kraus):
         for coeff, prim in k.terms:
-            w[j, col[prim.key()]] = coeff
+            w[j, col[prim.x_mask, prim.z_mask]] = coeff
     lam = np.sort(np.linalg.eigvalsh(w.T @ w.conj()))[::-1]
     return lam[lam > RANK_RTOL * max(lam[0], 0.0)]
 
@@ -480,3 +482,71 @@ def test_minimize_coefficients_ignore_input_rotation():
             a = {p: c for c, p in ka.terms}
             b = {p: c for c, p in kb.terms}
             assert max(abs(a.get(p, 0) - b.get(p, 0)) for p in a.keys() | b.keys()) <= 1e-6
+
+
+# the benchmark's simplified rank-minimization inputs: (sites, quadrature)
+BENCH_CHANNELS = {
+    "tfim2o3": (2, (3, 3, 2)),  # 85 Kraus operators
+    "tfim3o2": (3, (2, 2, 2)),  # 43
+    "tfim4o221": (4, (2, 2, 1)),  # 21
+}
+
+
+def bench_channel(name):
+    sites, quad = BENCH_CHANNELS[name]
+    return simplify(higher_order(gen_tfim(sites, 1.0), 0.01, QuadratureSpec(*quad)))
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_CHANNELS))
+def test_minimize_folds_each_operator_once(monkeypatch, name):
+    chan = bench_channel(name)
+    calls = {"fold_terms": 0, "apply_rule": 0}
+
+    def counting(fn_name):
+        real = getattr(rewrite, fn_name)
+
+        def wrapper(*args, **kwargs):
+            calls[fn_name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for fn_name in calls:
+        monkeypatch.setattr(rewrite, fn_name, counting(fn_name))
+    minimize_kraus_rank(chan)
+    assert calls == {"fold_terms": len(chan.kraus), "apply_rule": 0}
+
+
+def bits(k_terms):
+    """(real bits, imaginary bits, primitive) per term: equal lists mean
+    equal coefficients to the bit, signed zeros included."""
+    return [(complex(c).real.hex(), complex(c).imag.hex(), p) for c, p in k_terms]
+
+
+def planted_channel(rng):
+    """A random channel plus scaled copies of some of its operators, their
+    terms reversed, inserted at random positions."""
+    chan = random_channel(rng)
+    kraus = list(chan.kraus)
+    for _ in range(int(rng.integers(1, 5))):
+        k = kraus[int(rng.integers(len(kraus)))]
+        r = complex(rng.normal(), rng.normal())
+        copy = PauliSum(chan.n, [(r * c, p) for c, p in reversed(k.terms)])
+        kraus.insert(int(rng.integers(len(kraus) + 1)), copy)
+    return ChannelExpr(chan.n, kraus)
+
+
+@pytest.mark.parametrize("seed", [None, *range(30)],
+                         ids=["tfim2o3", *(f"planted{s}" for s in range(30))])
+def test_merge_equals_c3_replay(seed):
+    chan = (bench_channel("tfim2o3") if seed is None
+            else planted_channel(np.random.default_rng(seed)))
+    trace = []
+    folds = _merge_proportional(chan.kraus, trace)
+    assert trace and {entry["rule"] for entry in trace} == {"C3"}
+    work = ChannelExpr(chan.n, [canonical_kraus(k) for k in chan.kraus])
+    for entry in trace:
+        work = apply_rule(work, "C3", entry["args"])
+        assert len(work.kraus) == entry["kraus_count_after"]
+    assert len(folds) == len(work.kraus)
+    for fold, k in zip(folds, work.kraus):
+        assert bits(fold.values()) == bits(k.terms)

@@ -25,7 +25,7 @@ from qchanc.synth import (
     block_encode,
     channel_alphas,
     channel_lcu,
-    cost_from_encodings,
+    cost_cells,
     encode_channel,
     encode_kraus,
     encode_kraus_gates,
@@ -534,12 +534,12 @@ class TestCostFromEncodings:
             for mode in ("naive", "optimized"):
                 encodings = encode_channel(c, mode)
                 for fl in (False, True):
-                    assert (cost_from_encodings(encodings, fl)
+                    assert (cost_cells(encodings)[fl]
                             == cost_report(channel_lcu(c, mode, fl, encodings)))
 
     def test_empty_channel_rejected(self):
         with pytest.raises(ValueError, match="no Kraus"):
-            cost_from_encodings([], True)
+            cost_cells([])
 
 
 class TestSharedSelectTables:
@@ -560,7 +560,7 @@ class TestSharedSelectTables:
         # every reader of the records runs before the comparison, so a
         # reader that changed a shared table would show below
         channel_lcu(chan, "optimized", True, encodings)
-        cost_from_encodings(encodings, True)
+        cost_cells(encodings)
         _select_audits(encodings)
         for k, enc in zip(chan.kraus, encodings):
             fresh = encode_kraus(k, "optimized")
