@@ -26,12 +26,15 @@ done < replay-smoke/steps.txt
 qchanc rewrite "$cur" --minimize-rank --out replay-smoke/again.json
 python -c 'import json, sys; want, got, again = (len(json.load(open(f))["channel"]["kraus"]) for f in sys.argv[1:4]); print("steps:", sys.argv[4], "kraus_count:", got, "again:", again, "written:", want); sys.exit(got != want or again != want or sys.argv[4] == "0")' replay-smoke/min.json "$cur" replay-smoke/again.json "$i"
 
-# Benchmark: one short pass of each workload, and one traced compile pass
-# (the tracer wraps functions by object identity, aliases included)
+# Benchmark: one short pass of each workload, and one traced pass of each
+# (the tracer wraps functions by object identity, aliases included; the
+# simulate pass drives its hooks through verify and error-sweep)
 check='import json, sys; r = json.loads(sys.stdin.read()); print(sys.argv[1], "correct:", r["correct"], "failed:", r["failed"]); sys.exit(not (r["correct"] is True and r["failed"] == 0))'
 for w in compile simulate; do
   python perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 > "smoke-$w.out"
   tail -n 1 "smoke-$w.out" | python -c "$check" "$w"
 done
-python perfbench/run.py --workload compile --seed 1 --seconds 1 --trace 1 > smoke-compile-trace.out
-tail -n 1 smoke-compile-trace.out | python -c "$check" "compile --trace 1"
+for w in compile simulate; do
+  python perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 1 > "smoke-$w-trace.out"
+  tail -n 1 "smoke-$w-trace.out" | python -c "$check" "$w --trace 1"
+done

@@ -36,7 +36,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .ir import _pair2c, matrix_from_json, matrix_to_json, require_int, validate_density
+from .ir import (_pair2c, kraus_action, matrix_from_json, matrix_to_json,
+                 require_int, validate_density)
 from .pauli import PauliString, check_cap, from_label, pauli_action, weight
 
 PREP_TOL = 1e-10
@@ -285,37 +286,27 @@ def system_isometry(c: Circuit, cap: int | None = None) -> np.ndarray:
     return apply_circuit(c, cols, cap)
 
 
-def run_channel(c: Circuit, states,
-                cap: int | None = None) -> list[tuple[np.ndarray, float]]:
-    """Postselected, partially traced action on system density matrices.
+def run_channel(c: Circuit, rhos,
+                cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Postselected, partially traced action on a system density matrix or
+    each of a stack: (unnormalized outputs, success probabilities).
 
     be_anc is postselected on zero and every other register but the system
-    is traced out.  Simulates the circuit once (one column per system basis
-    state) and returns one (unnormalized output density matrix, success
-    probability) pair per state in `states`.
+    is traced out.  The circuit is simulated once (one column per system
+    basis state); its be_anc = 0 blocks, one per traced basis state, are the
+    effective Kraus matrices that `ir.kraus_action` applies.
     """
     names = [name for name, _ in c.registers]
     if "be_anc" not in names:
         raise KeyError("no register named 'be_anc'")
     n = c.reg_size("system")
-    rhos = [validate_density(rho, n) for rho in states]
+    rhos = validate_density(rhos, n)
     w = system_isometry(c, cap)
     dims = [1 << s for _, s in c.registers] + [1 << n]
     # one axis per register (the system last), then system-in; keep be_anc = 0
     w = np.take(w.reshape(dims), 0, axis=names.index("be_anc"))
-    # w now has one axis per traced register, then system-out, system-in:
-    # out = sum_a W_a rho W_a^dag, as (V rho) against conj(W) with the
-    # traced axis a moved next to the contracted system-in axis
-    dim = 1 << n
-    flat = w.reshape(-1, dim, dim)
-    v = flat.reshape(-1, dim)
-    right = flat.conj().transpose(1, 0, 2).reshape(dim, -1).T
-    results = []
-    for rho in rhos:
-        left = (v @ rho).reshape(-1, dim, dim).transpose(1, 0, 2).reshape(dim, -1)
-        out = left @ right
-        results.append((out, float(np.real(np.trace(out)))))
-    return results
+    outs = kraus_action(w.reshape(-1, 1 << n, 1 << n), rhos)
+    return outs, np.trace(outs, axis1=-2, axis2=-1).real
 
 
 # --- cost metrics -----------------------------------------------------------

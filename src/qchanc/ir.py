@@ -4,9 +4,9 @@ A channel is a list of Kraus operators; each Kraus operator is a
 `pauli.PauliSum`, a complex combination of primitives.  Primitives are
 either Pauli strings (phases restricted to powers of i; any other phase
 belongs in the coefficient) or opaque references to externally supplied
-block encodings.  Dense semantics: apply_channel(C, [rho]) =
-[sum_i K_i rho K_i^dag], with each K_i from eval_kraus, the one dense
-evaluator of a term list.
+block encodings.  Dense semantics: apply_channel(C, rhos) = [sum_i K_i rho
+K_i^dag for each rho of a stack], with each K_i from eval_kraus (the one dense
+evaluator of a term list) and the sum from kraus_action (the one kernel).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -141,60 +141,64 @@ def _dense_operand(prim: Primitive):
     return prim.matrix
 
 
-def validate_density(rho: np.ndarray, n: int, tol: float = 1e-9) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (1 << n, 1 << n):
+def validate_density(rhos, n: int, tol: float = 1e-9) -> np.ndarray:
+    """A 2^n x 2^n density matrix, or a stack of them, as complex."""
+    rhos = np.asarray(rhos, dtype=complex)
+    if rhos.shape[-2:] != (1 << n, 1 << n):
         raise ValueError("density matrix has the wrong shape")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
+    if np.any(np.abs(rhos - rhos.conj().swapaxes(-1, -2)) > tol):
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if np.any(np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0) > tol):
         raise ValueError("density matrix trace is not 1")
-    if np.linalg.eigvalsh(rho).min() < -1e-10:
+    if np.any(np.linalg.eigvalsh(rhos) < -1e-10):
         raise ValueError("density matrix is not positive semidefinite")
-    return rho
+    return rhos
 
 
-def apply_channel(c: ChannelExpr, states, cap: int | None = None) -> list[np.ndarray]:
-    """sum_i K_i rho K_i^dag for each validated density matrix in `states`.
-
-    Each Kraus operator is evaluated once for all the states.
-    """
-    rhos = [validate_density(rho, c.n) for rho in states]
-    mats = [(m, m.conj().T) for m in (eval_kraus(k, cap) for k in c.kraus)]
-    outs = []
-    for rho in rhos:
-        out = np.zeros_like(rho)
-        for m, m_dag in mats:
-            out += m @ rho @ m_dag
-        outs.append(out)
+def kraus_action(ks: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """sum_a K_a rho K_a^dag for a d x d rho or each rho of a stack, from an
+    (a, d, d) Kraus stack: per state, (K_1 rho, ..., K_a rho) side by side
+    times the stacked K_a^dag, so memory is O(a d^2) whatever the count."""
+    dim = rhos.shape[-1]
+    v = ks.reshape(-1, dim)
+    right = ks.conj().transpose(1, 0, 2).reshape(dim, -1).T
+    outs = np.empty(rhos.shape, dtype=complex)
+    for i in np.ndindex(rhos.shape[:-2]):
+        left = (v @ rhos[i]).reshape(-1, dim, dim).transpose(1, 0, 2).reshape(dim, -1)
+        outs[i] = left @ right
     return outs
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2)||a - b||_1 for Hermitian a, b."""
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(a - b))))
+def apply_channel(c: ChannelExpr, rhos, cap: int | None = None) -> np.ndarray:
+    """The channel on a validated density matrix or on each of a stack;
+    each Kraus operator is evaluated once for all the states."""
+    rhos = validate_density(rhos, c.n)
+    ks = np.array([eval_kraus(k, cap) for k in c.kraus], dtype=complex)
+    return kraus_action(ks.reshape(-1, 1 << c.n, 1 << c.n), rhos)
 
 
-def haar_states(n: int, count: int, seed: int = 7) -> list[np.ndarray]:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(1/2)||a - b||_1 for Hermitian a, b, or one per matrix of two stacks."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+
+
+def haar_states(n: int, count: int, seed: int = 7) -> np.ndarray:
+    """A (count, 2^n, 2^n) stack of Haar-random pure states."""
     rng = np.random.default_rng(seed)
     dim = 1 << n
-    out = []
-    for _ in range(count):
+    out = np.empty((count, dim, dim), dtype=complex)
+    for rho in out:
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         v /= np.linalg.norm(v)
-        out.append(np.outer(v, v.conj()))
+        rho[...] = np.outer(v, v.conj())
     return out
 
 
-def probe_states(n: int, samples: int = 32, seed: int = 7) -> list[np.ndarray]:
-    """Computational basis states plus Haar-random pure states."""
-    dim = 1 << n
-    basis = []
-    for i in range(dim):
-        rho = np.zeros((dim, dim), dtype=complex)
-        rho[i, i] = 1.0
-        basis.append(rho)
-    return basis + haar_states(n, samples, seed)
+def probe_states(n: int, samples: int = 32, seed: int = 7) -> np.ndarray:
+    """The (2^n + samples, 2^n, 2^n) probe stack: computational basis
+    states, then Haar-random pure states."""
+    eye = np.eye(1 << n, dtype=complex)
+    return np.concatenate([eye[:, :, None] * eye[:, None], haar_states(n, samples, seed)])
 
 
 def channel_distance(a: ChannelExpr, b: ChannelExpr, samples: int = 32,
@@ -203,11 +207,8 @@ def channel_distance(a: ChannelExpr, b: ChannelExpr, samples: int = 32,
     if a.n != b.n:
         raise TypecheckError("channel sizes differ")
     states = probe_states(a.n, samples, seed)
-    worst = 0.0
-    for out_a, out_b in zip(apply_channel(a, states, cap),
-                            apply_channel(b, states, cap)):
-        worst = max(worst, trace_distance(out_a, out_b))
-    return worst
+    return float(trace_distance(apply_channel(a, states, cap),
+                                apply_channel(b, states, cap)).max())
 
 
 # --- JSON forms ------------------------------------------------------------
@@ -353,7 +354,11 @@ def _pauli_terms_in_bulk(terms, n: int) -> list | None:
     z = ((codes >> 1) << sites).sum(axis=1, dtype=np.uint64)
     # a view keeps each part as given; re + 1j*im can drop a zero's sign
     coeffs = re_im.view(complex).tolist()
-    return list(zip(coeffs, _unchecked_strings(n, x.tolist(), z.tolist(), phases)))
+    # one shared string per distinct (x, z, i-power): operators reuse few
+    keys = list(zip(x.tolist(), z.tolist(), [e % 4 for e in phases]))
+    strings = dict.fromkeys(keys)
+    strings = dict(zip(strings, _unchecked_strings(n, *zip(*strings))))
+    return list(zip(coeffs, map(strings.__getitem__, keys)))
 
 
 def pauli_sum_from_json(terms, n: int) -> PauliSum:
@@ -376,8 +381,17 @@ def _sites_from_json(d: dict) -> int:
 
 
 def channel_from_json(d: dict) -> ChannelExpr:
+    """All operators are read in one bulk pass, so a string they share is
+    built once; a channel with an irregular term is read operator by operator."""
     n = _sites_from_json(d)
-    c = ChannelExpr(n, [pauli_sum_from_json(terms, n) for terms in d["kraus"]])
+    kraus = d["kraus"]
+    # a non-list operator yields no dicts, or raises as the per-operator read
+    pairs = _pauli_terms_in_bulk(list(chain.from_iterable(kraus)), n)
+    if pairs is None:
+        c = ChannelExpr(n, [pauli_sum_from_json(terms, n) for terms in kraus])
+    else:
+        ends = list(accumulate(map(len, kraus)))
+        c = ChannelExpr(n, [PauliSum(n, pairs[a:b]) for a, b in zip([0] + ends, ends)])
     typecheck(c)
     return c
 

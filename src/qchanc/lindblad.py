@@ -214,11 +214,11 @@ def _one_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def evolve(spec: LindbladSpec, t: float, states: list[np.ndarray],
-           cap: int | None = None) -> list[np.ndarray]:
-    """exp(t L) rho for each state, without forming any 4^n object.
+def evolve(spec: LindbladSpec, t: float, states,
+           cap: int | None = None) -> np.ndarray:
+    """exp(t L) rho for each rho of a (k, 2^n, 2^n) stack, with no 4^n object.
 
-    The states are stacked as one 2^n x (k 2^n) block, so each generator
+    The states are laid out as one 2^n x (k 2^n) block, so each generator
     application rho -> J rho + rho J^dag + sum_j L_j rho L_j^dag is two
     matrix products per term over all probes.  Following Al-Mohy & Higham,
     exp(t L) is s steps of a degree-m Taylor series, with (m, s) the least
@@ -228,13 +228,12 @@ def evolve(spec: LindbladSpec, t: float, states: list[np.ndarray],
     choice is deterministic, so equal inputs give bitwise-equal outputs.
     """
     check_cap(spec.n, cap, "evolve")
-    if not len(states):
-        return []
     dim = 1 << spec.n
-    # x[a, i, b] = states[i][a, b]: left and right products are one gemm each
-    x = np.stack(states, axis=1).astype(complex)
-    if x.shape != (dim, len(states), dim):
+    states = np.asarray(states, dtype=complex)
+    if states.shape[1:] != (dim, dim):
         raise ValueError(f"states must be {dim} x {dim} matrices")
+    if not len(states):
+        return states
     j, jumps = _drift_generator(spec, cap)
     norm = 2 * _one_norm(j) + sum(_one_norm(l) ** 2 for l in jumps)
     tn = abs(t) * norm
@@ -243,7 +242,9 @@ def evolve(spec: LindbladSpec, t: float, states: list[np.ndarray],
             f"exp(t L) at t = {t:g} with generator norm bound {norm:.6g} "
             f"needs more than {MAX_TAYLOR_STEPS} Taylor steps")
     if tn == 0:
-        return list(np.ascontiguousarray(x.transpose(1, 0, 2)))
+        return states.copy()
+    # x[a, i, b] = states[i, a, b]: left and right products are one gemm each
+    x = states.transpose(1, 0, 2).copy()
     degree, steps = min(((m, ceil(tn / theta)) for m, theta in _THETA.items()),
                         key=lambda ms: ms[0] * ms[1])
     wide, tall = (dim, len(states) * dim), (len(states) * dim, dim)
@@ -270,7 +271,7 @@ def evolve(spec: LindbladSpec, t: float, states: list[np.ndarray],
             if c1 + c2 <= tol * np.abs(x).max():
                 break
             c1 = c2
-    return list(np.ascontiguousarray(x.transpose(1, 0, 2)))
+    return np.ascontiguousarray(x.transpose(1, 0, 2))
 
 
 def propagate(superop: np.ndarray, rho: np.ndarray) -> np.ndarray:

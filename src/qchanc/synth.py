@@ -212,7 +212,7 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
                 encodings: list[KrausEncoding] | None = None) -> Circuit:
     """Channel-LCU circuit, from `encodings` when the caller has them.
 
-    run_channel(circuit, states) (be_anc postselected, kraus_sel and flat_anc
+    run_channel(circuit, rhos) (be_anc postselected, kraus_sel and flat_anc
     traced) maps each state rho to (1/sum alpha_j^2) * [C](rho); the success
     probability is 1/sum alpha_j^2 for a trace-preserving channel.
     """

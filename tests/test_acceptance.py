@@ -235,7 +235,7 @@ def _check_channel_lcu(chan, mode, flatten, tol=1e-9):
     alphas = channel_alphas(chan, mode)
     scale = 1.0 / float(np.sum(np.square(alphas)))
     for rho in haar_states(chan.n, 32, seed=21):
-        out, prob = run_channel(circ, [rho])[0]
+        (out,), (prob,) = run_channel(circ, [rho])
         direct = apply_channel(chan, [rho])[0]
         assert np.max(np.abs(out - scale * direct)) <= tol
         assert abs(prob - scale) <= tol

@@ -195,7 +195,7 @@ def test_random_circuit_unitary():
 def test_run_channel_identity():
     c = Circuit((("kraus_sel", 1), ("be_anc", 1), ("flat_anc", 0), ("system", 1)))
     rho = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
-    out, prob = run_channel(c, [rho])[0]
+    (out,), (prob,) = run_channel(c, [rho])
     assert np.allclose(out, rho, atol=1e-12)
     assert abs(prob - 1.0) < 1e-12
 
@@ -205,7 +205,7 @@ def test_run_channel_postselect_halves():
     c = Circuit((("kraus_sel", 0), ("be_anc", 1), ("flat_anc", 0), ("system", 1)))
     c.add(StatePrep((0,), (s, s)))
     rho = np.eye(2, dtype=complex) / 2
-    out, prob = run_channel(c, [rho])[0]
+    (out,), (prob,) = run_channel(c, [rho])
     assert abs(prob - 0.5) < 1e-12
     assert np.allclose(out, rho / 2, atol=1e-12)
 
@@ -216,9 +216,19 @@ def test_run_channel_trace_out():
     c.add(StatePrep((0,), (s, s)))
     c.add(controlled([(0, 1)], PauliGate(from_label("X"), (1,))))
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    out, prob = run_channel(c, [rho])[0]
+    (out,), (prob,) = run_channel(c, [rho])
     assert abs(prob - 1.0) < 1e-12
     assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
+
+
+def test_run_channel_lone_matrix_is_one_state():
+    c = Circuit((("kraus_sel", 1), ("be_anc", 1), ("flat_anc", 0), ("system", 1)))
+    c.add(StatePrep((0,), (0.6, 0.8)))
+    c.add(controlled([(0, 1)], PauliGate(from_label("Y"), (2,))))
+    rho = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
+    (want,), (want_prob,) = run_channel(c, [rho])
+    out, prob = run_channel(c, rho)
+    assert np.array_equal(out, want) and prob == want_prob
 
 
 def test_cost_report_examples():

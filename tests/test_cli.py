@@ -1074,6 +1074,15 @@ class TestErrorSweep:
         bad = deltas.split(",")[-1]
         assert code == 2 and f"got '{bad}'" in err
 
+    @pytest.mark.parametrize("deltas", ["-1000", "0.01,-20"])
+    def test_negative_delta_named(self, decay_file, capsys, deltas):
+        # named before any evolution or lowering runs
+        code, stdout, err = run(capsys, "error-sweep", decay_file,
+                                "--deltas", deltas)
+        bad = deltas.split(",")[-1]
+        assert code == 2 and stdout == ""
+        assert f"--deltas must be nonnegative, got {bad}\n" in err
+
     def test_empty_sweep_list(self, decay_file, capsys):
         code, _, err = run(capsys, "error-sweep", decay_file, "--deltas", ",")
         assert code == 2 and "empty" in err

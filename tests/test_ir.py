@@ -17,12 +17,14 @@ from qchanc.ir import (
     channel_from_json,
     channel_to_json,
     eval_kraus,
+    kraus_action,
     lindblad_from_json,
     lindblad_to_json,
     matrix_from_json,
     matrix_to_json,
     pauli_sum_from_json,
     pauli_sum_to_json,
+    probe_states,
     term_from_json,
     term_to_json,
     trace_distance,
@@ -30,6 +32,8 @@ from qchanc.ir import (
     validate_density,
 )
 from qchanc.pauli import PauliString, PauliSum, from_label, sums_close
+
+from helpers import apply_channel_loop, probe_states_list
 
 
 def random_density(rng, n):
@@ -114,6 +118,84 @@ def test_density_validation():
         apply_channel(chan, [np.eye(4, dtype=complex) / 4])
     rho = validate_density(np.eye(2) / 2, 1)
     assert rho.dtype == complex
+
+
+def random_channel(rng, n, kraus, opaque=False):
+    """Random Pauli-sum Kraus operators, scaled so that outputs stay O(1);
+    with `opaque`, the last one is a block encoding with a matrix."""
+    sums = []
+    for _ in range(kraus):
+        terms = [(complex(*rng.normal(size=2)) / 4,
+                  PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)),
+                              int(rng.integers(4))))
+                 for _ in range(3)]
+        sums.append(PauliSum(n, terms))
+    if opaque:
+        m = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
+        m /= np.linalg.norm(m, 2)
+        sums[-1] = PauliSum(n, [(0.5, BlockEncRef("ext", n, 1.0, 1, m))])
+    return ChannelExpr(n, sums)
+
+
+@pytest.mark.parametrize("n, kraus, opaque", [
+    (1, 1, False), (1, 3, True), (2, 4, False), (2, 2, True), (3, 5, False),
+    (2, 0, False),
+], ids=["n1", "n1-opaque", "n2", "n2-opaque", "n3", "empty"])
+def test_apply_channel_matches_loop(n, kraus, opaque):
+    rng = np.random.default_rng(10 * n + kraus)
+    chan = random_channel(rng, n, kraus, opaque)
+    states = probe_states(n, 5, seed=n)
+    got = apply_channel(chan, states)
+    assert got.shape == states.shape
+    for out, want in zip(got, apply_channel_loop(chan, states)):
+        assert np.max(np.abs(out - want)) <= 1e-14
+    if not kraus:
+        assert not got.any()
+    # a lone matrix is one state, not a stack of rows
+    assert np.array_equal(apply_channel(chan, states[-1]), got[-1])
+
+
+def test_kraus_action_on_any_matrices():
+    # the kernel itself takes any Kraus stack and any stack of matrices
+    rng = np.random.default_rng(4)
+    ks = (rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))) / 8
+    rhos = (rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))) / 4
+    got = kraus_action(ks, rhos)
+    for out, rho in zip(got, rhos):
+        want = sum(k @ rho @ k.conj().T for k in ks)
+        assert np.max(np.abs(out - want)) <= 1e-14
+    assert kraus_action(ks, rhos[:0]).shape == (0, 4, 4)
+    assert np.array_equal(kraus_action(ks, rhos[1]), got[1])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_probe_states_bitwise_list_form(n):
+    got = probe_states(n, 3, seed=n)
+    want = probe_states_list(n, 3, seed=n)
+    assert got.shape == (len(want), 1 << n, 1 << n) and got.dtype == complex
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("last, message", [
+    (np.array([[1, 1], [0, 0]]), "Hermitian"),
+    (np.eye(2), "trace"),
+    (np.diag([1.5, -0.5]), "positive"),
+], ids=["hermitian", "trace", "positive"])
+def test_validate_density_checks_every_state(last, message):
+    stack = probe_states(1, 3, seed=2)
+    assert validate_density(stack, 1) is not None
+    stack[-1] = last
+    with pytest.raises(ValueError, match=message):
+        validate_density(stack, 1)
+    with pytest.raises(ValueError, match=message):
+        apply_channel(amplitude_damping(0.1), stack)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 4), (3, 4, 4), (4, 4), (8,), ()])
+def test_validate_density_never_reshapes(shape):
+    # an n = 1 stack is (k, 2, 2): 16 entries are not four 2 x 2 states
+    with pytest.raises(ValueError, match="shape"):
+        validate_density(np.zeros(shape), 1)
 
 
 def test_trace_distance():
@@ -222,6 +304,29 @@ def test_bulk_reader_takes_regular_lists_only(change, bulk):
         assert str(got.value) == str(exc)
     else:
         assert pauli_sum_from_json(terms, 2) == want
+
+
+def test_bulk_reader_shares_equal_strings():
+    # phase_exp 1 and 5 are one i-power, so one string
+    terms = [{"coeff": [1, 0], "pauli": "XZ", "phase_exp": 1},
+             {"coeff": [0.5, 0], "pauli": "XZ", "phase_exp": 5},
+             {"coeff": [0.25, 0], "pauli": "XZ"},
+             {"coeff": [0, 1], "pauli": "YI", "phase_exp": 2}]
+    pairs = _pauli_terms_in_bulk(terms, 2)
+    assert pairs == [term_from_json(t) for t in terms]
+    assert pairs[1][1] is pairs[0][1] and pairs[2][1] is not pairs[0][1]
+    # a channel's operators are read in one pass and share strings too
+    doc = {"n": 2, "kraus": [terms[2:], [], terms[:3]]}
+    got = channel_from_json(doc)
+    assert got == ChannelExpr(2, [PauliSum(2, [term_from_json(t) for t in k])
+                                  for k in doc["kraus"]])
+    assert got.kraus[2].terms[2][1] is got.kraus[0].terms[0][1]
+    # one irregular operator sends every operator through its own read
+    doc["kraus"].append([{"coeff": [1, 0], "blockenc": {
+        "handle": "h", "n": 2, "alpha": 1.0, "anc": 0}}])
+    mixed = channel_from_json(doc)
+    assert mixed.kraus[:3] == got.kraus
+    assert isinstance(mixed.kraus[3].terms[0][1], BlockEncRef)
 
 
 def test_bulk_reader_keeps_signed_zeros_and_phases():

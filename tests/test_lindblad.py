@@ -380,7 +380,8 @@ class TestEvolve:
         assert all(np.array_equal(a, b) for a, b in zip(states, before))
 
     def test_empty_input(self):
-        assert evolve(tfim_spec(2, 1.0), 0.05, []) == []
+        got = evolve(tfim_spec(2, 1.0), 0.05, np.empty((0, 4, 4), dtype=complex))
+        assert got.shape == (0, 4, 4)
 
     def test_cap_applies_to_n(self):
         spec = tfim_spec(3, 1.0)

@@ -23,6 +23,7 @@ from qchanc.ir import (  # noqa: E402
     eval_kraus,
     pauli_sum_from_json,
     term_from_json,
+    typecheck,
 )
 from qchanc.pauli import PauliString, PauliSum  # noqa: E402
 from qchanc.rewrite import apply_rule, canonical_kraus, minimize_kraus_rank  # noqa: E402
@@ -165,6 +166,35 @@ def test_bulk_reader_matches_per_term_reader(case):
     assert read(lambda: pauli_sum_from_json(terms, n)) == per_term
     if regular:
         assert _pauli_terms_in_bulk(terms, n) is not None
+
+
+def read_channel(fn):
+    """read() of each operator of the channel fn() reads."""
+    try:
+        c = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return c.n, [read(lambda k=k: k) for k in c.kraus]
+
+
+@TERM_LISTS
+@given(st.lists(term_lists(), min_size=1, max_size=4))
+def test_channel_reader_matches_per_term_reader(cases):
+    n = cases[0][0]
+    cases = [case for case in cases if case[0] == n]
+    kraus = [terms for _, terms, _ in cases]
+
+    def per_term():
+        c = ChannelExpr(n, [PauliSum(n, [term_from_json(t) for t in k]) for k in kraus])
+        typecheck(c)
+        return c
+
+    doc = {"n": n, "kraus": kraus}
+    assert read_channel(lambda: channel_from_json(doc)) == read_channel(per_term)
+    if all(regular for _, _, regular in cases):
+        # one bulk read: equal strings of different operators are one object
+        strings = [p for k in channel_from_json(doc).kraus for _, p in k.terms]
+        assert len(set(map(id, strings))) == len(set(strings))
 
 
 @TERM_LISTS

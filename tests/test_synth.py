@@ -325,7 +325,7 @@ class TestChannelLcu:
         n = chan.n
         want_scale = None
         for rho in probe_states(n, samples, seed=13):
-            out, prob = run_channel(circ, [rho])[0]
+            (out,), (prob,) = run_channel(circ, [rho])
             direct = apply_channel(chan, [rho])[0]
             if want_scale is None:
                 alphas = channel_alphas(chan, "naive")
@@ -341,7 +341,7 @@ class TestChannelLcu:
         assert circ.reg_size("kraus_sel") == 0
         assert circ.reg_size("flat_anc") == 0
         rho = probe_states(1, 1, seed=2)[-1]
-        out, prob = run_channel(circ, [rho])[0]
+        (out,), (prob,) = run_channel(circ, [rho])
         assert np.max(np.abs(out - rho)) <= 1e-12
         assert prob == pytest.approx(1.0)
 
@@ -403,8 +403,8 @@ class TestChannelLcu:
         c1 = channel_lcu(chan)
         c2 = channel_lcu(phased)
         rho = probe_states(1, 3, seed=4)[-1]
-        o1, p1 = run_channel(c1, [rho])[0]
-        o2, p2 = run_channel(c2, [rho])[0]
+        (o1,), (p1,) = run_channel(c1, [rho])
+        (o2,), (p2,) = run_channel(c2, [rho])
         assert np.max(np.abs(o1 - o2)) <= 1e-12
         assert p1 == pytest.approx(p2)
 
@@ -418,7 +418,7 @@ class TestChannelLcu:
         outs = []
         for mode in ("naive", "optimized"):
             for flat in (False, True):
-                out, prob = run_channel(channel_lcu(chan, mode, flat), [rho])[0]
+                (out,), (prob,) = run_channel(channel_lcu(chan, mode, flat), [rho])
                 outs.append((out, prob))
         ref_out, ref_prob = outs[0]
         for out, prob in outs[1:]:
@@ -432,11 +432,11 @@ class TestChannelLcu:
         chan = first_order(gen_tfim(2, 1.0), 0.05)
         circ = channel_lcu(chan, "optimized", True)
         states = probe_states(2, 4, seed=11)
-        runs = run_channel(circ, states)
+        runs, probs = run_channel(circ, states)
         outs = apply_channel(chan, states)
-        assert len(runs) == len(outs) == len(states)
-        for rho, (out, prob), direct in zip(states, runs, outs):
-            alone_out, alone_prob = run_channel(circ, [rho])[0]
+        assert len(runs) == len(probs) == len(outs) == len(states)
+        for rho, out, prob, direct in zip(states, runs, probs, outs):
+            (alone_out,), (alone_prob,) = run_channel(circ, [rho])
             assert np.array_equal(out, alone_out) and prob == alone_prob
             assert np.array_equal(direct, apply_channel(chan, [rho])[0])
 
@@ -458,7 +458,7 @@ class TestChannelLcu:
                     axis=names.index("be_anc"))
         flat = w.reshape(-1, 4, 4)
         states = probe_states(2, 4, seed=3)
-        for rho, (out, prob) in zip(states, run_channel(circ, states)):
+        for rho, out, prob in zip(states, *run_channel(circ, states)):
             want = np.einsum("asi,atj,ij->st", flat, flat.conj(), rho)
             assert np.max(np.abs(out - want)) <= 1e-14
             assert abs(prob - np.trace(want).real) <= 1e-14
