@@ -9,6 +9,13 @@ inst=$(qchanc bench hypercube --vertices 32 --out json-smoke)
 qchanc rewrite "$inst" --minimize-rank --out json-smoke/min.json
 python -c 'import json, sys; text = open(sys.argv[1]).read(); sys.exit(text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")' json-smoke/min.json
 
+# Circuit and report JSON: an order-2, flattened, ordered, rank-minimized
+# compile through the shape-templated writer, each file byte-compared with
+# the stdlib encoder
+inst=$(qchanc bench tfim --sites 3 --out json-smoke)
+qchanc compile "$inst" --frontend order:2,2,2 --delta 0.01 --flatten --order --minimize-rank --out json-smoke/tfim3
+python -c 'import json, sys; bad = [f for f in sys.argv[1:] if open(f).read() != json.dumps(json.load(open(f)), sort_keys=True, indent=2) + "\n"]; print("not stdlib bytes:", bad); sys.exit(bool(bad))' json-smoke/tfim3/circuit.json json-smoke/tfim3/report.json
+
 # Trace replay: replay a rank minimization's trace rule by rule through
 # rewrite --rule, each step reading the previous step's output; the Kraus
 # count must end where --minimize-rank wrote it, and stay there when the

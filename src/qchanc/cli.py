@@ -4,15 +4,19 @@ Subcommands: compile | verify | cost | bench | rewrite | error-sweep.
 Reports are JSON with sorted keys and no timestamps, so identical
 inputs and flags produce byte-identical output.  `_dump` writes exactly the
 bytes of json.dumps(data, sort_keys=True, indent=2) plus a newline, without
-the stdlib's pure-Python encoder that indent=2 selects.  Pauli term lists
-are read and written in bulk: `ir.pauli_sum_from_json` checks a whole list
-at once with every check of the per-term reader, `ir.pauli_sum_to_json`
-builds labels and [re, im] pairs with numpy, and `_dump` writes each term
-from one template.  Any list the bulk paths do not take goes term by term,
-with the same bytes and error messages.
+the stdlib's pure-Python encoder that indent=2 selects.  A uniform list
+(see `_uniform_items`: cells of one kind, such as qubits, alphas, gate
+controls and amplitudes, or records sharing one key set, such as registers,
+SELECT tables and Pauli term lists) is written in one pass, with one
+%-template per pair or record; any other list goes value by value, with
+the same bytes.  Pauli term
+lists are read in bulk: `ir.pauli_sum_from_json` checks a whole list at
+once with every check of the per-term reader, and a list it does not take
+goes term by term, with the same result and error messages.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -239,33 +243,57 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
     return circ, report
 
 
-_TERM_PARTS = itemgetter("coeff", "pauli", "phase_exp")
-
-
-def _encode_terms(o, nl: str) -> str | None:
-    """_encode of a Pauli term list, one %-template per term, or None unless
-    every term is a dict with exactly the keys coeff, pauli and phase_exp,
-    holding a list of two finite floats, a str and an int."""
-    if set(map(type, o)) != {dict} or set(map(len, o)) != {3}:
+def _cells(col, nl: str) -> list | None:
+    """_encode of each value of col at the indentation `nl` opens, or None
+    unless the values share one cell kind: all str, all int (never bool),
+    all finite float, or all [a, b] lists of two int or two finite float
+    parts."""
+    kinds = set(map(type, col))
+    if len(kinds) != 1:
         return None
+    kind = kinds.pop()
+    if kind is str:
+        return list(map(encode_basestring_ascii, col))
+    # repr writes int.__repr__ and float.__repr__ of these exact types
+    if kind is int or kind is float and all(map(math.isfinite, col)):
+        return list(map(repr, col))
+    if kind is not list or set(map(len, col)) != {2}:
+        return None
+    parts = list(chain.from_iterable(col))
+    kinds = set(map(type, parts))
+    if not (kinds == {int} or kinds == {float} and all(map(math.isfinite, parts))):
+        return None
+    part = nl + "  "
+    template = "[" + part + "%r," + part + "%r" + nl + "]"
+    return [template % (a, b) for a, b in col]
+
+
+def _uniform_items(o, item: str) -> list | None:
+    """_encode of each item of a non-empty list at the indentation `item`
+    opens, or None unless it is a list of cells (see _cells) or of records:
+    dicts with one shared, non-empty set of str keys, each key's values one
+    cell kind, written from one %-template."""
+    if type(o[0]) is not dict:
+        return _cells(o, item)
+    keys = o[0].keys()
+    # {} has no key types, so [{}] is no record list
+    if (set(map(type, keys)) != {str} or set(map(type, o)) != {dict}
+            or set(map(len, o)) != {len(keys)}):
+        return None
+    keys = sorted(keys)
+    key = item + "  "
     try:
-        cs, labels, phases = zip(*map(_TERM_PARTS, o))
+        # each dict has len(keys) keys and all of these, so exactly these
+        cols = [_cells(list(map(itemgetter(k), o)), key) for k in keys]
     except KeyError:
         return None
-    if (set(map(type, cs)) != {list} or set(map(len, cs)) != {2}
-            or set(map(type, labels)) != {str} or set(map(type, phases)) != {int}):
+    if None in cols:
         return None
-    parts = list(chain.from_iterable(cs))
-    if set(map(type, parts)) != {float} or not all(map(math.isfinite, parts)):
-        return None
-    item = nl + "  "
-    key, part = item + "  ", item + "    "
-    # %r and %d write float.__repr__ and int.__repr__ of these exact types
-    template = ("{" + key + '"coeff": [' + part + "%r," + part + "%r" + key
-                + "]," + key + '"pauli": %s,' + key + '"phase_exp": %d' + item + "}")
-    return ("[" + item + ("," + item).join([
-        template % (c[0], c[1], encode_basestring_ascii(label), phase)
-        for c, label, phase in zip(cs, labels, phases)]) + nl + "]")
+    # %s takes each cell's text; a % in a key must not read as a conversion
+    template = ("{" + key + ("," + key).join([
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys])
+        + item + "}")
+    return [template % row for row in zip(*cols)]
 
 
 def _encode(o, nl: str) -> str:
@@ -279,11 +307,11 @@ def _encode(o, nl: str) -> str:
     if t is list or t is tuple:
         if not o:
             return "[]"
-        if type(o[0]) is dict and (terms := _encode_terms(o, nl)) is not None:
-            return terms
         inner = nl + "  "
-        return ("[" + inner + ("," + inner).join([_encode(v, inner) for v in o])
-                + nl + "]")
+        items = _uniform_items(o, inner)
+        if items is None:
+            items = [_encode(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
     if t is float:
         if o != o:
             return "NaN"
@@ -509,7 +537,10 @@ def cmd_error_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args writes only
+    to the fresh Namespace it returns, so in-process calls share no state."""
     ap = argparse.ArgumentParser(
         prog="qchanc",
         description="Channel-level quantum compiler pipeline.")

@@ -146,8 +146,14 @@ def validate_density(rhos, n: int, tol: float = 1e-9) -> np.ndarray:
     rhos = np.asarray(rhos, dtype=complex)
     if rhos.shape[-2:] != (1 << n, 1 << n):
         raise ValueError("density matrix has the wrong shape")
-    if np.any(np.abs(rhos - rhos.conj().swapaxes(-1, -2)) > tol):
+    if not np.isfinite(rhos).all():
+        raise ValueError("density matrix has non-finite entries")
+    # |rho^dag - rho| in one stack-sized buffer: abs writes into its input
+    diff = rhos.conj().swapaxes(-1, -2)
+    diff -= rhos
+    if np.any(np.abs(diff, out=diff).real > tol):
         raise ValueError("density matrix is not Hermitian")
+    del diff  # freed before eigvalsh allocates
     if np.any(np.abs(np.trace(rhos, axis1=-2, axis2=-1) - 1.0) > tol):
         raise ValueError("density matrix trace is not 1")
     if np.any(np.linalg.eigvalsh(rhos) < -1e-10):

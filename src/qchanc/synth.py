@@ -52,11 +52,12 @@ def prepare_pair(coeffs):
     Returns (beta, c, d) with beta = sum|y_j|, c real and d complex unit
     vectors, beta * conj(c_j) * d_j = y_j, zero-padded to a power of two.
     """
-    y = np.asarray(list(coeffs), dtype=complex)
-    if y.size == 0 or not np.any(y):
+    coeffs = list(coeffs)
+    if not any(coeffs):
         raise ValueError("prepare_pair needs at least one nonzero coefficient")
-    width = 1 << max(0, math.ceil(math.log2(y.size)))
-    y = np.pad(y, (0, width - y.size))
+    width = 1 << max(0, math.ceil(math.log2(len(coeffs))))
+    y = np.zeros(width, dtype=complex)
+    y[:len(coeffs)] = coeffs
     with np.errstate(over="ignore"):
         mags = np.abs(y)
         beta = float(mags.sum())

@@ -92,6 +92,19 @@ class TestCompile:
         cb = (tmp_path / "b" / "circuit.json").read_bytes()
         assert ca == cb
 
+    def test_back_to_back_calls_share_no_state(self, tmp_path, decay_file, capsys):
+        # main parses with one parser per process: no flag of a call may
+        # reach the next one
+        spec = ("compile", decay_file, "--delta", "0.01")
+        flags = ("--flatten", "--order", "--minimize-rank", "--cap", "3")
+        for out, extra in (("a", ()), ("b", flags), ("c", ())):
+            assert run(capsys, *spec, *extra, "--out", str(tmp_path / out))[0] == 0
+        plain = (tmp_path / "c" / "report.json").read_bytes()
+        assert plain == (tmp_path / "a" / "report.json").read_bytes()
+        report = json.loads(plain)
+        assert report["setting"] == "basic+basic"
+        assert not any(report["options"].values())
+
     def test_flat_order_beats_basic(self, tmp_path, decay_file, capsys):
         out = tmp_path / "run"
         code, _, _ = run(capsys, "compile", decay_file, "--delta", "0.01",

@@ -176,11 +176,26 @@ def test_probe_states_bitwise_list_form(n):
     assert got.tobytes() == np.array(want).tobytes()
 
 
+# the other checks are comparisons, which a NaN entry passes
+NON_FINITE = [
+    pytest.param(np.array([[np.nan, 0], [0, 1]]), id="nan"),
+    pytest.param(np.array([[0.5, np.inf], [np.inf, 0.5]]), id="inf"),
+    pytest.param(np.array([[1, 0], [0, -np.inf]]), id="-inf"),
+    pytest.param(np.array([[0.5, 1j * np.nan], [0, 0.5]]), id="nan-imag"),
+]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_validate_density_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="density matrix has non-finite entries"):
+        validate_density(bad, 1)
+
+
 @pytest.mark.parametrize("last, message", [
-    (np.array([[1, 1], [0, 0]]), "Hermitian"),
-    (np.eye(2), "trace"),
-    (np.diag([1.5, -0.5]), "positive"),
-], ids=["hermitian", "trace", "positive"])
+    pytest.param(np.array([[1, 1], [0, 0]]), "Hermitian", id="hermitian"),
+    pytest.param(np.eye(2), "trace", id="trace"),
+    pytest.param(np.diag([1.5, -0.5]), "positive", id="positive"),
+] + [pytest.param(*p.values, "non-finite", id=p.id) for p in NON_FINITE])
 def test_validate_density_checks_every_state(last, message):
     stack = probe_states(1, 3, seed=2)
     assert validate_density(stack, 1) is not None

@@ -13,7 +13,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from qchanc.cli import _dump, _encode_terms  # noqa: E402
+from qchanc.cli import _dump, _uniform_items  # noqa: E402
 from qchanc.ir import (  # noqa: E402
     BlockEncRef,
     ChannelExpr,
@@ -202,12 +202,80 @@ def test_channel_reader_matches_per_term_reader(cases):
 def test_dump_matches_stdlib_on_term_lists(case, as_tuple, data):
     _, terms, regular = case
     if regular:
-        assert _encode_terms(terms, "\n") is not None
+        assert _uniform_items(terms, "\n  ") is not None
     if data.draw(st.booleans()):  # labels the reader would reject
         terms.append(data.draw(regular_terms(2, "IXYZ\u00e9\u2603\"")))
     doc = {"n": 1, "kraus": [tuple(terms) if as_tuple else terms, []]}
     for x in (terms, doc):
         assert _dump(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+# --- the JSON writer's uniform lists against the stdlib encoder -----------
+
+# each cell kind, with its edge values; exact types, as qchanc emits them
+CELLS = {
+    "int": st.integers(-2 ** 70, 2 ** 70),
+    "float": st.one_of(finite, st.sampled_from([0.0, 0.1, 1 / 3, 1e-7, 1e22])),
+    "str": st.text(max_size=4),
+}
+CELLS["int-pair"] = st.lists(CELLS["int"], min_size=2, max_size=2)
+CELLS["float-pair"] = st.lists(CELLS["float"], min_size=2, max_size=2)
+# values that break a list's shape, or that the writer must reject
+odd_cells = st.one_of(
+    st.sampled_from([True, False, None, float("nan"), float("inf"), float("-inf"),
+                     [1, 2.0], [2.0, 1], [True, 0], [0.5, float("nan")], (1, 2),
+                     [1], [1, 2, 3], [[1, 2], [3, 4]], {}, [{}]]),
+    st.sampled_from(list(CELLS.values())).flatmap(lambda c: c))
+record_keys = st.text(st.sampled_from("ab%\"\u00e9\u2603 "), max_size=3)
+
+
+@st.composite
+def uniform_lists(draw):
+    """(a list of cells or of records, whether it keeps its shape)."""
+    regular = draw(st.booleans())
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(list(CELLS)))
+        o = draw(st.lists(CELLS[kind], min_size=1, max_size=6))
+        if not regular:
+            o.insert(draw(st.integers(0, len(o))), draw(odd_cells))
+        return o, regular
+    names = draw(st.lists(record_keys, min_size=1, max_size=4, unique=True))
+    columns = {k: CELLS[draw(st.sampled_from(list(CELLS)))] for k in names}
+    o = draw(st.lists(st.fixed_dictionaries(columns), min_size=1, max_size=5))
+    if not regular:
+        i = draw(st.integers(0, len(o) - 1))
+        how = draw(st.sampled_from(["cell", "extra-key", "missing-key",
+                                    "int-key", "empty", "all-empty", "tuple"]))
+        if how == "cell":
+            o[i][draw(st.sampled_from(names))] = draw(odd_cells)
+        elif how == "extra-key":
+            o[i][draw(record_keys.filter(lambda k: k not in names))] = 0
+        elif how == "missing-key":
+            del o[i][draw(st.sampled_from(names))]
+        elif how == "int-key":
+            o[i][draw(st.sampled_from([0, 1.5, None]))] = 0
+        elif how == "empty":
+            o.insert(i, {})
+        elif how == "all-empty":  # [{}] or [{}, {}, ...]
+            o = [{} for _ in o]
+        else:
+            o[i] = tuple(o[i].items())
+    return o, regular
+
+
+@TERM_LISTS
+@given(uniform_lists(), st.booleans())
+def test_dump_matches_stdlib_on_uniform_lists(case, as_tuple):
+    o, regular = case
+    if regular:
+        assert _uniform_items(o, "\n  ") is not None
+    doc = {"x": tuple(o) if as_tuple else o, "y": [o, 1]}
+    for x in (o, doc):
+        if any(type(k) is not str for d in o if type(d) is dict for k in d):
+            with pytest.raises(TypeError):  # where the stdlib would write "0"
+                _dump(x)
+        else:
+            assert _dump(x) == json.dumps(x, sort_keys=True, indent=2) + "\n"
 
 
 def choi(chan):
