@@ -5,13 +5,14 @@ the first qubit of the first register and the most significant state-index
 bit, so a trailing "system" register occupies the least significant bits and
 the ancilla-zero block of a unitary is its top-left corner.
 
-Gates are plain frozen records.  `Circuit._check` is the one gate validator:
-`Circuit.add`/`extend`, the `Circuit(registers, gates)` constructor and JSON
-ingest all run it once per gate.  It checks field types (every qubit index,
-polarity and register size is an int, never a bool, float or string; circuit
-JSON must hold JSON integers there), gate shapes and the qubit range.  JSON
+Gates and circuits are plain frozen records; `Circuit(registers, gates)` is
+the one way to build a circuit.  It runs `_check`, the one gate validator,
+once per gate as it takes each from the iterable, so JSON ingest reports the
+first bad gate.  `_check` checks field types (every qubit index, polarity and
+register size is an int, never a bool, float or string; circuit JSON must
+hold JSON integers there), gate shapes and the qubit range.  JSON
 amplitudes are [re, im] pairs of numbers, read by ir._pair2c like every
-complex number in the IR's JSON.
+complex number in the IR's JSON; every JSON container there is a list.
 
 Cost model.  Every cost report, of a built circuit or of encoding records,
 is priced by `cost_from_shapes` from one (controls, Pauli weight or None)
@@ -32,12 +33,12 @@ shapes from the encoding records without building the circuit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .ir import (_pair2c, kraus_action, matrix_from_json, matrix_to_json,
-                 require_int, validate_density)
+                 require_int, require_list, validate_density)
 from .pauli import PauliString, check_cap, from_label, pauli_action, weight
 
 PREP_TOL = 1e-10
@@ -96,13 +97,13 @@ Gate = (PauliGate | Controlled | StatePrep | StatePrepAdjoint
         | ToffoliCompute | ToffoliUncompute | OpaqueUnitary)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class Circuit:
     registers: tuple[tuple[str, int], ...]
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
-        self.registers = tuple((n, s) for n, s in self.registers)
+        object.__setattr__(self, "registers", tuple((n, s) for n, s in self.registers))
         for name, size in self.registers:
             if type(name) is not str:
                 raise ValueError(f"register name must be a string, got {name!r}")
@@ -111,8 +112,8 @@ class Circuit:
         names = [n for n, _ in self.registers]
         if len(set(names)) != len(names):
             raise ValueError("duplicate register names")
-        for g in self.gates:
-            self._check(g)
+        total = self.total_qubits
+        object.__setattr__(self, "gates", tuple(_check(g, total) for g in self.gates))
 
     @property
     def total_qubits(self) -> int:
@@ -132,57 +133,51 @@ class Circuit:
             off += s
         raise KeyError(f"no register named {name!r}")
 
-    def add(self, gate: Gate) -> None:
-        self._check(gate)
-        self.gates.append(gate)
 
-    def extend(self, gates) -> None:
-        for g in gates:
-            self.add(g)
-
-    def _check(self, gate: Gate) -> None:
-        """The one gate validator: every gate enters a circuit through it."""
-        controls, body = (), gate
-        if isinstance(gate, Controlled):
-            controls, body = gate.controls, gate.body
-            if isinstance(body, Controlled):
-                raise ValueError("nest controls by merging control lists")
-        if isinstance(body, (ToffoliCompute, ToffoliUncompute)):
-            targets, pols = (body.c1, body.c2, body.target), [body.p1, body.p2]
-        elif isinstance(body, (PauliGate, StatePrep, StatePrepAdjoint, OpaqueUnitary)):
-            targets, pols = tuple(body.qubits), []
-        else:
-            raise TypeError(f"unknown gate {type(body).__name__}")
-        ctrl = tuple(q for q, _ in controls)
-        pols += [p for _, p in controls]
-        used = ctrl + targets
-        for q in used:
-            require_int(q, "qubit index")
-        for p in pols:
-            if type(p) is not int or p not in (0, 1):
-                raise ValueError(f"control polarity must be 0 or 1, got {p!r}")
-        total = self.total_qubits
-        if any(not 0 <= q < total for q in used):
-            raise ValueError(f"gate uses qubits outside the circuit: {sorted(set(used))}")
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"gate qubits must be distinct, got {targets}")
-        if len(set(ctrl)) != len(ctrl):
-            raise ValueError("duplicate control qubits")
-        if set(ctrl) & set(targets):
-            raise ValueError("controls overlap the controlled body")
-        dim = 1 << len(targets)
-        if isinstance(body, PauliGate) and len(targets) != body.string.n:
-            raise ValueError("qubit count does not match the Pauli string")
-        if isinstance(body, (StatePrep, StatePrepAdjoint)):
-            if len(body.amps) != dim:
-                raise ValueError("amplitude vector length must be 2^(#qubits)")
-            if not abs(np.linalg.norm(body.amps) - 1.0) <= PREP_TOL:  # NaN fails too
-                raise ValueError("amplitude vector is not unit norm")
-        if isinstance(body, OpaqueUnitary):
-            if type(body.handle) is not str:
-                raise ValueError(f"opaque gate handle must be a string, got {body.handle!r}")
-            if body.matrix is not None and np.shape(body.matrix) != (dim, dim):
-                raise ValueError("matrix shape does not match qubit count")
+def _check(gate: Gate, total: int) -> Gate:
+    """The one gate validator, on `total` qubits: every gate enters a
+    circuit through it.  Returns the gate."""
+    controls, body = (), gate
+    if isinstance(gate, Controlled):
+        controls, body = gate.controls, gate.body
+        if isinstance(body, Controlled):
+            raise ValueError("nest controls by merging control lists")
+    if isinstance(body, (ToffoliCompute, ToffoliUncompute)):
+        targets, pols = (body.c1, body.c2, body.target), [body.p1, body.p2]
+    elif isinstance(body, (PauliGate, StatePrep, StatePrepAdjoint, OpaqueUnitary)):
+        targets, pols = tuple(body.qubits), []
+    else:
+        raise TypeError(f"unknown gate {type(body).__name__}")
+    ctrl = tuple(q for q, _ in controls)
+    pols += [p for _, p in controls]
+    used = ctrl + targets
+    for q in used:
+        require_int(q, "qubit index")
+    for p in pols:
+        if type(p) is not int or p not in (0, 1):
+            raise ValueError(f"control polarity must be 0 or 1, got {p!r}")
+    if any(not 0 <= q < total for q in used):
+        raise ValueError(f"gate uses qubits outside the circuit: {sorted(set(used))}")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"gate qubits must be distinct, got {targets}")
+    if len(set(ctrl)) != len(ctrl):
+        raise ValueError("duplicate control qubits")
+    if set(ctrl) & set(targets):
+        raise ValueError("controls overlap the controlled body")
+    dim = 1 << len(targets)
+    if isinstance(body, PauliGate) and len(targets) != body.string.n:
+        raise ValueError("qubit count does not match the Pauli string")
+    if isinstance(body, (StatePrep, StatePrepAdjoint)):
+        if len(body.amps) != dim:
+            raise ValueError("amplitude vector length must be 2^(#qubits)")
+        if not abs(np.linalg.norm(body.amps) - 1.0) <= PREP_TOL:  # NaN fails too
+            raise ValueError("amplitude vector is not unit norm")
+    if isinstance(body, OpaqueUnitary):
+        if type(body.handle) is not str:
+            raise ValueError(f"opaque gate handle must be a string, got {body.handle!r}")
+        if body.matrix is not None and np.shape(body.matrix) != (dim, dim):
+            raise ValueError("matrix shape does not match qubit count")
+    return gate
 
 
 def controlled(controls, body: Gate) -> Gate:
@@ -395,24 +390,28 @@ def gate_to_json(g: Gate) -> dict:
             "matrix": None if g.matrix is None else matrix_to_json(g.matrix)}
 
 
+def _qubits(d: dict) -> tuple:
+    return tuple(require_list(d["qubits"], "qubits"))
+
+
 def gate_from_json(d: dict) -> Gate:
     kind = d["kind"]
     if kind == "pauli":
         phase_exp = require_int(d.get("phase_exp", 0), "phase_exp")
-        return PauliGate(from_label(d["pauli"], phase_exp), tuple(d["qubits"]))
+        return PauliGate(from_label(d["pauli"], phase_exp), _qubits(d))
     if kind == "controlled":
-        return Controlled(tuple((q, p) for q, p in d["controls"]),
-                          gate_from_json(d["body"]))
+        controls = require_list(d["controls"], "controls")
+        return Controlled(tuple((q, p) for q, p in controls), gate_from_json(d["body"]))
     if kind in ("state_prep", "state_prep_adj"):
-        amps = tuple(_pair2c(a) for a in d["amps"])
+        amps = tuple(_pair2c(a) for a in require_list(d["amps"], "amps"))
         cls = StatePrep if kind == "state_prep" else StatePrepAdjoint
-        return cls(tuple(d["qubits"]), amps)
+        return cls(_qubits(d), amps)
     if kind in ("toffoli", "toffoli_unc"):
         cls = ToffoliCompute if kind == "toffoli" else ToffoliUncompute
         return cls(d["c1"], d["c2"], d["target"], d.get("p1", 1), d.get("p2", 1))
     if kind == "opaque":
         m = None if d.get("matrix") is None else matrix_from_json(d["matrix"])
-        return OpaqueUnitary(d["handle"], tuple(d["qubits"]), m)
+        return OpaqueUnitary(d["handle"], _qubits(d), m)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -422,7 +421,7 @@ def circuit_to_json(c: Circuit) -> dict:
 
 
 def circuit_from_json(d: dict) -> Circuit:
-    c = Circuit(tuple((r["name"], r["size"]) for r in d["registers"]))
-    for g in d["gates"]:
-        c.add(gate_from_json(g))
-    return c
+    registers = require_list(d["registers"], "registers")
+    # each gate is read as the constructor reaches it, just before its check
+    return Circuit(tuple((r["name"], r["size"]) for r in registers),
+                   map(gate_from_json, require_list(d["gates"], "gates")))

@@ -9,10 +9,10 @@ the stdlib's pure-Python encoder that indent=2 selects.  A uniform list
 controls and amplitudes, or records sharing one key set, such as registers,
 SELECT tables and Pauli term lists) is written in one pass, with one
 %-template per pair or record; any other list goes value by value, with
-the same bytes.  Pauli term
-lists are read in bulk: `ir.pauli_sum_from_json` checks a whole list at
-once with every check of the per-term reader, and a list it does not take
-goes term by term, with the same result and error messages.
+the same bytes.  A channel or spec file's Pauli term lists are read in one
+bulk pass per document (`ir.channel_from_json`, `ir.lindblad_from_json`),
+with every check of the per-term reader; a document with an irregular
+term goes term by term, with the same result and error messages.
 """
 
 import argparse

@@ -225,9 +225,10 @@ def channel_distance(a: ChannelExpr, b: ChannelExpr, samples: int = 32,
 # Lindblad: {"n": n, "H": [term, ...], "jumps": [[term, ...] | {"matrix": m}, ...]}
 
 
-# Pauli term lists are read and written in bulk: labels through byte tables,
-# coefficients as one float array.  Masks of up to _BULK_SITES sites fit the
-# uint64 arrays; other lists take the per-term path.
+# A document's Pauli term lists are read in one bulk pass and written in one
+# label pass: labels through byte tables, coefficients as one float array.
+# Masks of up to _BULK_SITES sites fit the uint64 arrays; other documents,
+# with an irregular term or an opaque primitive, go term by term.
 _BULK_SITES = 64
 _CODE_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)  # x bit | z bit << 1
 _LETTER_CODES = np.full(256, 4, dtype=np.uint8)  # label byte -> code, 4 if bad
@@ -247,6 +248,13 @@ def require_int(value, what: str) -> int:
     """Integer fields are Python ints: a bool, float or string is rejected."""
     if type(value) is not int:
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def require_list(value, what: str) -> list:
+    """List fields are JSON arrays: an object, string or number is rejected."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
     return value
 
 
@@ -307,20 +315,23 @@ def term_from_json(d: dict) -> tuple[complex, Primitive]:
                               matrix)
 
 
-def pauli_sum_to_json(s: PauliSum) -> list:
-    """The term list of a Kraus operator, H or jump; written in bulk when
-    every primitive is a Pauli string, else term by term."""
-    prims = [p for _, p in s.terms]
-    if set(map(type, prims)) != {PauliString} or s.n > _BULK_SITES:
-        return [term_to_json(c, p) for c, p in s.terms]
-    n = s.n
+def _term_lists_to_json(sums: list[PauliSum]) -> list:
+    """The term lists of a document's operators (Kraus operators, or H and
+    jumps), with the labels of all their Pauli strings in one pass."""
+    prims = [p for s in sums for _, p in s.terms]
+    ns = {s.n for s in sums}
+    if set(map(type, prims)) != {PauliString} or len(ns) != 1 or max(ns) > _BULK_SITES:
+        return [[term_to_json(c, p) for c, p in s.terms] for s in sums]
+    n = ns.pop()
     sites = np.arange(n, dtype=np.uint64)
     x = np.array([p.x_mask for p in prims], dtype=np.uint64)[:, None] >> sites
     z = np.array([p.z_mask for p in prims], dtype=np.uint64)[:, None] >> sites
     text = _CODE_LETTERS[(x & 1) | (z & 1) << 1].tobytes().decode("ascii")
-    coeffs = _pairs(np.array([c for c, _ in s.terms], dtype=complex))
-    return [{"coeff": c, "pauli": text[i:i + n], "phase_exp": p.phase_exp}
-            for c, i, p in zip(coeffs, range(0, len(text), n), prims)]
+    coeffs = _pairs(np.array([c for s in sums for c, _ in s.terms], dtype=complex))
+    terms = [{"coeff": c, "pauli": text[i:i + n], "phase_exp": p.phase_exp}
+             for c, i, p in zip(coeffs, range(0, len(text), n), prims)]
+    ends = list(accumulate(len(s.terms) for s in sums))
+    return [terms[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _pauli_terms_in_bulk(terms, n: int) -> list | None:
@@ -329,7 +340,7 @@ def _pauli_terms_in_bulk(terms, n: int) -> list | None:
     with its own message).  Regular means exact dict, list, str, int and
     float types (so no bools), [re, im] pairs of finite numbers, IXYZ labels
     of length n, and int phase_exps."""
-    if type(terms) is not list or not 1 <= n <= _BULK_SITES:
+    if not 1 <= n <= _BULK_SITES:
         return None
     if set(map(type, terms)) != {dict}:
         return None
@@ -367,16 +378,26 @@ def _pauli_terms_in_bulk(terms, n: int) -> list | None:
     return list(zip(coeffs, map(strings.__getitem__, keys)))
 
 
-def pauli_sum_from_json(terms, n: int) -> PauliSum:
-    """A term list read in bulk when it is regular, else term by term."""
-    pairs = _pauli_terms_in_bulk(terms, n)
-    if pairs is None:
-        pairs = [term_from_json(t) for t in terms]
-    return PauliSum(n, pairs)
+def _term_lists_from_json(items: list, n: int) -> list[PauliSum]:
+    """A document's operators from its term lists, read in one bulk pass
+    (or term by term, in order, if one term is irregular), and its dense
+    jumps ({"matrix": m}), decomposed where they stand."""
+    lists = (x for x in items if type(x) is list)
+    pairs = _pauli_terms_in_bulk(list(chain.from_iterable(lists)), n)
+    out, start = [], 0
+    for x in items:
+        if type(x) is dict:
+            out.append(pauli_decompose(matrix_from_json(x["matrix"]), n))
+        elif pairs is None:
+            out.append(PauliSum(n, [term_from_json(t) for t in x]))
+        else:
+            out.append(PauliSum(n, pairs[start:start + len(x)]))
+            start += len(x)
+    return out
 
 
 def channel_to_json(c: ChannelExpr) -> dict:
-    return {"n": c.n, "kraus": [pauli_sum_to_json(k) for k in c.kraus]}
+    return {"n": c.n, "kraus": _term_lists_to_json(c.kraus)}
 
 
 def _sites_from_json(d: dict) -> int:
@@ -387,37 +408,24 @@ def _sites_from_json(d: dict) -> int:
 
 
 def channel_from_json(d: dict) -> ChannelExpr:
-    """All operators are read in one bulk pass, so a string they share is
-    built once; a channel with an irregular term is read operator by operator."""
     n = _sites_from_json(d)
-    kraus = d["kraus"]
-    # a non-list operator yields no dicts, or raises as the per-operator read
-    pairs = _pauli_terms_in_bulk(list(chain.from_iterable(kraus)), n)
-    if pairs is None:
-        c = ChannelExpr(n, [pauli_sum_from_json(terms, n) for terms in kraus])
-    else:
-        ends = list(accumulate(map(len, kraus)))
-        c = ChannelExpr(n, [PauliSum(n, pairs[a:b]) for a, b in zip([0] + ends, ends)])
+    kraus = [require_list(k, f"Kraus operator {i}")
+             for i, k in enumerate(require_list(d["kraus"], "kraus"))]
+    c = ChannelExpr(n, _term_lists_from_json(kraus, n))
     typecheck(c)
     return c
 
 
 def lindblad_to_json(spec: LindbladSpec) -> dict:
-    return {
-        "n": spec.n,
-        "H": pauli_sum_to_json(spec.hamiltonian),
-        "jumps": [pauli_sum_to_json(j) for j in spec.jumps],
-    }
+    ham, *jumps = _term_lists_to_json([spec.hamiltonian, *spec.jumps])
+    return {"n": spec.n, "H": ham, "jumps": jumps}
 
 
 def lindblad_from_json(d: dict) -> LindbladSpec:
     n = _sites_from_json(d)
-    ham = pauli_sum_from_json(d.get("H", []), n)
-    jumps = []
-    for j in d.get("jumps", []):
-        if isinstance(j, dict) and "matrix" in j:
-            # dense jump operators are accepted and expanded on ingest
-            jumps.append(pauli_decompose(matrix_from_json(j["matrix"]), n))
-        else:
-            jumps.append(pauli_sum_from_json(j, n))
+    ham = require_list(d.get("H", []), "H")
+    # a dense jump operator is accepted and expanded on ingest
+    jumps = [j if type(j) is dict and "matrix" in j else require_list(j, f"jump {k}")
+             for k, j in enumerate(require_list(d.get("jumps", []), "jumps"))]
+    ham, *jumps = _term_lists_from_json([ham, *jumps], n)
     return LindbladSpec(n, ham, jumps)

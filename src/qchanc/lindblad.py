@@ -16,7 +16,7 @@ on 2n) and `propagate` stay as the oracle it is tested against.
 
 from dataclasses import dataclass
 from itertools import product
-from math import ceil, sqrt
+from math import ceil, inf, sqrt
 
 import numpy as np
 
@@ -43,6 +43,8 @@ _THETA = {
 }
 # the most Taylor steps evolve takes: a larger |t| times norm bound is refused
 MAX_TAYLOR_STEPS = 1000
+# the most Kraus operators higher_order forms: a larger expansion is refused
+MAX_DUHAMEL_OPERATORS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +135,12 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    count = _duhamel_count(len(spec.jumps), quad)
+    if not count <= MAX_DUHAMEL_OPERATORS:
+        shown = f"{count:.3g}" if count < inf else "over 1e308"
+        raise ValueError(
+            f"the order-{quad.expansion_order} expansion would form {shown} "
+            f"Kraus operators, more than {MAX_DUHAMEL_OPERATORS}")
     try:
         with np.errstate(over="raise", invalid="raise"):
             sums = _duhamel_sums(spec, delta, quad, cap)
@@ -142,6 +150,18 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
     # pauli_decompose sums are already canonical: distinct bare strings, each
     # with |c| > ZERO_TOL; the drift Kraus always carries the identity
     return ChannelExpr(spec.n, [s for s in sums if s.terms])
+
+
+def _duhamel_count(jumps: int, quad: QuadratureSpec) -> float:
+    """1 + sum_{k=1..K} (q J)^k, the Kraus operators that K levels of q nodes
+    and J jumps form, as a float (inf beyond its range)."""
+    r, levels = quad.nodes_per_level * jumps, quad.expansion_order
+    try:
+        if r <= 1:
+            return 1.0 + float(r * levels)
+        return (float(r) ** (levels + 1) - 1) / (r - 1)
+    except OverflowError:
+        return inf
 
 
 def _duhamel_sums(spec: LindbladSpec, delta: float, quad: QuadratureSpec,

@@ -194,10 +194,10 @@ def block_encode(k: PauliSum, select_mode: str = "naive"):
     """
     n = typecheck(k)
     enc = encode_kraus(k, select_mode)
-    circ = Circuit((("be_anc", enc.width), ("system", n)))
-    circ.extend(encode_kraus_gates(
-        enc, circ.reg_qubits("be_anc"), circ.reg_qubits("system")))
-    return circ, enc.alpha
+    registers = (("be_anc", enc.width), ("system", n))
+    layout = Circuit(registers)  # the qubits of each register
+    aq, sq = (layout.reg_qubits(name) for name, _ in registers)
+    return Circuit(registers, encode_kraus_gates(enc, aq, sq)), enc.alpha
 
 
 def channel_alphas(c: ChannelExpr, select_mode: str = "naive",
@@ -221,12 +221,10 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
     if encodings is None:
         encodings = encode_channel(c, select_mode)
     ell, flat_width, be_width = _register_widths(encodings, flatten)
-    circ = Circuit((("kraus_sel", ell), ("flat_anc", flat_width),
-                    ("be_anc", be_width), ("system", n)))
-    kq = circ.reg_qubits("kraus_sel")
-    fq = circ.reg_qubits("flat_anc")
-    aq = circ.reg_qubits("be_anc")
-    sq = circ.reg_qubits("system")
+    registers = (("kraus_sel", ell), ("flat_anc", flat_width),
+                 ("be_anc", be_width), ("system", n))
+    layout = Circuit(registers)  # the qubits of each register
+    kq, fq, aq, sq = (layout.reg_qubits(name) for name, _ in registers)
 
     branches = [(j, encode_kraus_gates(enc, aq, sq))
                 for j, enc in enumerate(encodings)]
@@ -235,17 +233,12 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
     if not math.isfinite(norm):
         raise ValueError("the sum of the squared alphas overflows")
 
-    if ell:
-        amps = np.zeros(1 << ell, dtype=complex)
-        amps[:len(alphas)] = np.asarray(alphas) / norm
-        circ.add(StatePrep(kq, tuple(amps)))
-        if flatten:
-            circ.extend(flatten_select(branches, kq, fq))
-        else:
-            circ.extend(naive_select(branches, kq))
-    else:
-        circ.extend(branches[0][1])
-    return circ
+    if not ell:
+        return Circuit(registers, branches[0][1])
+    amps = np.zeros(1 << ell, dtype=complex)
+    amps[:len(alphas)] = np.asarray(alphas) / norm
+    select = flatten_select(branches, kq, fq) if flatten else naive_select(branches, kq)
+    return Circuit(registers, [StatePrep(kq, tuple(amps)), *select])
 
 
 def _register_widths(encodings: list[KrausEncoding],

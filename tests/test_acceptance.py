@@ -294,19 +294,18 @@ _BODIES = ["XI", "IZ", "ZX", "YY", "XX", "ZZ", "IY", "YX"]
 def _walk_circuits(n_branches):
     s = max(1, (n_branches - 1).bit_length())
     nsys = 2
-    naive = Circuit((("sel", s), ("system", nsys)))
-    flat = Circuit((("sel", s), ("walk", s + 1), ("system", nsys)))
 
-    def branches(circ):
-        sysq = circ.reg_qubits("system")
-        return [(a, [PauliGate(from_label(_BODIES[a]), sysq)])
-                for a in range(n_branches)]
+    def build(registers, select):
+        layout = Circuit(registers)
+        sysq = layout.reg_qubits("system")
+        branches = [(a, [PauliGate(from_label(_BODIES[a]), sysq)])
+                    for a in range(n_branches)]
+        return Circuit(registers, select(branches, layout.reg_qubits))
 
-    for g in naive_select(branches(naive), naive.reg_qubits("sel")):
-        naive.add(g)
-    for g in flatten_select(branches(flat), flat.reg_qubits("sel"),
-                            flat.reg_qubits("walk")):
-        flat.add(g)
+    naive = build((("sel", s), ("system", nsys)),
+                  lambda b, qubits: naive_select(b, qubits("sel")))
+    flat = build((("sel", s), ("walk", s + 1), ("system", nsys)),
+                 lambda b, qubits: flatten_select(b, qubits("sel"), qubits("walk")))
     return naive, flat, s, nsys
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ from qchanc.pauli import from_label, to_matrix
 from helpers import simulate_unitary
 
 
-def sys_circuit(n, extra=()):
-    return Circuit(tuple(extra) + (("system", n),))
+def sys_circuit(n, *gates):
+    return Circuit((("system", n),), gates)
 
 
 def random_state(rng, n):
@@ -45,9 +46,8 @@ def test_empty_circuit_identity():
 
 
 def test_double_x_identity():
-    c = sys_circuit(1)
-    c.add(PauliGate(from_label("X"), (0,)))
-    c.add(PauliGate(from_label("X"), (0,)))
+    x = PauliGate(from_label("X"), (0,))
+    c = sys_circuit(1, x, x)
     assert np.array_equal(simulate_unitary(c), np.eye(2))
 
 
@@ -62,8 +62,7 @@ def test_pauli_gate_matches_dense():
         pe = int(rng.integers(4))
         from qchanc.pauli import PauliString
         p = PauliString(width, x, z, pe)
-        c = sys_circuit(n)
-        c.add(PauliGate(p, qubits))
+        c = sys_circuit(n, PauliGate(p, qubits))
         # place each site on its circuit qubit inside a full-width string
         chars = ["I"] * n
         for site, q in enumerate(qubits):
@@ -73,32 +72,28 @@ def test_pauli_gate_matches_dense():
 
 
 def test_cnot_and_polarity():
-    c = sys_circuit(2)
-    c.add(controlled([(0, 1)], PauliGate(from_label("X"), (1,))))
+    c = sys_circuit(2, controlled([(0, 1)], PauliGate(from_label("X"), (1,))))
     u = simulate_unitary(c)
     expect = np.eye(4)[:, [0, 1, 3, 2]]
     assert np.array_equal(u, expect)
-    c0 = sys_circuit(2)
-    c0.add(controlled([(0, 0)], PauliGate(from_label("X"), (1,))))
+    c0 = sys_circuit(2, controlled([(0, 0)], PauliGate(from_label("X"), (1,))))
     assert np.array_equal(simulate_unitary(c0), np.eye(4)[:, [1, 0, 2, 3]])
 
 
 def test_control_merging_and_overlap_rejection():
     g = controlled([(0, 1)], controlled([(1, 1)], PauliGate(from_label("Z"), (2,))))
     assert isinstance(g, Controlled) and len(g.controls) == 2
-    c = sys_circuit(3)
     with pytest.raises(ValueError, match="overlap"):
-        c.add(Controlled(((0, 1),), PauliGate(from_label("Z"), (0,))))
+        sys_circuit(3, Controlled(((0, 1),), PauliGate(from_label("Z"), (0,))))
 
 
 def test_toffoli_matches_ccx():
-    c = sys_circuit(3)
-    c.add(ToffoliCompute(0, 1, 2))
+    c = sys_circuit(3, ToffoliCompute(0, 1, 2))
     u = simulate_unitary(c)
     perm = list(range(8))
     perm[6], perm[7] = 7, 6
     assert np.array_equal(u, np.eye(8)[:, perm])
-    c.add(ToffoliUncompute(0, 1, 2))
+    c = sys_circuit(3, *c.gates, ToffoliUncompute(0, 1, 2))
     assert np.array_equal(simulate_unitary(c), np.eye(8))
 
 
@@ -120,7 +115,7 @@ def test_householder_random_first_column():
 
 def test_state_prep_norm_validation():
     with pytest.raises(ValueError, match="unit norm"):
-        sys_circuit(1).add(StatePrep((0,), (1.0, 1.0)))
+        sys_circuit(1, StatePrep((0,), (1.0, 1.0)))
 
 
 X = from_label("X")
@@ -159,7 +154,7 @@ def test_bad_gate_rejected(make, message):
     with pytest.raises(ValueError, match=message):
         Circuit(regs, [make()])
     with pytest.raises(ValueError, match=message):
-        Circuit(regs).add(make())
+        Circuit(regs, iter([make()]))
 
 
 @pytest.mark.parametrize("registers, message", [
@@ -176,7 +171,6 @@ def test_bad_register_rejected(registers, message):
 
 def test_random_circuit_unitary():
     rng = np.random.default_rng(2)
-    c = Circuit((("flat_anc", 1), ("system", 2)))
     s = 1 / math.sqrt(2)
     gates = [
         StatePrep((0,), (s, s)),
@@ -187,7 +181,8 @@ def test_random_circuit_unitary():
             rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]),
         ToffoliUncompute(0, 1, 2),
     ]
-    c.extend(gates)
+    c = Circuit((("flat_anc", 1), ("system", 2)), iter(gates))
+    assert c.gates == tuple(gates)
     u = simulate_unitary(c)
     assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-10
 
@@ -202,8 +197,8 @@ def test_run_channel_identity():
 
 def test_run_channel_postselect_halves():
     s = 1 / math.sqrt(2)
-    c = Circuit((("kraus_sel", 0), ("be_anc", 1), ("flat_anc", 0), ("system", 1)))
-    c.add(StatePrep((0,), (s, s)))
+    c = Circuit((("kraus_sel", 0), ("be_anc", 1), ("flat_anc", 0), ("system", 1)),
+                [StatePrep((0,), (s, s))])
     rho = np.eye(2, dtype=complex) / 2
     (out,), (prob,) = run_channel(c, [rho])
     assert abs(prob - 0.5) < 1e-12
@@ -211,10 +206,10 @@ def test_run_channel_postselect_halves():
 
 
 def test_run_channel_trace_out():
-    c = Circuit((("kraus_sel", 1), ("be_anc", 0), ("flat_anc", 0), ("system", 1)))
     s = 1 / math.sqrt(2)
-    c.add(StatePrep((0,), (s, s)))
-    c.add(controlled([(0, 1)], PauliGate(from_label("X"), (1,))))
+    c = Circuit((("kraus_sel", 1), ("be_anc", 0), ("flat_anc", 0), ("system", 1)),
+                [StatePrep((0,), (s, s)),
+                 controlled([(0, 1)], PauliGate(from_label("X"), (1,)))])
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     (out,), (prob,) = run_channel(c, [rho])
     assert abs(prob - 1.0) < 1e-12
@@ -222,9 +217,9 @@ def test_run_channel_trace_out():
 
 
 def test_run_channel_lone_matrix_is_one_state():
-    c = Circuit((("kraus_sel", 1), ("be_anc", 1), ("flat_anc", 0), ("system", 1)))
-    c.add(StatePrep((0,), (0.6, 0.8)))
-    c.add(controlled([(0, 1)], PauliGate(from_label("Y"), (2,))))
+    c = Circuit((("kraus_sel", 1), ("be_anc", 1), ("flat_anc", 0), ("system", 1)),
+                [StatePrep((0,), (0.6, 0.8)),
+                 controlled([(0, 1)], PauliGate(from_label("Y"), (2,)))])
     rho = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
     (want,), (want_prob,) = run_channel(c, [rho])
     out, prob = run_channel(c, rho)
@@ -232,27 +227,24 @@ def test_run_channel_lone_matrix_is_one_state():
 
 
 def test_cost_report_examples():
-    c = sys_circuit(4)
-    c.add(controlled([(0, 1)], PauliGate(from_label("Z"), (1,))))
+    c = sys_circuit(4, controlled([(0, 1)], PauliGate(from_label("Z"), (1,))))
     r = cost_report(c)
     assert r.weighted_control_cost == 1 and r.t_count == 0
     assert r.controlled_pauli_count == 1
 
-    c3 = sys_circuit(4)
-    c3.add(controlled([(0, 1), (1, 1), (2, 0)], PauliGate(from_label("X"), (3,))))
+    c3 = sys_circuit(4, controlled([(0, 1), (1, 1), (2, 0)],
+                                   PauliGate(from_label("X"), (3,))))
     r3 = cost_report(c3)
     assert r3.t_count == 8
     assert r3.weighted_control_cost == 3
 
-    ct = sys_circuit(3)
-    ct.add(ToffoliCompute(0, 1, 2))
-    ct.add(ToffoliUncompute(0, 1, 2))
+    ct = sys_circuit(3, ToffoliCompute(0, 1, 2), ToffoliUncompute(0, 1, 2))
     rt = cost_report(ct)
     assert rt.t_count == 4 and rt.toffoli_count == 1
 
-    cs = Circuit((("kraus_sel", 2), ("system", 1)))
     s = 1 / math.sqrt(2)
-    cs.add(controlled([(0, 1), (1, 1)], StatePrep((2,), (s, s))))
+    cs = Circuit((("kraus_sel", 2), ("system", 1)),
+                 [controlled([(0, 1), (1, 1)], StatePrep((2,), (s, s)))])
     assert cost_report(cs).t_count == 4
     assert cost_report(cs).ancillas == 2
 
@@ -270,38 +262,58 @@ def test_cost_from_shapes_rules():
 
 
 def test_cost_report_uncontrolled_pauli_is_free():
-    c = sys_circuit(2)
-    c.add(PauliGate(from_label("XY"), (0, 1)))
+    c = sys_circuit(2, PauliGate(from_label("XY"), (0, 1)))
     assert cost_report(c) == CostReport(0, 0, 0, 0, 1, 0)
 
 
 def test_unmatched_uncompute_rejected():
-    c = sys_circuit(3)
-    c.add(ToffoliUncompute(0, 1, 2))
+    c = sys_circuit(3, ToffoliUncompute(0, 1, 2))
     with pytest.raises(ValueError, match="no open compute"):
         cost_report(c)
-    c2 = sys_circuit(4)
-    c2.add(ToffoliCompute(0, 1, 3))
-    c2.add(ToffoliUncompute(0, 2, 3))
+    c2 = sys_circuit(4, ToffoliCompute(0, 1, 3), ToffoliUncompute(0, 2, 3))
     with pytest.raises(ValueError, match="does not match"):
         cost_report(c2)
 
 
 def test_circuit_json_round_trip():
     rng = np.random.default_rng(3)
-    c = Circuit((("kraus_sel", 1), ("be_anc", 1), ("system", 2)))
     s = 1 / math.sqrt(2)
-    c.add(StatePrep((0,), (s, s)))
-    c.add(controlled([(0, 1), (1, 0)], PauliGate(from_label("XZ", 2), (2, 3))))
-    c.add(ToffoliCompute(0, 1, 2, p2=0))
-    c.add(ToffoliUncompute(0, 1, 2, p2=0))
-    c.add(StatePrepAdjoint((0,), (s, s)))
-    c.add(OpaqueUnitary("blk", (2, 3), np.linalg.qr(
-        rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]))
+    c = Circuit((("kraus_sel", 1), ("be_anc", 1), ("system", 2)), [
+        StatePrep((0,), (s, s)),
+        controlled([(0, 1), (1, 0)], PauliGate(from_label("XZ", 2), (2, 3))),
+        ToffoliCompute(0, 1, 2, p2=0),
+        ToffoliUncompute(0, 1, 2, p2=0),
+        StatePrepAdjoint((0,), (s, s)),
+        OpaqueUnitary("blk", (2, 3), np.linalg.qr(
+            rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0])])
     back = circuit_from_json(circuit_to_json(c))
     assert back.registers == c.registers
     assert len(back.gates) == len(c.gates)
     assert np.allclose(simulate_unitary(back), simulate_unitary(c), atol=1e-14)
+
+
+def test_circuit_is_frozen_with_a_gate_tuple():
+    x = PauliGate(from_label("X"), (0,))
+    c = sys_circuit(1, *[x])
+    assert c.gates == (x,) and type(c.gates) is tuple
+    assert type(sys_circuit(1).gates) is tuple
+    for name, value in (("gates", [x, x]), ("registers", ())):
+        with pytest.raises(FrozenInstanceError):
+            setattr(c, name, value)
+    assert c.gates == (x,) and c.registers == (("system", 1),)
+
+
+def test_circuit_json_reports_first_bad_gate():
+    # the first gate fails its check, the second fails to parse: gates are
+    # read and checked one at a time, so the check's message is the one seen
+    doc = {"registers": [{"name": "system", "size": 1}],
+           "gates": [{"kind": "pauli", "pauli": "X", "qubits": [3]},
+                     {"kind": "state_prep", "qubits": [0], "amps": {}}]}
+    with pytest.raises(ValueError, match="outside the circuit"):
+        circuit_from_json(doc)
+    doc["gates"].reverse()
+    with pytest.raises(ValueError, match="amps must be a list, got dict"):
+        circuit_from_json(doc)
 
 
 def test_gate_json_unknown_kind():
@@ -322,4 +334,4 @@ def test_apply_circuit_checks_dimensions():
     with pytest.raises(ValueError, match="dimension"):
         apply_circuit(c, np.ones(3, dtype=complex))
     with pytest.raises(ValueError, match="outside"):
-        c.add(PauliGate(from_label("X"), (5,)))
+        sys_circuit(2, PauliGate(from_label("X"), (5,)))

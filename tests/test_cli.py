@@ -246,6 +246,19 @@ class TestCompile:
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
             "handle": None, "n": 1, "alpha": 1.0, "anc": 0}}]]},
          "failed to parse: blockenc handle must be a string, got None"),
+        ({"n": 1, "H": {}, "jumps": {}}, "failed to parse: H must be a list, got dict"),
+        ({"n": 1, "H": "", "jumps": []}, "failed to parse: H must be a list, got str"),
+        ({"n": 1, "H": [], "jumps": {}},
+         "failed to parse: jumps must be a list, got dict"),
+        ({"n": 1, "H": [], "jumps": [{"terms": []}]},
+         "failed to parse: jump 0 must be a list, got dict"),
+        ({"n": 1, "H": [], "jumps": [[{"coeff": [1, 0], "pauli": "X"}], "X"]},
+         "failed to parse: jump 1 must be a list, got str"),
+        ({"n": 1, "kraus": {}}, "failed to parse: kraus must be a list, got dict"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X"}], {}]},
+         "failed to parse: Kraus operator 1 must be a list, got dict"),
+        ({"n": 1, "kraus": [None]},
+         "failed to parse: Kraus operator 0 must be a list, got NoneType"),
     ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
             "blockenc-nan-alpha", "blockenc-fractional-anc", "blockenc-bool-anc",
             "blockenc-fractional-n", "fractional-n", "bool-n", "string-n",
@@ -253,10 +266,13 @@ class TestCompile:
             "long-coeff", "bool-coeff", "blockenc-bool-alpha", "blockenc-matrix-false",
             "blockenc-matrix-true", "spec-blockenc-H", "spec-blockenc-jump",
             "negative-n", "spec-zero-n", "blockenc-int-handle",
-            "blockenc-null-handle"])
+            "blockenc-null-handle", "spec-H-dict", "spec-H-str", "spec-jumps-dict",
+            "spec-jump-dict", "spec-jump-str", "kraus-dict", "kraus-operator-dict",
+            "kraus-operator-null"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
+        # with --delta, so that a spec read leniently would compile
         bad = write_json(tmp_path / "bad.json", doc)
-        code, _, err = run(capsys, "compile", bad, "--out",
+        code, _, err = run(capsys, "compile", bad, "--delta", "0.01", "--out",
                            str(tmp_path / "x"))
         assert code == 2 and message in err
         assert "Traceback" not in err
@@ -411,18 +427,18 @@ class TestCompile:
                         circuits.OpaqueUnitary)
         assert not any("__post_init__" in vars(cls) for cls in gate_classes)
         checks, built = [], []
-        check = circuits.Circuit._check
+        check = circuits._check
         lcu = cli.channel_lcu
 
-        def spy_check(self, gate):
+        def spy_check(gate, total):
             checks.append(gate)
-            return check(self, gate)
+            return check(gate, total)
 
         def spy_lcu(*args, **kwargs):
             built.append(lcu(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(circuits.Circuit, "_check", spy_check)
+        monkeypatch.setattr(circuits, "_check", spy_check)
         monkeypatch.setattr(cli, "channel_lcu", spy_lcu)
         spec = write_json(tmp_path / "tfim.json",
                           lindblad_to_json(gen_tfim(3, 1.0)))
@@ -436,6 +452,25 @@ class TestCompile:
 
 def stdlib_dump(data):
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["compile", "--frontend", "order:30,1,1", "--delta", "0.01", "--out", "x"],
+     "lowering failed: the order-30 expansion would form 2.15e+09 Kraus operators"),
+    (["error-sweep", "--orders", "12", "--delta", "0.01"],
+     "the order-12 expansion would form 2.24e+07 Kraus operators"),
+], ids=["compile", "error-sweep"])
+def test_unbounded_expansion_exits_2(tmp_path, argv, message):
+    # each ran for minutes before the operator count was bounded
+    path = write_json(tmp_path / "tfim2.json", lindblad_to_json(gen_tfim(2, 1.0)))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qchanc.cli", argv[0], path, *argv[1:]],
+        env={**os.environ, "PYTHONPATH": src}, cwd=tmp_path, capture_output=True,
+        text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr and "Traceback" not in proc.stderr
+    assert "more than 65536" in proc.stderr
 
 
 def test_cli_import_leaves_scipy_out():
@@ -682,13 +717,20 @@ class TestVerify:
         ("controlled", "controls", lambda cs: [[cs[0][0], 1.9], *cs[1:]], "1.9"),
         ("controlled", "controls", lambda cs: [[cs[0][0], True], *cs[1:]], "True"),
         ("pauli", "qubits", lambda qs: ["0", *qs[1:]], "'0'"),
+        ("controlled", "controls", lambda cs: {}, "controls must be a list, got dict"),
+        ("pauli", "qubits", lambda qs: {}, "qubits must be a list, got dict"),
+        ("state_prep", "amps", lambda a: {}, "amps must be a list, got dict"),
+        (None, "gates", lambda gs: "", "gates must be a list, got str"),
+        (None, "registers", lambda rs: {}, "registers must be a list, got dict"),
     ], ids=["pauli-qubit-plus-0.7", "toffoli-target-2.5", "polarity-1.9",
-            "polarity-true", "qubit-string"])
+            "polarity-true", "qubit-string", "controls-dict", "qubits-dict",
+            "amps-dict", "gates-string", "registers-dict"])
     def test_bad_gate_field_rejected(self, tmp_path, decay_file, capsys,
                                      command, kind, key, edit, shown):
+        # kind None edits a field of the circuit itself
         doc = json.loads(Path(self.compile_decay(
             tmp_path, decay_file, capsys, "--flatten", "--order")).read_text())
-        gate = next(g for g in doc["gates"] if g["kind"] == kind)
+        gate = doc if kind is None else next(g for g in doc["gates"] if g["kind"] == kind)
         gate[key] = edit(gate[key])
         circuit = write_json(tmp_path / "bad.json", doc)
         argv = [command, circuit]

@@ -22,8 +22,6 @@ from qchanc.ir import (
     lindblad_to_json,
     matrix_from_json,
     matrix_to_json,
-    pauli_sum_from_json,
-    pauli_sum_to_json,
     probe_states,
     term_from_json,
     term_to_json,
@@ -31,7 +29,8 @@ from qchanc.ir import (
     typecheck,
     validate_density,
 )
-from qchanc.pauli import PauliString, PauliSum, from_label, sums_close
+from qchanc.bench import gen_tfim
+from qchanc.pauli import PauliString, PauliSum, from_label, pauli_decompose, sums_close
 
 from helpers import apply_channel_loop, probe_states_list
 
@@ -272,13 +271,32 @@ def test_bulk_writer_matches_per_term_writer():
                   (1, PauliString(n, 0, full))]
         s = PauliSum(n, terms)
         want = [term_to_json(c, p) for c, p in s.terms]
-        assert json.dumps(pauli_sum_to_json(s)) == json.dumps(want)
-        back = pauli_sum_from_json(json.loads(json.dumps(want)), n)
-        assert [p for _, p in back.terms] == [p for _, p in terms]
+        got = channel_to_json(ChannelExpr(n, [s]))["kraus"]
+        assert json.dumps(got) == json.dumps([want])
+        back = channel_from_json(json.loads(json.dumps({"n": n, "kraus": [want]})))
+        assert [p for _, p in back.kraus[0].terms] == [p for _, p in terms]
     ref = BlockEncRef("h", 1, 1.0, 0)
     mixed = PauliSum(1, [(0.5j, from_label("Y")), (2.0, ref)])
-    assert pauli_sum_to_json(mixed) == [term_to_json(c, p) for c, p in mixed.terms]
-    assert pauli_sum_to_json(PauliSum(1, [])) == []
+    assert channel_to_json(ChannelExpr(1, [mixed]))["kraus"] == [
+        [term_to_json(c, p) for c, p in mixed.terms]]
+    assert channel_to_json(ChannelExpr(1, [PauliSum(1, [])]))["kraus"] == [[]]
+
+
+def test_document_writer_splits_one_label_pass():
+    # a channel's operators, or a spec's H and jumps, in one pass; an opaque
+    # primitive anywhere sends the whole document term by term, same bytes
+    x, zy = from_label("XI"), from_label("ZY", 3)
+    ops = [PauliSum(2, [(0.5, x), (-0.25j, zy)]), PauliSum(2, []),
+           PauliSum(2, [(1.0, zy)])]
+    want = [[term_to_json(c, p) for c, p in k.terms] for k in ops]
+    assert channel_to_json(ChannelExpr(2, ops)) == {"n": 2, "kraus": want}
+    ref = BlockEncRef("h", 2, 1.0, 0)
+    mixed = ops + [PauliSum(2, [(1.0, ref)])]
+    assert channel_to_json(ChannelExpr(2, mixed))["kraus"] == want + [
+        [term_to_json(1.0, ref)]]
+    spec = LindbladSpec(2, PauliSum(2, [(0.5, from_label("XX"))]), ops[1:])
+    assert lindblad_to_json(spec) == {
+        "n": 2, "H": [term_to_json(0.5, from_label("XX"))], "jumps": want[1:]}
 
 
 REGULAR_TERM = {"coeff": [0.5, -1], "pauli": "XZ", "phase_exp": 3}
@@ -311,14 +329,15 @@ def test_bulk_reader_takes_regular_lists_only(change, bulk):
     odd = {k: v for k, v in odd.items() if v is not None}
     terms = [dict(REGULAR_TERM), odd]
     assert (_pauli_terms_in_bulk(terms, 2) is not None) == bulk
+    doc = {"n": 2, "kraus": [terms]}
     try:
         want = PauliSum(2, [term_from_json(t) for t in terms])
     except (ValueError, LookupError, OverflowError) as exc:
         with pytest.raises(type(exc)) as got:
-            pauli_sum_from_json(terms, 2)
+            channel_from_json(doc)
         assert str(got.value) == str(exc)
     else:
-        assert pauli_sum_from_json(terms, 2) == want
+        assert channel_from_json(doc) == ChannelExpr(2, [want])
 
 
 def test_bulk_reader_shares_equal_strings():
@@ -347,7 +366,7 @@ def test_bulk_reader_shares_equal_strings():
 def test_bulk_reader_keeps_signed_zeros_and_phases():
     terms = [{"coeff": [-0.0, -0.0], "pauli": "Y", "phase_exp": 7},
              {"coeff": [0, -0.0], "pauli": "I"}]
-    got = pauli_sum_from_json(terms, 1)
+    got = channel_from_json({"n": 1, "kraus": [terms]}).kraus[0]
     assert [(repr(c), p) for c, p in got.terms] == [
         ("(-0-0j)", PauliString(1, 1, 1, 3)), ("-0j", PauliString(1, 0, 0))]
     assert [type(c) for c, _ in got.terms] == [complex, complex]
@@ -368,6 +387,77 @@ def test_lindblad_json_round_trip_and_dense_jump():
     got = lindblad_from_json(dense)
     assert sums_close(got.jumps[0], jump, 1e-12)
     assert np.allclose(eval_kraus(got.jumps[0]), [[0, 0], [1, 0]], atol=1e-15)
+
+
+def _dense(m):
+    return {"matrix": matrix_to_json(np.array(m, dtype=complex))}
+
+
+X_TERM = {"coeff": [0.5, 0], "pauli": "X"}
+Z_TERM = {"coeff": [0, 0.25], "pauli": "Z", "phase_exp": 2}
+H_TERMS = [{"coeff": [-1, 0], "pauli": "X"}, {"coeff": [0.5, 0], "pauli": "Z"}]
+
+
+def _per_term_spec(d):
+    """The spec a document reads as, list by list and term by term."""
+    def one(j):
+        if isinstance(j, dict):
+            return pauli_decompose(matrix_from_json(j["matrix"]), d["n"])
+        return PauliSum(d["n"], [term_from_json(t) for t in j])
+    return LindbladSpec(d["n"], one(d["H"]), [one(j) for j in d["jumps"]])
+
+
+def test_lindblad_dense_jump_keeps_its_place():
+    doc = {"n": 1, "H": H_TERMS,
+           "jumps": [[X_TERM], _dense([[0, 0], [1, 0]]), [Z_TERM]]}
+    got = lindblad_from_json(doc)
+    assert got == _per_term_spec(doc)
+    assert [len(j.terms) for j in got.jumps] == [1, 2, 1]
+    assert got.jumps[0] == PauliSum(1, [(0.5, from_label("X"))])
+    assert np.allclose(eval_kraus(got.jumps[1]), [[0, 0], [1, 0]], atol=1e-15)
+    assert got.jumps[2] == PauliSum(1, [(0.25j, from_label("Z", 2))])
+
+
+@pytest.mark.parametrize("odd, message", [
+    ({"coeff": [1, 0], "pauli": "X", "phase_exp": 1.0},
+     "phase_exp must be an integer, got 1.0"),
+    ({"coeff": [1, 0], "pauli": "x"}, "bad Pauli letter 'x'"),
+    ({"coeff": [True, 0], "pauli": "X"}, "real part must be a number, got True"),
+    ({"coeff": [1, 0], "blockenc": {"handle": "h", "n": 1, "alpha": 1.0, "anc": 0}},
+     "jump 2 term 1 is not a Pauli string"),
+    ({"coeff": (0.5, -0.5), "pauli": "Y"}, None),
+], ids=["float-phase", "lower-case", "bool-part", "blockenc", "tuple-coeff"])
+def test_lindblad_irregular_jump_reads_as_per_term(odd, message):
+    # regular jumps and a dense one around a jump the bulk read declines
+    doc = {"n": 1, "H": H_TERMS,
+           "jumps": [[X_TERM], _dense([[0, 1], [0, 0]]), [Z_TERM, odd], [X_TERM]]}
+    assert _pauli_terms_in_bulk([odd], 1) is None
+    try:
+        want = _per_term_spec(doc)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as got:
+            lindblad_from_json(doc)
+        assert str(got.value) == str(exc) and message in str(exc)
+    else:
+        assert message is None and lindblad_from_json(doc) == want
+
+
+def test_lindblad_reader_makes_one_bulk_call(monkeypatch):
+    import qchanc.ir as ir
+
+    calls = []
+    bulk = ir._pauli_terms_in_bulk
+    monkeypatch.setattr(ir, "_pauli_terms_in_bulk",
+                        lambda terms, n: calls.append(len(terms)) or bulk(terms, n))
+    doc = lindblad_to_json(gen_tfim(4, 1.0))
+    doc["jumps"].insert(2, _dense(np.eye(16)))
+    spec = lindblad_from_json(doc)
+    assert len(spec.jumps) == 5
+    # the H terms and every list jump's terms, in one call
+    assert calls == [len(doc["H"]) + sum(len(j) for j in doc["jumps"] if type(j) is list)]
+    calls.clear()
+    channel_from_json({"n": 1, "kraus": [[X_TERM], [Z_TERM, X_TERM]]})
+    assert calls == [3]
 
 
 def test_lindblad_validation():

@@ -240,6 +240,42 @@ class TestHigherOrder:
         with pytest.raises(ValueError, match="cap"):
             higher_order(spec, 0.01, QuadratureSpec(), cap=2)
 
+    @pytest.mark.parametrize("quad", [QuadratureSpec(1, 1, 1), QuadratureSpec(2, 2, 2),
+                                      QuadratureSpec(3, 1, 3), QuadratureSpec(4, 2, 1)],
+                             ids=["1,1,1", "2,2,2", "3,1,3", "4,2,1"])
+    @pytest.mark.parametrize("jumps", [0, 1, 2])
+    def test_operator_count_matches_expansion(self, quad, jumps):
+        spec = decay_spec(1.0, 1.0)
+        spec = LindbladSpec(1, PauliSum(1, [(0.5, from_label("X"))]), spec.jumps[:jumps])
+        sums = lindblad._duhamel_sums(spec, 0.1, quad, None)
+        assert lindblad._duhamel_count(jumps, quad) == len(sums)
+
+    def test_operator_limit_is_inclusive(self, monkeypatch):
+        spec = decay_spec(1.0, 1.0)  # two jumps
+        monkeypatch.setattr(lindblad, "MAX_DUHAMEL_OPERATORS", 7)
+        # one level of three nodes: 1 + 3 * 2 operators
+        assert len(higher_order(spec, 0.1, QuadratureSpec(1, 1, 3)).kraus) == 7
+        with pytest.raises(ValueError, match="^the order-2 expansion would form 43 "
+                                             "Kraus operators, more than 7$"):
+            higher_order(spec, 0.1, QuadratureSpec(2, 1, 3))
+
+    @pytest.mark.parametrize("quad, shown", [
+        (QuadratureSpec(30, 1, 1), "2.15e+09"),
+        (QuadratureSpec(12, 12, 2), "2.24e+07"),
+        (QuadratureSpec(1, 1, 10 ** 8), "2e+08"),
+        (QuadratureSpec(10 ** 9, 1, 1), "over 1e308"),
+        (QuadratureSpec(10 ** 400, 1, 1), "over 1e308"),
+    ], ids=["order-30", "order-12", "many-nodes", "order-1e9", "order-1e400"])
+    def test_huge_expansion_refused_before_any_matrix(self, monkeypatch, quad, shown):
+        def no_matrices(*args):
+            raise AssertionError("a matrix was built")
+
+        monkeypatch.setattr(lindblad, "_drift_generator", no_matrices)
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_matrices)
+        with pytest.raises(ValueError, match=re.escape(
+                f"would form {shown} Kraus operators, more than 65536")):
+            higher_order(decay_spec(1.0, 1.0), 0.01, quad)
+
 
 class TestOpnorm:
     def test_decay_value(self):

@@ -21,7 +21,6 @@ from qchanc.ir import (  # noqa: E402
     channel_from_json,
     channel_to_json,
     eval_kraus,
-    pauli_sum_from_json,
     term_from_json,
     typecheck,
 )
@@ -163,7 +162,8 @@ TERM_LISTS = settings(PROPERTY, max_examples=400)
 def test_bulk_reader_matches_per_term_reader(case):
     n, terms, regular = case
     per_term = read(lambda: PauliSum(n, [term_from_json(t) for t in terms]))
-    assert read(lambda: pauli_sum_from_json(terms, n)) == per_term
+    doc = {"n": n, "kraus": [terms]}
+    assert read(lambda: channel_from_json(doc).kraus[0]) == per_term
     if regular:
         assert _pauli_terms_in_bulk(terms, n) is not None
 

@@ -220,7 +220,7 @@ class TestBlockEncode:
             circ, alpha = block_encode(k, mode)
             assert enc.alpha == alpha and enc.width == 2
             here = encode_kraus_gates(enc, (0, 1), (2, 3))
-            assert here == circ.gates
+            assert tuple(here) == circ.gates
             moved = encode_kraus_gates(enc, (7, 5, 6), (1, 0))
             assert len(moved) == len(here)
             with pytest.raises(ValueError, match="ancilla"):
