@@ -33,10 +33,12 @@ done < replay-smoke/steps.txt
 qchanc rewrite "$cur" --minimize-rank --out replay-smoke/again.json
 python -c 'import json, sys; want, got, again = (len(json.load(open(f))["channel"]["kraus"]) for f in sys.argv[1:4]); print("steps:", sys.argv[4], "kraus_count:", got, "again:", again, "written:", want); sys.exit(got != want or again != want or sys.argv[4] == "0")' replay-smoke/min.json "$cur" replay-smoke/again.json "$i"
 
-# Bad input: malformed JSON containers and an unbounded Duhamel expansion
-# must each exit 2 within 30 s, with a message and no traceback
+# Bad input: malformed JSON containers and records, an unbounded Duhamel
+# expansion and an unbounded drift Taylor order must each exit 2 within
+# 30 s, with a message and no traceback
 mkdir -p bad-smoke
 echo '{"n": 1, "H": {}, "jumps": []}' > bad-smoke/h-dict.json
+echo '{"n": 1, "kraus": [[5]]}' > bad-smoke/term-int.json
 inst=$(qchanc bench tfim --sites 2 --out bad-smoke)
 qchanc compile "$inst" --delta 0.01 --flatten --order --out bad-smoke/tfim2
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); json.dump({**d, "gates": ""}, open(sys.argv[2], "w")); next(g for g in d["gates"] if g["kind"] == "controlled")["controls"] = {}; json.dump(d, open(sys.argv[3], "w"))' bad-smoke/tfim2/circuit.json bad-smoke/gates-string.json bad-smoke/controls-dict.json
@@ -50,9 +52,11 @@ expect_exit_2() {
   fi
 }
 expect_exit_2 qchanc compile bad-smoke/h-dict.json --delta 0.01 --out bad-smoke/x
+expect_exit_2 qchanc compile bad-smoke/term-int.json --frontend channel --out bad-smoke/x
 expect_exit_2 qchanc cost bad-smoke/gates-string.json
 expect_exit_2 qchanc verify bad-smoke/controls-dict.json --reference "$inst" --delta 0.01
 expect_exit_2 qchanc compile "$inst" --frontend order:30,1,1 --delta 0.01 --out bad-smoke/x
+expect_exit_2 qchanc compile "$inst" --frontend order:1,100000000,1 --delta 0.01 --out bad-smoke/x
 
 # Benchmark: one short pass of each workload, and one traced pass of each
 # (the tracer wraps functions by object identity, aliases included; the

@@ -12,7 +12,8 @@ first bad gate.  `_check` checks field types (every qubit index, polarity and
 register size is an int, never a bool, float or string; circuit JSON must
 hold JSON integers there), gate shapes and the qubit range.  JSON
 amplitudes are [re, im] pairs of numbers, read by ir._pair2c like every
-complex number in the IR's JSON; every JSON container there is a list.
+complex number in the IR's JSON; every JSON container there is a list, and
+every record (register, gate) an object.
 
 Cost model.  Every cost report, of a built circuit or of encoding records,
 is priced by `cost_from_shapes` from one (controls, Pauli weight or None)
@@ -38,7 +39,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ir import (_pair2c, kraus_action, matrix_from_json, matrix_to_json,
-                 require_int, require_list, validate_density)
+                 require_dict, require_int, require_list, validate_density)
 from .pauli import PauliString, check_cap, from_label, pauli_action, weight
 
 PREP_TOL = 1e-10
@@ -260,9 +261,9 @@ def _apply_gate(state: np.ndarray, g: Gate, total: int) -> np.ndarray:
     raise TypeError(f"unknown gate {type(g).__name__}")
 
 
-def apply_circuit(c: Circuit, state: np.ndarray, cap: int | None = None) -> np.ndarray:
+def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     total = c.total_qubits
-    check_cap(total, cap, "circuit")
+    check_cap(total, "circuit")
     state = np.asarray(state, dtype=complex)
     if state.ndim != 2 or state.shape[0] != 1 << total:
         raise ValueError("state dimension does not match the circuit")
@@ -271,18 +272,17 @@ def apply_circuit(c: Circuit, state: np.ndarray, cap: int | None = None) -> np.n
     return state
 
 
-def system_isometry(c: Circuit, cap: int | None = None) -> np.ndarray:
+def system_isometry(c: Circuit) -> np.ndarray:
     """Columns U|0...0, j> for each system basis state j (other regs zero)."""
     n = c.reg_size("system")
     if c.reg_qubits("system") != tuple(range(c.total_qubits - n, c.total_qubits)):
         raise ValueError("system register must occupy the trailing qubits")
     cols = np.zeros((1 << c.total_qubits, 1 << n), dtype=complex)
     cols[: 1 << n] = np.eye(1 << n)
-    return apply_circuit(c, cols, cap)
+    return apply_circuit(c, cols)
 
 
-def run_channel(c: Circuit, rhos,
-                cap: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def run_channel(c: Circuit, rhos) -> tuple[np.ndarray, np.ndarray]:
     """Postselected, partially traced action on a system density matrix or
     each of a stack: (unnormalized outputs, success probabilities).
 
@@ -296,7 +296,7 @@ def run_channel(c: Circuit, rhos,
         raise KeyError("no register named 'be_anc'")
     n = c.reg_size("system")
     rhos = validate_density(rhos, n)
-    w = system_isometry(c, cap)
+    w = system_isometry(c)
     dims = [1 << s for _, s in c.registers] + [1 << n]
     # one axis per register (the system last), then system-in; keep be_anc = 0
     w = np.take(w.reshape(dims), 0, axis=names.index("be_anc"))
@@ -401,7 +401,8 @@ def gate_from_json(d: dict) -> Gate:
         return PauliGate(from_label(d["pauli"], phase_exp), _qubits(d))
     if kind == "controlled":
         controls = require_list(d["controls"], "controls")
-        return Controlled(tuple((q, p) for q, p in controls), gate_from_json(d["body"]))
+        body = gate_from_json(require_dict(d["body"], "gate body"))
+        return Controlled(tuple((q, p) for q, p in controls), body)
     if kind in ("state_prep", "state_prep_adj"):
         amps = tuple(_pair2c(a) for a in require_list(d["amps"], "amps"))
         cls = StatePrep if kind == "state_prep" else StatePrepAdjoint
@@ -421,7 +422,10 @@ def circuit_to_json(c: Circuit) -> dict:
 
 
 def circuit_from_json(d: dict) -> Circuit:
-    registers = require_list(d["registers"], "registers")
-    # each gate is read as the constructor reaches it, just before its check
-    return Circuit(tuple((r["name"], r["size"]) for r in registers),
-                   map(gate_from_json, require_list(d["gates"], "gates")))
+    registers = [require_dict(r, f"register {i}")
+                 for i, r in enumerate(require_list(d["registers"], "registers"))]
+    # a missing name or size reads as None, which Circuit's check names; each
+    # gate is read as the constructor reaches it, just before its check
+    return Circuit(tuple((r.get("name"), r.get("size")) for r in registers),
+                   (gate_from_json(require_dict(g, f"gate {i}"))
+                    for i, g in enumerate(require_list(d["gates"], "gates"))))

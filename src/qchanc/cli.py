@@ -53,6 +53,7 @@ from .lindblad import (
     lindblad_opnorm,
     short_time_bound,
 )
+from .pauli import command_cap
 from .rewrite import (
     RewriteError,
     apply_rule,
@@ -162,7 +163,7 @@ def _parse_frontend(text: str):
     raise CliError(f"unknown frontend {text!r}")
 
 
-def lower_input(obj, frontend: str, delta: float, cap=None) -> ChannelExpr:
+def lower_input(obj, frontend: str, delta: float) -> ChannelExpr:
     kind, quad = _parse_frontend(frontend)
     if isinstance(obj, ChannelExpr):
         if kind != "channel":
@@ -175,7 +176,7 @@ def lower_input(obj, frontend: str, delta: float, cap=None) -> ChannelExpr:
     try:
         if kind == "first":
             return first_order(obj, delta)
-        return higher_order(obj, delta, quad, cap)
+        return higher_order(obj, delta, quad)
     except (ValueError, TypecheckError) as exc:
         raise CliError(f"lowering failed: {exc}") from exc
 
@@ -199,9 +200,9 @@ def _select_audits(encodings: list) -> list:
 
 
 def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
-                     minimize_rank: bool, cap=None):
+                     minimize_rank: bool):
     """Shared by cmd_compile and the tests; returns (circuit, report dict)."""
-    chan = lower_input(obj, frontend, delta, cap)
+    chan = lower_input(obj, frontend, delta)
     setting = next(nm for nm, fl, om in SETTINGS
                    if (fl, om) == (flatten, order))
     mode = "optimized" if order else "naive"
@@ -209,7 +210,7 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
         chan = simplify(chan)
         trace = []
         if minimize_rank:
-            chan, trace = minimize_kraus_rank(chan, cap)
+            chan, trace = minimize_kraus_rank(chan)
         # one record per Kraus and select mode: every circuit, alpha and audit reads it
         encodings = {m: encode_channel(chan, m) for m in SELECT_MODES}
         circ = channel_lcu(chan, mode, flatten, encodings[mode])
@@ -349,7 +350,7 @@ def cmd_compile(args) -> int:
     obj = load_input(args.input)
     circ, report = compile_pipeline(
         obj, args.frontend, args.delta, args.flatten, args.order,
-        args.minimize_rank, args.cap)
+        args.minimize_rank)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     circuit_doc = circuit_to_json(circ)
@@ -373,7 +374,7 @@ def _load_circuit(path: str):
         raise CliError(f"cannot load circuit {path}: {exc}") from exc
 
 
-def verify_stats(circ, scale, reference, delta, samples, cap=None) -> dict:
+def verify_stats(circ, scale, reference, delta, samples) -> dict:
     """Max trace distance of the rescaled circuit channel vs the reference."""
     n = reference.n
     is_spec = not isinstance(reference, ChannelExpr)
@@ -389,9 +390,9 @@ def verify_stats(circ, scale, reference, delta, samples, cap=None) -> dict:
         raise CliError(f"circuit system has {circ.reg_size('system')} qubits, "
                        f"reference has {n}")
     states = probe_states(n, samples, seed=VERIFY_SEED)
-    refs = (evolve(reference, delta, states, cap) if is_spec
-            else apply_channel(reference, states, cap))
-    outs, probs = run_channel(circ, states, cap=cap)
+    refs = (evolve(reference, delta, states) if is_spec
+            else apply_channel(reference, states))
+    outs, probs = run_channel(circ, states)
     outs *= scale  # in place: one fewer probe-sized stack alive
     stats = {
         "max_trace_distance": float(trace_distance(outs, refs).max()),
@@ -400,15 +401,14 @@ def verify_stats(circ, scale, reference, delta, samples, cap=None) -> dict:
                          "mean": float(np.mean(probs))},
     }
     if is_spec:
-        stats["bound"] = short_time_bound(delta, lindblad_opnorm(reference, cap), 1)
+        stats["bound"] = short_time_bound(delta, lindblad_opnorm(reference), 1)
     return stats
 
 
 def cmd_verify(args) -> int:
     circ, scale = _load_circuit(args.circuit)
     reference = load_input(args.reference)
-    stats = verify_stats(circ, scale, reference, args.delta, args.samples,
-                         args.cap)
+    stats = verify_stats(circ, scale, reference, args.delta, args.samples)
     sys.stdout.write(_dump(stats))
     return 0
 
@@ -450,13 +450,13 @@ def cmd_rewrite(args) -> int:
         raise CliError("rewrite operates on channel JSON")
     try:
         if args.minimize_rank:
-            chan, trace = minimize_kraus_rank(obj, args.cap)
+            chan, trace = minimize_kraus_rank(obj)
             trace = trace_to_json(trace)
         elif args.rule:
             rule_args = json.loads(args.rule_args) if args.rule_args else {}
             if not isinstance(rule_args, dict):
                 raise CliError(f"--rule-args must be a JSON object, got {args.rule_args}")
-            chan = apply_rule(obj, args.rule, rule_args, args.cap)
+            chan = apply_rule(obj, args.rule, rule_args)
             # the arguments came from JSON, so they are echoed as given
             trace = [{"rule": args.rule, "args": rule_args,
                       "kraus_count_after": len(chan.kraus)}]
@@ -474,14 +474,14 @@ def cmd_rewrite(args) -> int:
     return 0
 
 
-def sweep_rows(spec, deltas, orders, delta, cap=None, samples=8):
+def sweep_rows(spec, deltas, orders, delta, samples=8):
     """(parameter, error, bound) rows for the requested sweep."""
-    lops = lindblad_opnorm(spec, cap)
+    lops = lindblad_opnorm(spec)
     states = probe_states(spec.n, samples, seed=VERIFY_SEED)
     rows = []
 
     def worst(chan, refs):
-        return trace_distance(apply_channel(chan, states, cap), refs).max()
+        return trace_distance(apply_channel(chan, states), refs).max()
 
     if deltas is not None:
         for d in deltas:
@@ -489,15 +489,15 @@ def sweep_rows(spec, deltas, orders, delta, cap=None, samples=8):
                 rows.append(("delta", 0.0, 0.0, 0.0))
                 continue
             # the reference first: it rejects a delta too large to evolve
-            refs = evolve(spec, d, states, cap)
+            refs = evolve(spec, d, states)
             err = worst(first_order(spec, d), refs)
             rows.append(("delta", d, err, short_time_bound(d, lops, 1)))
     else:
         # every order is measured against the same exp(delta L) rho
-        refs = evolve(spec, delta, states, cap)
+        refs = evolve(spec, delta, states)
         for k in orders:
             quad = QuadratureSpec(k, max(k, 2), 2)
-            err = worst(higher_order(spec, delta, quad, cap), refs)
+            err = worst(higher_order(spec, delta, quad), refs)
             rows.append(("order", k, err, short_time_bound(delta, lops, k)))
     return rows
 
@@ -523,8 +523,7 @@ def cmd_error_sweep(args) -> int:
         raise CliError(f"--deltas must be nonnegative, got {negative[0]:g}")
     if orders and args.delta is None:
         raise CliError("an order sweep requires --delta")
-    rows = sweep_rows(spec, deltas, orders, args.delta, args.cap,
-                      args.samples)
+    rows = sweep_rows(spec, deltas, orders, args.delta, args.samples)
     lines = [f"{rows[0][0]},error,bound"]
     for _, p, err, bound in rows:
         lines.append(f"{p:.12g},{err:.12e},{bound:.12e}")
@@ -610,14 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # --cap holds for this one command; the reset keeps it from the next call
+    token = command_cap.set(getattr(args, "cap", None))
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    finally:
+        command_cap.reset(token)
 
 
 if __name__ == "__main__":

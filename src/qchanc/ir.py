@@ -127,10 +127,9 @@ def typecheck(expr) -> int:
     raise TypecheckError(f"not an IR node: {type(expr).__name__}")
 
 
-def eval_kraus(k: PauliSum, cap: int | None = None) -> np.ndarray:
+def eval_kraus(k: PauliSum) -> np.ndarray:
     """Dense matrix of one term list (Kraus operator, H or jump)."""
-    return dense_sum(k.n, ((c, _dense_operand(p)) for c, p in k.terms), cap,
-                     "eval_kraus")
+    return dense_sum(k.n, ((c, _dense_operand(p)) for c, p in k.terms), "eval_kraus")
 
 
 def _dense_operand(prim: Primitive):
@@ -175,11 +174,11 @@ def kraus_action(ks: np.ndarray, rhos: np.ndarray) -> np.ndarray:
     return outs
 
 
-def apply_channel(c: ChannelExpr, rhos, cap: int | None = None) -> np.ndarray:
+def apply_channel(c: ChannelExpr, rhos) -> np.ndarray:
     """The channel on a validated density matrix or on each of a stack;
     each Kraus operator is evaluated once for all the states."""
     rhos = validate_density(rhos, c.n)
-    ks = np.array([eval_kraus(k, cap) for k in c.kraus], dtype=complex)
+    ks = np.array([eval_kraus(k) for k in c.kraus], dtype=complex)
     return kraus_action(ks.reshape(-1, 1 << c.n, 1 << c.n), rhos)
 
 
@@ -208,13 +207,12 @@ def probe_states(n: int, samples: int = 32, seed: int = 7) -> np.ndarray:
 
 
 def channel_distance(a: ChannelExpr, b: ChannelExpr, samples: int = 32,
-                     seed: int = 7, cap: int | None = None) -> float:
+                     seed: int = 7) -> float:
     """Max sampled trace distance between two channels (diamond-norm proxy)."""
     if a.n != b.n:
         raise TypecheckError("channel sizes differ")
     states = probe_states(a.n, samples, seed)
-    return float(trace_distance(apply_channel(a, states, cap),
-                                apply_channel(b, states, cap)).max())
+    return float(trace_distance(apply_channel(a, states), apply_channel(b, states)).max())
 
 
 # --- JSON forms ------------------------------------------------------------
@@ -255,6 +253,13 @@ def require_list(value, what: str) -> list:
     """List fields are JSON arrays: an object, string or number is rejected."""
     if type(value) is not list:
         raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def require_dict(value, what: str) -> dict:
+    """Record fields are JSON objects: a list, string or number is rejected."""
+    if type(value) is not dict:
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
     return value
 
 
@@ -307,7 +312,7 @@ def term_from_json(d: dict) -> tuple[complex, Primitive]:
     if "pauli" in d:
         phase_exp = require_int(d.get("phase_exp", 0), "phase_exp")
         return coeff, from_label(d["pauli"], phase_exp)
-    be = d["blockenc"]
+    be = require_dict(d["blockenc"], "blockenc")
     matrix = None if be.get("matrix") is None else matrix_from_json(be["matrix"])
     return coeff, BlockEncRef(be["handle"], require_int(be["n"], "blockenc n"),
                               require_number(be["alpha"], "blockenc alpha"),
@@ -378,18 +383,20 @@ def _pauli_terms_in_bulk(terms, n: int) -> list | None:
     return list(zip(coeffs, map(strings.__getitem__, keys)))
 
 
-def _term_lists_from_json(items: list, n: int) -> list[PauliSum]:
-    """A document's operators from its term lists, read in one bulk pass
-    (or term by term, in order, if one term is irregular), and its dense
-    jumps ({"matrix": m}), decomposed where they stand."""
-    lists = (x for x in items if type(x) is list)
+def _term_lists_from_json(items: dict, n: int) -> list[PauliSum]:
+    """A document's operators, named by key ("H", "jump 0", "Kraus operator
+    0"), from their term lists, read in one bulk pass (or term by term, in
+    order, if one term is irregular), and its dense jumps ({"matrix": m}),
+    decomposed where they stand."""
+    lists = (x for x in items.values() if type(x) is list)
     pairs = _pauli_terms_in_bulk(list(chain.from_iterable(lists)), n)
     out, start = [], 0
-    for x in items:
+    for name, x in items.items():
         if type(x) is dict:
             out.append(pauli_decompose(matrix_from_json(x["matrix"]), n))
         elif pairs is None:
-            out.append(PauliSum(n, [term_from_json(t) for t in x]))
+            out.append(PauliSum(n, [term_from_json(require_dict(t, f"{name} term {i}"))
+                                    for i, t in enumerate(x)]))
         else:
             out.append(PauliSum(n, pairs[start:start + len(x)]))
             start += len(x)
@@ -409,8 +416,9 @@ def _sites_from_json(d: dict) -> int:
 
 def channel_from_json(d: dict) -> ChannelExpr:
     n = _sites_from_json(d)
-    kraus = [require_list(k, f"Kraus operator {i}")
-             for i, k in enumerate(require_list(d["kraus"], "kraus"))]
+    kraus = {}
+    for i, k in enumerate(require_list(d["kraus"], "kraus")):
+        kraus[f"Kraus operator {i}"] = require_list(k, f"Kraus operator {i}")
     c = ChannelExpr(n, _term_lists_from_json(kraus, n))
     typecheck(c)
     return c
@@ -423,9 +431,10 @@ def lindblad_to_json(spec: LindbladSpec) -> dict:
 
 def lindblad_from_json(d: dict) -> LindbladSpec:
     n = _sites_from_json(d)
-    ham = require_list(d.get("H", []), "H")
+    ops = {"H": require_list(d.get("H", []), "H")}
     # a dense jump operator is accepted and expanded on ingest
-    jumps = [j if type(j) is dict and "matrix" in j else require_list(j, f"jump {k}")
-             for k, j in enumerate(require_list(d.get("jumps", []), "jumps"))]
-    ham, *jumps = _term_lists_from_json([ham, *jumps], n)
+    for k, j in enumerate(require_list(d.get("jumps", []), "jumps")):
+        ops[f"jump {k}"] = (j if type(j) is dict and "matrix" in j
+                            else require_list(j, f"jump {k}"))
+    ham, *jumps = _term_lists_from_json(ops, n)
     return LindbladSpec(n, ham, jumps)

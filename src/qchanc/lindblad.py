@@ -11,7 +11,11 @@ The exact reference exp(t L) rho that `verify` and `error-sweep` check
 against comes from `evolve`, which applies the generator to the probe
 states with 2^n x 2^n products and never forms a 4^n object, so it is
 capped on n.  `exact_propagator` (the dense 4^n x 4^n superoperator, capped
-on 2n) and `propagate` stay as the oracle it is tested against.
+on 2n) and `propagate` stay as the oracle it is tested against.  Every cap
+here is `pauli.check_cap`'s one cap; no function takes it as an argument.
+A Duhamel expansion is bounded before any matrix is built: at most
+MAX_DUHAMEL_OPERATORS Kraus operators and a drift Taylor order of at most
+MAX_DRIFT_TAYLOR_ORDER.
 """
 
 from dataclasses import dataclass
@@ -45,6 +49,9 @@ _THETA = {
 MAX_TAYLOR_STEPS = 1000
 # the most Kraus operators higher_order forms: a larger expansion is refused
 MAX_DUHAMEL_OPERATORS = 1 << 16
+# the highest drift Taylor order K' a QuadratureSpec takes: K' dense products
+# per drift factor, so a larger K' is refused
+MAX_DRIFT_TAYLOR_ORDER = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,6 +72,10 @@ class QuadratureSpec:
             raise ValueError("expansion_order must be at least 1")
         if self.drift_taylor_order < 1:
             raise ValueError("drift_taylor_order must be at least 1")
+        if self.drift_taylor_order > MAX_DRIFT_TAYLOR_ORDER:
+            raise ValueError(
+                f"drift_taylor_order must be at most {MAX_DRIFT_TAYLOR_ORDER}, "
+                f"got {self.drift_taylor_order}")
         if self.nodes_per_level < 1:
             raise ValueError("nodes_per_level must be at least 1")
 
@@ -94,12 +105,11 @@ def first_order(spec: LindbladSpec, delta: float) -> ChannelExpr:
     return ChannelExpr(spec.n, sums)
 
 
-def _drift_generator(spec: LindbladSpec,
-                     cap: int | None) -> tuple[np.ndarray, list[np.ndarray]]:
+def _drift_generator(spec: LindbladSpec) -> tuple[np.ndarray, list[np.ndarray]]:
     """Dense J = -iH - (1/2) sum L^dag L, and the jumps' dense matrices."""
-    check_cap(spec.n, cap, "drift generator")
-    jump_mats = [eval_kraus(jump, cap) for jump in spec.jumps]
-    j = -1j * eval_kraus(spec.hamiltonian, cap)
+    check_cap(spec.n, "drift generator")
+    jump_mats = [eval_kraus(jump) for jump in spec.jumps]
+    j = -1j * eval_kraus(spec.hamiltonian)
     for l in jump_mats:
         j -= 0.5 * (l.conj().T @ l)
     return j, jump_mats
@@ -122,8 +132,7 @@ def _unit_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
     return (xs + 1.0) / 2.0, ws / 2.0
 
 
-def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
-                 cap: int | None = None) -> ChannelExpr:
+def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec) -> ChannelExpr:
     """Duhamel expansion of exp(delta L) to quad.expansion_order levels.
 
     Level k integrates over the ordered simplex 0 <= s_1 <= ... <= s_k
@@ -143,7 +152,7 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
             f"Kraus operators, more than {MAX_DUHAMEL_OPERATORS}")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            sums = _duhamel_sums(spec, delta, quad, cap)
+            sums = _duhamel_sums(spec, delta, quad)
     except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"delta = {delta:g} overflows the order-"
                          f"{quad.expansion_order} expansion") from exc
@@ -164,12 +173,10 @@ def _duhamel_count(jumps: int, quad: QuadratureSpec) -> float:
         return inf
 
 
-def _duhamel_sums(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
-                  cap: int | None) -> list[PauliSum]:
+def _duhamel_sums(spec: LindbladSpec, delta: float, quad: QuadratureSpec) -> list[PauliSum]:
     """higher_order's Kraus operators, empty ones included."""
-    j, jump_mats = _drift_generator(spec, cap)
-    sums = [pauli_decompose(_taylor_exp(j, delta, quad.drift_taylor_order),
-                            spec.n, cap=cap)]
+    j, jump_mats = _drift_generator(spec)
+    sums = [pauli_decompose(_taylor_exp(j, delta, quad.drift_taylor_order), spec.n)]
     if jump_mats:
         nodes, weights = _unit_legendre(quad.nodes_per_level)
         for level in range(1, quad.expansion_order + 1):
@@ -195,16 +202,16 @@ def _duhamel_sums(spec: LindbladSpec, delta: float, quad: QuadratureSpec,
                     for i in range(level):
                         op = jump_mats[jump_idx[i]] @ op
                         op = drifts[i] @ op
-                    sums.append(pauli_decompose(sqrt(scalar) * op, spec.n, cap=cap))
+                    sums.append(pauli_decompose(sqrt(scalar) * op, spec.n))
     return sums
 
 
-def lindblad_opnorm(spec: LindbladSpec, cap: int | None = None) -> float:
+def lindblad_opnorm(spec: LindbladSpec) -> float:
     """||H||_2 + sum_j ||L_j||_2^2 via dense singular values."""
-    check_cap(spec.n, cap, "lindblad_opnorm")
-    total = float(np.linalg.norm(eval_kraus(spec.hamiltonian, cap), 2))
+    check_cap(spec.n, "lindblad_opnorm")
+    total = float(np.linalg.norm(eval_kraus(spec.hamiltonian), 2))
     for jump in spec.jumps:
-        total += float(np.linalg.norm(eval_kraus(jump, cap), 2)) ** 2
+        total += float(np.linalg.norm(eval_kraus(jump), 2)) ** 2
     return total
 
 
@@ -214,15 +221,14 @@ def short_time_bound(delta: float, opnorm: float, order: int) -> float:
     return 5.0 * (delta * opnorm) ** (order + 1)
 
 
-def exact_propagator(spec: LindbladSpec, t: float,
-                     cap: int | None = None) -> np.ndarray:
+def exact_propagator(spec: LindbladSpec, t: float) -> np.ndarray:
     """Dense superoperator exp(t L) acting on row-major vectorized rho."""
     import scipy.linalg  # only this test oracle needs scipy: off the CLI's path
-    check_cap(2 * spec.n, cap, "exact_propagator")
+    check_cap(2 * spec.n, "exact_propagator")
     # rho -> J rho + rho J^dag + sum_j L_j rho L_j^dag, with vec(A rho B)
     # = (A kron B^T) vec(rho) in row-major order
     eye = np.eye(1 << spec.n)
-    j, jump_mats = _drift_generator(spec, cap)
+    j, jump_mats = _drift_generator(spec)
     lind = np.kron(j, eye) + np.kron(eye, j.conj())
     for l in jump_mats:
         lind += np.kron(l, l.conj())
@@ -234,8 +240,7 @@ def _one_norm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
 
 
-def evolve(spec: LindbladSpec, t: float, states,
-           cap: int | None = None) -> np.ndarray:
+def evolve(spec: LindbladSpec, t: float, states) -> np.ndarray:
     """exp(t L) rho for each rho of a (k, 2^n, 2^n) stack, with no 4^n object.
 
     The states are laid out as one 2^n x (k 2^n) block, so each generator
@@ -247,14 +252,14 @@ def evolve(spec: LindbladSpec, t: float, states,
     step stops early once two terms fall below rounding of the sum.  Every
     choice is deterministic, so equal inputs give bitwise-equal outputs.
     """
-    check_cap(spec.n, cap, "evolve")
+    check_cap(spec.n, "evolve")
     dim = 1 << spec.n
     states = np.asarray(states, dtype=complex)
     if states.shape[1:] != (dim, dim):
         raise ValueError(f"states must be {dim} x {dim} matrices")
     if not len(states):
         return states
-    j, jumps = _drift_generator(spec, cap)
+    j, jumps = _drift_generator(spec)
     norm = 2 * _one_norm(j) + sum(_one_norm(l) ** 2 for l in jumps)
     tn = abs(t) * norm
     if not tn <= MAX_TAYLOR_STEPS * _THETA[55]:  # also NaN and inf

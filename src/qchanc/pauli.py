@@ -10,11 +10,18 @@ and 3).  The operator represented is
 
 where W(1,0)=X, W(0,1)=Z, W(1,1)=Y, W(0,0)=I.  In matrices, site 0 is
 the most significant index bit (first Kronecker factor).
+
+The package's dense evaluators (`dense_sum` behind `to_matrix` and
+`ir.eval_kraus`, `pauli_decompose`, `lindblad.evolve`, the circuit
+simulator) refuse to build above the dense-qubit cap, which `check_cap`
+alone resolves: the running command's --cap, else QCHANC_CAP, else
+DEFAULT_QUBIT_CAP.
 """
 
 from __future__ import annotations
 
 import os
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -29,6 +36,8 @@ DEFAULT_QUBIT_CAP = 14
 # entries per dense_sum scatter: bounds its index and value scratch arrays
 _SCATTER_ENTRIES = 1 << 18
 _CAP_ENV = "QCHANC_CAP"
+# the running command's --cap: cli.main sets it for one command, then resets it
+command_cap: ContextVar[int | None] = ContextVar("command_cap", default=None)
 # the one zero tolerance: canonical forms and expansions drop |c| <= ZERO_TOL
 ZERO_TOL = 1e-12
 
@@ -38,9 +47,10 @@ class TypecheckError(ValueError):
     kinds)."""
 
 
-def check_cap(n: int, cap: int | None, what: str) -> None:
+def check_cap(n: int, what: str) -> None:
     """Raise ValueError if `what` needs more than the dense-matrix qubit cap:
-    the argument, else the environment variable, else the default."""
+    the running command's --cap, else QCHANC_CAP, else DEFAULT_QUBIT_CAP."""
+    cap = command_cap.get()
     if cap is None:
         env = os.environ.get(_CAP_ENV)
         try:
@@ -176,9 +186,9 @@ def pauli_action(p: PauliString, bits=None, dim: int | None = None):
     return cols ^ xs, signs, (p.phase_exp + (p.x_mask & p.z_mask).bit_count()) % 4
 
 
-def to_matrix(p: PauliString, cap: int | None = None) -> np.ndarray:
+def to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the string (entries are exact units)."""
-    return dense_sum(p.n, [(1, p)], cap, "to_matrix")
+    return dense_sum(p.n, [(1, p)], "to_matrix")
 
 
 @lru_cache(maxsize=None)
@@ -211,11 +221,11 @@ def _scatter_strings(m: np.ndarray, run) -> None:
     np.add.at(m.reshape(-1), flat.reshape(-1), vals.reshape(-1))
 
 
-def dense_sum(n: int, terms, cap: int | None, what: str) -> np.ndarray:
+def dense_sum(n: int, terms, what: str) -> np.ndarray:
     """Dense matrix of sum c*op over (c, op) terms.  An op is a PauliString,
     whose unit entries are scattered in, or a 2^n x 2^n matrix; every entry
     is summed in term order."""
-    check_cap(n, cap, what)
+    check_cap(n, what)
     dim = 1 << n
     m = np.zeros((dim, dim), dtype=complex)
     run = []
@@ -320,8 +330,8 @@ def is_hermitian_sum(s: PauliSum, tol: float = 1e-10) -> bool:
     return sums_close(s, s.dagger(), tol)
 
 
-def pauli_decompose(m: np.ndarray, n: int | None = None, tol: float = ZERO_TOL,
-                    cap: int | None = None) -> PauliSum:
+def pauli_decompose(m: np.ndarray, n: int | None = None,
+                    tol: float = ZERO_TOL) -> PauliSum:
     """Expand a dense matrix over bare Pauli strings, coeff = Tr(P^dag m)/2^n,
     with one Walsh-Hadamard transform (O(n 4^n) work for all 4^n strings).
 
@@ -337,7 +347,7 @@ def pauli_decompose(m: np.ndarray, n: int | None = None, tol: float = ZERO_TOL,
         raise ValueError("dimension does not match the site count")
     if n < 1:
         raise ValueError("need at least one site")
-    check_cap(n, cap, "pauli_decompose")
+    check_cap(n, "pauli_decompose")
 
     # coeff(X, Z) = i^-|X&Z| sum_c (-1)^|c&Z| m[c^X, c] / dim over index
     # masks: gather g[X, c] = m[c^X, c] row by row, then a Walsh-Hadamard

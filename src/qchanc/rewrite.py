@@ -95,14 +95,14 @@ def _c3_scale(ratios):
     return np.sqrt(1.0 + sum(abs(r) ** 2 for r in ratios))
 
 
-def is_zero_kraus(k: PauliSum, tol: float = 1e-8, cap: int | None = None) -> bool:
+def is_zero_kraus(k: PauliSum, tol: float = 1e-8) -> bool:
     kc = canonicalize_sum(k, tol=0.0)
     if not kc.terms:
         return True
     if all(isinstance(p, PauliString) for _, p in kc.terms):
         # bare Pauli strings are orthogonal, so coefficients tell the norm
         return max(abs(c) for c, _ in kc.terms) <= tol
-    return float(np.max(np.abs(eval_kraus(kc, cap)))) <= tol
+    return float(np.max(np.abs(eval_kraus(kc)))) <= tol
 
 
 def _has_bool(v) -> bool:
@@ -116,8 +116,7 @@ def _index_list(v) -> list[int]:
     return [operator.index(j) for j in v]
 
 
-def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
-               cap: int | None = None) -> ChannelExpr:
+def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None) -> ChannelExpr:
     typecheck(c)
     if not isinstance(args, (dict, type(None))):
         raise InvalidRuleArgs(f"rule arguments must be an object, got {args!r}")
@@ -174,7 +173,7 @@ def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None,
 
     if rule == "K1":
         j = index("kraus")
-        if not is_zero_kraus(c.kraus[j], tol(1e-8), cap):
+        if not is_zero_kraus(c.kraus[j], tol(1e-8)):
             raise RuleNotApplicable(f"K1: Kraus {j} is not zero")
         return ChannelExpr(c.n, c.kraus[:j] + c.kraus[j + 1:])
 
@@ -297,7 +296,7 @@ def _merge_proportional(kraus: list[PauliSum], trace: list) -> list[dict]:
     return [folds[t] for t in tags]
 
 
-def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
+def minimize_kraus_rank(c: ChannelExpr):
     """Rewrite to the minimal Kraus count (Gram-matrix rank).
 
     Returns (channel, trace).  The trace lists the applied rules as
@@ -333,7 +332,7 @@ def minimize_kraus_rank(c: ChannelExpr, cap: int | None = None):
     with np.errstate(over="ignore", invalid="ignore"):
         # bare Pauli strings are orthogonal, so their coefficients are the rows
         rows = w if pauli_only else w @ np.array(
-            [eval_kraus(PauliSum(n, [(1.0, key)]), cap).ravel() for key in keys])
+            [eval_kraus(PauliSum(n, [(1.0, key)])).ravel() for key in keys])
         gram = rows.conj() @ rows.T
     if not np.isfinite(gram).all():
         raise RewriteError("the Kraus coefficients overflow: their Gram matrix "

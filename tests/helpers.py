@@ -8,9 +8,9 @@ from qchanc.pauli import weight
 from qchanc.select_opt import Gf2Span, SelectTable
 
 
-def simulate_unitary(c: Circuit, cap: int | None = None) -> np.ndarray:
+def simulate_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of a circuit: apply_circuit on the identity."""
-    return apply_circuit(c, np.eye(1 << c.total_qubits, dtype=complex), cap)
+    return apply_circuit(c, np.eye(1 << c.total_qubits, dtype=complex))
 
 
 def select_cost(t: SelectTable) -> int:
@@ -26,10 +26,10 @@ def decode(span: Gf2Span, vec: int) -> int:
     return comb
 
 
-def apply_channel_loop(c: ChannelExpr, states, cap: int | None = None) -> list:
+def apply_channel_loop(c: ChannelExpr, states) -> list:
     """ir.apply_channel's former per-state, per-Kraus loop: one
     sum_i K_i rho K_i^dag array per state."""
-    mats = [(m, m.conj().T) for m in (eval_kraus(k, cap) for k in c.kraus)]
+    mats = [(m, m.conj().T) for m in (eval_kraus(k) for k in c.kraus)]
     outs = []
     for rho in states:
         out = np.zeros((1 << c.n, 1 << c.n), dtype=complex)

@@ -259,6 +259,16 @@ class TestCompile:
          "failed to parse: Kraus operator 1 must be a list, got dict"),
         ({"n": 1, "kraus": [None]},
          "failed to parse: Kraus operator 0 must be a list, got NoneType"),
+        ({"n": 1, "kraus": [[5]]},
+         "failed to parse: Kraus operator 0 term 0 must be an object, got int"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X"}], [[1, 0]]]},
+         "failed to parse: Kraus operator 1 term 0 must be an object, got list"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": 5}]]},
+         "failed to parse: blockenc must be an object, got int"),
+        ({"n": 1, "H": [5], "jumps": []},
+         "failed to parse: H term 0 must be an object, got int"),
+        ({"n": 1, "H": [], "jumps": [[{"coeff": [1, 0], "pauli": "X"}, "X"]]},
+         "failed to parse: jump 0 term 1 must be an object, got str"),
     ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
             "blockenc-nan-alpha", "blockenc-fractional-anc", "blockenc-bool-anc",
             "blockenc-fractional-n", "fractional-n", "bool-n", "string-n",
@@ -268,7 +278,8 @@ class TestCompile:
             "negative-n", "spec-zero-n", "blockenc-int-handle",
             "blockenc-null-handle", "spec-H-dict", "spec-H-str", "spec-jumps-dict",
             "spec-jump-dict", "spec-jump-str", "kraus-dict", "kraus-operator-dict",
-            "kraus-operator-null"])
+            "kraus-operator-null", "kraus-term-int", "kraus-term-list",
+            "blockenc-int", "spec-H-term-int", "spec-jump-term-str"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
         # with --delta, so that a spec read leniently would compile
         bad = write_json(tmp_path / "bad.json", doc)
@@ -352,6 +363,17 @@ class TestCompile:
                            "--out", str(tmp_path / "x"))
         assert code == 2
         assert err == f"error: {path} failed to parse: int too large to convert to float\n"
+
+    def test_cap_lasts_one_command(self, tmp_path, capsys, monkeypatch):
+        # main sets --cap for one command and resets it after: neither a
+        # library call nor the next command in the process may inherit it
+        monkeypatch.delenv("QCHANC_CAP", raising=False)
+        spec = gen_tfim(3, 1.0)
+        path = write_json(tmp_path / "tfim3.json", lindblad_to_json(spec))
+        argv = ("compile", path, "--frontend", "order:2,2,2", "--delta", "0.01")
+        assert run(capsys, *argv, "--cap", "2", "--out", str(tmp_path / "a"))[0] == 2
+        assert higher_order(spec, 0.01, QuadratureSpec(2, 2, 2)).kraus
+        assert run(capsys, *argv, "--out", str(tmp_path / "b"))[0] == 0
 
     def test_cap_below_need_named(self, tmp_path, capsys):
         path = write_json(tmp_path / "tfim3.json",
@@ -456,12 +478,16 @@ def stdlib_dump(data):
 
 @pytest.mark.parametrize("argv, message", [
     (["compile", "--frontend", "order:30,1,1", "--delta", "0.01", "--out", "x"],
-     "lowering failed: the order-30 expansion would form 2.15e+09 Kraus operators"),
+     "lowering failed: the order-30 expansion would form 2.15e+09 Kraus operators, "
+     "more than 65536"),
     (["error-sweep", "--orders", "12", "--delta", "0.01"],
-     "the order-12 expansion would form 2.24e+07 Kraus operators"),
-], ids=["compile", "error-sweep"])
+     "the order-12 expansion would form 2.24e+07 Kraus operators, more than 65536"),
+    (["compile", "--frontend", "order:1,100000000,1", "--delta", "0.01", "--out", "x"],
+     "bad quadrature orders: drift_taylor_order must be at most 64, got 100000000"),
+], ids=["compile", "error-sweep", "drift-taylor-order"])
 def test_unbounded_expansion_exits_2(tmp_path, argv, message):
-    # each ran for minutes before the operator count was bounded
+    # each ran for minutes before the operator count and the drift Taylor
+    # order were bounded
     path = write_json(tmp_path / "tfim2.json", lindblad_to_json(gen_tfim(2, 1.0)))
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(
@@ -470,7 +496,6 @@ def test_unbounded_expansion_exits_2(tmp_path, argv, message):
         text=True, timeout=30)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert message in proc.stderr and "Traceback" not in proc.stderr
-    assert "more than 65536" in proc.stderr
 
 
 def test_cli_import_leaves_scipy_out():
@@ -722,9 +747,18 @@ class TestVerify:
         ("state_prep", "amps", lambda a: {}, "amps must be a list, got dict"),
         (None, "gates", lambda gs: "", "gates must be a list, got str"),
         (None, "registers", lambda rs: {}, "registers must be a list, got dict"),
+        (None, "gates", lambda gs: [*gs[:2], 5, *gs[2:]], "gate 2 must be an object, got int"),
+        ("controlled", "body", lambda b: 5, "gate body must be an object, got int"),
+        (None, "registers", lambda rs: [rs[0], 5, *rs[2:]],
+         "register 1 must be an object, got int"),
+        (None, "registers", lambda rs: [{"name": rs[0]["name"]}, *rs[1:]],
+         "register size must be an integer, got None"),
+        (None, "registers", lambda rs: [{"size": rs[0]["size"]}, *rs[1:]],
+         "register name must be a string, got None"),
     ], ids=["pauli-qubit-plus-0.7", "toffoli-target-2.5", "polarity-1.9",
             "polarity-true", "qubit-string", "controls-dict", "qubits-dict",
-            "amps-dict", "gates-string", "registers-dict"])
+            "amps-dict", "gates-string", "registers-dict", "gate-int", "body-int",
+            "register-int", "register-no-size", "register-no-name"])
     def test_bad_gate_field_rejected(self, tmp_path, decay_file, capsys,
                                      command, kind, key, edit, shown):
         # kind None edits a field of the circuit itself

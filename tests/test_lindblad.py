@@ -19,6 +19,7 @@ from qchanc.ir import (
 )
 import qchanc.lindblad as lindblad
 from qchanc.lindblad import (
+    MAX_DRIFT_TAYLOR_ORDER,
     QuadratureSpec,
     evolve,
     exact_propagator,
@@ -102,6 +103,12 @@ class TestQuadratureSpec:
     def test_rejects_nonpositive(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+    def test_drift_taylor_order_limit_is_inclusive(self):
+        assert QuadratureSpec(1, MAX_DRIFT_TAYLOR_ORDER, 1).drift_taylor_order == 64
+        with pytest.raises(ValueError, match="^drift_taylor_order must be at most 64, "
+                                             "got 100000000$"):
+            QuadratureSpec(1, 10 ** 8, 1)
 
 
 class TestFirstOrder:
@@ -235,10 +242,11 @@ class TestHigherOrder:
         with pytest.raises(ValueError, match=re.escape(f"delta = {delta:g} overflows")):
             higher_order(decay_spec(1.0, 0.0), delta, QuadratureSpec(2, 2, 2))
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
         spec = tfim_spec(3, 1.0)
+        monkeypatch.setenv("QCHANC_CAP", "2")
         with pytest.raises(ValueError, match="cap"):
-            higher_order(spec, 0.01, QuadratureSpec(), cap=2)
+            higher_order(spec, 0.01, QuadratureSpec())
 
     @pytest.mark.parametrize("quad", [QuadratureSpec(1, 1, 1), QuadratureSpec(2, 2, 2),
                                       QuadratureSpec(3, 1, 3), QuadratureSpec(4, 2, 1)],
@@ -247,7 +255,7 @@ class TestHigherOrder:
     def test_operator_count_matches_expansion(self, quad, jumps):
         spec = decay_spec(1.0, 1.0)
         spec = LindbladSpec(1, PauliSum(1, [(0.5, from_label("X"))]), spec.jumps[:jumps])
-        sums = lindblad._duhamel_sums(spec, 0.1, quad, None)
+        sums = lindblad._duhamel_sums(spec, 0.1, quad)
         assert lindblad._duhamel_count(jumps, quad) == len(sums)
 
     def test_operator_limit_is_inclusive(self, monkeypatch):
@@ -298,9 +306,10 @@ class TestOpnorm:
                               [j.scaled(c) for j in base.jumps])
         assert lindblad_opnorm(scaled) == pytest.approx(c * c * 3.0)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("QCHANC_CAP", "2")
         with pytest.raises(ValueError, match="cap"):
-            lindblad_opnorm(tfim_spec(3, 1.0), cap=2)
+            lindblad_opnorm(tfim_spec(3, 1.0))
 
 
 class TestExactPropagator:
@@ -337,9 +346,10 @@ class TestExactPropagator:
             # quadratic scaling: halving delta quarters the error (40% slack)
             assert small <= 0.35 * big
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv("QCHANC_CAP", "5")
         with pytest.raises(ValueError, match="cap"):
-            exact_propagator(tfim_spec(3, 1.0), 0.1, cap=5)
+            exact_propagator(tfim_spec(3, 1.0), 0.1)
 
     @pytest.mark.parametrize("spec, t", [
         (decay_spec(1.0, 0.5), 0.7),
@@ -419,15 +429,18 @@ class TestEvolve:
         got = evolve(tfim_spec(2, 1.0), 0.05, np.empty((0, 4, 4), dtype=complex))
         assert got.shape == (0, 4, 4)
 
-    def test_cap_applies_to_n(self):
+    def test_cap_applies_to_n(self, monkeypatch):
         spec = tfim_spec(3, 1.0)
         states = probe_states(3, 1, seed=5)
         # the dense superoperator needs 2n = 6 qubits, evolve only n = 3
+        monkeypatch.setenv("QCHANC_CAP", "5")
         with pytest.raises(ValueError, match="cap"):
-            exact_propagator(spec, 0.1, cap=5)
-        assert len(evolve(spec, 0.1, states, cap=3)) == len(states)
+            exact_propagator(spec, 0.1)
+        monkeypatch.setenv("QCHANC_CAP", "3")
+        assert len(evolve(spec, 0.1, states)) == len(states)
+        monkeypatch.setenv("QCHANC_CAP", "2")
         with pytest.raises(ValueError, match="cap"):
-            evolve(spec, 0.1, states, cap=2)
+            evolve(spec, 0.1, states)
 
     def test_rejects_wrong_state_shape(self):
         with pytest.raises(ValueError, match="4 x 4"):

@@ -270,7 +270,7 @@ def test_dense_sum_matches_term_scatter(block, monkeypatch):
         terms += terms[:2]
         mat = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         terms.insert(int(rng.integers(len(terms) + 1)), (0.3 - 0.2j, mat))
-        assert np.array_equal(dense_sum(n, terms, None, "test"),
+        assert np.array_equal(dense_sum(n, terms, "test"),
                               term_scatter(n, terms))
 
 
