@@ -3,6 +3,20 @@
 # of a checkout with qchanc installed: bash .github/smoke.sh
 set -euo pipefail
 
+# Scale: a 6-site reference, whose dense superoperator would be 4096 x 4096
+spec=$(qchanc bench tfim --sites 6 --out scale-smoke)
+timeout 120 qchanc error-sweep "$spec" --deltas 0.01 --out scale-smoke/sweep.csv
+test "$(wc -l < scale-smoke/sweep.csv)" -eq 2
+
+# SELECT scale: a 5-site order-2 compile, 111 Kraus operators through the
+# monotone SELECT; the report's cost, priced from the encoding records,
+# against a walk of the emitted circuit
+spec=$(qchanc bench tfim --sites 5 --out select-smoke)
+timeout 120 qchanc compile "$spec" --frontend order:2,2,2 --delta 0.01 --flatten --order --out select-smoke/out
+python -c 'import json, sys; k = json.load(open(sys.argv[1]))["kraus_count"]; print("kraus_count:", k); sys.exit(k != 111)' select-smoke/out/report.json
+qchanc cost select-smoke/out/circuit.json > select-smoke/cost.json
+python -c 'import json, sys; walk = json.load(open(sys.argv[1])); report = json.load(open(sys.argv[2]))["cost"]; print("cost:", walk); sys.exit(walk != report)' select-smoke/cost.json select-smoke/out/report.json
+
 # Term-list JSON: a rank-minimized 32-vertex hypercube through the bulk
 # term-list reader and writer, byte-compared with the stdlib encoder
 inst=$(qchanc bench hypercube --vertices 32 --out json-smoke)
@@ -33,15 +47,18 @@ done < replay-smoke/steps.txt
 qchanc rewrite "$cur" --minimize-rank --out replay-smoke/again.json
 python -c 'import json, sys; want, got, again = (len(json.load(open(f))["channel"]["kraus"]) for f in sys.argv[1:4]); print("steps:", sys.argv[4], "kraus_count:", got, "again:", again, "written:", want); sys.exit(got != want or again != want or sys.argv[4] == "0")' replay-smoke/min.json "$cur" replay-smoke/again.json "$i"
 
-# Bad input: malformed JSON containers and records, an unbounded Duhamel
+# Bad input: malformed JSON containers and records (a missing key, a list
+# for a circuit, a control that is no pair), an unbounded Duhamel
 # expansion and an unbounded drift Taylor order must each exit 2 within
 # 30 s, with a message and no traceback
 mkdir -p bad-smoke
 echo '{"n": 1, "H": {}, "jumps": []}' > bad-smoke/h-dict.json
 echo '{"n": 1, "kraus": [[5]]}' > bad-smoke/term-int.json
+echo '{"n": 1, "kraus": [[{"pauli": "X"}]]}' > bad-smoke/no-coeff.json
+echo '[]' > bad-smoke/circuit-list.json
 inst=$(qchanc bench tfim --sites 2 --out bad-smoke)
 qchanc compile "$inst" --delta 0.01 --flatten --order --out bad-smoke/tfim2
-python -c 'import json, sys; d = json.load(open(sys.argv[1])); json.dump({**d, "gates": ""}, open(sys.argv[2], "w")); next(g for g in d["gates"] if g["kind"] == "controlled")["controls"] = {}; json.dump(d, open(sys.argv[3], "w"))' bad-smoke/tfim2/circuit.json bad-smoke/gates-string.json bad-smoke/controls-dict.json
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); json.dump({**d, "gates": ""}, open(sys.argv[2], "w")); json.dump({**d, "gates": [{k: v for k, v in d["gates"][0].items() if k != "kind"}]}, open(sys.argv[3], "w")); g = next(g for g in d["gates"] if g["kind"] == "controlled"); g["controls"] = [5]; json.dump(d, open(sys.argv[4], "w")); g["controls"] = {}; json.dump(d, open(sys.argv[5], "w"))' bad-smoke/tfim2/circuit.json bad-smoke/gates-string.json bad-smoke/gate-no-kind.json bad-smoke/control-int.json bad-smoke/controls-dict.json
 expect_exit_2() {
   local code=0
   timeout 30 "$@" > /dev/null 2> bad-smoke/err.txt || code=$?
@@ -53,7 +70,11 @@ expect_exit_2() {
 }
 expect_exit_2 qchanc compile bad-smoke/h-dict.json --delta 0.01 --out bad-smoke/x
 expect_exit_2 qchanc compile bad-smoke/term-int.json --frontend channel --out bad-smoke/x
+expect_exit_2 qchanc compile bad-smoke/no-coeff.json --frontend channel --out bad-smoke/x
 expect_exit_2 qchanc cost bad-smoke/gates-string.json
+expect_exit_2 qchanc cost bad-smoke/gate-no-kind.json
+expect_exit_2 qchanc cost bad-smoke/circuit-list.json
+expect_exit_2 qchanc verify bad-smoke/control-int.json --reference "$inst" --delta 0.01
 expect_exit_2 qchanc verify bad-smoke/controls-dict.json --reference "$inst" --delta 0.01
 expect_exit_2 qchanc compile "$inst" --frontend order:30,1,1 --delta 0.01 --out bad-smoke/x
 expect_exit_2 qchanc compile "$inst" --frontend order:1,100000000,1 --delta 0.01 --out bad-smoke/x

@@ -39,7 +39,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ir import (_pair2c, kraus_action, matrix_from_json, matrix_to_json,
-                 require_dict, require_int, require_list, validate_density)
+                 require_dict, require_int, require_keys, require_list,
+                 validate_density)
 from .pauli import PauliString, check_cap, from_label, pauli_action, weight
 
 PREP_TOL = 1e-10
@@ -395,22 +396,33 @@ def _qubits(d: dict) -> tuple:
 
 
 def gate_from_json(d: dict) -> Gate:
+    """A gate from a record with a 'kind'; a field its kind needs is named
+    if it is missing."""
     kind = d["kind"]
+    what = f"{kind} gate"
     if kind == "pauli":
+        require_keys(d, what, "pauli", "qubits")
         phase_exp = require_int(d.get("phase_exp", 0), "phase_exp")
         return PauliGate(from_label(d["pauli"], phase_exp), _qubits(d))
     if kind == "controlled":
+        require_keys(d, what, "controls", "body")
         controls = require_list(d["controls"], "controls")
-        body = gate_from_json(require_dict(d["body"], "gate body"))
+        for c in controls:
+            if type(c) is not list or len(c) != 2:
+                raise ValueError(f"a control must be a [qubit, polarity] pair, got {c!r}")
+        body = gate_from_json(require_keys(d["body"], "gate body", "kind"))
         return Controlled(tuple((q, p) for q, p in controls), body)
     if kind in ("state_prep", "state_prep_adj"):
+        require_keys(d, what, "qubits", "amps")
         amps = tuple(_pair2c(a) for a in require_list(d["amps"], "amps"))
         cls = StatePrep if kind == "state_prep" else StatePrepAdjoint
         return cls(_qubits(d), amps)
     if kind in ("toffoli", "toffoli_unc"):
+        require_keys(d, what, "c1", "c2", "target")
         cls = ToffoliCompute if kind == "toffoli" else ToffoliUncompute
         return cls(d["c1"], d["c2"], d["target"], d.get("p1", 1), d.get("p2", 1))
     if kind == "opaque":
+        require_keys(d, what, "handle", "qubits")
         m = None if d.get("matrix") is None else matrix_from_json(d["matrix"])
         return OpaqueUnitary(d["handle"], _qubits(d), m)
     raise ValueError(f"unknown gate kind {kind!r}")
@@ -422,10 +434,11 @@ def circuit_to_json(c: Circuit) -> dict:
 
 
 def circuit_from_json(d: dict) -> Circuit:
+    d = require_keys(d, "circuit", "registers", "gates")
     registers = [require_dict(r, f"register {i}")
                  for i, r in enumerate(require_list(d["registers"], "registers"))]
     # a missing name or size reads as None, which Circuit's check names; each
     # gate is read as the constructor reaches it, just before its check
     return Circuit(tuple((r.get("name"), r.get("size")) for r in registers),
-                   (gate_from_json(require_dict(g, f"gate {i}"))
+                   (gate_from_json(require_keys(g, f"gate {i}", "kind"))
                     for i, g in enumerate(require_list(d["gates"], "gates"))))

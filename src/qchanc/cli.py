@@ -36,7 +36,6 @@ from .circuits import (
 )
 from .ir import (
     ChannelExpr,
-    TypecheckError,
     apply_channel,
     channel_from_json,
     channel_to_json,
@@ -134,8 +133,7 @@ def load_input(path: str):
                                 f"{type(data['channel']).__name__}")
             return channel_from_json(data["channel"])
     # OverflowError: an integer too large for a float
-    except (TypecheckError, ValueError, LookupError, TypeError, AttributeError,
-            OverflowError) as exc:
+    except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
         raise CliError(f"{path} failed to parse: {exc}") from exc
     raise CliError(f"{path}: expected a 'kraus', 'H' or 'channel' key")
 
@@ -177,7 +175,7 @@ def lower_input(obj, frontend: str, delta: float) -> ChannelExpr:
         if kind == "first":
             return first_order(obj, delta)
         return higher_order(obj, delta, quad)
-    except (ValueError, TypecheckError) as exc:
+    except ValueError as exc:
         raise CliError(f"lowering failed: {exc}") from exc
 
 
@@ -215,7 +213,7 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
         encodings = {m: encode_channel(chan, m) for m in SELECT_MODES}
         circ = channel_lcu(chan, mode, flatten, encodings[mode])
         alphas = channel_alphas(chan, mode, encodings[mode])
-    except (RewriteError, TypecheckError, ValueError) as exc:
+    except ValueError as exc:
         at = "" if isinstance(obj, ChannelExpr) else f" at --delta {delta:g}"
         raise CliError(f"compilation failed{at}: {exc}") from exc
     alpha_sq = float(np.sum(np.square(alphas)))
@@ -346,6 +344,15 @@ def _dump(data) -> str:
     return _encode(data, "\n") + "\n"
 
 
+def _write_out(text: str, out: str | None) -> None:
+    """Write text to the --out file and print its path, else to stdout."""
+    if out:
+        Path(out).write_text(text)
+        print(out)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_compile(args) -> int:
     obj = load_input(args.input)
     circ, report = compile_pipeline(
@@ -464,13 +471,7 @@ def cmd_rewrite(args) -> int:
             raise CliError("rewrite needs --rule or --minimize-rank")
     except RewriteError as exc:
         raise CliError(f"rewrite failed: {exc}") from exc
-    doc = {"channel": channel_to_json(chan), "trace": trace}
-    text = _dump(doc)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+    _write_out(_dump({"channel": channel_to_json(chan), "trace": trace}), args.out)
     return 0
 
 
@@ -527,12 +528,7 @@ def cmd_error_sweep(args) -> int:
     lines = [f"{rows[0][0]},error,bound"]
     for _, p, err, bound in rows:
         lines.append(f"{p:.12g},{err:.12e},{bound:.12e}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(args.out)
-    else:
-        sys.stdout.write(text)
+    _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
 

@@ -1,12 +1,17 @@
 """Kraus-form channel IR.
 
-A channel is a list of Kraus operators; each Kraus operator is a
+A channel is a tuple of Kraus operators; each Kraus operator is a
 `pauli.PauliSum`, a complex combination of primitives.  Primitives are
 either Pauli strings (phases restricted to powers of i; any other phase
 belongs in the coefficient) or opaque references to externally supplied
 block encodings.  Dense semantics: apply_channel(C, rhos) = [sum_i K_i rho
 K_i^dag for each rho of a stack], with each K_i from eval_kraus (the one dense
 evaluator of a term list) and the sum from kraus_action (the one kernel).
+
+`ChannelExpr` and `LindbladSpec` are frozen and check themselves when
+built (site counts, primitive kinds, one matrix per block-encoding
+reference; a spec's Hermitian, all-Pauli Hamiltonian and Pauli jumps), so
+code that holds one never checks it again.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .pauli import (
     PauliString,
     PauliSum,
     TypecheckError,  # re-exported: pauli cannot import ir
-    _unchecked_strings,
     dense_sum,
     from_label,
     is_hermitian_sum,
@@ -63,10 +67,21 @@ class BlockEncRef:
 Primitive = PauliString | BlockEncRef
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ChannelExpr:
+    """A channel: its Kraus operators, checked when it is built (site
+    counts, primitive kinds, one matrix per block-encoding reference)."""
+
     n: int
-    kraus: list[PauliSum]
+    kraus: tuple[PauliSum, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "kraus", tuple(self.kraus))
+        refs: dict[BlockEncRef, BlockEncRef] = {}
+        for i, k in enumerate(self.kraus):
+            if k.n != self.n:
+                raise TypecheckError(f"Kraus {i}: size {k.n} != channel size {self.n}")
+            _check_terms(k, refs)
 
 
 def _require_pauli(s: PauliSum, what: str) -> None:
@@ -75,15 +90,16 @@ def _require_pauli(s: PauliSum, what: str) -> None:
             raise TypecheckError(f"{what} term {t} is not a Pauli string")
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class LindbladSpec:
     """drho/dt = -i[H, rho] + sum_j (L rho L^dag - {L^dag L, rho}/2)."""
 
     n: int
     hamiltonian: PauliSum
-    jumps: list[PauliSum] = field(default_factory=list)
+    jumps: tuple[PauliSum, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "jumps", tuple(self.jumps))
         if self.hamiltonian.n != self.n:
             raise TypecheckError("Hamiltonian site count differs from n")
         _require_pauli(self.hamiltonian, "Hamiltonian")
@@ -110,19 +126,13 @@ def _check_terms(k: PauliSum, refs: dict) -> None:
 
 
 def typecheck(expr) -> int:
-    """Check dimension consistency; returns the system size n.  A term's
+    """The system size n of a channel or spec, which check themselves when
+    built, or of a lone term list after its primitive checks.  A term's
     site count is checked where its PauliSum is built."""
-    if isinstance(expr, ChannelExpr):
-        refs: dict[BlockEncRef, BlockEncRef] = {}
-        for i, k in enumerate(expr.kraus):
-            if k.n != expr.n:
-                raise TypecheckError(f"Kraus {i}: size {k.n} != channel size {expr.n}")
-            _check_terms(k, refs)
+    if isinstance(expr, (ChannelExpr, LindbladSpec)):
         return expr.n
     if isinstance(expr, PauliSum):
         _check_terms(expr, {})
-        return expr.n
-    if isinstance(expr, LindbladSpec):
         return expr.n
     raise TypecheckError(f"not an IR node: {type(expr).__name__}")
 
@@ -183,8 +193,12 @@ def apply_channel(c: ChannelExpr, rhos) -> np.ndarray:
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(1/2)||a - b||_1 for Hermitian a, b, or one per matrix of two stacks."""
-    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+    """(1/2)||a - b||_1 for Hermitian a, b, or one per matrix of two stacks,
+    taken pair by pair, so no stack-sized a - b is formed."""
+    out = np.empty(a.shape[:-2])
+    for i in np.ndindex(out.shape):
+        out[i] = 0.5 * np.abs(np.linalg.eigvalsh(a[i] - b[i])).sum()
+    return out[()]  # a scalar for one pair
 
 
 def haar_states(n: int, count: int, seed: int = 7) -> np.ndarray:
@@ -263,6 +277,16 @@ def require_dict(value, what: str) -> dict:
     return value
 
 
+def require_keys(value, what: str, *keys: str) -> dict:
+    """A record (see require_dict) with each of keys: the first one missing
+    is named."""
+    d = require_dict(value, what)
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} has no {key!r}")
+    return d
+
+
 def require_number(value, what: str) -> float:
     """Real fields are JSON numbers: a bool, string or null is rejected."""
     if type(value) not in (int, float):
@@ -308,11 +332,13 @@ def term_to_json(coeff: complex, prim: Primitive) -> dict:
 
 
 def term_from_json(d: dict) -> tuple[complex, Primitive]:
-    coeff = _pair2c(d["coeff"])
+    coeff = _pair2c(require_keys(d, "term", "coeff")["coeff"])
     if "pauli" in d:
         phase_exp = require_int(d.get("phase_exp", 0), "phase_exp")
         return coeff, from_label(d["pauli"], phase_exp)
-    be = require_dict(d["blockenc"], "blockenc")
+    if "blockenc" not in d:
+        raise ValueError("term has no 'pauli' or 'blockenc'")
+    be = require_keys(d["blockenc"], "blockenc", "handle", "n", "alpha", "anc")
     matrix = None if be.get("matrix") is None else matrix_from_json(be["matrix"])
     return coeff, BlockEncRef(be["handle"], require_int(be["n"], "blockenc n"),
                               require_number(be["alpha"], "blockenc alpha"),
@@ -378,8 +404,7 @@ def _pauli_terms_in_bulk(terms, n: int) -> list | None:
     coeffs = re_im.view(complex).tolist()
     # one shared string per distinct (x, z, i-power): operators reuse few
     keys = list(zip(x.tolist(), z.tolist(), [e % 4 for e in phases]))
-    strings = dict.fromkeys(keys)
-    strings = dict(zip(strings, _unchecked_strings(n, *zip(*strings))))
+    strings = {key: PauliString(n, *key) for key in dict.fromkeys(keys)}
     return list(zip(coeffs, map(strings.__getitem__, keys)))
 
 
@@ -415,13 +440,11 @@ def _sites_from_json(d: dict) -> int:
 
 
 def channel_from_json(d: dict) -> ChannelExpr:
-    n = _sites_from_json(d)
+    n = _sites_from_json(require_keys(d, "channel", "n", "kraus"))
     kraus = {}
     for i, k in enumerate(require_list(d["kraus"], "kraus")):
         kraus[f"Kraus operator {i}"] = require_list(k, f"Kraus operator {i}")
-    c = ChannelExpr(n, _term_lists_from_json(kraus, n))
-    typecheck(c)
-    return c
+    return ChannelExpr(n, _term_lists_from_json(kraus, n))
 
 
 def lindblad_to_json(spec: LindbladSpec) -> dict:
@@ -430,7 +453,7 @@ def lindblad_to_json(spec: LindbladSpec) -> dict:
 
 
 def lindblad_from_json(d: dict) -> LindbladSpec:
-    n = _sites_from_json(d)
+    n = _sites_from_json(require_keys(d, "spec", "n"))
     ops = {"H": require_list(d.get("H", []), "H")}
     # a dense jump operator is accepted and expanded on ingest
     for k, j in enumerate(require_list(d.get("jumps", []), "jumps")):

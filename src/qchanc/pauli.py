@@ -11,6 +11,10 @@ and 3).  The operator represented is
 where W(1,0)=X, W(0,1)=Z, W(1,1)=Y, W(0,0)=I.  In matrices, site 0 is
 the most significant index bit (first Kronecker factor).
 
+`PauliString(n, x_mask, z_mask, phase_exp)` is the one way to build a
+string, bulk readers included: it checks n >= 1 and that both masks lie
+within n bits (a negative mask does not), and reduces the i-power mod 4.
+
 The package's dense evaluators (`dense_sum` behind `to_matrix` and
 `ir.eval_kraus`, `pauli_decompose`, `lindblad.evolve`, the circuit
 simulator) refuse to build above the dense-qubit cap, which `check_cap`
@@ -24,7 +28,6 @@ import os
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -64,22 +67,28 @@ def check_cap(n: int, what: str) -> None:
         raise ValueError(f"{what} needs {n} qubits, above the cap of {cap}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PauliString:
     """One Pauli string: masks are over sites, phase_exp is a power of i mod 4."""
 
     n: int
     x_mask: int
     z_mask: int
-    phase_exp: int = 0
+    phase_exp: int
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, x_mask: int, z_mask: int, phase_exp: int = 0):
+        """The one way a string is built: n >= 1, both masks within n bits
+        (a negative mask is not), and the i-power reduced mod 4."""
+        if n < 1:
             raise ValueError("need at least one site")
-        full = (1 << self.n) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
+        if (x_mask | z_mask) >> n:
             raise ValueError("mask exceeds the declared number of sites")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+        # the slots' own setters: the frozen __setattr__ refuses writes
+        set_n, set_x, set_z, set_phase = PauliString._slot_setters
+        set_n(self, n)
+        set_x(self, x_mask)
+        set_z(self, z_mask)
+        set_phase(self, phase_exp % 4)
 
     def bare(self) -> "PauliString":
         """The same string with the i-power stripped."""
@@ -107,26 +116,9 @@ class PauliString:
         return multiply(self, other)
 
 
-# the slot setters, which skip the frozen __setattr__ and __post_init__
-_STRING_SLOTS = tuple(PauliString.__dict__[f].__set__
-                      for f in ("n", "x_mask", "z_mask", "phase_exp"))
-
-
-def _unchecked_strings(n: int, x_masks, z_masks, phases=None) -> list[PauliString]:
-    """Strings from masks already known to lie below 2^n (n >= 1), built
-    without the __post_init__ checks, which cannot fail for them: bare, or
-    with the given integer i-powers, reduced mod 4 as __post_init__ does."""
-    new = object.__new__
-    set_n, set_x, set_z, set_phase = _STRING_SLOTS
-    out = []
-    for x, z, e in zip(x_masks, z_masks, repeat(0) if phases is None else phases):
-        p = new(PauliString)
-        set_n(p, n)
-        set_x(p, x)
-        set_z(p, z)
-        set_phase(p, e % 4)
-        out.append(p)
-    return out
+# the slots exist once dataclass has built the class; only __init__ reads these
+PauliString._slot_setters = tuple(PauliString.__dict__[f].__set__
+                                  for f in ("n", "x_mask", "z_mask", "phase_exp"))
 
 
 def from_label(label: str, phase_exp: int = 0) -> PauliString:
@@ -371,5 +363,6 @@ def pauli_decompose(m: np.ndarray, n: int | None = None,
     rev = _bit_reversal(n)
     x_masks, z_masks = rev[xs], rev[zs]
     order = np.lexsort((x_masks, z_masks))
-    strings = _unchecked_strings(n, x_masks[order].tolist(), z_masks[order].tolist())
+    strings = [PauliString(n, x, z)
+               for x, z in zip(x_masks[order].tolist(), z_masks[order].tolist())]
     return PauliSum(n, list(zip(coeffs[order].tolist(), strings)))

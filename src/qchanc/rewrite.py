@@ -23,8 +23,7 @@ import operator
 
 import numpy as np
 
-from .ir import (ChannelExpr, eval_kraus, matrix_from_json, matrix_to_json,
-                 typecheck)
+from .ir import ChannelExpr, eval_kraus, matrix_from_json, matrix_to_json
 from .pauli import ZERO_TOL, PauliString, PauliSum, canonicalize_sum, fold_terms
 
 # rule -> the argument keys it reads; any other key is rejected
@@ -117,7 +116,6 @@ def _index_list(v) -> list[int]:
 
 
 def apply_rule(c: ChannelExpr, rule: str, args: dict | None = None) -> ChannelExpr:
-    typecheck(c)
     if not isinstance(args, (dict, type(None))):
         raise InvalidRuleArgs(f"rule arguments must be an object, got {args!r}")
     args = dict(args or {})
@@ -304,7 +302,6 @@ def minimize_kraus_rank(c: ChannelExpr):
     one C2 whose unitary's rows are the phase-fixed eigenvectors of the m x m
     Gram matrix, and one K1 per eliminated zero operator.
     """
-    typecheck(c)
     n = c.n
     trace: list[dict] = []
     work = _merge_proportional(c.kraus, trace)
@@ -372,7 +369,6 @@ def minimize_kraus_rank(c: ChannelExpr):
 def simplify(c: ChannelExpr) -> ChannelExpr:
     """Fixed pipeline: canonicalize terms, drop zero Kraus, strip global
     phases.  Idempotent."""
-    typecheck(c)
     out = []
     for k in c.kraus:
         kc = canonicalize_sum(k)

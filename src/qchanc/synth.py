@@ -160,7 +160,6 @@ def encode_kraus(k: PauliSum, select_mode: str = "naive",
 def encode_channel(c: ChannelExpr, select_mode: str = "naive") -> list[KrausEncoding]:
     """One encoding record per Kraus operator; operators with the same
     canonical Pauli keys share one SelectTable."""
-    typecheck(c)
     tables: dict = {}
     return [encode_kraus(k, select_mode, tables) for k in c.kraus]
 
@@ -217,7 +216,7 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
     traced) maps each state rho to (1/sum alpha_j^2) * [C](rho); the success
     probability is 1/sum alpha_j^2 for a trace-preserving channel.
     """
-    n = typecheck(c)
+    n = c.n
     if encodings is None:
         encodings = encode_channel(c, select_mode)
     ell, flat_width, be_width = _register_widths(encodings, flatten)

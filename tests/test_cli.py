@@ -37,6 +37,10 @@ def decay_file(tmp_path):
                       lindblad_to_json(gen_decay(1.0, 1.0)))
 
 
+def _without(record, key):
+    return {k: v for k, v in record.items() if k != key}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -269,6 +273,16 @@ class TestCompile:
          "failed to parse: H term 0 must be an object, got int"),
         ({"n": 1, "H": [], "jumps": [[{"coeff": [1, 0], "pauli": "X"}, "X"]]},
          "failed to parse: jump 0 term 1 must be an object, got str"),
+        ({"n": 1, "kraus": [[{"pauli": "X"}]]}, "failed to parse: term has no 'coeff'"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0]}]]},
+         "failed to parse: term has no 'pauli' or 'blockenc'"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": "h", "n": 1, "anc": 0}}]]},
+         "failed to parse: blockenc has no 'alpha'"),
+        ({"kraus": [[{"coeff": [1, 0], "pauli": "X"}]]},
+         "failed to parse: channel has no 'n'"),
+        ({"channel": {"n": 1}}, "failed to parse: channel has no 'kraus'"),
+        ({"H": [], "jumps": []}, "failed to parse: spec has no 'n'"),
     ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
             "blockenc-nan-alpha", "blockenc-fractional-anc", "blockenc-bool-anc",
             "blockenc-fractional-n", "fractional-n", "bool-n", "string-n",
@@ -279,7 +293,9 @@ class TestCompile:
             "blockenc-null-handle", "spec-H-dict", "spec-H-str", "spec-jumps-dict",
             "spec-jump-dict", "spec-jump-str", "kraus-dict", "kraus-operator-dict",
             "kraus-operator-null", "kraus-term-int", "kraus-term-list",
-            "blockenc-int", "spec-H-term-int", "spec-jump-term-str"])
+            "blockenc-int", "spec-H-term-int", "spec-jump-term-str",
+            "term-no-coeff", "term-no-primitive", "blockenc-no-alpha",
+            "channel-no-n", "rewrite-channel-no-kraus", "spec-no-n"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
         # with --delta, so that a spec read leniently would compile
         bad = write_json(tmp_path / "bad.json", doc)
@@ -391,6 +407,30 @@ class TestCompile:
         assert exc.value.code == 2
         assert (f"argument --cap: expected a positive integer, got '{value}'"
                 in capsys.readouterr().err)
+
+    def test_compile_never_typechecks(self, tmp_path, capsys, monkeypatch):
+        # a channel checks itself when built, so no stage checks it again
+        import qchanc.ir as ir
+        import qchanc.synth as synth
+
+        calls = []
+
+        def spy(expr):
+            calls.append(type(expr).__name__)
+            return real(expr)
+
+        real = ir.typecheck
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("qchanc.") and getattr(mod, "typecheck", None) is real:
+                monkeypatch.setattr(mod, "typecheck", spy)
+        path = write_json(tmp_path / "tfim3.json", lindblad_to_json(gen_tfim(3, 1.0)))
+        code, _, err = run(capsys, "compile", path, "--frontend", "order:2,2,2",
+                           "--delta", "0.01", "--flatten", "--order",
+                           "--out", str(tmp_path / "x"))
+        assert (code, err, calls) == (0, "", [])
+        # the spy is wired: a lone term list is still checked
+        synth.block_encode(PauliSum(1, [(1.0, PauliString(1, 1, 0))]))
+        assert calls == ["PauliSum"]
 
     def test_each_kraus_encoded_once(self, tmp_path, capsys, monkeypatch):
         import qchanc.cli as cli
@@ -755,10 +795,21 @@ class TestVerify:
          "register size must be an integer, got None"),
         (None, "registers", lambda rs: [{"size": rs[0]["size"]}, *rs[1:]],
          "register name must be a string, got None"),
+        (None, "gates", lambda gs: [_without(gs[0], "kind"), *gs[1:]],
+         "gate 0 has no 'kind'"),
+        (None, "gates", lambda gs: [_without(g, "qubits") if g["kind"] == "pauli" else g
+                                    for g in gs],
+         "pauli gate has no 'qubits'"),
+        ("controlled", "body", lambda b: _without(b, "kind"), "gate body has no 'kind'"),
+        ("controlled", "controls", lambda cs: [5, *cs[1:]],
+         "a control must be a [qubit, polarity] pair, got 5"),
+        ("controlled", "controls", lambda cs: [[*cs[0], 1], *cs[1:]],
+         "a control must be a [qubit, polarity] pair, got ["),
     ], ids=["pauli-qubit-plus-0.7", "toffoli-target-2.5", "polarity-1.9",
             "polarity-true", "qubit-string", "controls-dict", "qubits-dict",
             "amps-dict", "gates-string", "registers-dict", "gate-int", "body-int",
-            "register-int", "register-no-size", "register-no-name"])
+            "register-int", "register-no-size", "register-no-name", "gate-no-kind",
+            "pauli-no-qubits", "body-no-kind", "control-int", "control-triple"])
     def test_bad_gate_field_rejected(self, tmp_path, decay_file, capsys,
                                      command, kind, key, edit, shown):
         # kind None edits a field of the circuit itself
@@ -768,6 +819,20 @@ class TestVerify:
         gate[key] = edit(gate[key])
         circuit = write_json(tmp_path / "bad.json", doc)
         argv = [command, circuit]
+        if command == "verify":
+            argv += ["--reference", decay_file, "--delta", "0.01"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "cannot load circuit" in err and shown in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "cost"])
+    @pytest.mark.parametrize("doc, shown", [
+        ([], "circuit must be an object, got list"),
+        ({"registers": [{"name": "system", "size": 1}]}, "circuit has no 'gates'"),
+    ], ids=["list", "no-gates"])
+    def test_circuit_document_must_be_object(self, tmp_path, decay_file, capsys,
+                                             command, doc, shown):
+        argv = [command, write_json(tmp_path / "bad.json", doc)]
         if command == "verify":
             argv += ["--reference", decay_file, "--delta", "0.01"]
         code, _, err = run(capsys, *argv)

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -89,6 +90,30 @@ def test_typecheck_reports_offender():
     with pytest.raises(TypecheckError, match="Kraus 1"):
         typecheck(ChannelExpr(2, [good, PauliSum(1, [])]))
     assert typecheck(ChannelExpr(2, [good])) == 2
+
+
+def test_channel_checks_itself_when_built():
+    good = PauliSum(2, [(1.0, from_label("XZ"))])
+    with pytest.raises(TypecheckError, match="^Kraus 1: size 1 != channel size 2$"):
+        ChannelExpr(2, [good, PauliSum(1, [])])
+    # one handle, two matrices: across operators as within one
+    a, b = (BlockEncRef("u", 1, 1.0, 1, m) for m in (np.eye(2), np.diag([1.0, -1.0])))
+    for kraus in ([PauliSum(1, [(1, a)]), PauliSum(1, [(1, b)])],
+                  [PauliSum(1, [(1, a), (1, b)])]):
+        with pytest.raises(TypecheckError, match="'u' is given two different matrices"):
+            ChannelExpr(1, kraus)
+
+
+def test_channel_and_spec_are_frozen_with_tuples():
+    x = PauliSum(1, [(1.0, from_label("X"))])
+    chan = ChannelExpr(1, [x])
+    spec = LindbladSpec(1, PauliSum(1, []), [x])
+    assert chan.kraus == (x,) and spec.jumps == (x,)
+    assert LindbladSpec(1, PauliSum(1, [])).jumps == ()
+    for obj, fields in ((chan, ("n", "kraus")), (spec, ("n", "hamiltonian", "jumps"))):
+        for field in fields:
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, field, getattr(obj, field))
 
 
 def test_apply_channel_amplitude_damping():
@@ -219,6 +244,17 @@ def test_trace_distance():
     assert trace_distance(a, a) == 0.0
     plus = np.full((2, 2), 0.5, dtype=complex)
     assert abs(trace_distance(a, plus) - math.sqrt(0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("n, shape", [(1, ()), (1, (3,)), (2, (5,)), (3, (2, 3)), (4, (6,))])
+def test_trace_distance_matches_batched_formula(n, shape):
+    # pair by pair, bit for bit what one eigvalsh of the stacked a - b gives
+    rng = np.random.default_rng(5)
+    a, b = (np.array([random_density(rng, n) for _ in range(math.prod(shape))])
+            .reshape(*shape, 1 << n, 1 << n) for _ in range(2))
+    got = trace_distance(a, b)
+    want = 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+    assert np.shape(got) == shape and np.array_equal(got, want)
 
 
 def test_channel_distance():

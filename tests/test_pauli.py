@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -133,6 +134,35 @@ def test_weight():
     assert weight(from_label("XIZYI")) == 3
     assert weight(from_label("III")) == 0
     assert weight(from_label("Y")) == 1
+
+
+@pytest.mark.parametrize("args", [(2, 0b100, 0), (2, 0, 0b111), (2, -1, 0), (2, 0, -2)],
+                         ids=["x-beyond", "z-beyond", "x-negative", "z-negative"])
+def test_masks_must_fit_the_sites(args):
+    with pytest.raises(ValueError, match="^mask exceeds the declared number of sites$"):
+        PauliString(*args)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_string_needs_a_site(n):
+    with pytest.raises(ValueError, match="^need at least one site$"):
+        PauliString(n, 0, 0)
+
+
+@pytest.mark.parametrize("given, reduced", [(5, 1), (-1, 3), (4, 0), (2, 2)])
+def test_i_power_reduced_mod_4(given, reduced):
+    p = PauliString(2, 0b01, 0b11, given)
+    assert (p.n, p.x_mask, p.z_mask, p.phase_exp) == (2, 0b01, 0b11, reduced)
+    assert p == PauliString(2, 0b01, 0b11, reduced)
+    assert hash(p) == hash(PauliString(2, 0b01, 0b11, reduced))
+
+
+def test_string_is_frozen():
+    p = from_label("XY", 1)
+    for field in ("n", "x_mask", "z_mask", "phase_exp"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, field, 0)
+    assert p == from_label("XY", 1)
 
 
 def test_mismatched_sites_rejected():

@@ -321,7 +321,7 @@ def test_c3_proportional_pair_is_sound(chan, data):
 def test_minimize_kraus_rank_is_sound(chan, w):
     # plus one combination of the others, so the rank is below the count
     mix = [(c * a, p) for c, k in zip(w, chan.kraus) for a, p in k.terms]
-    chan = ChannelExpr(chan.n, chan.kraus + [PauliSum(chan.n, mix)])
+    chan = ChannelExpr(chan.n, [*chan.kraus, PauliSum(chan.n, mix)])
     out, _ = minimize_kraus_rank(chan)
     assert len(out.kraus) < len(chan.kraus)
     assert_same_channel(chan, out)

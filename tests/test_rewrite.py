@@ -105,9 +105,10 @@ def test_k2_strips_global_phase():
     rng = np.random.default_rng(0)
     base = random_channel(rng, n=2, m=2)
     theta = 0.81
-    shifted = ChannelExpr(2, list(base.kraus))
-    shifted.kraus[0] = PauliSum(2, [(c * np.exp(1j * theta), p)
-                                    for c, p in shifted.kraus[0].terms])
+    kraus = list(base.kraus)
+    kraus[0] = PauliSum(2, [(c * np.exp(1j * theta), p)
+                            for c, p in kraus[0].terms])
+    shifted = ChannelExpr(2, kraus)
     out = apply_rule(shifted, "K2", {"kraus": 0, "theta": theta})
     assert channel_distance(out, base) < 1e-12
     for (ca, _), (cb, _) in zip(out.kraus[0].terms, base.kraus[0].terms):
@@ -333,8 +334,8 @@ def test_equal_refs_across_kraus_operators_rejected():
     # minimize_kraus_rank keys terms on the reference in one list for all
     # operators, so the two matrices would be read as one
     a, b = _refs_u(0.5 * np.eye(2), 0.5 * to_matrix(pu("X")))
-    chan = ChannelExpr(1, [PauliSum(1, [(1, a)]), PauliSum(1, [(1, b)])])
     with pytest.raises(TypecheckError, match="'u'"):
+        chan = ChannelExpr(1, [PauliSum(1, [(1, a)]), PauliSum(1, [(1, b)])])
         minimize_kraus_rank(chan)
 
 
