@@ -17,6 +17,13 @@ python -c 'import json, sys; k = json.load(open(sys.argv[1]))["kraus_count"]; pr
 qchanc cost select-smoke/out/circuit.json > select-smoke/cost.json
 python -c 'import json, sys; walk = json.load(open(sys.argv[1])); report = json.load(open(sys.argv[2]))["cost"]; print("cost:", walk); sys.exit(walk != report)' select-smoke/cost.json select-smoke/out/report.json
 
+# Simulation at the cap: verify a 14-qubit circuit (first-order tfim6,
+# ordered), which the in-place simulator takes in seconds
+spec=$(qchanc bench tfim --sites 6 --out cap-smoke)
+qchanc compile "$spec" --frontend first --delta 0.01 --order --out cap-smoke/out
+timeout 60 qchanc verify cap-smoke/out/circuit.json --reference "$spec" --delta 0.01 --samples 4 > cap-smoke/verify.json
+python -c 'import json, sys; s = json.load(open(sys.argv[1])); print("max_trace_distance:", s["max_trace_distance"], "bound:", s["bound"]); sys.exit(not s["max_trace_distance"] <= s["bound"])' cap-smoke/verify.json
+
 # Term-list JSON: a rank-minimized 32-vertex hypercube through the bulk
 # term-list reader and writer, byte-compared with the stdlib encoder
 inst=$(qchanc bench hypercube --vertices 32 --out json-smoke)

@@ -13,7 +13,18 @@ register size is an int, never a bool, float or string; circuit JSON must
 hold JSON integers there), gate shapes and the qubit range.  JSON
 amplitudes are [re, im] pairs of numbers, read by ir._pair2c like every
 complex number in the IR's JSON; every JSON container there is a list, and
-every record (register, gate) an object.
+every record (register, gate) an object.  A load error caused by one gate
+is led by its index ("gate 3: ...").
+
+Simulation.  `apply_circuit` keeps the state as one (2,)*N + (cols,) tensor
+and applies each gate in place, on the view with its control qubits (a
+Toffoli's two included) fixed to their polarities, so a gate under c
+controls touches 2^-c of the rows.  A Pauli body is one pass over that view
+read with its X/Y axes reversed, times a broadcast factor holding the signs
+of its Z/Y axes and its i-power; a Toffoli reverses its target axis; a
+state preparation, its adjoint and an opaque unitary are one matrix product
+over their target axes.  Pauli and Toffoli gates only move entries and
+multiply them by units, so they are exact.
 
 Cost model.  Every cost report, of a built circuit or of encoding records,
 is priced by `cost_from_shapes` from one (controls, Pauli weight or None)
@@ -35,15 +46,17 @@ shapes from the encoding records without building the circuit.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .ir import (_pair2c, kraus_action, matrix_from_json, matrix_to_json,
                  require_dict, require_int, require_keys, require_list,
                  validate_density)
-from .pauli import PauliString, check_cap, from_label, pauli_action, weight
+from .pauli import PauliString, check_cap, from_label, weight
 
 PREP_TOL = 1e-10
+_REVERSED = slice(None, None, -1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +128,13 @@ class Circuit:
         if len(set(names)) != len(names):
             raise ValueError("duplicate register names")
         total = self.total_qubits
-        object.__setattr__(self, "gates", tuple(_check(g, total) for g in self.gates))
+        gates = []
+        for g in self.gates:  # a JSON gate is read here, just before its check
+            try:
+                gates.append(_check(g, total))
+            except (TypeError, ValueError) as exc:
+                raise _at_gate(len(gates), exc)
+        object.__setattr__(self, "gates", tuple(gates))
 
     @property
     def total_qubits(self) -> int:
@@ -134,6 +153,12 @@ class Circuit:
                 return tuple(range(off, off + s))
             off += s
         raise KeyError(f"no register named {name!r}")
+
+
+def _at_gate(i: int, exc: Exception) -> Exception:
+    """exc, its message led by the index of the gate that caused it."""
+    exc.args = (f"gate {i}: {exc}",)
+    return exc
 
 
 def _check(gate: Gate, total: int) -> Gate:
@@ -212,64 +237,87 @@ def householder_prep(v: np.ndarray) -> np.ndarray:
 # --- simulation -------------------------------------------------------------
 
 
-def _apply_dense(state: np.ndarray, u: np.ndarray, qubits, total: int) -> np.ndarray:
-    cols = state.shape[1]
-    j = len(qubits)
-    t = state.reshape((2,) * total + (cols,))
-    rest = [a for a in range(total) if a not in set(qubits)] + [total]
-    perm = list(qubits) + rest
-    t = t.transpose(perm).reshape(1 << j, -1)
-    t = u @ t
-    t = t.reshape([2] * total + [cols]).transpose(np.argsort(perm))
-    return t.reshape(1 << total, cols)
+@lru_cache(maxsize=256)
+def _pauli_factor(ndim: int, zs: tuple, e: int) -> np.ndarray:
+    """i^e (-1)^(the bits of the axes zs), broadcast over ndim axes."""
+    f = np.full((1,) * ndim, 1j ** e)
+    for a in zs:
+        f = np.concatenate([f, -f], axis=a)
+    f.flags.writeable = False
+    return f
 
 
-def _control_mask(idx: np.ndarray, controls, total: int) -> np.ndarray:
-    ok = np.ones(idx.shape, dtype=bool)
+def _dense_in_place(v: np.ndarray, u: np.ndarray, axes, tail: bool) -> None:
+    """v <- u on the axes (the first is the most significant), as one
+    matrix product over them.  tail: the axes are consecutive and v is
+    contiguous from the first on, so a reshape is a view of v and u @
+    batches over the axes before them."""
+    j = len(axes)
+    if tail:
+        x = v.reshape(v.shape[:axes[0]] + (1 << j, -1))
+        x[...] = u @ x
+    else:
+        front = np.moveaxis(v, axes, range(j))
+        front[...] = (u @ front.reshape(1 << j, -1)).reshape(front.shape)
+
+
+def _apply_gate(t: np.ndarray, g: Gate) -> None:
+    """Apply g in place to the (2,)*N + (cols,) state t, on the view with
+    its control qubits (a Toffoli's two included) fixed to their
+    polarities; each is kept as a length-1 axis, so axis q is qubit q."""
+    controls, body = (g.controls, g.body) if isinstance(g, Controlled) else ((), g)
+    if isinstance(body, (ToffoliCompute, ToffoliUncompute)):
+        controls += ((body.c1, body.p1), (body.c2, body.p2))
+    index = [slice(None)] * t.ndim
     for q, pol in controls:
-        ok &= ((idx >> (total - 1 - q)) & 1) == pol
-    return ok
-
-
-def _apply_gate(state: np.ndarray, g: Gate, total: int) -> np.ndarray:
-    dim = 1 << total
-    if isinstance(g, PauliGate):
-        # rows is an involution, so gathering by it applies the string
-        rows, signs, e = pauli_action(g.string, [total - 1 - q for q in g.qubits], dim)
-        return (1j) ** e * (signs[:, None] * state)[rows]
-    if isinstance(g, Controlled):
-        idx = np.arange(dim)
-        ok = _control_mask(idx, g.controls, total)
-        full = _apply_gate(state, g.body, total)
-        return np.where(ok[:, None], full, state)
-    if isinstance(g, (ToffoliCompute, ToffoliUncompute)):
-        idx = np.arange(dim)
-        ok = _control_mask(idx, ((g.c1, g.p1), (g.c2, g.p2)), total)
-        tbit = 1 << (total - 1 - g.target)
-        out = state.copy()
-        rows = idx[ok]
-        out[rows ^ tbit] = state[rows]
-        return out
-    if isinstance(g, StatePrep):
-        return _apply_dense(state, householder_prep(np.array(g.amps)), g.qubits, total)
-    if isinstance(g, StatePrepAdjoint):
-        u = householder_prep(np.array(g.amps)).conj().T
-        return _apply_dense(state, u, g.qubits, total)
-    if isinstance(g, OpaqueUnitary):
-        if g.matrix is None:
-            raise ValueError(f"opaque gate {g.handle!r} has no matrix to simulate")
-        return _apply_dense(state, g.matrix, g.qubits, total)
-    raise TypeError(f"unknown gate {type(g).__name__}")
+        index[q] = slice(pol, pol + 1)
+    v = t[tuple(index)]
+    if isinstance(body, (StatePrep, StatePrepAdjoint, OpaqueUnitary)):
+        if isinstance(body, StatePrep):
+            u = householder_prep(np.array(body.amps))
+        elif isinstance(body, StatePrepAdjoint):
+            u = householder_prep(np.array(body.amps)).conj().T
+        elif body.matrix is None:
+            raise ValueError(f"opaque gate {body.handle!r} has no matrix to simulate")
+        else:
+            u = body.matrix
+        qs = list(body.qubits)
+        # consecutive targets after every control: t's trailing axes are
+        # untouched from the first target on
+        tail = (qs == list(range(qs[0], qs[0] + len(qs)))
+                and all(q < qs[0] for q, _ in controls))
+        _dense_in_place(v, u, qs, tail)
+        return
+    # i^e X^x Z^z with e = phase_exp + |x & z|: the view with the X/Y axes
+    # reversed, times the signs of the Z/Y axes and the i-power, in one
+    # pass; each Y axis is reversed after its sign, so e loses 2|x & z|
+    if isinstance(body, PauliGate):
+        s, sites = body.string, tuple(enumerate(body.qubits))
+        xs = [q for k, q in sites if s.x_mask >> k & 1]
+        zs = tuple(q for k, q in sites if s.z_mask >> k & 1)
+        e = (s.phase_exp - (s.x_mask & s.z_mask).bit_count()) % 4
+    else:  # a Toffoli flips its target
+        xs, zs, e = [body.target], (), 0
+    for q in xs:
+        index[q] = _REVERSED
+    src = t[tuple(index)]  # overlaps v: numpy buffers it
+    if zs or e:
+        np.multiply(src, _pauli_factor(t.ndim, zs, e), out=v)
+    elif xs:
+        v[...] = src
 
 
 def apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
+    """The circuit on each column of a (2^N, cols) state; the input is
+    left unchanged."""
     total = c.total_qubits
     check_cap(total, "circuit")
-    state = np.asarray(state, dtype=complex)
+    state = np.array(state, dtype=complex, order="C")  # a copy to work in
     if state.ndim != 2 or state.shape[0] != 1 << total:
         raise ValueError("state dimension does not match the circuit")
+    t = state.reshape((2,) * total + state.shape[1:])
     for g in c.gates:
-        state = _apply_gate(state, g, total)
+        _apply_gate(t, g)
     return state
 
 
@@ -437,8 +485,19 @@ def circuit_from_json(d: dict) -> Circuit:
     d = require_keys(d, "circuit", "registers", "gates")
     registers = [require_dict(r, f"register {i}")
                  for i, r in enumerate(require_list(d["registers"], "registers"))]
-    # a missing name or size reads as None, which Circuit's check names; each
-    # gate is read as the constructor reaches it, just before its check
+    # a missing name or size reads as None, which Circuit's check names
     return Circuit(tuple((r.get("name"), r.get("size")) for r in registers),
-                   (gate_from_json(require_keys(g, f"gate {i}", "kind"))
-                    for i, g in enumerate(require_list(d["gates"], "gates"))))
+                   _gates_from_json(require_list(d["gates"], "gates")))
+
+
+def _gates_from_json(gates: list):
+    """Each gate record, read as the constructor reaches it.  An error in a
+    record is led by its index; a record that is no object or has no kind
+    names itself ("gate 2 must be an object")."""
+    for i, g in enumerate(gates):
+        g = require_keys(g, f"gate {i}", "kind")
+        try:
+            gate = gate_from_json(g)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise _at_gate(i, exc)
+        yield gate

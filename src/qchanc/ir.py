@@ -192,13 +192,22 @@ def apply_channel(c: ChannelExpr, rhos) -> np.ndarray:
     return kraus_action(ks.reshape(-1, 1 << c.n, 1 << c.n), rhos)
 
 
+# entries of a - b per trace_distance eigvalsh call: bounds its scratch
+_DISTANCE_ENTRIES = 1 << 14
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(1/2)||a - b||_1 for Hermitian a, b, or one per matrix of two stacks,
-    taken pair by pair, so no stack-sized a - b is formed."""
-    out = np.empty(a.shape[:-2])
-    for i in np.ndindex(out.shape):
-        out[i] = 0.5 * np.abs(np.linalg.eigvalsh(a[i] - b[i])).sum()
-    return out[()]  # a scalar for one pair
+    one eigvalsh per chunk of pairs, so no a - b of more than
+    _DISTANCE_ENTRIES entries (or one pair) is formed."""
+    shape, dim = a.shape[:-2], a.shape[-1]
+    a, b = a.reshape(-1, dim, dim), b.reshape(-1, dim, dim)
+    out = np.empty(len(a))
+    step = max(1, _DISTANCE_ENTRIES // (dim * dim))
+    for s in range(0, len(a), step):
+        diff = a[s:s + step] - b[s:s + step]
+        out[s:s + step] = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum(axis=-1)
+    return out.reshape(shape)[()]  # a scalar for one pair
 
 
 def haar_states(n: int, count: int, seed: int = 7) -> np.ndarray:

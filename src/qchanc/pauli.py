@@ -160,24 +160,6 @@ def weight(p: PauliString) -> int:
     return (p.x_mask | p.z_mask).bit_count()
 
 
-def pauli_action(p: PauliString, bits=None, dim: int | None = None):
-    """Where p sends each basis column: p|j> = i**e * signs[j] |rows[j]>.
-
-    Returns (rows, signs, e).  Site k of p acts on bit bits[k] of the state
-    index, in a space of dimension dim; by default on bit n-1-k of an n-bit
-    index, so site 0 is the most significant bit.
-    """
-    if bits is None:
-        bits, dim = range(p.n - 1, -1, -1), 1 << p.n
-    xs = zs = 0
-    for k, b in enumerate(bits):
-        xs |= ((p.x_mask >> k) & 1) << b
-        zs |= ((p.z_mask >> k) & 1) << b
-    cols = np.arange(dim, dtype=np.int64)
-    signs = 1 - 2 * (np.bitwise_count(cols & zs) & 1).astype(np.int64)
-    return cols ^ xs, signs, (p.phase_exp + (p.x_mask & p.z_mask).bit_count()) % 4
-
-
 def to_matrix(p: PauliString) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the string (entries are exact units)."""
     return dense_sum(p.n, [(1, p)], "to_matrix")

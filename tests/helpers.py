@@ -2,9 +2,11 @@
 
 import numpy as np
 
-from qchanc.circuits import Circuit, apply_circuit
+from qchanc.circuits import (Circuit, Controlled, OpaqueUnitary, PauliGate,
+                             StatePrep, StatePrepAdjoint, ToffoliCompute,
+                             ToffoliUncompute, apply_circuit, householder_prep)
 from qchanc.ir import ChannelExpr, eval_kraus
-from qchanc.pauli import weight
+from qchanc.pauli import PauliString, weight
 from qchanc.select_opt import Gf2Span, SelectTable
 
 
@@ -55,3 +57,78 @@ def probe_states_list(n: int, samples: int = 32, seed: int = 7) -> list:
         v /= np.linalg.norm(v)
         haar.append(np.outer(v, v.conj()))
     return basis + haar
+
+
+def pauli_action(p: PauliString, bits=None, dim: int | None = None):
+    """Where p sends each basis column: p|j> = i**e * signs[j] |rows[j]>.
+
+    Returns (rows, signs, e).  Site k of p acts on bit bits[k] of the state
+    index, in a space of dimension dim; by default on bit n-1-k of an n-bit
+    index, so site 0 is the most significant bit.
+    """
+    if bits is None:
+        bits, dim = range(p.n - 1, -1, -1), 1 << p.n
+    xs = zs = 0
+    for k, b in enumerate(bits):
+        xs |= ((p.x_mask >> k) & 1) << b
+        zs |= ((p.z_mask >> k) & 1) << b
+    cols = np.arange(dim, dtype=np.int64)
+    signs = 1 - 2 * (np.bitwise_count(cols & zs) & 1).astype(np.int64)
+    return cols ^ xs, signs, (p.phase_exp + (p.x_mask & p.z_mask).bit_count()) % 4
+
+
+def _apply_dense(state, u, qubits, total):
+    cols = state.shape[1]
+    j = len(qubits)
+    t = state.reshape((2,) * total + (cols,))
+    rest = [a for a in range(total) if a not in set(qubits)] + [total]
+    perm = list(qubits) + rest
+    t = t.transpose(perm).reshape(1 << j, -1)
+    t = u @ t
+    t = t.reshape([2] * total + [cols]).transpose(np.argsort(perm))
+    return t.reshape(1 << total, cols)
+
+
+def _control_mask(idx, controls, total):
+    ok = np.ones(idx.shape, dtype=bool)
+    for q, pol in controls:
+        ok &= ((idx >> (total - 1 - q)) & 1) == pol
+    return ok
+
+
+def _parent_apply_gate(state, g, total):
+    dim = 1 << total
+    if isinstance(g, PauliGate):
+        # rows is an involution, so gathering by it applies the string
+        rows, signs, e = pauli_action(g.string, [total - 1 - q for q in g.qubits], dim)
+        return (1j) ** e * (signs[:, None] * state)[rows]
+    if isinstance(g, Controlled):
+        idx = np.arange(dim)
+        ok = _control_mask(idx, g.controls, total)
+        full = _parent_apply_gate(state, g.body, total)
+        return np.where(ok[:, None], full, state)
+    if isinstance(g, (ToffoliCompute, ToffoliUncompute)):
+        idx = np.arange(dim)
+        ok = _control_mask(idx, ((g.c1, g.p1), (g.c2, g.p2)), total)
+        tbit = 1 << (total - 1 - g.target)
+        out = state.copy()
+        rows = idx[ok]
+        out[rows ^ tbit] = state[rows]
+        return out
+    if isinstance(g, StatePrep):
+        return _apply_dense(state, householder_prep(np.array(g.amps)), g.qubits, total)
+    if isinstance(g, StatePrepAdjoint):
+        u = householder_prep(np.array(g.amps)).conj().T
+        return _apply_dense(state, u, g.qubits, total)
+    if isinstance(g, OpaqueUnitary):
+        return _apply_dense(state, g.matrix, g.qubits, total)
+    raise TypeError(f"unknown gate {type(g).__name__}")
+
+
+def parent_apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
+    """circuits.apply_circuit's former full-state path, the oracle for the
+    in-place one: every gate gathers, masks and copies all 2^N rows."""
+    state = np.asarray(state, dtype=complex)
+    for g in c.gates:
+        state = _parent_apply_gate(state, g, c.total_qubits)
+    return state

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -815,6 +816,7 @@ class TestVerify:
         # kind None edits a field of the circuit itself
         doc = json.loads(Path(self.compile_decay(
             tmp_path, decay_file, capsys, "--flatten", "--order")).read_text())
+        before = json.loads(json.dumps(doc["gates"]))
         gate = doc if kind is None else next(g for g in doc["gates"] if g["kind"] == kind)
         gate[key] = edit(gate[key])
         circuit = write_json(tmp_path / "bad.json", doc)
@@ -824,6 +826,12 @@ class TestVerify:
         code, _, err = run(capsys, *argv)
         assert code == 2 and "cannot load circuit" in err and shown in err
         assert "Traceback" not in err
+        # the first edited gate is the bad one, named once by its index
+        # (compared as JSON text, since True == 1)
+        after = doc["gates"]
+        edited = ([i for i, (a, b) in enumerate(zip(before, after))
+                   if json.dumps(a) != json.dumps(b)] if type(after) is list else [])
+        assert re.findall(r"gate (\d+)", err) == [str(i) for i in edited[:1]]
 
     @pytest.mark.parametrize("command", ["verify", "cost"])
     @pytest.mark.parametrize("doc, shown", [

@@ -30,6 +30,7 @@ from qchanc.ir import (
     typecheck,
     validate_density,
 )
+from qchanc import ir
 from qchanc.bench import gen_tfim
 from qchanc.pauli import PauliString, PauliSum, from_label, pauli_decompose, sums_close
 
@@ -255,6 +256,22 @@ def test_trace_distance_matches_batched_formula(n, shape):
     got = trace_distance(a, b)
     want = 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
     assert np.shape(got) == shape and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("entries, calls", [(None, 1), (3 * 16, 3)])
+def test_trace_distance_chunks_pairs(monkeypatch, entries, calls):
+    # a small stack is one eigvalsh call; a bounded chunk holds whole pairs
+    if entries is not None:
+        monkeypatch.setattr(ir, "_DISTANCE_ENTRIES", entries)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: seen.append(m.shape) or eigvalsh(m))
+    rng = np.random.default_rng(6)
+    a, b = (np.array([random_density(rng, 2) for _ in range(7)]) for _ in range(2))
+    got = trace_distance(a, b)
+    assert len(seen) == calls and sum(s[0] for s in seen) == 7
+    assert np.array_equal(got, 0.5 * np.abs(eigvalsh(a - b)).sum(axis=-1))
 
 
 def test_channel_distance():

@@ -15,13 +15,14 @@ from qchanc.pauli import (
     identity_sum,
     is_hermitian_sum,
     multiply,
-    pauli_action,
     pauli_decompose,
     sums_close,
     to_matrix,
     weight,
 )
 from qchanc.rewrite import canonical_kraus
+
+from helpers import pauli_action
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,5 +1,5 @@
-"""Property tests: channel JSON round trips, the bulk term-list codecs and
-rewrite soundness.
+"""Property tests: channel JSON round trips, the bulk term-list codecs,
+rewrite soundness and the in-place circuit simulator.
 
 Skipped where hypothesis is not installed; examples are derandomized, so
 every run draws the same ones.
@@ -13,6 +13,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from qchanc.circuits import (  # noqa: E402
+    Circuit,
+    Controlled,
+    OpaqueUnitary,
+    PauliGate,
+    StatePrep,
+    StatePrepAdjoint,
+    ToffoliCompute,
+    ToffoliUncompute,
+    apply_circuit,
+)
 from qchanc.cli import _dump, _uniform_items  # noqa: E402
 from qchanc.ir import (  # noqa: E402
     BlockEncRef,
@@ -26,6 +37,8 @@ from qchanc.ir import (  # noqa: E402
 )
 from qchanc.pauli import PauliString, PauliSum  # noqa: E402
 from qchanc.rewrite import apply_rule, canonical_kraus, minimize_kraus_rank  # noqa: E402
+
+from helpers import parent_apply_circuit  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -325,3 +338,72 @@ def test_minimize_kraus_rank_is_sound(chan, w):
     out, _ = minimize_kraus_rank(chan)
     assert len(out.kraus) < len(chan.kraus)
     assert_same_channel(chan, out)
+
+
+@st.composite
+def gates(draw, total):
+    """One gate of any kind on `total` qubits, under up to all free qubits
+    as controls of either polarity."""
+    order = draw(st.permutations(range(total)))
+    kinds = ["pauli", "state_prep", "state_prep_adj", "opaque"]
+    kinds += ["toffoli", "toffoli_unc"] if total >= 3 else []
+    kind = draw(st.sampled_from(kinds))
+    if kind.startswith("toffoli"):
+        cls = ToffoliCompute if kind == "toffoli" else ToffoliUncompute
+        c1, c2, target = order[:3]
+        body, used = cls(c1, c2, target, draw(st.integers(0, 1)),
+                         draw(st.integers(0, 1))), 3
+    else:
+        used = draw(st.integers(1, min(total, 3 if kind != "pauli" else total)))
+        qubits = tuple(order[:used])
+        if kind == "pauli":
+            mask = st.integers(0, (1 << used) - 1)
+            body = PauliGate(PauliString(used, draw(mask), draw(mask),
+                                         draw(st.integers(0, 3))), qubits)
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            z = rng.normal(size=(1 << used, 1 << used)) + 1j * rng.normal(
+                size=(1 << used, 1 << used))
+            if kind == "opaque":
+                body = OpaqueUnitary("u", qubits, np.linalg.qr(z)[0])
+            else:
+                cls = StatePrep if kind == "state_prep" else StatePrepAdjoint
+                body = cls(qubits, tuple(z[0] / np.linalg.norm(z[0])))
+    free = order[used:]
+    ctrl = draw(st.integers(0, len(free)))
+    if not ctrl:
+        return body
+    return Controlled(tuple((q, draw(st.integers(0, 1))) for q in free[:ctrl]),
+                      body)
+
+
+@st.composite
+def circuits_and_states(draw):
+    total = draw(st.integers(1, 6))
+    sys_size = draw(st.integers(0, total))
+    circ = Circuit((("anc", total - sys_size), ("system", sys_size)),
+                   draw(st.lists(gates(total), min_size=1, max_size=8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (1 << total, draw(st.integers(1, 4)))
+    state = rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+    return circ, state * (rng.random(shape) < 0.7)  # zero entries too
+
+
+@settings(PROPERTY, max_examples=200)
+@given(circuits_and_states())
+def test_apply_circuit_matches_full_state_oracle(case):
+    # gate by gate from the oracle's state: monomial gates (Pauli, Toffoli)
+    # bit for bit, dense ones to rounding, since BLAS sums a smaller block
+    circ, state = case
+    for g in circ.gates:
+        one = Circuit(circ.registers, [g])
+        before = state.copy()
+        got = apply_circuit(one, state)
+        assert np.array_equal(state, before)  # the input is left unchanged
+        want = parent_apply_circuit(one, state)
+        body = g.body if isinstance(g, Controlled) else g
+        if isinstance(body, (PauliGate, ToffoliCompute, ToffoliUncompute)):
+            assert np.array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14
+        state = want
