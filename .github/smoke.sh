@@ -12,7 +12,9 @@ test "$(wc -l < scale-smoke/sweep.csv)" -eq 2
 # monotone SELECT; the report's cost, priced from the encoding records,
 # against a walk of the emitted circuit
 spec=$(qchanc bench tfim --sites 5 --out select-smoke)
+t0=$EPOCHREALTIME
 timeout 120 qchanc compile "$spec" --frontend order:2,2,2 --delta 0.01 --flatten --order --out select-smoke/out
+python -c 'import sys; print("tfim5 compile wall time: %.2f s" % (float(sys.argv[2]) - float(sys.argv[1])))' "$t0" "$EPOCHREALTIME"
 python -c 'import json, sys; k = json.load(open(sys.argv[1]))["kraus_count"]; print("kraus_count:", k); sys.exit(k != 111)' select-smoke/out/report.json
 qchanc cost select-smoke/out/circuit.json > select-smoke/cost.json
 python -c 'import json, sys; walk = json.load(open(sys.argv[1])); report = json.load(open(sys.argv[2]))["cost"]; print("cost:", walk); sys.exit(walk != report)' select-smoke/cost.json select-smoke/out/report.json
@@ -31,11 +33,17 @@ qchanc rewrite "$inst" --minimize-rank --out json-smoke/min.json
 python -c 'import json, sys; text = open(sys.argv[1]).read(); sys.exit(text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")' json-smoke/min.json
 
 # Circuit and report JSON: an order-2, flattened, ordered, rank-minimized
-# compile through the shape-templated writer, each file byte-compared with
-# the stdlib encoder
+# compile, and a flattened compile of a channel holding an opaque block
+# encoding with a matrix (0.8 Z as a blockenc, 0.6 X), through the
+# per-kind circuit writer and the shape-templated report writer, each
+# file byte-compared with the stdlib encoder; the opaque circuit verifies
 inst=$(qchanc bench tfim --sites 3 --out json-smoke)
 qchanc compile "$inst" --frontend order:2,2,2 --delta 0.01 --flatten --order --minimize-rank --out json-smoke/tfim3
-python -c 'import json, sys; bad = [f for f in sys.argv[1:] if open(f).read() != json.dumps(json.load(open(f)), sort_keys=True, indent=2) + "\n"]; print("not stdlib bytes:", bad); sys.exit(bool(bad))' json-smoke/tfim3/circuit.json json-smoke/tfim3/report.json
+echo '{"n": 1, "kraus": [[{"coeff": [0.8, 0], "blockenc": {"handle": "u", "n": 1, "alpha": 1.0, "anc": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}}], [{"coeff": [0.6, 0], "pauli": "X"}]]}' > json-smoke/opaque.json
+qchanc compile json-smoke/opaque.json --frontend channel --flatten --out json-smoke/opaque
+qchanc verify json-smoke/opaque/circuit.json --reference json-smoke/opaque.json > json-smoke/opaque-verify.json
+python -c 'import json, sys; s = json.load(open(sys.argv[1])); print("opaque max_trace_distance:", s["max_trace_distance"]); sys.exit(not s["max_trace_distance"] <= 1e-9)' json-smoke/opaque-verify.json
+python -c 'import json, sys; bad = [f for f in sys.argv[1:] if open(f).read() != json.dumps(json.load(open(f)), sort_keys=True, indent=2) + "\n"]; print("not stdlib bytes:", bad); sys.exit(bool(bad))' json-smoke/tfim3/circuit.json json-smoke/tfim3/report.json json-smoke/opaque/circuit.json json-smoke/opaque/report.json
 
 # Trace replay: replay a rank minimization's trace rule by rule through
 # rewrite --rule, each step reading the previous step's output; the Kraus

@@ -10,11 +10,17 @@ the one way to build a circuit.  It runs `_check`, the one gate validator,
 once per gate as it takes each from the iterable, so JSON ingest reports the
 first bad gate.  `_check` checks field types (every qubit index, polarity and
 register size is an int, never a bool, float or string; circuit JSON must
-hold JSON integers there), gate shapes and the qubit range.  JSON
-amplitudes are [re, im] pairs of numbers, read by ir._pair2c like every
-complex number in the IR's JSON; every JSON container there is a list, and
-every record (register, gate) an object.  A load error caused by one gate
-is led by its index ("gate 3: ...").
+hold JSON integers there), gate shapes and the qubit range, in one scan of
+a gate's qubits.
+
+JSON.  `circuit_to_json` writes the circuit.json text itself, exactly the
+bytes of json.dumps(doc, sort_keys=True, indent=2) plus a newline: one
+%-template per gate kind, the text of each distinct Pauli gate, control
+list and amplitude vector formed once per document, no dict per gate.
+JSON amplitudes are [re, im] pairs of numbers, read by ir._pair2c like
+every complex number in the IR's JSON; every JSON container there is a
+list, and every record (register, gate) an object.  A load error caused by
+one gate is led by its index ("gate 3: ...").
 
 Simulation.  `apply_circuit` keeps the state as one (2,)*N + (cols,) tensor
 and applies each gate in place, on the view with its control qubits (a
@@ -45,14 +51,17 @@ shapes from the encoding records without building the circuit.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import math
+from collections import Counter
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .ir import (_pair2c, kraus_action, matrix_from_json, matrix_to_json,
-                 require_dict, require_int, require_keys, require_list,
-                 validate_density)
+from .ir import (_encode, _led_by, _pair2c, kraus_action, matrix_from_json,
+                 matrix_to_json, require_dict, require_int, require_keys,
+                 require_list, validate_density)
 from .pauli import PauliString, check_cap, from_label, weight
 
 PREP_TOL = 1e-10
@@ -110,6 +119,8 @@ class OpaqueUnitary:
 
 Gate = (PauliGate | Controlled | StatePrep | StatePrepAdjoint
         | ToffoliCompute | ToffoliUncompute | OpaqueUnitary)
+# the gate types whose targets are a `qubits` tuple
+_QUBIT_BODIES = frozenset((PauliGate, StatePrep, StatePrepAdjoint, OpaqueUnitary))
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +144,7 @@ class Circuit:
             try:
                 gates.append(_check(g, total))
             except (TypeError, ValueError) as exc:
-                raise _at_gate(len(gates), exc)
+                raise _led_by(f"gate {len(gates)}", exc)
         object.__setattr__(self, "gates", tuple(gates))
 
     @property
@@ -155,53 +166,66 @@ class Circuit:
         raise KeyError(f"no register named {name!r}")
 
 
-def _at_gate(i: int, exc: Exception) -> Exception:
-    """exc, its message led by the index of the gate that caused it."""
-    exc.args = (f"gate {i}: {exc}",)
-    return exc
-
-
 def _check(gate: Gate, total: int) -> Gate:
     """The one gate validator, on `total` qubits: every gate enters a
-    circuit through it.  Returns the gate."""
+    circuit through it.  Returns the gate.
+
+    Dispatch is on the exact gate type.  One scan of the control and target
+    qubits checks their types, range and distinctness; which duplicate it
+    was (targets, controls or an overlap) is worked out only on failure.
+    The checks and messages keep their order: qubit types, polarities,
+    range, duplicates, then the body's own fields."""
+    kind = type(gate)
     controls, body = (), gate
-    if isinstance(gate, Controlled):
+    if kind is Controlled:
         controls, body = gate.controls, gate.body
-        if isinstance(body, Controlled):
+        kind = type(body)
+        if kind is Controlled:
             raise ValueError("nest controls by merging control lists")
-    if isinstance(body, (ToffoliCompute, ToffoliUncompute)):
+    if kind is ToffoliCompute or kind is ToffoliUncompute:
         targets, pols = (body.c1, body.c2, body.target), [body.p1, body.p2]
-    elif isinstance(body, (PauliGate, StatePrep, StatePrepAdjoint, OpaqueUnitary)):
+    elif kind in _QUBIT_BODIES:
         targets, pols = tuple(body.qubits), []
     else:
-        raise TypeError(f"unknown gate {type(body).__name__}")
-    ctrl = tuple(q for q, _ in controls)
-    pols += [p for _, p in controls]
-    used = ctrl + targets
+        raise TypeError(f"unknown gate {kind.__name__}")
+    ctrl = []
+    for q, p in controls:  # a control that is no pair fails here, first
+        ctrl.append(q)
+        pols.append(p)
+    used = ctrl + list(targets) if ctrl else targets
+    seen, outside, repeated = 0, False, False
     for q in used:
-        require_int(q, "qubit index")
+        if type(q) is not int:
+            require_int(q, "qubit index")
+        if 0 <= q < total:
+            repeated = repeated or seen >> q & 1
+            seen |= 1 << q
+        else:
+            outside = True
     for p in pols:
         if type(p) is not int or p not in (0, 1):
             raise ValueError(f"control polarity must be 0 or 1, got {p!r}")
-    if any(not 0 <= q < total for q in used):
+    if outside:
         raise ValueError(f"gate uses qubits outside the circuit: {sorted(set(used))}")
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"gate qubits must be distinct, got {targets}")
-    if len(set(ctrl)) != len(ctrl):
-        raise ValueError("duplicate control qubits")
-    if set(ctrl) & set(targets):
+    if repeated:
+        if len(set(targets)) != len(targets):
+            raise ValueError(f"gate qubits must be distinct, got {targets}")
+        if len(set(ctrl)) != len(ctrl):
+            raise ValueError("duplicate control qubits")
         raise ValueError("controls overlap the controlled body")
-    dim = 1 << len(targets)
-    if isinstance(body, PauliGate) and len(targets) != body.string.n:
-        raise ValueError("qubit count does not match the Pauli string")
-    if isinstance(body, (StatePrep, StatePrepAdjoint)):
-        if len(body.amps) != dim:
+    if kind is PauliGate:
+        if len(targets) != body.string.n:
+            raise ValueError("qubit count does not match the Pauli string")
+    elif kind is StatePrep or kind is StatePrepAdjoint:
+        if len(body.amps) != 1 << len(targets):
             raise ValueError("amplitude vector length must be 2^(#qubits)")
-        if not abs(np.linalg.norm(body.amps) - 1.0) <= PREP_TOL:  # NaN fails too
+        # the 2-norm as the hypotenuse of the moduli; NaN fails too
+        if not abs(math.hypot(*map(abs, body.amps)) - 1.0) <= PREP_TOL:
             raise ValueError("amplitude vector is not unit norm")
-    if isinstance(body, OpaqueUnitary):
+    elif kind is OpaqueUnitary:
         if type(body.handle) is not str:
             raise ValueError(f"opaque gate handle must be a string, got {body.handle!r}")
+        dim = 1 << len(targets)
         if body.matrix is not None and np.shape(body.matrix) != (dim, dim):
             raise ValueError("matrix shape does not match qubit count")
     return gate
@@ -366,23 +390,29 @@ class CostReport:
     ancillas: int
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # all ints: a flat dict, without dataclasses.asdict's deep copy
+        return {name: getattr(self, name) for name in _COST_FIELDS}
+
+
+_COST_FIELDS = tuple(f.name for f in fields(CostReport))
 
 
 def _control_t(c: int) -> int:
     return 0 if c <= 1 else 4 * (c - 1)
 
 
-def cost_from_shapes(shapes: list[tuple[int, int | None]], toffolis: int,
-                     ancillas: int) -> CostReport:
-    """The cost model: one (controls, Pauli weight or None) shape per gate."""
-    wcc = t = cpauli = 0
-    for c, w in shapes:
-        t += _control_t(c)
+def cost_from_shapes(shapes, toffolis: int, ancillas: int) -> CostReport:
+    """The cost model: one (controls, Pauli weight or None) shape per gate,
+    given as a list of shapes or as a {shape: count} map (a Counter)."""
+    counts = shapes if isinstance(shapes, dict) else Counter(shapes)
+    wcc = t = cpauli = total = 0
+    for (c, w), k in counts.items():
+        total += k
+        t += k * _control_t(c)
         if w is not None and c:
-            cpauli += 1
-            wcc += c * w
-    return CostReport(wcc, t, toffolis, cpauli, len(shapes), ancillas)
+            cpauli += k
+            wcc += k * c * w
+    return CostReport(wcc, t, toffolis, cpauli, total, ancillas)
 
 
 def cost_report(c: Circuit) -> CostReport:
@@ -417,26 +447,6 @@ def cost_report(c: Circuit) -> CostReport:
 
 
 # --- JSON -------------------------------------------------------------------
-
-
-def gate_to_json(g: Gate) -> dict:
-    if isinstance(g, PauliGate):
-        return {"kind": "pauli", "pauli": g.string.label(),
-                "phase_exp": g.string.phase_exp, "qubits": list(g.qubits)}
-    if isinstance(g, Controlled):
-        return {"kind": "controlled",
-                "controls": [[q, p] for q, p in g.controls],
-                "body": gate_to_json(g.body)}
-    if isinstance(g, (StatePrep, StatePrepAdjoint)):
-        kind = "state_prep" if isinstance(g, StatePrep) else "state_prep_adj"
-        return {"kind": kind, "qubits": list(g.qubits),
-                "amps": [[float(a.real), float(a.imag)] for a in g.amps]}
-    if isinstance(g, (ToffoliCompute, ToffoliUncompute)):
-        kind = "toffoli" if isinstance(g, ToffoliCompute) else "toffoli_unc"
-        return {"kind": kind, "c1": g.c1, "c2": g.c2, "target": g.target,
-                "p1": g.p1, "p2": g.p2}
-    return {"kind": "opaque", "handle": g.handle, "qubits": list(g.qubits),
-            "matrix": None if g.matrix is None else matrix_to_json(g.matrix)}
 
 
 def _qubits(d: dict) -> tuple:
@@ -476,9 +486,126 @@ def gate_from_json(d: dict) -> Gate:
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
-def circuit_to_json(c: Circuit) -> dict:
-    return {"registers": [{"name": n, "size": s} for n, s in c.registers],
-            "gates": [gate_to_json(g) for g in c.gates]}
+def circuit_to_json(c: Circuit, alpha_sq_sum: float | None = None) -> str:
+    """The circuit.json text of c: exactly the bytes of json.dumps(doc,
+    sort_keys=True, indent=2) plus a newline, where doc holds the registers
+    ({"name", "size"} records), one record per gate and, when given,
+    alpha_sq_sum.  Each gate record is one %-template of its kind; the text
+    of each distinct Pauli gate, qubit list and control list is formed once
+    per document (see _GateText)."""
+    text = _GateText()
+    head = "{\n  "
+    if alpha_sq_sum is not None:
+        head += '"alpha_sq_sum": ' + _encode(alpha_sq_sum, "\n  ") + ",\n  "
+    gates = ("[\n    " + ",\n    ".join([text.record(g, "\n    ") for g in c.gates])
+             + "\n  ]") if c.gates else "[]"
+    registers = _encode([{"name": n, "size": s} for n, s in c.registers], "\n  ")
+    return head + '"gates": ' + gates + ',\n  "registers": ' + registers + "\n}\n"
+
+
+class _GateText:
+    """Gate records as json.dumps(sort_keys=True, indent=2) writes them, for
+    one document.  `nl` is the newline and indent that closes a record (its
+    keys sit two spaces deeper).  Every int field holds an int, never a
+    bool, since `_check` let the gate in; amplitudes are written as
+    float(part), and an opaque matrix, the one free-form field, goes
+    through ir._encode.  The memo lives as long as the document."""
+
+    def __init__(self):
+        self.memo: dict = {}
+
+    def record(self, g: Gate, nl: str) -> str:
+        return _RECORD_TEXT[type(g)](self, g, nl)
+
+    def _once(self, key, make, *args) -> str:
+        """make(*args), formed once per key; a key with a list inside (a
+        gate built with list fields) is not hashable and is formed each
+        time."""
+        try:
+            return self.memo[key]
+        except KeyError:
+            text = self.memo[key] = make(*args)
+        except TypeError:
+            text = make(*args)
+        return text
+
+    @staticmethod
+    def _ints(xs, nl: str) -> str:
+        """A list of ints, opened at the indentation `nl` closes."""
+        if not len(xs):
+            return "[]"
+        item = nl + "  "
+        return "[" + item + ("," + item).join(map(int.__repr__, xs)) + nl + "]"
+
+    def _pauli(self, g: PauliGate, nl: str) -> str:
+        s = g.string
+        # the string's fields, not the string: a tuple of ints hashes in C
+        return self._once((s.n, s.x_mask, s.z_mask, s.phase_exp, g.qubits, nl),
+                          self._pauli_text, g, nl)
+
+    def _pauli_text(self, g: PauliGate, nl: str) -> str:
+        k, s = nl + "  ", g.string
+        phase = s.phase_exp
+        phase = int.__repr__(phase) if type(phase) is int else _encode(phase, k)
+        return ("{" + k + '"kind": "pauli",' + k + '"pauli": "' + s.label() + '",'
+                + k + '"phase_exp": ' + phase + "," + k + '"qubits": '
+                + self._ints(g.qubits, k) + nl + "}")
+
+    def _controlled(self, g: Controlled, nl: str) -> str:
+        k = nl + "  "
+        return ("{" + k + '"body": ' + self.record(g.body, k) + "," + k + '"controls": '
+                + self._once((g.controls, k), self._controls_text, g.controls, k)
+                + "," + k + '"kind": "controlled"' + nl + "}")
+
+    @staticmethod
+    def _controls_text(controls, nl: str) -> str:
+        if not len(controls):
+            return "[]"
+        item, part = nl + "  ", nl + "    "
+        pair = "[" + part + "%d," + part + "%d" + item + "]"
+        return "[" + item + ("," + item).join([pair % (q, p) for q, p in controls]) + nl + "]"
+
+    def _prep(self, g: StatePrep | StatePrepAdjoint, nl: str) -> str:
+        # keyed by the parts' bytes: equal tuples may differ in a zero's sign
+        parts = np.array(g.amps, dtype=complex).view(float)
+        return self._once((type(g), parts.tobytes(), g.qubits, nl), self._prep_text,
+                          g, parts, nl)
+
+    def _prep_text(self, g: StatePrep | StatePrepAdjoint, parts: np.ndarray,
+                   nl: str) -> str:
+        k = nl + "  "
+        item, part = k + "  ", k + "    "
+        pair = "[" + part + "%r," + part + "%r" + item + "]"
+        amps = "[" + item + ("," + item).join([pair] * len(g.amps)) + k + "]"
+        kind = "state_prep" if type(g) is StatePrep else "state_prep_adj"
+        return ("{" + k + '"amps": ' + amps % tuple(parts.tolist()) + "," + k
+                + '"kind": "' + kind + '",' + k + '"qubits": ' + self._ints(g.qubits, k)
+                + nl + "}")
+
+    def _toffoli(self, g: ToffoliCompute | ToffoliUncompute, nl: str) -> str:
+        k = nl + "  "
+        kind = "toffoli" if type(g) is ToffoliCompute else "toffoli_unc"
+        return ("{" + k + '"c1": %d,' + k + '"c2": %d,' + k + '"kind": "' + kind + '",'
+                + k + '"p1": %d,' + k + '"p2": %d,' + k + '"target": %d' + nl
+                + "}") % (g.c1, g.c2, g.p1, g.p2, g.target)
+
+    def _opaque(self, g: OpaqueUnitary, nl: str) -> str:
+        k = nl + "  "
+        matrix = "null" if g.matrix is None else _encode(matrix_to_json(g.matrix), k)
+        return ("{" + k + '"handle": ' + encode_basestring_ascii(g.handle) + "," + k
+                + '"kind": "opaque",' + k + '"matrix": ' + matrix + "," + k
+                + '"qubits": ' + self._ints(g.qubits, k) + nl + "}")
+
+
+_RECORD_TEXT = {
+    PauliGate: _GateText._pauli,
+    Controlled: _GateText._controlled,
+    StatePrep: _GateText._prep,
+    StatePrepAdjoint: _GateText._prep,
+    ToffoliCompute: _GateText._toffoli,
+    ToffoliUncompute: _GateText._toffoli,
+    OpaqueUnitary: _GateText._opaque,
+}
 
 
 def circuit_from_json(d: dict) -> Circuit:
@@ -499,5 +626,5 @@ def _gates_from_json(gates: list):
         try:
             gate = gate_from_json(g)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise _at_gate(i, exc)
+            raise _led_by(f"gate {i}", exc)
         yield gate

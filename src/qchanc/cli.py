@@ -2,17 +2,16 @@
 
 Subcommands: compile | verify | cost | bench | rewrite | error-sweep.
 Reports are JSON with sorted keys and no timestamps, so identical
-inputs and flags produce byte-identical output.  `_dump` writes exactly the
-bytes of json.dumps(data, sort_keys=True, indent=2) plus a newline, without
-the stdlib's pure-Python encoder that indent=2 selects.  A uniform list
-(see `_uniform_items`: cells of one kind, such as qubits, alphas, gate
-controls and amplitudes, or records sharing one key set, such as registers,
-SELECT tables and Pauli term lists) is written in one pass, with one
-%-template per pair or record; any other list goes value by value, with
-the same bytes.  A channel or spec file's Pauli term lists are read in one
+inputs and flags produce byte-identical output: every document is exactly
+the bytes of json.dumps(data, sort_keys=True, indent=2) plus a newline.
+`_dump` writes each document but one through `ir._encode` (uniform lists in
+one pass, one %-template per pair or record); compile's circuit.json is
+written by `circuits.circuit_to_json`, one %-template per gate kind, with no
+dict per gate.  A channel or spec file's Pauli term lists are read in one
 bulk pass per document (`ir.channel_from_json`, `ir.lindblad_from_json`),
 with every check of the per-term reader; a document with an irregular
-term goes term by term, with the same result and error messages.
+term goes term by term, with the same result and error messages, each led
+by the term's position ("Kraus operator 1 term 0: ...").
 """
 
 import argparse
@@ -20,9 +19,6 @@ import functools
 import json
 import math
 import sys
-from itertools import chain
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +32,7 @@ from .circuits import (
 )
 from .ir import (
     ChannelExpr,
+    _encode,
     apply_channel,
     channel_from_json,
     channel_to_json,
@@ -180,19 +177,25 @@ def lower_input(obj, frontend: str, delta: float) -> ChannelExpr:
 
 
 def _select_audits(encodings: list) -> list:
-    """SelectTable JSON per Pauli-sum Kraus operator's optimized encoding."""
+    """SelectTable JSON per Pauli-sum Kraus operator's optimized encoding;
+    a table shared by several operators is listed once and its lists are
+    shared."""
     audits = []
+    tables = {}  # id(SelectTable) -> (mode_table, g_table), for this call only
     for idx, enc in enumerate(encodings):
         if enc.ref is not None:
             audits.append({"kraus": idx, "opaque": True})
         elif len(enc.terms) < 2:
             audits.append({"kraus": idx, "trivial": True})
         else:
+            if (lists := tables.get(id(enc.table))) is None:
+                lists = tables[id(enc.table)] = (mode_table_json(enc.table),
+                                                 g_table_json(enc.table))
             audits.append({
                 "kraus": idx,
                 "select_bits": enc.width,
-                "mode_table": mode_table_json(enc.table),
-                "g_table": g_table_json(enc.table),
+                "mode_table": lists[0],
+                "g_table": lists[1],
             })
     return audits
 
@@ -242,104 +245,6 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
     return circ, report
 
 
-def _cells(col, nl: str) -> list | None:
-    """_encode of each value of col at the indentation `nl` opens, or None
-    unless the values share one cell kind: all str, all int (never bool),
-    all finite float, or all [a, b] lists of two int or two finite float
-    parts."""
-    kinds = set(map(type, col))
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
-    if kind is str:
-        return list(map(encode_basestring_ascii, col))
-    # repr writes int.__repr__ and float.__repr__ of these exact types
-    if kind is int or kind is float and all(map(math.isfinite, col)):
-        return list(map(repr, col))
-    if kind is not list or set(map(len, col)) != {2}:
-        return None
-    parts = list(chain.from_iterable(col))
-    kinds = set(map(type, parts))
-    if not (kinds == {int} or kinds == {float} and all(map(math.isfinite, parts))):
-        return None
-    part = nl + "  "
-    template = "[" + part + "%r," + part + "%r" + nl + "]"
-    return [template % (a, b) for a, b in col]
-
-
-def _uniform_items(o, item: str) -> list | None:
-    """_encode of each item of a non-empty list at the indentation `item`
-    opens, or None unless it is a list of cells (see _cells) or of records:
-    dicts with one shared, non-empty set of str keys, each key's values one
-    cell kind, written from one %-template."""
-    if type(o[0]) is not dict:
-        return _cells(o, item)
-    keys = o[0].keys()
-    # {} has no key types, so [{}] is no record list
-    if (set(map(type, keys)) != {str} or set(map(type, o)) != {dict}
-            or set(map(len, o)) != {len(keys)}):
-        return None
-    keys = sorted(keys)
-    key = item + "  "
-    try:
-        # each dict has len(keys) keys and all of these, so exactly these
-        cols = [_cells(list(map(itemgetter(k), o)), key) for k in keys]
-    except KeyError:
-        return None
-    if None in cols:
-        return None
-    # %s takes each cell's text; a % in a key must not read as a conversion
-    template = ("{" + key + ("," + key).join([
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys])
-        + item + "}")
-    return [template % row for row in zip(*cols)]
-
-
-def _encode(o, nl: str) -> str:
-    """o as json.dumps(sort_keys=True, indent=2) writes it, at the
-    indentation that `nl` (a newline and the current indent) opens.
-
-    Takes the exact types qchanc emits; any other value, subclasses such as
-    numpy scalars included, raises TypeError.
-    """
-    t = type(o)
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = nl + "  "
-        items = _uniform_items(o, inner)
-        if items is None:
-            items = [_encode(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
-    if t is float:
-        if o != o:
-            return "NaN"
-        if o == math.inf:
-            return "Infinity"
-        if o == -math.inf:
-            return "-Infinity"
-        return float.__repr__(o)
-    if t is str:
-        return encode_basestring_ascii(o)
-    if t is int:
-        return int.__repr__(o)
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = nl + "  "
-        # a key that is not a str fails in sorted() or the string encoder
-        return ("{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + _encode(o[k], inner)
-            for k in sorted(o)]) + nl + "}")
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-
 def _dump(data) -> str:
     return _encode(data, "\n") + "\n"
 
@@ -360,9 +265,7 @@ def cmd_compile(args) -> int:
         args.minimize_rank)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    circuit_doc = circuit_to_json(circ)
-    circuit_doc["alpha_sq_sum"] = report["alpha_sq_sum"]
-    (out / "circuit.json").write_text(_dump(circuit_doc))
+    (out / "circuit.json").write_text(circuit_to_json(circ, report["alpha_sq_sum"]))
     (out / "report.json").write_text(_dump(report))
     print(str(out / "report.json"))
     return 0

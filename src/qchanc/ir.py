@@ -20,6 +20,8 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
@@ -321,6 +323,113 @@ def matrix_from_json(rows) -> np.ndarray:
     return np.array([[_pair2c(x) for x in row] for row in rows], dtype=complex)
 
 
+# The one JSON text encoder: _encode writes exactly the bytes of
+# json.dumps(o, sort_keys=True, indent=2), without the stdlib's pure-Python
+# encoder that indent=2 selects.  A uniform list (see _uniform_items: cells
+# of one kind, such as qubits, alphas and amplitudes, or records sharing one
+# key set, such as registers, SELECT tables and Pauli term lists) is written
+# in one pass, with one %-template per pair or record; any other list goes
+# value by value, with the same bytes.
+
+
+def _cells(col, nl: str) -> list | None:
+    """_encode of each value of col at the indentation `nl` opens, or None
+    unless the values share one cell kind: all str, all int (never bool),
+    all finite float, or all [a, b] lists of two int or two finite float
+    parts."""
+    kinds = set(map(type, col))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is str:
+        return list(map(encode_basestring_ascii, col))
+    # repr writes int.__repr__ and float.__repr__ of these exact types
+    if kind is int or kind is float and all(map(math.isfinite, col)):
+        return list(map(repr, col))
+    if kind is not list or set(map(len, col)) != {2}:
+        return None
+    parts = list(chain.from_iterable(col))
+    kinds = set(map(type, parts))
+    if not (kinds == {int} or kinds == {float} and all(map(math.isfinite, parts))):
+        return None
+    part = nl + "  "
+    template = "[" + part + "%r," + part + "%r" + nl + "]"
+    return [template % (a, b) for a, b in col]
+
+
+def _uniform_items(o, item: str) -> list | None:
+    """_encode of each item of a non-empty list at the indentation `item`
+    opens, or None unless it is a list of cells (see _cells) or of records:
+    dicts with one shared, non-empty set of str keys, each key's values one
+    cell kind, written from one %-template."""
+    if type(o[0]) is not dict:
+        return _cells(o, item)
+    keys = o[0].keys()
+    # {} has no key types, so [{}] is no record list
+    if (set(map(type, keys)) != {str} or set(map(type, o)) != {dict}
+            or set(map(len, o)) != {len(keys)}):
+        return None
+    keys = sorted(keys)
+    key = item + "  "
+    try:
+        # each dict has len(keys) keys and all of these, so exactly these
+        cols = [_cells(list(map(itemgetter(k), o)), key) for k in keys]
+    except KeyError:
+        return None
+    if None in cols:
+        return None
+    # %s takes each cell's text; a % in a key must not read as a conversion
+    template = ("{" + key + ("," + key).join([
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys])
+        + item + "}")
+    return [template % row for row in zip(*cols)]
+
+
+def _encode(o, nl: str) -> str:
+    """o as json.dumps(sort_keys=True, indent=2) writes it, at the
+    indentation that `nl` (a newline and the current indent) opens.
+
+    Takes the exact types qchanc emits; any other value, subclasses such as
+    numpy scalars included, raises TypeError.
+    """
+    t = type(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        items = _uniform_items(o, inner)
+        if items is None:
+            items = [_encode(v, inner) for v in o]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if t is float:
+        if o != o:
+            return "NaN"
+        if o == math.inf:
+            return "Infinity"
+        if o == -math.inf:
+            return "-Infinity"
+        return float.__repr__(o)
+    if t is str:
+        return encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        # a key that is not a str fails in sorted() or the string encoder
+        return ("{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + _encode(o[k], inner)
+            for k in sorted(o)]) + nl + "}")
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def term_to_json(coeff: complex, prim: Primitive) -> dict:
     if isinstance(prim, PauliString):
         return {
@@ -340,7 +449,26 @@ def term_to_json(coeff: complex, prim: Primitive) -> dict:
     }
 
 
-def term_from_json(d: dict) -> tuple[complex, Primitive]:
+def _led_by(name: str, exc: Exception) -> Exception:
+    """exc, its message led by the name of the record that caused it."""
+    exc.args = (f"{name}: {exc}",)
+    return exc
+
+
+def term_from_json(d: dict, name: str | None = None) -> tuple[complex, Primitive]:
+    """A (coeff, primitive) pair from a term record.  A list reader passes
+    the term's position as `name` ("Kraus operator 1 term 0"), which then
+    leads each error; a record that is no object names itself."""
+    d = require_dict(d, name or "term")
+    try:
+        return _term_from_json(d)
+    except (ValueError, TypeError, OverflowError) as exc:
+        if name is not None:
+            _led_by(name, exc)
+        raise
+
+
+def _term_from_json(d: dict) -> tuple[complex, Primitive]:
     coeff = _pair2c(require_keys(d, "term", "coeff")["coeff"])
     if "pauli" in d:
         phase_exp = require_int(d.get("phase_exp", 0), "phase_exp")
@@ -429,7 +557,7 @@ def _term_lists_from_json(items: dict, n: int) -> list[PauliSum]:
         if type(x) is dict:
             out.append(pauli_decompose(matrix_from_json(x["matrix"]), n))
         elif pairs is None:
-            out.append(PauliSum(n, [term_from_json(require_dict(t, f"{name} term {i}"))
+            out.append(PauliSum(n, [term_from_json(t, f"{name} term {i}")
                                     for i, t in enumerate(x)]))
         else:
             out.append(PauliSum(n, pairs[start:start + len(x)]))

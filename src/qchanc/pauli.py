@@ -33,6 +33,9 @@ import numpy as np
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
+# the labels of four sites, indexed by their x bits | z bits << 4
+_QUAD_LETTERS = tuple("".join(_BITS_TO_LETTER[x >> k & 1, z >> k & 1] for k in range(4))
+                      for z in range(16) for x in range(16))
 _I_POWERS = np.array((1 + 0j, 1j, -1 + 0j, -1j))
 
 DEFAULT_QUBIT_CAP = 14
@@ -107,10 +110,10 @@ class PauliString:
         return PauliString(self.n, self.x_mask, self.z_mask, -self.phase_exp)
 
     def label(self) -> str:
-        return "".join(
-            _BITS_TO_LETTER[(self.x_mask >> k) & 1, (self.z_mask >> k) & 1]
-            for k in range(self.n)
-        )
+        # four sites per table lookup; the sites past n are I, and cut off
+        x, z = self.x_mask, self.z_mask
+        return "".join([_QUAD_LETTERS[(x >> k & 15) | (z >> k & 15) << 4]
+                        for k in range(0, self.n, 4)])[:self.n]
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)

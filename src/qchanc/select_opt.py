@@ -18,17 +18,18 @@ vector of one operator's coefficients.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .circuits import (
+    Controlled,
     Gate,
     PauliGate,
     ToffoliCompute,
     ToffoliUncompute,
     controlled,
 )
-from .pauli import ZERO_TOL, PauliString, fold_terms, multiply, weight
+from .pauli import ZERO_TOL, PauliString, fold_terms, weight
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,12 +51,14 @@ class SelectTable:
 # the audit keys "phase_exp" and "theta" are always 0: phases live in the
 # prepared coefficients
 def mode_table_json(t: SelectTable) -> list:
-    return [{"address": format(a, f"0{t.s}b"), "target": p.label(),
-             "phase_exp": 0} for a, p in sorted(t.targets.items())]
+    spec = f"0{t.s}b"
+    return [{"address": format(a, spec), "target": p.label(), "phase_exp": 0}
+            for a, p in sorted(t.targets.items())]
 
 
 def g_table_json(t: SelectTable) -> list:
-    return [{"address": format(a, f"0{t.s}b"), "g": p.label(), "theta": 0}
+    spec = f"0{t.s}b"
+    return [{"address": format(a, spec), "g": p.label(), "theta": 0}
             for a, p in sorted(t.factors.items())]
 
 
@@ -95,10 +98,6 @@ class Gf2Span:
         return True
 
 
-def _vw(x: int, z: int) -> int:
-    return (x | z).bit_count()
-
-
 def greedy_basis_selection(rows: list[tuple[int, int]], s: int, n: int):
     """Pick generator rows maximizing covered targets per Pauli weight.
 
@@ -116,19 +115,23 @@ def greedy_basis_selection(rows: list[tuple[int, int]], s: int, n: int):
     so XORing each new pivot into the rows that have its top bit gives what
     a fresh reduction would.
     """
+    weights = [(x | z).bit_count() for x, z in rows]
     chosen: list[int] = []
     covered: dict[int, int] = {}
     reduced = {j: ((x << n) | z, 0) for j, (x, z) in enumerate(rows)}
     while len(chosen) < s and reduced:
-        counts = Counter(red for red, _ in reduced.values())
-        free_after = (1 << s) - (1 << (len(chosen) + 1))
+        counts: dict[int, int] = {}
+        for red, _ in reduced.values():
+            counts[red] = counts.get(red, 0) + 1
+        # a candidate must leave no more rows than free non-subspace addresses
+        need = len(reduced) - ((1 << s) - (1 << (len(chosen) + 1)))
         best = None
         best_score = 0.0
         for i, (red, _) in reduced.items():
             newly = counts[red]
-            if free_after < len(reduced) - newly:
+            if newly < need:
                 continue
-            score = newly / _vw(*rows[i])
+            score = newly / weights[i]
             if best is None or score > best_score + 1e-12:
                 best, best_score = i, score
         if best is None:
@@ -144,6 +147,11 @@ def greedy_basis_selection(rows: list[tuple[int, int]], s: int, n: int):
             if red_j >> top & 1:
                 reduced[j] = (red_j ^ red, comb_j ^ comb ^ tag)
     return chosen, covered
+
+
+def _weight_of(rec) -> int:
+    """The Pauli weight of a record (x, z, payload)."""
+    return (rec[0] | rec[1]).bit_count()
 
 
 def assign_additional_modes(entries: dict, generators: list[tuple[int, int]],
@@ -171,13 +179,13 @@ def assign_additional_modes(entries: dict, generators: list[tuple[int, int]],
             break
         bx = bz = 0
         if len(rem) > ((1 << r) - mp + 1) * (len(span) - 1):
-            v0 = min(rem, key=lambda rec: _vw(rec[0], rec[1]))
+            v0 = min(rem, key=_weight_of)
             entries[mp << d] = v0
             rem.remove(v0)
             bx, bz = v0[0], v0[1]
-        pairs = sorted((_vw(x ^ bx ^ sx, z ^ bz ^ sz), u, i)
-                       for i, (x, z, _) in enumerate(rem)
-                       for u, (sx, sz) in enumerate(span) if u)
+        refs = [(u, bx ^ sx, bz ^ sz) for u, (sx, sz) in enumerate(span) if u]
+        pairs = sorted([(((x ^ rx) | (z ^ rz)).bit_count(), u, i)
+                        for i, (x, z, _) in enumerate(rem) for u, rx, rz in refs])
         placed, used = set(), set()
         for _, u, i in pairs:
             if i not in placed and u not in used:
@@ -190,7 +198,7 @@ def assign_additional_modes(entries: dict, generators: list[tuple[int, int]],
                   key=lambda c: (c.bit_count(), c))
     for c in free[:len(rem)]:
         sx, sz = span[c & ((1 << d) - 1)]
-        rec = min(rem, key=lambda rec: _vw(rec[0] ^ sx, rec[1] ^ sz))
+        rec = min(rem, key=lambda rec: ((rec[0] ^ sx) | (rec[1] ^ sz)).bit_count())
         entries[c] = rec
         rem.remove(rec)
     if rem:
@@ -205,23 +213,40 @@ def invert_modes_with_phases(targets: dict[int, PauliString]):
     the factors over the set bits of b reproduces i^{phases[b]} P_b exactly.
     Ascending addresses: the factors at b's strict subsets are all placed,
     their product (taken in address order) fixes g_b, and g_b times it the
-    phase.
+    phase.  They are found by walking b's subsets when b has fewer subsets
+    than there are factors, else by scanning the factors.  Each partial
+    product is kept as integers (x, z, i-power, and its Y count |x & z|),
+    with pauli.multiply's phase rule; only a placed factor becomes a
+    PauliString.
     """
     g: dict[int, PauliString] = {}
+    placed: dict[int, tuple[int, int, int]] = {}  # address -> (x, z, |x & z|)
     phases: dict[int, int] = {}
     for b in sorted(targets):
         p = targets[b]
-        acc = PauliString(p.n, 0, 0)
-        for c, q in g.items():
-            if (c & b) == c:
-                acc = multiply(q, acc)
-        gx, gz = p.x_mask ^ acc.x_mask, p.z_mask ^ acc.z_mask
+        if 1 << b.bit_count() < len(placed):  # b has fewer subsets than factors
+            subsets, c = [], b
+            while c:  # b's strict subsets, descending, 0 last
+                c = (c - 1) & b
+                if c in placed:
+                    subsets.append(c)
+            factors = [placed[c] for c in reversed(subsets)]
+        else:
+            factors = [f for c, f in placed.items() if (c & b) == c]
+        ax = az = ay = e = 0  # the product q * acc, over the factors so far
+        for qx, qz, qy in factors:
+            x, z = qx ^ ax, qz ^ az
+            y = (x & z).bit_count()
+            e += qy + ay + 2 * (qz & ax).bit_count() - y
+            ax, az, ay = x, z, y
+        gx, gz = p.x_mask ^ ax, p.z_mask ^ az
         if gx or gz:
             g[b] = PauliString(p.n, gx, gz)
-            acc = multiply(g[b], acc)
-        if (acc.x_mask, acc.z_mask) != (p.x_mask, p.z_mask):
-            raise RuntimeError(f"mode inversion failed at address {b:b}")
-        phases[b] = -acc.phase_exp % 4
+            gy = (gx & gz).bit_count()
+            placed[b] = (gx, gz, gy)
+            e += gy + ay + 2 * (gz & ax).bit_count() - (p.x_mask & p.z_mask).bit_count()
+        # the product now has p's masks: g_b was chosen so
+        phases[b] = -e % 4
     return g, phases
 
 
@@ -243,8 +268,8 @@ def _select_tables(n: int, keys: list[PauliString]) -> SelectTable:
     # records: (vec_x, vec_z, target), the vector shifted by the base
     ax, az = (0, 0) if base is None else (base.x_mask, base.z_mask)
     recs = [(p.x_mask ^ ax, p.z_mask ^ az, p) for p in targets]
-    rows_z = sorted(recs, key=lambda r: (_vw(r[0], r[1]), r[1], r[0]))
-    rows_x = sorted(recs, key=lambda r: (_vw(r[0], r[1]), r[0], r[1]))
+    rows_z = sorted(recs, key=lambda r: ((r[0] | r[1]).bit_count(), r[1], r[0]))
+    rows_x = sorted(recs, key=lambda r: ((r[0] | r[1]).bit_count(), r[0], r[1]))
     sel_on_x, cov_on_x = greedy_basis_selection([(r[0], r[1]) for r in rows_x], s, n)
     sel_on_z, cov_on_z = greedy_basis_selection([(r[0], r[1]) for r in rows_z], s, n)
     if len(cov_on_x) > len(cov_on_z):
@@ -339,7 +364,15 @@ def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
         return [g for _, bodies in branches for g in bodies]
     gates: list[Gate] = []
     root = anc_qubits[0]
-    gates.append(PauliGate(PauliString(1, 1, 0), (root,)))
+    x = PauliString(1, 1, 0)  # flips a flag; one string for every such gate
+    gates.append(PauliGate(x, (root,)))
+
+    addrs = sorted(by_addr)
+
+    def used(start: int, stop: int) -> bool:
+        """Whether some branch address lies in [start, stop)."""
+        i = bisect_left(addrs, start)
+        return i < len(addrs) and addrs[i] < stop
 
     def descend(flag: int, level: int, prefix: int) -> None:
         if level == b:
@@ -347,21 +380,19 @@ def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
                 gates.append(controlled(((flag, 1),), body))
             return
         shift = b - 1 - level
-        used = [a for a in by_addr if (a >> (shift + 1)) == prefix]
-        hi = [a for a in used if (a >> shift) & 1]
-        lo = [a for a in used if not (a >> shift) & 1]
-        if not used:
+        # the addresses under this node, split by the bit at this level
+        mid = ((prefix << 1) | 1) << shift
+        lo, hi = used(mid - (1 << shift), mid), used(mid, mid + (1 << shift))
+        if not (lo or hi):
             return
         bit_q = sel_qubits[level]
         child = anc_qubits[level + 1]
         if hi and lo:
             gates.append(ToffoliCompute(flag, bit_q, child))
             descend(child, level + 1, (prefix << 1) | 1)
-            gates.append(controlled(((flag, 1),), PauliGate(PauliString(1, 1, 0),
-                                                            (child,))))
+            gates.append(Controlled(((flag, 1),), PauliGate(x, (child,))))
             descend(child, level + 1, prefix << 1)
-            gates.append(controlled(((flag, 1),), PauliGate(PauliString(1, 1, 0),
-                                                            (child,))))
+            gates.append(Controlled(((flag, 1),), PauliGate(x, (child,))))
             gates.append(ToffoliUncompute(flag, bit_q, child))
         else:
             pol = 1 if hi else 0
@@ -370,5 +401,5 @@ def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
             gates.append(ToffoliUncompute(flag, bit_q, child, p2=pol))
 
     descend(root, 0, 0)
-    gates.append(PauliGate(PauliString(1, 1, 0), (root,)))
+    gates.append(PauliGate(x, (root,)))
     return gates

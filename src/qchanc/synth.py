@@ -2,11 +2,14 @@
 
 Each Pauli-sum Kraus operator K = sum_j y_j P_j becomes PREP_R, SELECT,
 PREP_L-adjoint on a be_anc register, encoding K/alpha with alpha = sum|y_j|.
-encode_kraus decides that encoding once per select mode as a qubit-free
-KrausEncoding record; circuits, alphas and SELECT audits all read it.  Both
-modes prepare the coefficient vector y the same way: the terms in order
-(naive, full-address SELECT), or the PREPARE vector that comes with the
-operator's SelectTable (optimized, monotone SELECT).
+encode_channel decides that encoding once per operator and select mode as a
+qubit-free KrausEncoding record (encode_kraus is a batch of one); circuits,
+alphas and SELECT audits all read it.  Both modes prepare the coefficient
+vector y the same way: the terms in order (naive, full-address SELECT), or
+the PREPARE vector that comes with the operator's SelectTable (optimized,
+monotone SELECT).  The PREPARE pairs of all of a channel's operators are
+formed together, one numpy pass per padded width, bit for bit as
+prepare_pair forms each alone; records hold Python numbers.
 A channel is lowered by preparing kraus_sel amplitudes alpha_j/sqrt(sum a^2)
 and multiplexing the per-Kraus encodings; the preparation is deliberately not
 undone, since kraus_sel is traced out while be_anc is postselected to zero.
@@ -19,6 +22,7 @@ multiplexor.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,22 +56,50 @@ def prepare_pair(coeffs):
     Returns (beta, c, d) with beta = sum|y_j|, c real and d complex unit
     vectors, beta * conj(c_j) * d_j = y_j, zero-padded to a power of two.
     """
-    coeffs = list(coeffs)
-    if not any(coeffs):
-        raise ValueError("prepare_pair needs at least one nonzero coefficient")
-    width = 1 << max(0, math.ceil(math.log2(len(coeffs))))
-    y = np.zeros(width, dtype=complex)
-    y[:len(coeffs)] = coeffs
-    with np.errstate(over="ignore"):
-        mags = np.abs(y)
-        beta = float(mags.sum())
-    if not math.isfinite(beta):
-        raise ValueError("the coefficients' l1 norm overflows")
-    c = np.sqrt(mags / beta)
-    phases = np.ones(width, dtype=complex)
-    nz = mags > 0
-    phases[nz] = y[nz] / mags[nz]
-    return beta, c, c * phases
+    (beta,), (c,), (d,) = _prepare_rows([list(coeffs)])
+    return beta, np.array(c), np.array(d)
+
+
+def _prepare_rows(ys: list[list]) -> tuple[list[float], list, list]:
+    """prepare_pair of each coefficient list, in one numpy pass per padded
+    width: (betas, cs, ds), with each c and d as a list of Python numbers.
+
+    Every step is elementwise but the l1 sum, and a row sum of a C-ordered
+    2-D array adds in the order the sum of that row alone does, so each
+    result is bit for bit the one-vector result.  The first list, in
+    order, that is all zero or whose l1 norm overflows raises.
+    """
+    rows: dict[int, list[int]] = {}  # width -> indices of its lists
+    for i, y in enumerate(ys):
+        rows.setdefault(1 << (max(len(y), 1) - 1).bit_length(), []).append(i)
+    groups = []
+    betas = [0.0] * len(ys)
+    for width, idx in rows.items():
+        flat: list = []
+        for i in idx:
+            flat += ys[i]
+            flat += [0j] * (width - len(ys[i]))
+        y = np.array(flat, dtype=complex).reshape(len(idx), width)
+        with np.errstate(over="ignore"):
+            mags = np.abs(y)
+            row_sums = mags.sum(axis=1)
+        for i, beta in zip(idx, row_sums.tolist()):
+            betas[i] = beta
+        groups.append((idx, y, mags, row_sums))
+    for beta in betas:
+        if beta == 0.0:  # the modulus of a nonzero entry is positive
+            raise ValueError("prepare_pair needs at least one nonzero coefficient")
+        if not math.isfinite(beta):
+            raise ValueError("the coefficients' l1 norm overflows")
+    cs, ds = [None] * len(ys), [None] * len(ys)
+    for idx, y, mags, row_sums in groups:
+        c = np.sqrt(mags / row_sums[:, None])
+        phases = np.ones(y.shape, dtype=complex)
+        nz = mags > 0
+        phases[nz] = y[nz] / mags[nz]
+        for i, c_row, d_row in zip(idx, c.tolist(), (c * phases).tolist()):
+            cs[i], ds[i] = c_row, d_row
+    return betas, cs, ds
 
 
 def _dilation_unitary(ref: BlockEncRef) -> np.ndarray | None:
@@ -123,9 +155,44 @@ def encode_kraus(k: PauliSum, select_mode: str = "naive",
                  tables: dict | None = None) -> KrausEncoding:
     """Build the encoding record; every validity check happens here.
     `tables` shares SelectTables between operators (see
-    optimize_pauli_select)."""
+    optimize_pauli_select).  A batch of one for encode_channel."""
+    return _encode_batch([k], select_mode, {} if tables is None else tables)[0]
+
+
+def encode_channel(c: ChannelExpr, select_mode: str = "naive") -> list[KrausEncoding]:
+    """One encoding record per Kraus operator; operators with the same
+    canonical Pauli keys share one SelectTable."""
+    return _encode_batch(c.kraus, select_mode, {})
+
+
+def _encode_batch(kraus, select_mode: str, tables: dict) -> list[KrausEncoding]:
+    """The records of a list of operators, with the PREPARE vectors of all
+    the Pauli-sum ones formed in one batch (_prepare_rows).  Errors are
+    those of encoding each operator in turn: when an operator fails, the
+    PREPARE vectors of the ones before it are formed first."""
     if select_mode not in SELECT_MODES:
         raise ValueError(f"unknown select mode {select_mode!r}")
+    out: list = []  # a record, or (terms, table, y) waiting for its PREPARE
+    try:
+        for k in kraus:
+            out.append(_classify(k, select_mode, tables))
+    except Exception:
+        # an earlier operator's PREPARE error comes first
+        _prepare_rows([rec[2] for rec in out if type(rec) is tuple])
+        raise
+    waiting = [j for j, rec in enumerate(out) if type(rec) is tuple]
+    betas, cs, ds = _prepare_rows([out[j][2] for j in waiting])
+    for j, beta, c, d in zip(waiting, betas, cs, ds):
+        terms, table, _ = out[j]
+        out[j] = KrausEncoding(terms, beta, (len(c) - 1).bit_length(),
+                               prep=(tuple(c), tuple(d)), table=table)
+    return out
+
+
+def _classify(k: PauliSum, select_mode: str, tables: dict):
+    """The record of an opaque or lone-Pauli operator, else (terms, table,
+    y): the canonical terms, the SelectTable (optimized mode) and the
+    coefficients to prepare."""
     terms = tuple(canonicalize_sum(k).terms)
     paulis = [(c, p) for c, p in terms if isinstance(p, PauliString)]
     blocks = [(c, p) for c, p in terms if not isinstance(p, PauliString)]
@@ -152,16 +219,7 @@ def encode_kraus(k: PauliSum, select_mode: str = "naive",
     else:
         table, y = None, [cc for cc, _ in paulis]
         y += [0j] * (len(y) == 1)  # a lone complex term still takes one selector qubit
-    beta, c, d = prepare_pair(y)
-    return KrausEncoding(terms, beta, int(math.log2(len(c))),
-                         prep=(tuple(c), tuple(d)), table=table)
-
-
-def encode_channel(c: ChannelExpr, select_mode: str = "naive") -> list[KrausEncoding]:
-    """One encoding record per Kraus operator; operators with the same
-    canonical Pauli keys share one SelectTable."""
-    tables: dict = {}
-    return [encode_kraus(k, select_mode, tables) for k in c.kraus]
+    return terms, table, y
 
 
 def encode_kraus_gates(enc: KrausEncoding, anc_qubits, sys_qubits) -> list[Gate]:
@@ -237,7 +295,7 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
     amps = np.zeros(1 << ell, dtype=complex)
     amps[:len(alphas)] = np.asarray(alphas) / norm
     select = flatten_select(branches, kq, fq) if flatten else naive_select(branches, kq)
-    return Circuit(registers, [StatePrep(kq, tuple(amps)), *select])
+    return Circuit(registers, [StatePrep(kq, tuple(amps.tolist())), *select])
 
 
 def _register_widths(encodings: list[KrausEncoding],
@@ -266,26 +324,29 @@ def _record_shapes(enc: KrausEncoding) -> list[tuple[int, int | None]]:
 
 def cost_cells(encodings: list[KrausEncoding]) -> dict[bool, CostReport]:
     """cost_report(channel_lcu(c, mode, flatten, encodings)) by flatten, in
-    closed form, both from one listing of the record shapes.
+    closed form, both from one count of the record shapes.
 
     The multiplexor adds ell address controls to every body gate, or one
     flag control when flattened; the flattened unary-iteration tree over
     addresses 0..m-1 adds one Toffoli pair per tree node, two controlled X
     gates per node with two children (m - 1 of them) and two root X gates.
     """
-    body = [shape for enc in encodings for shape in _record_shapes(enc)]
+    body = Counter(shape for enc in encodings for shape in _record_shapes(enc))
     m = len(encodings)
     cells = {}
     for flatten in (False, True):
         ell, flat_width, be_width = _register_widths(encodings, flatten)
         outer = 0 if not ell else 1 if flatten else ell
-        shapes = [(0, None)] if ell else []  # the kraus_sel preparation
-        shapes += [(c + outer, w) for c, w in body]
+        shapes = Counter({(c + outer, w): k for (c, w), k in body.items()})
+        if ell:
+            shapes[0, None] += 1  # the kraus_sel preparation
         toffolis = 0
         if flat_width:
             toffolis = sum(((m - 1) >> k) + 1 for k in range(1, ell + 1))
-            shapes += [(0, 1)] * 2 + [(1, 1)] * (2 * (m - 1))
-            shapes += [(2, None), (0, None)] * toffolis  # compute, measured uncompute
+            shapes[0, 1] += 2
+            shapes[1, 1] += 2 * (m - 1)
+            shapes[2, None] += toffolis  # computes
+            shapes[0, None] += toffolis  # measured uncomputes
         cells[flatten] = cost_from_shapes(shapes, toffolis,
                                           ell + flat_width + be_width)
     return cells

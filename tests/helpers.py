@@ -1,11 +1,13 @@
 """Test-only helpers that no production path calls."""
 
+import math
+
 import numpy as np
 
 from qchanc.circuits import (Circuit, Controlled, OpaqueUnitary, PauliGate,
                              StatePrep, StatePrepAdjoint, ToffoliCompute,
                              ToffoliUncompute, apply_circuit, householder_prep)
-from qchanc.ir import ChannelExpr, eval_kraus
+from qchanc.ir import ChannelExpr, eval_kraus, matrix_to_json
 from qchanc.pauli import PauliString, weight
 from qchanc.select_opt import Gf2Span, SelectTable
 
@@ -132,3 +134,54 @@ def parent_apply_circuit(c: Circuit, state: np.ndarray) -> np.ndarray:
     for g in c.gates:
         state = _parent_apply_gate(state, g, c.total_qubits)
     return state
+
+
+def parent_gate_to_json(g) -> dict:
+    """circuits.gate_to_json as it was: one dict per gate, nested for a
+    controlled body."""
+    if isinstance(g, PauliGate):
+        return {"kind": "pauli", "pauli": g.string.label(),
+                "phase_exp": g.string.phase_exp, "qubits": list(g.qubits)}
+    if isinstance(g, Controlled):
+        return {"kind": "controlled",
+                "controls": [[q, p] for q, p in g.controls],
+                "body": parent_gate_to_json(g.body)}
+    if isinstance(g, (StatePrep, StatePrepAdjoint)):
+        kind = "state_prep" if isinstance(g, StatePrep) else "state_prep_adj"
+        return {"kind": kind, "qubits": list(g.qubits),
+                "amps": [[float(a.real), float(a.imag)] for a in g.amps]}
+    if isinstance(g, (ToffoliCompute, ToffoliUncompute)):
+        kind = "toffoli" if isinstance(g, ToffoliCompute) else "toffoli_unc"
+        return {"kind": kind, "c1": g.c1, "c2": g.c2, "target": g.target,
+                "p1": g.p1, "p2": g.p2}
+    return {"kind": "opaque", "handle": g.handle, "qubits": list(g.qubits),
+            "matrix": None if g.matrix is None else matrix_to_json(g.matrix)}
+
+
+def parent_circuit_to_json(c: Circuit) -> dict:
+    """circuits.circuit_to_json's former dict path, the oracle for the
+    text writer: json.dumps(doc, sort_keys=True, indent=2) + "\n" of this
+    dict (with alpha_sq_sum added) is the circuit.json text."""
+    return {"registers": [{"name": n, "size": s} for n, s in c.registers],
+            "gates": [parent_gate_to_json(g) for g in c.gates]}
+
+
+def parent_prepare_pair(coeffs):
+    """synth.prepare_pair as it was, one vector at a time: the oracle for
+    the batched PREPARE vectors."""
+    coeffs = list(coeffs)
+    if not any(coeffs):
+        raise ValueError("prepare_pair needs at least one nonzero coefficient")
+    width = 1 << max(0, math.ceil(math.log2(len(coeffs))))
+    y = np.zeros(width, dtype=complex)
+    y[:len(coeffs)] = coeffs
+    with np.errstate(over="ignore"):
+        mags = np.abs(y)
+        beta = float(mags.sum())
+    if not math.isfinite(beta):
+        raise ValueError("the coefficients' l1 norm overflows")
+    c = np.sqrt(mags / beta)
+    phases = np.ones(width, dtype=complex)
+    nz = mags > 0
+    phases[nz] = y[nz] / mags[nz]
+    return beta, c, c * phases

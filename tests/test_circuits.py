@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import FrozenInstanceError
 
@@ -21,14 +22,13 @@ from qchanc.circuits import (
     cost_from_shapes,
     cost_report,
     gate_from_json,
-    gate_to_json,
     householder_prep,
     run_channel,
     system_isometry,
 )
 from qchanc.pauli import from_label, to_matrix
 
-from helpers import simulate_unitary
+from helpers import parent_circuit_to_json, parent_gate_to_json, simulate_unitary
 
 
 def sys_circuit(n, *gates):
@@ -143,12 +143,21 @@ X = from_label("X")
     (lambda: StatePrep((0,), (math.nan, 0.0)), "unit norm"),
     (lambda: StatePrepAdjoint((0,), (1.0, 1.0)), "unit norm"),
     (lambda: OpaqueUnitary("u", (0,), np.eye(4)), "shape"),
+    # two faults: the first check in the order the messages keep wins
+    (lambda: Controlled(((0, 1), (0, 1)), PauliGate(from_label("XY"), (2, 2))),
+     "distinct"),
+    (lambda: Controlled(((1, 1), (1, 1)), PauliGate(X, (1,))), "duplicate control"),
+    (lambda: Controlled(((5, 2),), PauliGate(X, (True,))), "integer, got True"),
+    (lambda: Controlled(((0, 2),), PauliGate(X, (5,))), "polarity"),
+    (lambda: PauliGate(from_label("XY"), (5, 5)), "outside"),
 ], ids=["pauli-out-of-range", "pauli-qubit-count", "pauli-repeated-qubit",
         "bool-qubit", "float-qubit", "string-qubit", "polarity-2",
         "bool-polarity", "repeated-control", "control-overlaps-body",
         "nested-controlled", "float-control-qubit", "toffoli-repeated-qubit",
         "float-toffoli-target", "toffoli-polarity-2", "prep-length",
-        "prep-nan", "prep-adjoint-norm", "opaque-shape"])
+        "prep-nan", "prep-adjoint-norm", "opaque-shape", "repeats-targets-first",
+        "repeats-controls-before-overlap", "types-before-polarity-and-range",
+        "polarity-before-range", "range-before-repeats"])
 def test_bad_gate_rejected(make, message):
     regs = (("anc", 2), ("system", 1))
     with pytest.raises(ValueError, match=message):
@@ -286,10 +295,30 @@ def test_circuit_json_round_trip():
         StatePrepAdjoint((0,), (s, s)),
         OpaqueUnitary("blk", (2, 3), np.linalg.qr(
             rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0])])
-    back = circuit_from_json(circuit_to_json(c))
+    back = circuit_from_json(json.loads(circuit_to_json(c)))
     assert back.registers == c.registers
     assert len(back.gates) == len(c.gates)
     assert np.allclose(simulate_unitary(back), simulate_unitary(c), atol=1e-14)
+
+
+def test_circuit_json_keeps_zero_signs_of_equal_amplitudes():
+    # (1, 0.0) == (1, -0.0): the writer must not take one's text for the other's
+    c = sys_circuit(1, StatePrep((0,), (1.0, 0.0)), StatePrep((0,), (1.0, -0.0)),
+                    StatePrepAdjoint((0,), (complex(1, -0.0), 0j)))
+    text = circuit_to_json(c)
+    assert text == json.dumps(parent_circuit_to_json(c), sort_keys=True, indent=2) + "\n"
+    assert text.count("-0.0") == 2
+
+
+def test_circuit_json_takes_gates_with_list_fields():
+    # gates built by hand may hold lists where the reader makes tuples
+    c = Circuit((("anc", 1), ("system", 2)), [
+        PauliGate(from_label("XZ"), [1, 2]),
+        Controlled([[0, 1]], PauliGate(from_label("Y"), [2])),
+        Controlled([[0, 0]], StatePrep([1], [1.0, 0.0]))])
+    assert circuit_to_json(c, 2.5) == json.dumps(
+        {**parent_circuit_to_json(c), "alpha_sq_sum": 2.5}, sort_keys=True,
+        indent=2) + "\n"
 
 
 def test_circuit_is_frozen_with_a_gate_tuple():
@@ -319,7 +348,7 @@ def test_circuit_json_reports_first_bad_gate():
 def test_gate_json_unknown_kind():
     with pytest.raises(ValueError, match="unknown gate kind"):
         gate_from_json({"kind": "wat"})
-    g = gate_from_json(gate_to_json(PauliGate(from_label("Y"), (0,))))
+    g = gate_from_json(parent_gate_to_json(PauliGate(from_label("Y"), (0,))))
     assert isinstance(g, PauliGate)
 
 

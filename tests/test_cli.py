@@ -203,10 +203,10 @@ class TestCompile:
          "failed to parse"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
             "handle": "h", "n": 1, "alpha": 1.0, "anc": True}}]]},
-         "failed to parse: blockenc anc must be an integer, got True"),
+         "failed to parse: Kraus operator 0 term 0: blockenc anc must be an integer, got True"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
             "handle": "h", "n": 1.5, "alpha": 1.0, "anc": 1}}]]},
-         "failed to parse: blockenc n must be an integer, got 1.5"),
+         "failed to parse: Kraus operator 0 term 0: blockenc n must be an integer, got 1.5"),
         ({"n": 1.5, "kraus": [[{"coeff": [1, 0], "pauli": "X"}]]},
          "failed to parse: n must be an integer, got 1.5"),
         ({"n": True, "kraus": [[{"coeff": [1, 0], "pauli": "X"}]]},
@@ -215,27 +215,27 @@ class TestCompile:
          "failed to parse: n must be an integer, got '1'"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X",
                               "phase_exp": 1.5}]]},
-         "failed to parse: phase_exp must be an integer, got 1.5"),
+         "failed to parse: Kraus operator 0 term 0: phase_exp must be an integer, got 1.5"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X",
                               "phase_exp": "1"}]]},
-         "failed to parse: phase_exp must be an integer, got '1'"),
+         "failed to parse: Kraus operator 0 term 0: phase_exp must be an integer, got '1'"),
         ({"n": 1.9, "H": [{"coeff": [1, 0], "pauli": "Z"}], "jumps": []},
          "failed to parse: n must be an integer, got 1.9"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0, 5], "pauli": "X"}]]},
-         "failed to parse: complex numbers are [re, im] pairs, got [1, 0, 5]"),
+         "failed to parse: Kraus operator 0 term 0: complex numbers are [re, im] pairs, got [1, 0, 5]"),
         ({"n": 1, "kraus": [[{"coeff": [True, 0], "pauli": "X"}]]},
-         "failed to parse: real part must be a number, got True"),
+         "failed to parse: Kraus operator 0 term 0: real part must be a number, got True"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
             "handle": "h", "n": 1, "alpha": True, "anc": 1}}]]},
-         "failed to parse: blockenc alpha must be a number, got True"),
+         "failed to parse: Kraus operator 0 term 0: blockenc alpha must be a number, got True"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
             "handle": "h", "n": 1, "alpha": 1.0, "anc": 1,
             "matrix": [[[1, 0], [False, 0]], [[0, 0], [1, 0]]]}}]]},
-         "failed to parse: real part must be a number, got False"),
+         "failed to parse: Kraus operator 0 term 0: real part must be a number, got False"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
             "handle": "h", "n": 1, "alpha": 1.0, "anc": 1,
             "matrix": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]}}]]},
-         "failed to parse: real part must be a number, got True"),
+         "failed to parse: Kraus operator 0 term 0: real part must be a number, got True"),
         ({"n": 1, "H": [{"coeff": [1, 0], "blockenc": {
             "handle": "h", "n": 1, "alpha": 1.0, "anc": 0}}], "jumps": []},
          "failed to parse: Hamiltonian term 0 is not a Pauli string"),
@@ -247,10 +247,10 @@ class TestCompile:
         ({"n": 0, "H": [], "jumps": []}, "failed to parse: n must be at least 1, got 0"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
             "handle": 5, "n": 1, "alpha": 1.0, "anc": 0}}]]},
-         "failed to parse: blockenc handle must be a string, got 5"),
+         "failed to parse: Kraus operator 0 term 0: blockenc handle must be a string, got 5"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
             "handle": None, "n": 1, "alpha": 1.0, "anc": 0}}]]},
-         "failed to parse: blockenc handle must be a string, got None"),
+         "failed to parse: Kraus operator 0 term 0: blockenc handle must be a string, got None"),
         ({"n": 1, "H": {}, "jumps": {}}, "failed to parse: H must be a list, got dict"),
         ({"n": 1, "H": "", "jumps": []}, "failed to parse: H must be a list, got str"),
         ({"n": 1, "H": [], "jumps": {}},
@@ -269,21 +269,25 @@ class TestCompile:
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X"}], [[1, 0]]]},
          "failed to parse: Kraus operator 1 term 0 must be an object, got list"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": 5}]]},
-         "failed to parse: blockenc must be an object, got int"),
+         "failed to parse: Kraus operator 0 term 0: blockenc must be an object, got int"),
         ({"n": 1, "H": [5], "jumps": []},
          "failed to parse: H term 0 must be an object, got int"),
         ({"n": 1, "H": [], "jumps": [[{"coeff": [1, 0], "pauli": "X"}, "X"]]},
          "failed to parse: jump 0 term 1 must be an object, got str"),
-        ({"n": 1, "kraus": [[{"pauli": "X"}]]}, "failed to parse: term has no 'coeff'"),
+        ({"n": 1, "kraus": [[{"pauli": "X"}]]}, "failed to parse: Kraus operator 0 term 0: term has no 'coeff'"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0]}]]},
-         "failed to parse: term has no 'pauli' or 'blockenc'"),
+         "failed to parse: Kraus operator 0 term 0: term has no 'pauli' or 'blockenc'"),
         ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
             "handle": "h", "n": 1, "anc": 0}}]]},
-         "failed to parse: blockenc has no 'alpha'"),
+         "failed to parse: Kraus operator 0 term 0: blockenc has no 'alpha'"),
         ({"kraus": [[{"coeff": [1, 0], "pauli": "X"}]]},
          "failed to parse: channel has no 'n'"),
         ({"channel": {"n": 1}}, "failed to parse: channel has no 'kraus'"),
         ({"H": [], "jumps": []}, "failed to parse: spec has no 'n'"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X"}], [{"pauli": "X"}]]},
+         "failed to parse: Kraus operator 1 term 0: term has no 'coeff'"),
+        ({"n": 1, "H": [{"coeff": [1, 0], "pauli": "Z"}], "jumps": [[{"pauli": "X"}]]},
+         "failed to parse: jump 0 term 0: term has no 'coeff'"),
     ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
             "blockenc-nan-alpha", "blockenc-fractional-anc", "blockenc-bool-anc",
             "blockenc-fractional-n", "fractional-n", "bool-n", "string-n",
@@ -296,7 +300,8 @@ class TestCompile:
             "kraus-operator-null", "kraus-term-int", "kraus-term-list",
             "blockenc-int", "spec-H-term-int", "spec-jump-term-str",
             "term-no-coeff", "term-no-primitive", "blockenc-no-alpha",
-            "channel-no-n", "rewrite-channel-no-kraus", "spec-no-n"])
+            "channel-no-n", "rewrite-channel-no-kraus", "spec-no-n",
+            "second-kraus-term-no-coeff", "jump-term-no-coeff"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
         # with --delta, so that a spec read leniently would compile
         bad = write_json(tmp_path / "bad.json", doc)
@@ -379,7 +384,8 @@ class TestCompile:
         code, _, err = run(capsys, "compile", str(path), "--frontend", "channel",
                            "--out", str(tmp_path / "x"))
         assert code == 2
-        assert err == f"error: {path} failed to parse: int too large to convert to float\n"
+        assert err == (f"error: {path} failed to parse: Kraus operator 0 term 0: "
+                       "int too large to convert to float\n")
 
     def test_cap_lasts_one_command(self, tmp_path, capsys, monkeypatch):
         # main sets --cap for one command and resets it after: neither a
@@ -581,10 +587,16 @@ class TestDump:
         ]
         for argv in runs:
             assert run(capsys, *argv)[0] == 0
-        # circuit.json and report.json per compile, one document per other run
-        assert len(dumped) == 5 * 2 + 5
+        # report.json per compile, one document per other run; circuit.json
+        # is written by circuits.circuit_to_json
+        assert len(dumped) == 5 + 5
         for data in dumped:
             assert dump(data) == stdlib_dump(data)
+        # every file a compile wrote is the stdlib encoder's bytes
+        for name in "abcdv":
+            for f in ("circuit.json", "report.json"):
+                text = (tmp_path / name / f).read_text()
+                assert text == stdlib_dump(json.loads(text))
 
     def test_matches_stdlib_on_edge_values(self):
         data = {

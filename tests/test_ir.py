@@ -384,13 +384,39 @@ def test_bulk_reader_takes_regular_lists_only(change, bulk):
     assert (_pauli_terms_in_bulk(terms, 2) is not None) == bulk
     doc = {"n": 2, "kraus": [terms]}
     try:
-        want = PauliSum(2, [term_from_json(t) for t in terms])
+        want = PauliSum(2, [term_from_json(t, f"Kraus operator 0 term {i}")
+                            for i, t in enumerate(terms)])
     except (ValueError, LookupError, OverflowError) as exc:
         with pytest.raises(type(exc)) as got:
             channel_from_json(doc)
         assert str(got.value) == str(exc)
     else:
         assert channel_from_json(doc) == ChannelExpr(2, [want])
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X"}], [{"pauli": "X"}]]},
+     "Kraus operator 1 term 0: term has no 'coeff'"),
+    ({"n": 1, "H": [], "jumps": [[{"coeff": [1, 0], "pauli": "X"}, {"coeff": [1, 0]}]]},
+     "jump 0 term 1: term has no 'pauli' or 'blockenc'"),
+    ({"n": 1, "H": [{"pauli": "Z"}]}, "H term 0: term has no 'coeff'"),
+    ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+        "handle": "h", "n": 1, "anc": 0}}]]},
+     "Kraus operator 0 term 0: blockenc has no 'alpha'"),
+    ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X", "phase_exp": 0.5}]]},
+     "Kraus operator 0 term 0: phase_exp must be an integer, got 0.5"),
+    # a record that is no object names itself, with no second name
+    ({"n": 1, "kraus": [[{"coeff": [1, 0], "pauli": "X"}, 5]]},
+     "Kraus operator 0 term 1 must be an object, got int"),
+], ids=["kraus", "jump", "hamiltonian", "blockenc", "phase-exp", "not-an-object"])
+def test_term_errors_name_their_position(doc, message):
+    read = channel_from_json if "kraus" in doc else lindblad_from_json
+    with pytest.raises(ValueError) as got:
+        read(doc)
+    assert str(got.value) == message
+    # a bare term read has no position to give
+    with pytest.raises(ValueError, match="^term has no 'coeff'$"):
+        term_from_json({"pauli": "X"})
 
 
 def test_bulk_reader_shares_equal_strings():
@@ -453,11 +479,13 @@ H_TERMS = [{"coeff": [-1, 0], "pauli": "X"}, {"coeff": [0.5, 0], "pauli": "Z"}]
 
 def _per_term_spec(d):
     """The spec a document reads as, list by list and term by term."""
-    def one(j):
+    def one(j, name):
         if isinstance(j, dict):
             return pauli_decompose(matrix_from_json(j["matrix"]), d["n"])
-        return PauliSum(d["n"], [term_from_json(t) for t in j])
-    return LindbladSpec(d["n"], one(d["H"]), [one(j) for j in d["jumps"]])
+        return PauliSum(d["n"], [term_from_json(t, f"{name} term {i}")
+                                 for i, t in enumerate(j)])
+    return LindbladSpec(d["n"], one(d["H"], "H"),
+                        [one(j, f"jump {k}") for k, j in enumerate(d["jumps"])])
 
 
 def test_lindblad_dense_jump_keeps_its_place():

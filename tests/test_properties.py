@@ -1,5 +1,6 @@
 """Property tests: channel JSON round trips, the bulk term-list codecs,
-rewrite soundness and the in-place circuit simulator.
+rewrite soundness, the in-place circuit simulator and the circuit.json
+writer.
 
 Skipped where hypothesis is not installed; examples are derandomized, so
 every run draws the same ones.
@@ -23,12 +24,15 @@ from qchanc.circuits import (  # noqa: E402
     ToffoliCompute,
     ToffoliUncompute,
     apply_circuit,
+    circuit_from_json,
+    circuit_to_json,
 )
-from qchanc.cli import _dump, _uniform_items  # noqa: E402
+from qchanc.cli import _dump  # noqa: E402
 from qchanc.ir import (  # noqa: E402
     BlockEncRef,
     ChannelExpr,
     _pauli_terms_in_bulk,
+    _uniform_items,
     channel_from_json,
     channel_to_json,
     eval_kraus,
@@ -38,7 +42,7 @@ from qchanc.ir import (  # noqa: E402
 from qchanc.pauli import PauliString, PauliSum  # noqa: E402
 from qchanc.rewrite import apply_rule, canonical_kraus, minimize_kraus_rank  # noqa: E402
 
-from helpers import parent_apply_circuit  # noqa: E402
+from helpers import parent_apply_circuit, parent_circuit_to_json  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -174,7 +178,8 @@ TERM_LISTS = settings(PROPERTY, max_examples=400)
 @given(term_lists())
 def test_bulk_reader_matches_per_term_reader(case):
     n, terms, regular = case
-    per_term = read(lambda: PauliSum(n, [term_from_json(t) for t in terms]))
+    per_term = read(lambda: PauliSum(n, [term_from_json(t, f"Kraus operator 0 term {i}")
+                                         for i, t in enumerate(terms)]))
     doc = {"n": n, "kraus": [terms]}
     assert read(lambda: channel_from_json(doc).kraus[0]) == per_term
     if regular:
@@ -198,7 +203,9 @@ def test_channel_reader_matches_per_term_reader(cases):
     kraus = [terms for _, terms, _ in cases]
 
     def per_term():
-        c = ChannelExpr(n, [PauliSum(n, [term_from_json(t) for t in k]) for k in kraus])
+        c = ChannelExpr(n, [PauliSum(n, [term_from_json(t, f"Kraus operator {j} term {i}")
+                                         for i, t in enumerate(k)])
+                            for j, k in enumerate(kraus)])
         typecheck(c)
         return c
 
@@ -407,3 +414,57 @@ def test_apply_circuit_matches_full_state_oracle(case):
         else:
             assert np.max(np.abs(got - want)) <= 1e-14
         state = want
+
+
+# --- the circuit.json writer against the dict oracle ----------------------
+
+
+@st.composite
+def written_gates(draw, total):
+    """gates(total), with opaque gates also without a matrix and under any
+    handle, and state preparations with signed zero parts, held as Python
+    or numpy complex numbers."""
+    g = draw(gates(total))
+    controls, body = (g.controls, g.body) if isinstance(g, Controlled) else ((), g)
+    if isinstance(body, OpaqueUnitary):
+        body = OpaqueUnitary(draw(st.text(max_size=4)), body.qubits,
+                             draw(st.sampled_from([body.matrix, None])))
+    elif isinstance(body, (StatePrep, StatePrepAdjoint)):
+        amps = np.array(body.amps)
+        zero = draw(st.lists(st.booleans(), min_size=2 * len(amps),
+                             max_size=2 * len(amps)))
+        zero[0] = False  # one nonzero part
+        signs = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=2 * len(amps),
+                              max_size=2 * len(amps)))
+        parts = amps.view(float).copy()
+        parts[zero] = np.array(signs)[zero]
+        amps = parts.view(complex) / np.linalg.norm(parts)
+        amps = tuple(amps.tolist()) if draw(st.booleans()) else tuple(amps)
+        body = type(body)(body.qubits, amps)
+    return Controlled(controls, body) if controls else body
+
+
+@st.composite
+def written_circuits(draw):
+    total = draw(st.integers(1, 5))
+    sys_size = draw(st.integers(0, total))
+    names = draw(st.lists(st.text(max_size=3), min_size=2, max_size=2, unique=True))
+    circ = Circuit(((names[0], total - sys_size), (names[1], sys_size)),
+                   draw(st.lists(written_gates(total), max_size=8)))
+    return circ, draw(st.one_of(st.none(), st.floats()))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(written_circuits())
+def test_circuit_writer_matches_dict_oracle(case):
+    # every gate kind, controlled or not, Toffoli polarities, opaque gates
+    # with and without a matrix (2 x 2 included), signed zeros, no gates
+    circ, alpha = case
+    doc = parent_circuit_to_json(circ)
+    if alpha is not None:
+        doc["alpha_sq_sum"] = alpha
+    text = circuit_to_json(circ, alpha)
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    back = circuit_from_json(json.loads(text))
+    assert back.registers == circ.registers
+    assert circuit_to_json(back, alpha) == text

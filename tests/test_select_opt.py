@@ -649,6 +649,89 @@ class TestParentLoops:
         assert ran == {"v0", "fallback"}
 
 
+class TestLargeTables:
+    """The integer inversion, the greedy and the assignment against the
+    parent oracles on tables of up to s = 8 address bits."""
+
+    def test_invert_matches_parent(self):
+        rng = RNG(41)
+        for s in range(5, 9):
+            for _ in range(5):
+                n = int(rng.integers(2, 7))
+                addrs = rng.choice(1 << s, size=int(rng.integers(1, (1 << s) + 1)),
+                                   replace=False)
+                targets = {int(a): PauliString(n, int(rng.integers(1 << n)),
+                                               int(rng.integers(1 << n)),
+                                               int(rng.integers(4)))
+                           for a in addrs}
+                g, phi = invert_modes_with_phases(targets)
+                want_g, want_phi = parent_invert_modes_with_phases(targets)
+                assert list(g.items()) == list(want_g.items())
+                assert list(phi.items()) == list(want_phi.items())
+
+    def test_greedy_matches_parent(self):
+        rng = RNG(43)
+        steps = set()
+        for _ in range(24):
+            n = int(rng.integers(4, 7))
+            rows = random_rows(rng, n, int(rng.integers(33, 256)))
+            s = math.ceil(math.log2(len(rows) + 1))
+            sel, cov = greedy_basis_selection(rows, s, n)
+            want_sel, want_cov = parent_greedy_basis_selection(rows, s, n)
+            assert sel == want_sel
+            assert list(cov.items()) == list(want_cov.items())
+            steps.add(s)
+        assert steps == {6, 7, 8}
+
+    def test_assignment_matches_parent(self):
+        rng = RNG(47)
+        ran = set()
+        for _ in range(40):
+            n = int(rng.integers(3, 6))
+            s = int(rng.integers(5, 9))
+            d = int(rng.integers(0, min(s, 5) + 1))
+            pool = rng.permutation(np.arange(1, 4 ** n))
+            rows = [(int(k) >> n, int(k) & ((1 << n) - 1), f"r{i}")
+                    for i, k in enumerate(pool[:(1 << s) - 1])]
+            gens, rows = rows[:d], rows[d:]
+            entries = {1 << k: rec for k, rec in enumerate(gens)}
+            room = (1 << s) - 1 - len(entries)
+            remaining = rows[:int(rng.integers(1, min(room, 48) + 1))]
+            remaining.sort(key=lambda r: ((r[0] | r[1]).bit_count(), r[1], r[0]))
+            want = {a: rec[2] for a, rec in entries.items()}
+            weights = {a: (rec[0] | rec[1]).bit_count() for a, rec in entries.items()}
+            generators = [(x, z) for x, z, _ in gens]
+            parent_assign_additional_modes(want, generators, remaining, s, 0,
+                                           weights, ran)
+            assign_additional_modes(entries, generators, remaining, s)
+            assert [(a, rec[2]) for a, rec in entries.items()] == list(want.items())
+        assert ran == {"v0", "fallback"}
+
+    def test_optimize_matches_parent(self, monkeypatch):
+        rng = RNG(53)
+        sizes = set()
+        for _ in range(8):
+            n = int(rng.integers(4, 6))
+            keys = rng.choice(4 ** n, size=int(rng.integers(129, 256)), replace=False)
+            terms = [(complex(rng.choice([0.5, 1.0, -1.0]), rng.choice([0.0, 0.25])),
+                      PauliString(n, int(k) >> n, int(k) & ((1 << n) - 1)))
+                     for k in keys]
+            table, y = optimize_pauli_select(terms)
+            with monkeypatch.context() as mp:
+                mp.setattr(select_opt, "assign_additional_modes", parent_assign(set()))
+                mp.setattr(select_opt, "greedy_basis_selection",
+                           parent_greedy_basis_selection)
+                mp.setattr(select_opt, "invert_modes_with_phases",
+                           parent_invert_modes_with_phases)
+                want, want_y = optimize_pauli_select(terms)
+            assert list(table.targets.items()) == list(want.targets.items())
+            assert list(table.factors.items()) == list(want.factors.items())
+            assert list(table.phases.items()) == list(want.phases.items())
+            assert y == want_y
+            sizes.add(table.s)
+        assert sizes == {8}
+
+
 def walk_registers(b, n_sys):
     return (("flat_anc", b + 1), ("sel", b), ("system", n_sys))
 

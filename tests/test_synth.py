@@ -22,6 +22,7 @@ from qchanc.circuits import (
     run_channel,
 )
 from qchanc.synth import (
+    _prepare_rows,
     block_encode,
     channel_alphas,
     channel_lcu,
@@ -32,7 +33,7 @@ from qchanc.synth import (
     prepare_pair,
 )
 
-from helpers import simulate_unitary
+from helpers import parent_prepare_pair, simulate_unitary
 
 
 def ksum(n, pairs):
@@ -106,6 +107,69 @@ class TestPreparePair:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             prepare_pair(np.zeros(4, dtype=complex))
+
+    def test_batch_matches_one_vector_oracle(self):
+        # lists of every length 1-256, three each, shuffled into one batch:
+        # every width is one 2-D array, and each result must be the
+        # one-vector result bit for bit (zero signs included)
+        rng = np.random.default_rng(17)
+        ys = []
+        for m in range(1, 257):
+            for _ in range(3):
+                scale = 10.0 ** rng.integers(-300, 300, size=m)
+                y = (rng.normal(size=m) + 1j * rng.normal(size=m)) * scale
+                y[rng.random(m) < 0.2] = 0
+                # tiny but normal: prepare_pair's complex division
+                # overflows on a subnormal modulus, in both paths alike
+                y[rng.random(m) < 0.1] = rng.choice([1e-300, -1e-300, 1e-290j])
+                y[rng.integers(m)] = rng.normal() + 1j  # one entry is nonzero
+                ys.append(y.tolist())
+        order = rng.permutation(len(ys))
+        ys = [ys[i] for i in order]
+        betas, cs, ds = _prepare_rows(ys)
+        for y, beta, c, d in zip(ys, betas, cs, ds):
+            want_beta, want_c, want_d = parent_prepare_pair(y)
+            assert type(beta) is float and beta == want_beta
+            assert np.array(c).tobytes() == want_c.tobytes()
+            assert np.array(d).tobytes() == want_d.tobytes()
+            got = prepare_pair(y)
+            assert got[0] == beta and got[1].tobytes() == want_c.tobytes()
+            assert got[2].tobytes() == want_d.tobytes()
+
+    @pytest.mark.parametrize("ys, message", [
+        ([[1.0, 2.0], [0j, 0j, 0j]], "at least one nonzero coefficient"),
+        ([[], [1.0]], "at least one nonzero coefficient"),
+        ([[1.0], [1e308, 1e308, 1.0], [0j]], "l1 norm overflows"),
+        ([[1.0], [0j], [1e308, 1e308, 1.0]], "at least one nonzero coefficient"),
+    ], ids=["zero", "empty", "overflow-first", "zero-first"])
+    def test_batch_raises_for_the_first_bad_list(self, ys, message):
+        for y in ys:  # the message the one-vector path gives
+            try:
+                parent_prepare_pair(y)
+            except ValueError as exc:
+                assert message in str(exc)
+                break
+        with pytest.raises(ValueError, match=message):
+            _prepare_rows(ys)
+
+    def test_records_hold_python_numbers(self):
+        k = ksum(2, [(0.5, "XI"), (-0.25j, "ZZ"), (0.125, "YX")])
+        for mode in ("naive", "optimized"):
+            enc = encode_kraus(k, mode)
+            c, d = enc.prep
+            assert type(enc.alpha) is float
+            assert {type(v) for v in c} == {float} and {type(v) for v in d} == {complex}
+
+    def test_channel_errors_come_in_operator_order(self):
+        # the first operator's PREPARE overflows, the second is zero: the
+        # batch reports the first, as encoding one operator at a time does
+        big = ksum(1, [(1e308, "X"), (1e308, "Z")])
+        zero = PauliSum(1, [])
+        for mode in ("naive", "optimized"):
+            with pytest.raises(ValueError, match="l1 norm overflows"):
+                encode_channel(ChannelExpr(1, [big, zero]), mode)
+            with pytest.raises(ValueError, match="zero Kraus operator"):
+                encode_channel(ChannelExpr(1, [zero, big]), mode)
 
 
 class TestBlockEncode:
