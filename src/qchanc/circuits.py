@@ -33,9 +33,9 @@ over their target axes.  Pauli and Toffoli gates only move entries and
 multiply them by units, so they are exact.
 
 Cost model.  Every cost report, of a built circuit or of encoding records,
-is priced by `cost_from_shapes` from one (controls, Pauli weight or None)
-shape per gate, the number of Toffoli computes (toffoli_count) and the
-ancilla count (every qubit outside the system register):
+is priced by `cost_from_shapes` from how many gates have each (controls,
+Pauli weight or None) shape, the number of Toffoli computes (toffoli_count)
+and the ancilla count (every qubit outside the system register):
 - a shape with c controls costs 0 T for c <= 1 and 4(c-1) T for c >= 2;
 - a controlled Pauli (c >= 1, weight w) adds c*w to weighted_control_cost
   and counts in controlled_pauli_count;
@@ -401,12 +401,12 @@ def _control_t(c: int) -> int:
     return 0 if c <= 1 else 4 * (c - 1)
 
 
-def cost_from_shapes(shapes, toffolis: int, ancillas: int) -> CostReport:
-    """The cost model: one (controls, Pauli weight or None) shape per gate,
-    given as a list of shapes or as a {shape: count} map (a Counter)."""
-    counts = shapes if isinstance(shapes, dict) else Counter(shapes)
+def cost_from_shapes(shapes: dict[tuple[int, int | None], int], toffolis: int,
+                     ancillas: int) -> CostReport:
+    """The cost model, given how many gates have each (controls, Pauli
+    weight or None) shape."""
     wcc = t = cpauli = total = 0
-    for (c, w), k in counts.items():
+    for (c, w), k in shapes.items():
         total += k
         t += k * _control_t(c)
         if w is not None and c:
@@ -416,16 +416,16 @@ def cost_from_shapes(shapes, toffolis: int, ancillas: int) -> CostReport:
 
 
 def cost_report(c: Circuit) -> CostReport:
-    shapes = []
+    shapes: Counter = Counter()
     toffolis = 0
     open_toffoli: dict[int, list] = {}
     for g in c.gates:
         body, nctrl = (g.body, len(g.controls)) if isinstance(g, Controlled) else (g, 0)
         if isinstance(body, PauliGate):
-            shapes.append((nctrl, weight(body.string)))
+            shapes[nctrl, weight(body.string)] += 1
         elif isinstance(body, ToffoliCompute):
             toffolis += 1
-            shapes.append((nctrl + 2, None))
+            shapes[nctrl + 2, None] += 1
             open_toffoli.setdefault(body.target, []).append(body)
         elif isinstance(body, ToffoliUncompute):
             stack = open_toffoli.get(body.target, [])
@@ -438,9 +438,9 @@ def cost_report(c: Circuit) -> CostReport:
                 raise ValueError(
                     f"ToffoliUncompute on qubit {body.target} does not match "
                     "its compute")
-            shapes.append((0, None))
+            shapes[0, None] += 1
         else:
-            shapes.append((nctrl, None))
+            shapes[nctrl, None] += 1
     names = [n for n, _ in c.registers]
     sys_size = c.reg_size("system") if "system" in names else 0
     return cost_from_shapes(shapes, toffolis, c.total_qubits - sys_size)

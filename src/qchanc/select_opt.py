@@ -213,28 +213,19 @@ def invert_modes_with_phases(targets: dict[int, PauliString]):
     the factors over the set bits of b reproduces i^{phases[b]} P_b exactly.
     Ascending addresses: the factors at b's strict subsets are all placed,
     their product (taken in address order) fixes g_b, and g_b times it the
-    phase.  They are found by walking b's subsets when b has fewer subsets
-    than there are factors, else by scanning the factors.  Each partial
-    product is kept as integers (x, z, i-power, and its Y count |x & z|),
-    with pauli.multiply's phase rule; only a placed factor becomes a
-    PauliString.
+    phase.  Each partial product is kept as integers (x, z, i-power, and
+    its Y count |x & z|), with pauli.multiply's phase rule; only a placed
+    factor becomes a PauliString.
     """
     g: dict[int, PauliString] = {}
     placed: dict[int, tuple[int, int, int]] = {}  # address -> (x, z, |x & z|)
     phases: dict[int, int] = {}
     for b in sorted(targets):
         p = targets[b]
-        if 1 << b.bit_count() < len(placed):  # b has fewer subsets than factors
-            subsets, c = [], b
-            while c:  # b's strict subsets, descending, 0 last
-                c = (c - 1) & b
-                if c in placed:
-                    subsets.append(c)
-            factors = [placed[c] for c in reversed(subsets)]
-        else:
-            factors = [f for c, f in placed.items() if (c & b) == c]
         ax = az = ay = e = 0  # the product q * acc, over the factors so far
-        for qx, qz, qy in factors:
+        for c, (qx, qz, qy) in placed.items():
+            if (c & b) != c:
+                continue
             x, z = qx ^ ax, qz ^ az
             y = (x & z).bit_count()
             e += qy + ay + 2 * (qz & ax).bit_count() - y

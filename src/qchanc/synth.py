@@ -14,7 +14,7 @@ A channel is lowered by preparing kraus_sel amplitudes alpha_j/sqrt(sum a^2)
 and multiplexing the per-Kraus encodings; the preparation is deliberately not
 undone, since kraus_sel is traced out while be_anc is postselected to zero.
 cost_cells prices that circuit from the records alone, without building it,
-by the one cost model in the circuits module docstring: one listing of the
+by the one cost model in the circuits module docstring: one count of the
 record shapes per select mode serves both the plain and the flattened
 multiplexor.
 """

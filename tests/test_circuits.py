@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -261,7 +262,8 @@ def test_cost_report_examples():
 def test_cost_from_shapes_rules():
     # (controls, Pauli weight or None): an uncontrolled Pauli, two controlled
     # ones, a doubly controlled box and a measured uncompute
-    r = cost_from_shapes([(0, 3), (1, 2), (3, 1), (2, None), (0, None)], 1, 4)
+    r = cost_from_shapes(Counter([(0, 3), (1, 2), (3, 1), (2, None), (0, None)]),
+                         1, 4)
     assert r == CostReport(weighted_control_cost=1 * 2 + 3 * 1, t_count=8 + 4,
                            toffoli_count=1, controlled_pauli_count=2,
                            total_gates=5, ancillas=4)
