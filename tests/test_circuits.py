@@ -272,6 +272,14 @@ def test_cost_from_shapes_rules():
         "controlled_pauli_count": 2, "total_gates": 5, "ancillas": 4}
 
 
+def test_cost_from_shapes_weighs_each_shape_by_its_count():
+    # four doubly controlled weight-3 Paulis and two bare boxes
+    r = cost_from_shapes(Counter({(2, 3): 4, (0, None): 2}), 0, 1)
+    assert r == CostReport(weighted_control_cost=4 * 2 * 3, t_count=4 * 4,
+                           toffoli_count=0, controlled_pauli_count=4,
+                           total_gates=6, ancillas=1)
+
+
 def test_cost_report_uncontrolled_pauli_is_free():
     c = sys_circuit(2, PauliGate(from_label("XY"), (0, 1)))
     assert cost_report(c) == CostReport(0, 0, 0, 0, 1, 0)
