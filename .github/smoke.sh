@@ -33,17 +33,21 @@ qchanc rewrite "$inst" --minimize-rank --out json-smoke/min.json
 python -c 'import json, sys; text = open(sys.argv[1]).read(); sys.exit(text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")' json-smoke/min.json
 
 # Circuit and report JSON: an order-2, flattened, ordered, rank-minimized
-# compile, and a flattened compile of a channel holding an opaque block
+# compile, an order-3 flattened, ordered compile of tfim2 (85 Kraus
+# operators sharing 15 SelectTables, whose audit text is formed once per
+# table), and a flattened compile of a channel holding an opaque block
 # encoding with a matrix (0.8 Z as a blockenc, 0.6 X), through the
-# per-kind circuit writer and the shape-templated report writer, each
-# file byte-compared with the stdlib encoder; the opaque circuit verifies
+# per-kind circuit writer and the report writer, each file byte-compared
+# with the stdlib encoder; the opaque circuit verifies
 inst=$(qchanc bench tfim --sites 3 --out json-smoke)
 qchanc compile "$inst" --frontend order:2,2,2 --delta 0.01 --flatten --order --minimize-rank --out json-smoke/tfim3
+inst2=$(qchanc bench tfim --sites 2 --out json-smoke)
+qchanc compile "$inst2" --frontend order:3,3,2 --delta 0.01 --flatten --order --out json-smoke/tfim2
 echo '{"n": 1, "kraus": [[{"coeff": [0.8, 0], "blockenc": {"handle": "u", "n": 1, "alpha": 1.0, "anc": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}}], [{"coeff": [0.6, 0], "pauli": "X"}]]}' > json-smoke/opaque.json
 qchanc compile json-smoke/opaque.json --frontend channel --flatten --out json-smoke/opaque
 qchanc verify json-smoke/opaque/circuit.json --reference json-smoke/opaque.json > json-smoke/opaque-verify.json
 python -c 'import json, sys; s = json.load(open(sys.argv[1])); print("opaque max_trace_distance:", s["max_trace_distance"]); sys.exit(not s["max_trace_distance"] <= 1e-9)' json-smoke/opaque-verify.json
-python -c 'import json, sys; bad = [f for f in sys.argv[1:] if open(f).read() != json.dumps(json.load(open(f)), sort_keys=True, indent=2) + "\n"]; print("not stdlib bytes:", bad); sys.exit(bool(bad))' json-smoke/tfim3/circuit.json json-smoke/tfim3/report.json json-smoke/opaque/circuit.json json-smoke/opaque/report.json
+python -c 'import json, sys; bad = [f for f in sys.argv[1:] if open(f).read() != json.dumps(json.load(open(f)), sort_keys=True, indent=2) + "\n"]; print("not stdlib bytes:", bad); sys.exit(bool(bad))' json-smoke/tfim3/circuit.json json-smoke/tfim3/report.json json-smoke/tfim2/circuit.json json-smoke/tfim2/report.json json-smoke/opaque/circuit.json json-smoke/opaque/report.json
 
 # Trace replay: replay a rank minimization's trace rule by rule through
 # rewrite --rule, each step reading the previous step's output; the Kraus

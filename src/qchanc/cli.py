@@ -4,14 +4,17 @@ Subcommands: compile | verify | cost | bench | rewrite | error-sweep.
 Reports are JSON with sorted keys and no timestamps, so identical
 inputs and flags produce byte-identical output: every document is exactly
 the bytes of json.dumps(data, sort_keys=True, indent=2) plus a newline.
-`_dump` writes each document but one through `ir._encode` (uniform lists in
-one pass, one %-template per pair or record); compile's circuit.json is
-written by `circuits.circuit_to_json`, one %-template per gate kind, with no
-dict per gate.  A channel or spec file's Pauli term lists are read in one
-bulk pass per document (`ir.channel_from_json`, `ir.lindblad_from_json`),
-with every check of the per-term reader; a document with an irregular
-term goes term by term, with the same result and error messages, each led
-by the term's position ("Kraus operator 1 term 0: ...").
+`_dump` writes each document but compile's two through `ir._encode`
+(uniform lists in one pass, one %-template per pair or record); compile's
+circuit.json is written by `circuits.circuit_to_json`, one %-template per
+gate kind, with no dict per gate, and its report.json by `report_to_json`,
+whose SELECT audits come straight from the SelectTables, one template per
+entry kind and each shared table's text formed once.  A channel or spec
+file's Pauli term lists are read in one bulk pass per document
+(`ir.channel_from_json`, `ir.lindblad_from_json`), with every check of the
+per-term reader; a document with an irregular term goes term by term, with
+the same result and error messages, each led by the term's position
+("Kraus operator 1 term 0: ...").
 """
 
 import argparse
@@ -63,7 +66,7 @@ from .synth import (
     channel_alphas,
     channel_lcu,
     cost_cells,
-    encode_channel,
+    encode_modes,
 )
 
 # the evaluation grid: (flatten, order) per named setting
@@ -179,7 +182,7 @@ def lower_input(obj, frontend: str, delta: float) -> ChannelExpr:
 def _select_audits(encodings: list) -> list:
     """SelectTable JSON per Pauli-sum Kraus operator's optimized encoding;
     a table shared by several operators is listed once and its lists are
-    shared."""
+    shared.  The oracle of report_to_json's audits (_audit_parts)."""
     audits = []
     tables = {}  # id(SelectTable) -> (mode_table, g_table), for this call only
     for idx, enc in enumerate(encodings):
@@ -200,9 +203,60 @@ def _select_audits(encodings: list) -> list:
     return audits
 
 
+def _audit_parts(encodings: list, nl: str) -> list[str]:
+    """The pieces of _select_audits(encodings) as ir._encode writes it at
+    the indentation `nl` opens, straight from the records: one template per
+    entry kind, and the text of each shared SelectTable formed once and
+    listed by reference."""
+    if not encodings:
+        return ["[]"]
+    i1 = nl + "  "  # an entry
+    i2 = i1 + "  "  # an entry's keys
+    i3 = i2 + "  "  # a table's rows
+    i4 = i3 + "  "  # a row's keys
+    opaque = "{" + i2 + '"kraus": %d,' + i2 + '"opaque": true' + i1 + "}"
+    trivial = "{" + i2 + '"kraus": %d,' + i2 + '"trivial": true' + i1 + "}"
+    head = "{" + i2 + '"g_table": '
+    kraus = "," + i2 + '"kraus": %d,' + i2 + '"mode_table": '
+    bits = "," + i2 + '"select_bits": %d' + i1 + "}"
+    mode_row = ("{" + i4 + '"address": "%s",' + i4 + '"phase_exp": 0,' + i4
+                + '"target": "%s"' + i3 + "}")
+    g_row = ("{" + i4 + '"address": "%s",' + i4 + '"g": "%s",' + i4 + '"theta": 0'
+             + i3 + "}")
+
+    def rows(row: str, entries: dict, s: int) -> str:
+        if not entries:
+            return "[]"
+        spec = f"0{s}b"
+        return ("[" + i3 + ("," + i3).join([
+            row % (format(a, spec), p.label()) for a, p in sorted(entries.items())])
+            + i2 + "]")
+
+    texts = {}  # id(SelectTable) -> (g_table, mode_table) text, for this call only
+    parts = []
+    for idx, enc in enumerate(encodings):
+        parts.append("," + i1)
+        if enc.ref is not None:
+            parts.append(opaque % idx)
+        elif len(enc.terms) < 2:
+            parts.append(trivial % idx)
+        else:
+            t = enc.table
+            if (lists := texts.get(id(t))) is None:
+                lists = texts[id(t)] = (rows(g_row, t.factors, t.s),
+                                        rows(mode_row, t.targets, t.s))
+            parts += (head, lists[0], kraus % idx, lists[1], bits % enc.width)
+    parts[0] = "[" + i1  # the first entry's separator opens the list
+    parts.append(nl + "]")
+    return parts
+
+
 def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
                      minimize_rank: bool):
-    """Shared by cmd_compile and the tests; returns (circuit, report dict)."""
+    """cmd_compile's work: (circuit, report dict, audited records), where
+    the report holds every field but select_audits, which lists the
+    SelectTables of the audited records (the optimized ones under --order,
+    else none): see _select_audits and report_to_json."""
     chan = lower_input(obj, frontend, delta)
     setting = next(nm for nm, fl, om in SETTINGS
                    if (fl, om) == (flatten, order))
@@ -212,8 +266,9 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
         trace = []
         if minimize_rank:
             chan, trace = minimize_kraus_rank(chan)
-        # one record per Kraus and select mode: every circuit, alpha and audit reads it
-        encodings = {m: encode_channel(chan, m) for m in SELECT_MODES}
+        # one record per Kraus and select mode, from one fold per operator:
+        # every circuit, alpha, cost cell and audit reads them
+        encodings = encode_modes(chan, mode)
         circ = channel_lcu(chan, mode, flatten, encodings[mode])
         alphas = channel_alphas(chan, mode, encodings[mode])
     except ValueError as exc:
@@ -238,11 +293,26 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
         "success_prob_tp": 1.0 / alpha_sq,
         "registers": {name: size for name, size in circ.registers},
         "rewrite_trace": trace_to_json(trace),
-        "select_audits": _select_audits(encodings["optimized"]) if order else [],
         "cost": grid[setting],
         "cost_grid": grid,
     }
-    return circ, report
+    return circ, report, encodings["optimized"] if order else []
+
+
+def report_to_json(report: dict, audited: list) -> str:
+    """The report.json text: exactly the bytes of _dump({**report,
+    "select_audits": _select_audits(audited)}), with the audits written by
+    _audit_parts and every other field by ir._encode, joined once."""
+    parts = []
+    for k in sorted([*report, "select_audits"]):
+        parts += (",\n  ", _encode(k, ""), ": ")
+        if k == "select_audits":
+            parts += _audit_parts(audited, "\n  ")
+        else:
+            parts.append(_encode(report[k], "\n  "))
+    parts[0] = "{\n  "  # the first field's separator opens the document
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _dump(data) -> str:
@@ -260,13 +330,14 @@ def _write_out(text: str, out: str | None) -> None:
 
 def cmd_compile(args) -> int:
     obj = load_input(args.input)
-    circ, report = compile_pipeline(
+    circ, report, audited = compile_pipeline(
         obj, args.frontend, args.delta, args.flatten, args.order,
         args.minimize_rank)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(report_to_json(report, audited))
+    del audited  # the records and their tables: the circuit text needs neither
     (out / "circuit.json").write_text(circuit_to_json(circ, report["alpha_sq_sum"]))
-    (out / "report.json").write_text(_dump(report))
     print(str(out / "report.json"))
     return 0
 

@@ -3,7 +3,8 @@
 Two frontends share the LindbladSpec input: a symbolic first-order
 expansion that keeps coefficients exact in the Pauli algebra, and a
 Duhamel-series expansion that works densely (matrix exponentials force
-that) and converts each Kraus operator back to a Pauli sum afterwards.
+that) and converts its Kraus operators back to Pauli sums afterwards, a
+stack of `pauli.decompose_chunk(n)` at a time.
 Both emit canonical sums, with coefficients at or below `pauli.ZERO_TOL`
 dropped.
 
@@ -29,8 +30,9 @@ from .pauli import (
     PauliSum,
     canonicalize_sum,
     check_cap,
+    decompose_chunk,
     identity_sum,
-    pauli_decompose,
+    pauli_decompose_stack,
 )
 
 # Al-Mohy & Higham, "Computing the action of the matrix exponential" (SIAM
@@ -156,7 +158,7 @@ def higher_order(spec: LindbladSpec, delta: float, quad: QuadratureSpec) -> Chan
     except (OverflowError, FloatingPointError) as exc:
         raise ValueError(f"delta = {delta:g} overflows the order-"
                          f"{quad.expansion_order} expansion") from exc
-    # pauli_decompose sums are already canonical: distinct bare strings, each
+    # decomposed sums are already canonical: distinct bare strings, each
     # with |c| > ZERO_TOL; the drift Kraus always carries the identity
     return ChannelExpr(spec.n, [s for s in sums if s.terms])
 
@@ -174,9 +176,21 @@ def _duhamel_count(jumps: int, quad: QuadratureSpec) -> float:
 
 
 def _duhamel_sums(spec: LindbladSpec, delta: float, quad: QuadratureSpec) -> list[PauliSum]:
-    """higher_order's Kraus operators, empty ones included."""
+    """higher_order's Kraus operators, empty ones included.  The dense
+    operators are decomposed as stacks of decompose_chunk(n), so at most one
+    chunk of them is held at a time."""
     j, jump_mats = _drift_generator(spec)
-    sums = [pauli_decompose(_taylor_exp(j, delta, quad.drift_taylor_order), spec.n)]
+    chunk = decompose_chunk(spec.n)
+    sums: list[PauliSum] = []
+    dense: list[np.ndarray] = []
+
+    def add(op: np.ndarray) -> None:
+        dense.append(op)
+        if len(dense) == chunk:
+            sums.extend(pauli_decompose_stack(dense, spec.n))
+            dense.clear()
+
+    add(_taylor_exp(j, delta, quad.drift_taylor_order))
     if jump_mats:
         nodes, weights = _unit_legendre(quad.nodes_per_level)
         for level in range(1, quad.expansion_order + 1):
@@ -202,7 +216,9 @@ def _duhamel_sums(spec: LindbladSpec, delta: float, quad: QuadratureSpec) -> lis
                     for i in range(level):
                         op = jump_mats[jump_idx[i]] @ op
                         op = drifts[i] @ op
-                    sums.append(pauli_decompose(sqrt(scalar) * op, spec.n))
+                    add(sqrt(scalar) * op)
+    if dense:
+        sums.extend(pauli_decompose_stack(dense, spec.n))
     return sums
 
 

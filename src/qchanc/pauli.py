@@ -16,10 +16,10 @@ string, bulk readers included: it checks n >= 1 and that both masks lie
 within n bits (a negative mask does not), and reduces the i-power mod 4.
 
 The package's dense evaluators (`dense_sum` behind `to_matrix` and
-`ir.eval_kraus`, `pauli_decompose`, `lindblad.evolve`, the circuit
-simulator) refuse to build above the dense-qubit cap, which `check_cap`
-alone resolves: the running command's --cap, else QCHANC_CAP, else
-DEFAULT_QUBIT_CAP.
+`ir.eval_kraus`, `pauli_decompose` and its stacked form
+`pauli_decompose_stack`, `lindblad.evolve`, the circuit simulator) refuse
+to build above the dense-qubit cap, which `check_cap` alone resolves: the
+running command's --cap, else QCHANC_CAP, else DEFAULT_QUBIT_CAP.
 """
 
 from __future__ import annotations
@@ -111,9 +111,14 @@ class PauliString:
 
     def label(self) -> str:
         # four sites per table lookup; the sites past n are I, and cut off
-        x, z = self.x_mask, self.z_mask
+        x, z, n = self.x_mask, self.z_mask, self.n
+        if n <= 4:  # both masks fit in four bits
+            return _QUAD_LETTERS[x | z << 4][:n]
+        if n <= 8:
+            return (_QUAD_LETTERS[(x & 15) | (z & 15) << 4]
+                    + _QUAD_LETTERS[x >> 4 | (z >> 4) << 4])[:n]
         return "".join([_QUAD_LETTERS[(x >> k & 15) | (z >> k & 15) << 4]
-                        for k in range(0, self.n, 4)])[:self.n]
+                        for k in range(0, n, 4)])[:n]
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
@@ -309,14 +314,37 @@ def is_hermitian_sum(s: PauliSum, tol: float = 1e-10) -> bool:
 
 def pauli_decompose(m: np.ndarray, n: int | None = None,
                     tol: float = ZERO_TOL) -> PauliSum:
-    """Expand a dense matrix over bare Pauli strings, coeff = Tr(P^dag m)/2^n,
-    with one Walsh-Hadamard transform (O(n 4^n) work for all 4^n strings).
+    """Expand a dense matrix over bare Pauli strings, coeff = Tr(P^dag m)/2^n:
+    pauli_decompose_stack of a stack of one.
 
     Terms below tol are dropped; the kept terms reconstruct m within the
     truncation error.  Output order is by (z_mask, x_mask).
     """
     dim = m.shape[0]
-    if m.shape != (dim, dim) or dim & (dim - 1):
+    if m.shape != (dim, dim):
+        raise ValueError("matrix must be square with power-of-two dimension")
+    return pauli_decompose_stack(m[None], n, tol)[0]
+
+
+def decompose_chunk(n: int) -> int:
+    """How many n-qubit matrices pauli_decompose_stack transforms at once:
+    a chunk's scratch stack holds about _SCATTER_ENTRIES entries."""
+    return max(1, _SCATTER_ENTRIES >> 2 * n)
+
+
+def pauli_decompose_stack(ms, n: int | None = None,
+                          tol: float = ZERO_TOL) -> list[PauliSum]:
+    """pauli_decompose of each matrix of a (k, 2^n, 2^n) stack, with one
+    Walsh-Hadamard transform per chunk of decompose_chunk(n) matrices
+    (O(n 4^n) work per matrix for all 4^n strings).
+
+    Every step but the ordering is elementwise, so each sum is bit for bit
+    the one a matrix alone gives; terms below tol are dropped and each sum
+    is ordered by (z_mask, x_mask).
+    """
+    ms = np.asarray(ms)
+    dim = ms.shape[-1]
+    if ms.ndim != 3 or ms.shape[1] != dim or dim & (dim - 1):
         raise ValueError("matrix must be square with power-of-two dimension")
     if n is None:
         n = dim.bit_length() - 1
@@ -325,29 +353,38 @@ def pauli_decompose(m: np.ndarray, n: int | None = None,
     if n < 1:
         raise ValueError("need at least one site")
     check_cap(n, "pauli_decompose")
+    chunk = decompose_chunk(n)
+    sums: list[PauliSum] = []
+    for start in range(0, len(ms), chunk):
+        sums += _decompose_chunk(ms[start:start + chunk], n, tol)
+    return sums
 
+
+def _decompose_chunk(ms: np.ndarray, n: int, tol: float) -> list[PauliSum]:
+    """pauli_decompose_stack of one chunk."""
+    k, dim = len(ms), 1 << n
     # coeff(X, Z) = i^-|X&Z| sum_c (-1)^|c&Z| m[c^X, c] / dim over index
-    # masks: gather g[X, c] = m[c^X, c] row by row, then a Walsh-Hadamard
+    # masks: gather g[:, X, c] = m[:, c^X, c], then a Walsh-Hadamard
     # butterfly over c
     idx = np.arange(dim, dtype=np.int64)
-    g = np.empty((dim, dim), dtype=complex)
-    for x in range(dim):
-        g[x] = m[idx ^ x, idx]
+    g = np.asarray(ms, dtype=complex)[:, idx[:, None] ^ idx, idx]
     half = 1
     while half < dim:
-        view = g.reshape(dim, dim // (2 * half), 2, half)
-        lo, hi = view[:, :, 0, :], view[:, :, 1, :]
+        view = g.reshape(k, dim, dim // (2 * half), 2, half)
+        lo, hi = view[:, :, :, 0, :], view[:, :, :, 1, :]
         diff = lo - hi
         lo += hi
         hi[...] = diff
         half *= 2
     g /= dim
     # the i-power has modulus one: only kept terms take it
-    xs, zs = np.nonzero(np.abs(g) > tol)
-    coeffs = g[xs, zs] * _I_POWERS[-np.bitwise_count(xs & zs).astype(np.int64) % 4]
+    ks, xs, zs = np.nonzero(np.abs(g) > tol)
+    coeffs = g[ks, xs, zs] * _I_POWERS[-np.bitwise_count(xs & zs).astype(np.int64) % 4]
     rev = _bit_reversal(n)
     x_masks, z_masks = rev[xs], rev[zs]
-    order = np.lexsort((x_masks, z_masks))
-    strings = [PauliString(n, x, z)
-               for x, z in zip(x_masks[order].tolist(), z_masks[order].tolist())]
-    return PauliSum(n, list(zip(coeffs[order].tolist(), strings)))
+    order = np.lexsort((x_masks, z_masks, ks))
+    terms = list(zip(coeffs[order].tolist(),
+                     map(PauliString, [n] * len(order), x_masks[order].tolist(),
+                         z_masks[order].tolist())))
+    bounds = np.cumsum(np.bincount(ks, minlength=k)).tolist()
+    return [PauliSum(n, terms[lo:hi]) for lo, hi in zip([0] + bounds, bounds)]

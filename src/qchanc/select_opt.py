@@ -8,11 +8,17 @@ Technique II: monotone-control decomposition.  Pauli targets are assigned
 addresses so that the product of the gates g_c over the set bits c of an
 address reproduces the target there; generators of a well-chosen subspace sit
 at one-hot addresses and products come for free.  The address assignment is
-the greedy heuristic over symplectic (x|z) vectors; phase corrections from
-reordered Pauli products are folded into the prepared coefficients.  One
+the greedy heuristic over symplectic (x|z) vectors, on the rows sorted by
+(weight, z, x) and, only when that leaves a row uncovered, by (weight, x,
+z), taken when it covers strictly more; phase corrections from reordered
+Pauli products are folded into the prepared coefficients.  One
 SelectTable holds the result for a set of canonical keys (address bits,
 targets, factors and phases); optimize_pauli_select pairs it with the PREPARE
 vector of one operator's coefficients.
+
+The builders take an outer control list, and a multiplexor branch may be
+a function of its controls (see _place), so each gate is built once under
+every control it ends up with.
 """
 
 from __future__ import annotations
@@ -259,14 +265,15 @@ def _select_tables(n: int, keys: list[PauliString]) -> SelectTable:
     # records: (vec_x, vec_z, target), the vector shifted by the base
     ax, az = (0, 0) if base is None else (base.x_mask, base.z_mask)
     recs = [(p.x_mask ^ ax, p.z_mask ^ az, p) for p in targets]
-    rows_z = sorted(recs, key=lambda r: ((r[0] | r[1]).bit_count(), r[1], r[0]))
-    rows_x = sorted(recs, key=lambda r: ((r[0] | r[1]).bit_count(), r[0], r[1]))
-    sel_on_x, cov_on_x = greedy_basis_selection([(r[0], r[1]) for r in rows_x], s, n)
-    sel_on_z, cov_on_z = greedy_basis_selection([(r[0], r[1]) for r in rows_z], s, n)
-    if len(cov_on_x) > len(cov_on_z):
-        rows, sel, cov = rows_x, sel_on_x, cov_on_x
-    else:
-        rows, sel, cov = rows_z, sel_on_z, cov_on_z
+    # the z-sorted greedy, unless the x-sorted one covers strictly more;
+    # which can only be so when z leaves a row uncovered
+    rows = sorted(recs, key=lambda r: ((r[0] | r[1]).bit_count(), r[1], r[0]))
+    sel, cov = greedy_basis_selection([(r[0], r[1]) for r in rows], s, n)
+    if len(cov) < len(rows):
+        rows_x = sorted(recs, key=lambda r: ((r[0] | r[1]).bit_count(), r[0], r[1]))
+        sel_x, cov_x = greedy_basis_selection([(r[0], r[1]) for r in rows_x], s, n)
+        if len(cov_x) > len(cov):
+            rows, sel, cov = rows_x, sel_x, cov_x
 
     entries = {addr: rows[j] for j, addr in cov.items()}
     generators = [(rows[i][0], rows[i][1]) for i in sel]
@@ -320,27 +327,43 @@ def _addr_controls(addr: int, sel_qubits, polarity_for_zero: bool):
     return tuple(ctrls)
 
 
-def build_monotone_select(t: SelectTable, sel_qubits, sys_qubits) -> list[Gate]:
-    """One positively controlled Pauli per factor, ascending addresses."""
+def build_monotone_select(t: SelectTable, sel_qubits, sys_qubits,
+                          controls=()) -> list[Gate]:
+    """One positively controlled Pauli per factor, ascending addresses,
+    each built once under `controls` then its address bits."""
     gates: list[Gate] = []
+    sys_qubits, controls = tuple(sys_qubits), tuple(controls)
     for addr, p in sorted(t.factors.items()):
-        body = PauliGate(p, tuple(sys_qubits))
-        gates.append(controlled(_addr_controls(addr, sel_qubits, False), body))
+        ctrls = controls + _addr_controls(addr, sel_qubits, False)
+        body = PauliGate(p, sys_qubits)
+        gates.append(Controlled(ctrls, body) if ctrls else body)
     return gates
 
 
-def naive_select(branches: list[tuple[int, list[Gate]]], sel_qubits) -> list[Gate]:
-    """Full-address (mixed polarity) controls around each branch body."""
+def _place(bodies, controls) -> list[Gate]:
+    """A branch's gates under `controls`: its list of gates, each wrapped,
+    or, when it is a function of the control list, the gates it builds
+    under those controls itself."""
+    if callable(bodies):
+        return bodies(controls)
+    return [controlled(controls, b) for b in bodies]
+
+
+def naive_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
+                 controls=()) -> list[Gate]:
+    """Full-address (mixed polarity) controls, after `controls`, around
+    each branch body (see _place)."""
     gates: list[Gate] = []
+    controls = tuple(controls)
     for addr, bodies in branches:
-        ctrls = _addr_controls(addr, sel_qubits, True)
-        gates.extend(controlled(ctrls, b) for b in bodies)
+        gates += _place(bodies, controls + _addr_controls(addr, sel_qubits, True))
     return gates
 
 
 def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
                    anc_qubits) -> list[Gate]:
-    """Unary-iteration walk; each branch body fires on one flag control.
+    """Unary-iteration walk; each branch body fires on one flag control,
+    anc_qubits[len(sel_qubits)] for every leaf (see _place).
 
     Needs len(sel_qubits) + 1 ancillas: a root flag plus one per tree level.
     A full N-branch multiplexor costs exactly N-1 Toffoli pairs.
@@ -352,10 +375,11 @@ def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
     if any(not 0 <= a < (1 << b) for a in by_addr):
         raise ValueError("branch address out of range for the selector width")
     if b == 0:
-        return [g for _, bodies in branches for g in bodies]
+        return [g for _, bodies in branches for g in _place(bodies, ())]
     gates: list[Gate] = []
     root = anc_qubits[0]
     x = PauliString(1, 1, 0)  # flips a flag; one string for every such gate
+    leaf = ((anc_qubits[b], 1),)  # the flag of the last level
     gates.append(PauliGate(x, (root,)))
 
     addrs = sorted(by_addr)
@@ -367,8 +391,8 @@ def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
 
     def descend(flag: int, level: int, prefix: int) -> None:
         if level == b:
-            for body in by_addr.get(prefix, ()):
-                gates.append(controlled(((flag, 1),), body))
+            if prefix in by_addr:
+                gates.extend(_place(by_addr[prefix], leaf))
             return
         shift = b - 1 - level
         # the addresses under this node, split by the bit at this level
@@ -392,5 +416,8 @@ def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
             gates.append(ToffoliUncompute(flag, bit_q, child, p2=pol))
 
     descend(root, 0, 0)
+    # descend's closure holds descend: emptying its cell breaks that cycle,
+    # so the branches (and the records they build from) go with this call
+    del descend
     gates.append(PauliGate(x, (root,)))
     return gates

@@ -4,15 +4,18 @@ Each Pauli-sum Kraus operator K = sum_j y_j P_j becomes PREP_R, SELECT,
 PREP_L-adjoint on a be_anc register, encoding K/alpha with alpha = sum|y_j|.
 encode_channel decides that encoding once per operator and select mode as a
 qubit-free KrausEncoding record (encode_kraus is a batch of one); circuits,
-alphas and SELECT audits all read it.  Both modes prepare the coefficient
-vector y the same way: the terms in order (naive, full-address SELECT), or
-the PREPARE vector that comes with the operator's SelectTable (optimized,
-monotone SELECT).  The PREPARE pairs of all of a channel's operators are
-formed together, one numpy pass per padded width, bit for bit as
-prepare_pair forms each alone; records hold Python numbers.
+alphas and SELECT audits all read it.  encode_modes folds and classifies
+each operator once for both modes: the emitted mode's records are
+encode_channel's, the other mode's only what cost_cells reads.  Both modes
+prepare the coefficient vector y the same way: the terms in order (naive,
+full-address SELECT), or the PREPARE vector that comes with the operator's
+SelectTable (optimized, monotone SELECT).  The PREPARE pairs of all of a
+channel's operators are formed together, one numpy pass per padded width,
+bit for bit as prepare_pair forms each alone; records hold Python numbers.
 A channel is lowered by preparing kraus_sel amplitudes alpha_j/sqrt(sum a^2)
-and multiplexing the per-Kraus encodings; the preparation is deliberately not
-undone, since kraus_sel is traced out while be_anc is postselected to zero.
+and multiplexing the per-Kraus encodings, each gate built once under its
+multiplexor controls; the preparation is deliberately not undone, since
+kraus_sel is traced out while be_anc is postselected to zero.
 cost_cells prices that circuit from the records alone, without building it,
 by the one cost model in the circuits module docstring: one count of the
 record shapes per select mode serves both the plain and the flattened
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,10 +39,11 @@ from .circuits import (
     PauliGate,
     StatePrep,
     StatePrepAdjoint,
+    controlled,
     cost_from_shapes,
 )
 from .ir import BlockEncRef, ChannelExpr, TypecheckError, typecheck
-from .pauli import PauliString, PauliSum, canonicalize_sum, weight
+from .pauli import ZERO_TOL, PauliString, PauliSum, fold_terms, weight
 from .select_opt import (
     SelectTable,
     build_monotone_select,
@@ -48,6 +53,9 @@ from .select_opt import (
 )
 
 SELECT_MODES = ("naive", "optimized")
+# the least normal float, and a power of two that lifts a subnormal above it
+_TINY = np.finfo(float).tiny
+_LIFT = 2.0 ** 1000
 
 
 def prepare_pair(coeffs):
@@ -95,8 +103,14 @@ def _prepare_rows(ys: list[list]) -> tuple[list[float], list, list]:
     for idx, y, mags, row_sums in groups:
         c = np.sqrt(mags / row_sums[:, None])
         phases = np.ones(y.shape, dtype=complex)
-        nz = mags > 0
+        nz = mags >= _TINY
         phases[nz] = y[nz] / mags[nz]
+        # y / |y| overflows for a subnormal modulus: an exact power of two
+        # lifts those entries first
+        sub = (mags > 0) & ~nz
+        if sub.any():
+            lifted = y[sub] * _LIFT
+            phases[sub] = lifted / np.abs(lifted)
         for i, c_row, d_row in zip(idx, c.tolist(), (c * phases).tolist()):
             cs[i], ds[i] = c_row, d_row
     return betas, cs, ds
@@ -138,11 +152,12 @@ class KrausEncoding:
     `terms` are the canonical (coeff, primitive) pairs and `width` the be_anc
     qubits used.  One payload is set: an opaque `ref` with its dilation
     `unitary`, a lone positive `pauli`, or the PREPARE pair `prep` = (c, d),
-    with the SELECT `table` in optimized mode.
+    with the SELECT `table` in optimized mode.  A cost-only record (see
+    encode_modes) of a Pauli sum has no `alpha` and no `prep`.
     """
 
     terms: tuple
-    alpha: float
+    alpha: float | None
     width: int
     ref: BlockEncRef | None = None
     unitary: np.ndarray | None = None
@@ -165,17 +180,43 @@ def encode_channel(c: ChannelExpr, select_mode: str = "naive") -> list[KrausEnco
     return _encode_batch(c.kraus, select_mode, {})
 
 
-def _encode_batch(kraus, select_mode: str, tables: dict) -> list[KrausEncoding]:
+def encode_modes(c: ChannelExpr, select_mode: str) -> dict[str, list[KrausEncoding]]:
+    """The records of both select modes, from one fold and classification
+    of each operator: {mode: records}.  The emitted `select_mode`'s records
+    are encode_channel(c, select_mode)'s, errors included; the other mode's
+    are what cost_cells reads, with no PREPARE pair formed: an opaque or
+    lone-Pauli operator's record, which both modes share, or a Pauli sum's
+    cost-only record (terms, width and, optimized, the table)."""
+    priced: list = []
+    emitted = _encode_batch(c.kraus, select_mode, {}, priced)
+    other = next(m for m in SELECT_MODES if m != select_mode)
+    return {select_mode: emitted, other: priced}
+
+
+def _encode_batch(kraus, select_mode: str, tables: dict,
+                  priced: list | None = None) -> list[KrausEncoding]:
     """The records of a list of operators, with the PREPARE vectors of all
     the Pauli-sum ones formed in one batch (_prepare_rows).  Errors are
     those of encoding each operator in turn: when an operator fails, the
-    PREPARE vectors of the ones before it are formed first."""
+    PREPARE vectors of the ones before it are formed first.  A `priced`
+    list receives each operator's record in the other select mode (see
+    encode_modes)."""
     if select_mode not in SELECT_MODES:
         raise ValueError(f"unknown select mode {select_mode!r}")
+    other = next(m for m in SELECT_MODES if m != select_mode)
     out: list = []  # a record, or (terms, table, y) waiting for its PREPARE
     try:
         for k in kraus:
-            out.append(_classify(k, select_mode, tables))
+            terms, rec = _classify(k)
+            if rec is None:
+                rec = (terms, *_select(terms, select_mode, tables))
+                if priced is not None:
+                    table, y = _select(terms, other, tables)
+                    priced.append(KrausEncoding(terms, None, (len(y) - 1).bit_length(),
+                                                table=table))
+            elif priced is not None:
+                priced.append(rec)
+            out.append(rec)
     except Exception:
         # an earlier operator's PREPARE error comes first
         _prepare_rows([rec[2] for rec in out if type(rec) is tuple])
@@ -189,11 +230,22 @@ def _encode_batch(kraus, select_mode: str, tables: dict) -> list[KrausEncoding]:
     return out
 
 
-def _classify(k: PauliSum, select_mode: str, tables: dict):
-    """The record of an opaque or lone-Pauli operator, else (terms, table,
-    y): the canonical terms, the SelectTable (optimized mode) and the
-    coefficients to prepare."""
-    terms = tuple(canonicalize_sum(k).terms)
+def _select(terms: tuple, select_mode: str, tables: dict) -> tuple:
+    """(table, y) of a Pauli sum's canonical terms: the SelectTable
+    (optimized mode) and the coefficients to prepare, whose padded length
+    sets the record's width."""
+    if select_mode == "optimized":
+        return optimize_pauli_select(terms, tables)
+    y = [c for c, _ in terms]
+    # a lone complex term still takes one selector qubit
+    return None, y + [0j] * (len(y) == 1)
+
+
+def _classify(k: PauliSum):
+    """(terms, record): the canonical terms and, for an opaque or lone
+    positive Pauli operator, its record, the same in both select modes;
+    None for a Pauli sum, whose records need its PREPARE vector."""
+    terms = tuple(fold_terms(k.terms, ZERO_TOL).values())  # canonicalize_sum's terms
     paulis = [(c, p) for c, p in terms if isinstance(p, PauliString)]
     blocks = [(c, p) for c, p in terms if not isinstance(p, PauliString)]
     if blocks and paulis:
@@ -206,42 +258,39 @@ def _classify(k: PauliSum, select_mode: str, tables: dict):
             raise ValueError(
                 "opaque block encodings take real positive coefficients; "
                 "strip the phase with rule K2 first")
-        return KrausEncoding(terms, float(coeff.real) * ref.alpha, ref.anc, ref=ref,
-                             unitary=_dilation_unitary(ref))
+        return terms, KrausEncoding(terms, float(coeff.real) * ref.alpha, ref.anc,
+                                    ref=ref, unitary=_dilation_unitary(ref))
     if not paulis:
         raise ValueError("cannot block-encode a zero Kraus operator")
     if len(paulis) == 1 and paulis[0][0].imag == 0 and paulis[0][0].real > 0:
         coeff, p = paulis[0]
-        return KrausEncoding(terms, float(coeff.real), 0, pauli=p)
-
-    if select_mode == "optimized":
-        table, y = optimize_pauli_select(paulis, tables)
-    else:
-        table, y = None, [cc for cc, _ in paulis]
-        y += [0j] * (len(y) == 1)  # a lone complex term still takes one selector qubit
-    return terms, table, y
+        return terms, KrausEncoding(terms, float(coeff.real), 0, pauli=p)
+    return terms, None
 
 
-def encode_kraus_gates(enc: KrausEncoding, anc_qubits, sys_qubits) -> list[Gate]:
-    """Block-encoding gates of a record on the given qubits."""
+def encode_kraus_gates(enc: KrausEncoding, anc_qubits, sys_qubits,
+                       controls=()) -> list[Gate]:
+    """Block-encoding gates of a record on the given qubits, each built
+    once under `controls` (a multiplexor's branch controls)."""
     if enc.width > len(anc_qubits):
         raise ValueError("not enough ancilla qubits for the encoding")
-    sys_qubits = tuple(sys_qubits)
+    sys_qubits, controls = tuple(sys_qubits), tuple(controls)
     if enc.ref is not None:
         # The dilation acts on one ancilla (its block index) plus the system;
         # any further declared ancillas idle at zero.
         qubits = sys_qubits if enc.ref.anc == 0 else (anc_qubits[0],) + sys_qubits
-        return [OpaqueUnitary(enc.ref.handle, qubits, enc.unitary)]
+        return [controlled(controls, OpaqueUnitary(enc.ref.handle, qubits, enc.unitary))]
     if enc.pauli is not None:
-        return [PauliGate(enc.pauli, sys_qubits)]
+        return [controlled(controls, PauliGate(enc.pauli, sys_qubits))]
     c, d = enc.prep
     sel = tuple(anc_qubits[:enc.width])
     if enc.table is not None:
-        body = build_monotone_select(enc.table, sel, sys_qubits)
+        body = build_monotone_select(enc.table, sel, sys_qubits, controls)
     else:
         body = naive_select([(j, [PauliGate(p, sys_qubits)])
-                             for j, (_, p) in enumerate(enc.terms)], sel)
-    return [StatePrep(sel, d), *body, StatePrepAdjoint(sel, c)]
+                             for j, (_, p) in enumerate(enc.terms)], sel, controls)
+    return [controlled(controls, StatePrep(sel, d)), *body,
+            controlled(controls, StatePrepAdjoint(sel, c))]
 
 
 def block_encode(k: PauliSum, select_mode: str = "naive"):
@@ -283,15 +332,16 @@ def channel_lcu(c: ChannelExpr, select_mode: str = "naive",
     layout = Circuit(registers)  # the qubits of each register
     kq, fq, aq, sq = (layout.reg_qubits(name) for name, _ in registers)
 
-    branches = [(j, encode_kraus_gates(enc, aq, sq))
-                for j, enc in enumerate(encodings)]
     alphas = [enc.alpha for enc in encodings]
     norm = math.sqrt(sum(a * a for a in alphas))
     if not math.isfinite(norm):
         raise ValueError("the sum of the squared alphas overflows")
 
     if not ell:
-        return Circuit(registers, branches[0][1])
+        return Circuit(registers, encode_kraus_gates(encodings[0], aq, sq))
+    # each branch builds its gates under the multiplexor's controls
+    branches = [(j, partial(encode_kraus_gates, enc, aq, sq))
+                for j, enc in enumerate(encodings)]
     amps = np.zeros(1 << ell, dtype=complex)
     amps[:len(alphas)] = np.asarray(alphas) / norm
     select = flatten_select(branches, kq, fq) if flatten else naive_select(branches, kq)

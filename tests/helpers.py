@@ -8,8 +8,9 @@ from qchanc.circuits import (Circuit, Controlled, OpaqueUnitary, PauliGate,
                              StatePrep, StatePrepAdjoint, ToffoliCompute,
                              ToffoliUncompute, apply_circuit, householder_prep)
 from qchanc.ir import ChannelExpr, eval_kraus, matrix_to_json
-from qchanc.pauli import PauliString, weight
-from qchanc.select_opt import Gf2Span, SelectTable
+from qchanc.pauli import ZERO_TOL, PauliString, PauliSum, _bit_reversal, weight
+from qchanc.select_opt import (Gf2Span, SelectTable, assign_additional_modes,
+                               greedy_basis_selection, invert_modes_with_phases)
 
 
 def simulate_unitary(c: Circuit) -> np.ndarray:
@@ -185,3 +186,59 @@ def parent_prepare_pair(coeffs):
     nz = mags > 0
     phases[nz] = y[nz] / mags[nz]
     return beta, c, c * phases
+
+
+def parent_select_tables(n: int, keys: list[PauliString]) -> SelectTable:
+    """select_opt._select_tables as it was: both greedies always run, and
+    the x-sorted one is taken when it covers strictly more rows."""
+    s = max(1, math.ceil(math.log2(len(keys))))
+    base = next((p for p in keys if p.is_identity()), None)
+    targets = [p for p in keys if p is not base]
+    if base is None and len(targets) >= 2:
+        base = min(targets, key=lambda p: (weight(p), p.z_mask, p.x_mask))
+        targets = [p for p in targets if p is not base]
+    ax, az = (0, 0) if base is None else (base.x_mask, base.z_mask)
+    recs = [(p.x_mask ^ ax, p.z_mask ^ az, p) for p in targets]
+    rows_z = sorted(recs, key=lambda r: ((r[0] | r[1]).bit_count(), r[1], r[0]))
+    rows_x = sorted(recs, key=lambda r: ((r[0] | r[1]).bit_count(), r[0], r[1]))
+    sel_on_x, cov_on_x = greedy_basis_selection([(r[0], r[1]) for r in rows_x], s, n)
+    sel_on_z, cov_on_z = greedy_basis_selection([(r[0], r[1]) for r in rows_z], s, n)
+    if len(cov_on_x) > len(cov_on_z):
+        rows, sel, cov = rows_x, sel_on_x, cov_on_x
+    else:
+        rows, sel, cov = rows_z, sel_on_z, cov_on_z
+    entries = {addr: rows[j] for j, addr in cov.items()}
+    generators = [(rows[i][0], rows[i][1]) for i in sel]
+    remaining = [rows[j] for j in range(len(rows)) if j not in cov]
+    assign_additional_modes(entries, generators, remaining, s)
+    placed = {} if base is None else {0: base}
+    placed.update((addr, p) for addr, (_, _, p) in entries.items())
+    return SelectTable(s, placed, *invert_modes_with_phases(placed))
+
+
+def parent_pauli_decompose(m: np.ndarray, n: int, tol: float = ZERO_TOL) -> PauliSum:
+    """pauli.pauli_decompose as it was, one matrix at a time: the oracle for
+    the stacked decomposition."""
+    dim = 1 << n
+    idx = np.arange(dim, dtype=np.int64)
+    g = np.empty((dim, dim), dtype=complex)
+    for x in range(dim):
+        g[x] = m[idx ^ x, idx]
+    half = 1
+    while half < dim:
+        view = g.reshape(dim, dim // (2 * half), 2, half)
+        lo, hi = view[:, :, 0, :], view[:, :, 1, :]
+        diff = lo - hi
+        lo += hi
+        hi[...] = diff
+        half *= 2
+    g /= dim
+    xs, zs = np.nonzero(np.abs(g) > tol)
+    powers = np.array((1 + 0j, 1j, -1 + 0j, -1j))
+    coeffs = g[xs, zs] * powers[-np.bitwise_count(xs & zs).astype(np.int64) % 4]
+    rev = _bit_reversal(n)
+    x_masks, z_masks = rev[xs], rev[zs]
+    order = np.lexsort((x_masks, z_masks))
+    strings = [PauliString(n, x, z)
+               for x, z in zip(x_masks[order].tolist(), z_masks[order].tolist())]
+    return PauliSum(n, list(zip(coeffs[order].tolist(), strings)))

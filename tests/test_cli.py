@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line pipeline."""
 
+import itertools
 import json
 import os
 import re
@@ -21,7 +22,7 @@ from qchanc.ir import (
 from qchanc.bench import gen_decay, gen_hypercube_like, gen_random_pauli, gen_tfim
 from qchanc.lindblad import QuadratureSpec, first_order, higher_order
 from qchanc.rewrite import simplify
-from qchanc.cli import _dump, main
+from qchanc.cli import _dump, _select_audits, compile_pipeline, main, report_to_json
 
 
 GRAM_OVERFLOW = "the Kraus coefficients overflow: their Gram matrix is not finite"
@@ -587,9 +588,10 @@ class TestDump:
         ]
         for argv in runs:
             assert run(capsys, *argv)[0] == 0
-        # report.json per compile, one document per other run; circuit.json
-        # is written by circuits.circuit_to_json
-        assert len(dumped) == 5 + 5
+        # one document per run but compile, whose circuit.json is written by
+        # circuits.circuit_to_json and report.json by cli.report_to_json:
+        # those files are compared below
+        assert len(dumped) == 5
         for data in dumped:
             assert dump(data) == stdlib_dump(data)
         # every file a compile wrote is the stdlib encoder's bytes
@@ -622,6 +624,58 @@ class TestDump:
     def test_rejects_other_types(self, value):
         with pytest.raises(TypeError):
             _dump(value)
+
+
+FLAGS = list(itertools.product((False, True), repeat=3))  # flatten, order, minimize_rank
+
+
+class TestReportWriter:
+    """report_to_json against the stdlib encoder of the report dict with
+    its select_audits built by _select_audits."""
+
+    @staticmethod
+    def audits(obj, frontend, delta, flags):
+        _, report, audited = compile_pipeline(obj, frontend, delta, *flags)
+        want = stdlib_dump({**report, "select_audits": _select_audits(audited)})
+        assert report_to_json(report, audited) == want
+        return json.loads(want)["select_audits"]
+
+    @pytest.mark.parametrize("flags", FLAGS, ids=lambda f: "-".join(map(str, f)))
+    @pytest.mark.parametrize("sites, frontend", [(2, "order:3,3,2"), (3, "order:2,2,2")],
+                             ids=["tfim2-o332", "tfim3-o222"])
+    def test_matches_stdlib_on_tfim(self, sites, frontend, flags):
+        audits = self.audits(gen_tfim(sites, 1.0), frontend, 0.01, flags)
+        assert bool(audits) == flags[1]
+
+    @pytest.mark.parametrize("flags", [f for f in FLAGS if not f[2]],
+                             ids=lambda f: "-".join(map(str, f[:2])))
+    def test_opaque_and_trivial_entries(self, flags):
+        from qchanc.ir import BlockEncRef
+
+        z = np.diag([1.0, -1.0]).astype(complex)
+        x, y = PauliString(1, 1, 0), PauliString(1, 1, 1)
+        chan = ChannelExpr(1, [
+            PauliSum(1, [(0.5, BlockEncRef("u", 1, 1.0, 1, z))]),
+            PauliSum(1, [(0.4, x)]),
+            PauliSum(1, [(0.3j, y)]),
+            PauliSum(1, [(0.2, PauliString(1, 0, 0)), (0.1j, y)]),
+            PauliSum(1, [(0.2, x), (0.1, PauliString(1, 0, 1))]),
+        ])
+        audits = self.audits(chan, "channel", None, flags)
+        if flags[1]:
+            assert [sorted(a) for a in audits] == [
+                ["kraus", "opaque"], ["kraus", "trivial"], ["kraus", "trivial"],
+                ["g_table", "kraus", "mode_table", "select_bits"],
+                ["g_table", "kraus", "mode_table", "select_bits"]]
+
+    def test_shared_tables_written_once_per_table(self):
+        # tfim2 order:3,3,2: 85 operators over 15 SelectTables
+        _, report, audited = compile_pipeline(gen_tfim(2, 1.0), "order:3,3,2", 0.01,
+                                              True, True, False)
+        assert len(audited) == 85 and len({id(e.table) for e in audited}) == 15
+        assert report_to_json(report, audited) == stdlib_dump(
+            {**report, "select_audits": _select_audits(audited)})
+        assert report_to_json(report, []) == stdlib_dump({**report, "select_audits": []})
 
 
 class TestVerify:

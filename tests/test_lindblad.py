@@ -31,6 +31,8 @@ from qchanc.lindblad import (
     short_time_bound,
 )
 
+from helpers import parent_pauli_decompose
+
 
 def decay_spec(gamma, nbar):
     """Bosonic-bath single-qubit damping: two jump operators, no drive."""
@@ -180,6 +182,33 @@ class TestHigherOrder:
         assert len(hi.kraus) == len(lo.kraus)
         assert sums_close(hi.kraus[0], lo.kraus[0], 1e-12)
         assert channel_distance(hi, lo, samples=8, seed=3) <= 3 * delta ** 2
+
+    def test_stacks_match_one_operator_at_a_time(self, monkeypatch):
+        # the dense operators go to the decomposition in chunks of seven
+        # here, so the 43 operators of tfim3 order:2,2,2 take seven stacks;
+        # each sum must be the one its matrix alone gives, bit for bit
+        spec, quad = tfim_spec(3), QuadratureSpec(2, 2, 2)
+        stacks = []
+        stack = lindblad.pauli_decompose_stack
+
+        def spy(ms, n):
+            stacks.append(len(ms))
+            return stack(ms, n)
+
+        def one_at_a_time(ms, n):
+            return [parent_pauli_decompose(m, n) for m in ms]
+
+        monkeypatch.setattr(lindblad, "decompose_chunk", lambda n: 7)
+        monkeypatch.setattr(lindblad, "pauli_decompose_stack", spy)
+        got = higher_order(spec, 0.01, quad)
+        assert stacks == [7] * 6 + [1]
+        monkeypatch.setattr(lindblad, "pauli_decompose_stack", one_at_a_time)
+        want = higher_order(spec, 0.01, quad)
+        assert len(got.kraus) == len(want.kraus) == 43
+        for a, b in zip(got.kraus, want.kraus):
+            assert [p for _, p in a.terms] == [p for _, p in b.terms]
+            assert (np.array([c for c, _ in a.terms]).tobytes()
+                    == np.array([c for c, _ in b.terms]).tobytes())
 
     def test_zero_generator_identity(self):
         spec = LindbladSpec(2, PauliSum(2, []))

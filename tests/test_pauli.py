@@ -15,14 +15,17 @@ from qchanc.pauli import (
     identity_sum,
     is_hermitian_sum,
     multiply,
+    ZERO_TOL,
+    decompose_chunk,
     pauli_decompose,
+    pauli_decompose_stack,
     sums_close,
     to_matrix,
     weight,
 )
 from qchanc.rewrite import canonical_kraus
 
-from helpers import pauli_action
+from helpers import parent_pauli_decompose, pauli_action
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,6 +60,15 @@ def test_label_masks():
 def test_label_round_trip_exhaustive_n2():
     for p in all_strings(2):
         assert from_label(p.label()) == p
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_label_matches_site_by_site_letters(n):
+    # one table lookup up to four sites, two up to eight, a join beyond
+    rng = np.random.default_rng(n)
+    for x, z in rng.integers(0, 1 << n, size=(60, 2)).tolist():
+        want = "".join("IXZY"[(x >> k & 1) | (z >> k & 1) << 1] for k in range(n))
+        assert PauliString(n, x, z).label() == want
 
 
 def test_bad_label():
@@ -269,6 +281,70 @@ def test_decompose_tol_drops_small_terms():
     assert {p.label() for _, p in pauli_decompose(m, tol=1e-5).terms} == {"XZ"}
     assert {p.label() for _, p in pauli_decompose(m, tol=1e-7).terms} == {"XZ", "YI"}
     assert len(pauli_decompose(m).terms) == 3
+
+
+def assert_same_terms(got: PauliSum, want: PauliSum):
+    """The same strings in the same order, each coefficient's bits equal."""
+    assert got.n == want.n
+    assert [p for _, p in got.terms] == [p for _, p in want.terms]
+    assert (np.array([c for c, _ in got.terms], dtype=complex).tobytes()
+            == np.array([c for c, _ in want.terms], dtype=complex).tobytes())
+
+
+class TestDecomposeStack:
+    """The stacked decomposition against the one-matrix transform, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_random_stacks(self, n):
+        rng = np.random.default_rng(70 + n)
+        mats = random_matrices(rng, n) + random_matrices(rng, n)
+        mats.append(np.zeros((1 << n, 1 << n), dtype=complex))
+        # coefficients exactly at, just above and just below the tolerance,
+        # of either sign
+        above = np.nextafter(ZERO_TOL, 1)
+        for c in (ZERO_TOL, -ZERO_TOL, above, -above, np.nextafter(ZERO_TOL, 0),
+                  1j * ZERO_TOL):
+            mats.append(eval_kraus(PauliSum(n, [(complex(c), PauliString(n, 1, 0)),
+                                                (0.5, PauliString(n, 0, 1))])))
+        got = pauli_decompose_stack(np.array(mats), n)
+        assert len(got) == len(mats)
+        kept = []
+        for m, s in zip(mats, got):
+            want = parent_pauli_decompose(m, n)
+            assert_same_terms(s, want)
+            assert_same_terms(pauli_decompose(m, n), want)
+            kept.append(len(s.terms))
+        assert kept[len(mats) - 7] == 0  # the zero matrix
+        assert kept[-6:] == [1, 1, 2, 2, 1, 1]
+
+    def test_crosses_chunk_boundaries(self):
+        n = 6
+        chunk = decompose_chunk(n)
+        rng = np.random.default_rng(77)
+        mats = [eval_kraus(PauliSum(n, [(complex(rng.normal(), rng.normal()),
+                                         PauliString(n, int(x), int(z)))
+                                        for x, z in rng.integers(0, 1 << n, size=(5, 2))]))
+                for _ in range(2 * chunk + 3)]
+        got = pauli_decompose_stack(mats, n)
+        assert len(got) == len(mats)
+        for m, s in zip(mats, got):
+            assert_same_terms(s, parent_pauli_decompose(m, n))
+
+    def test_chunk_bounds_the_scratch_stack(self):
+        assert decompose_chunk(1) << 2 == pauli._SCATTER_ENTRIES
+        assert decompose_chunk(6) << 12 == pauli._SCATTER_ENTRIES
+        assert decompose_chunk(14) == 1
+
+    def test_rejects_bad_stacks(self):
+        with pytest.raises(ValueError, match="power-of-two"):
+            pauli_decompose_stack(np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError, match="power-of-two"):
+            pauli_decompose_stack(np.zeros((2, 4, 2)))
+        with pytest.raises(ValueError, match="site count"):
+            pauli_decompose_stack(np.zeros((2, 4, 4)), 3)
+        with pytest.raises(ValueError, match="power-of-two"):
+            pauli_decompose(np.zeros((2, 4)))
+        assert pauli_decompose_stack(np.zeros((0, 4, 4))) == []
 
 
 def term_scatter(n, terms):

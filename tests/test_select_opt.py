@@ -26,7 +26,7 @@ from qchanc.select_opt import (
     optimize_pauli_select,
 )
 
-from helpers import decode, select_cost, simulate_unitary
+from helpers import decode, parent_select_tables, select_cost, simulate_unitary
 
 RNG = np.random.default_rng
 
@@ -647,6 +647,55 @@ class TestParentLoops:
             assert table.s == want.s
             assert y == want_y
         assert ran == {"v0", "fallback"}
+
+
+class TestGreedyOrder:
+    """_select_tables runs the x-sorted greedy only when the z-sorted one
+    leaves a row uncovered, and takes the same table as when both ran."""
+
+    @staticmethod
+    def tables(n, keys, monkeypatch):
+        calls = []
+
+        def counted(rows, s, n):
+            sel, cov = greedy_basis_selection(rows, s, n)
+            calls.append((len(rows), len(cov)))  # rows in, rows covered
+            return sel, cov
+
+        with monkeypatch.context() as mp:
+            mp.setattr(select_opt, "greedy_basis_selection", counted)
+            table = select_opt._select_tables(n, keys)
+        return table, calls
+
+    @staticmethod
+    def assert_same(table, want):
+        assert table.s == want.s
+        assert list(table.targets.items()) == list(want.targets.items())
+        assert list(table.factors.items()) == list(want.factors.items())
+        assert list(table.phases.items()) == list(want.phases.items())
+
+    def test_matches_parent_on_random_keys(self, monkeypatch):
+        rng = RNG(61)
+        runs = Counter()
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(1, min(4 ** n, 40) + 1))
+            keys = [PauliString(n, int(k) >> n, int(k) & ((1 << n) - 1))
+                    for k in rng.choice(4 ** n, size=m, replace=False)]
+            table, calls = self.tables(n, keys, monkeypatch)
+            self.assert_same(table, parent_select_tables(n, keys))
+            # the x-sorted greedy runs when the z-sorted one leaves a row
+            assert len(calls) == 1 + (calls[0][1] < calls[0][0])
+            runs[len(calls)] += 1
+        assert runs[1] and runs[2]
+
+    def test_takes_x_when_it_covers_strictly_more(self, monkeypatch):
+        # found by search: the z-sorted greedy covers 2 of the 5 rows, the
+        # x-sorted one 3
+        keys = [ps(label) for label in ("II", "IX", "IZ", "XI", "ZI", "ZX")]
+        table, calls = self.tables(2, keys, monkeypatch)
+        assert calls == [(5, 2), (5, 3)]
+        self.assert_same(table, parent_select_tables(2, keys))
 
 
 class TestLargeTables:

@@ -1,5 +1,8 @@
 """Tests for LCU block encoding and the channel-LCU construction."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,7 @@ from qchanc.circuits import (
     run_channel,
 )
 from qchanc.synth import (
+    SELECT_MODES,
     _prepare_rows,
     block_encode,
     channel_alphas,
@@ -30,6 +34,7 @@ from qchanc.synth import (
     encode_channel,
     encode_kraus,
     encode_kraus_gates,
+    encode_modes,
     prepare_pair,
 )
 
@@ -107,6 +112,16 @@ class TestPreparePair:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             prepare_pair(np.zeros(4, dtype=complex))
+
+    def test_subnormal_coefficients_keep_finite_phases(self):
+        # y / |y| overflows for a subnormal modulus unless the entry is
+        # lifted first; normal entries keep the one-vector oracle's bits
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta, c, d = prepare_pair([1.0, 1e-310j, 5e-324])
+        assert np.all(np.isfinite(d))
+        assert list(d[:3] / c[:3]) == [1, 1j, 1]
+        assert d[3] == 0 and beta == 1.0
 
     def test_batch_matches_one_vector_oracle(self):
         # lists of every length 1-256, three each, shuffled into one batch:
@@ -604,6 +619,107 @@ class TestCostFromEncodings:
     def test_empty_channel_rejected(self):
         with pytest.raises(ValueError, match="no Kraus"):
             cost_cells([])
+
+
+class TestBranchControls:
+    @pytest.mark.parametrize("name", sorted(ORACLE_CHANNELS))
+    def test_matches_wrapping_built_branches(self, name):
+        # each branch gate is built once under the multiplexor's controls;
+        # the circuit is the one of wrapping each finished branch gate
+        from qchanc.circuits import Circuit, circuit_to_json
+        from qchanc.select_opt import flatten_select, naive_select
+
+        c = ORACLE_CHANNELS[name][0]()
+        for mode in SELECT_MODES:
+            encodings = encode_channel(c, mode)
+            for fl in (False, True):
+                circ = channel_lcu(c, mode, fl, encodings)
+                kq, fq, aq, sq = (circ.reg_qubits(r) for r in
+                                  ("kraus_sel", "flat_anc", "be_anc", "system"))
+                branches = [(j, encode_kraus_gates(enc, aq, sq))
+                            for j, enc in enumerate(encodings)]
+                if len(branches) == 1:
+                    want = branches[0][1]
+                else:
+                    select = (flatten_select(branches, kq, fq) if fl
+                              else naive_select(branches, kq))
+                    want = [circ.gates[0], *select]
+                assert (circuit_to_json(circ)
+                        == circuit_to_json(Circuit(circ.registers, want)))
+
+
+def _without_unitary(enc):
+    """A record with its dilation (an array, compared apart) taken out."""
+    return dataclasses.replace(enc, unitary=None)
+
+
+def _parent_encodings(c):
+    """The records compile took before: each select mode encoded alone."""
+    return {m: encode_channel(c, m) for m in SELECT_MODES}
+
+
+class TestEncodeModes:
+    """encode_modes against encode_channel of each select mode alone."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CHANNELS))
+    def test_matches_each_mode_alone(self, name):
+        from qchanc.rewrite import minimize_kraus_rank
+
+        make, minimizable = ORACLE_CHANNELS[name]
+        chan = make()
+        variants = [chan]
+        if minimizable:
+            variants.append(minimize_kraus_rank(chan)[0])
+        for c in variants:
+            want = _parent_encodings(c)
+            for mode in SELECT_MODES:
+                got = encode_modes(c, mode)
+                assert set(got) == set(SELECT_MODES)
+                # the emitted mode's records, bit for bit
+                assert len(got[mode]) == len(want[mode])
+                for rec, ref in zip(got[mode], want[mode]):
+                    assert _without_unitary(rec) == _without_unitary(ref)
+                    if ref.unitary is not None:
+                        assert rec.unitary.tobytes() == ref.unitary.tobytes()
+                    if ref.prep is not None:
+                        for part, ref_part in zip(rec.prep, ref.prep):
+                            assert np.array(part).tobytes() == np.array(ref_part).tobytes()
+                # both modes' cost cells
+                for m in SELECT_MODES:
+                    assert cost_cells(got[m]) == cost_cells(want[m])
+
+    def test_other_mode_is_cost_only(self):
+        c = ChannelExpr(2, [ksum(2, [(0.5, "XI"), (0.25j, "ZZ"), (0.1, "YY")]),
+                            ksum(2, [(0.3, "IX")])])
+        for mode in SELECT_MODES:
+            records = encode_modes(c, mode)
+            emitted = records.pop(mode)
+            (pauli_sum, lone), = records.values()
+            assert pauli_sum.alpha is None and pauli_sum.prep is None
+            assert (pauli_sum.table is None) == (mode == "optimized")
+            # a lone positive Pauli has one record for both modes
+            assert lone is emitted[1]
+
+    @pytest.mark.parametrize("kraus", [
+        [ksum(1, [(1e308, "X"), (1e308, "Z")]), PauliSum(1, [])],
+        [PauliSum(1, []), ksum(1, [(1e308, "X"), (1e308, "Z")])],
+        [ksum(1, [(0.5, "X"), (0.5, "Z")]), ksum(1, [(1e308, "X"), (1e308, "Y")]),
+         PauliSum(1, [(0.5, BlockEncRef("u", 1, 1.0, 0)), (0.5, from_label("X"))])],
+        [ksum(1, [(0.5, "X")]), PauliSum(1, [(0.5, BlockEncRef("u", 1, 1.0, 0)),
+                                            (0.5, BlockEncRef("v", 1, 1.0, 0))])],
+        [ksum(1, [(0.5, "X"), (0.5j, "Y")]),
+         PauliSum(1, [(-0.5, BlockEncRef("u", 1, 1.0, 0))])],
+    ], ids=["overflow-then-zero", "zero-then-overflow", "overflow-then-mixed",
+            "two-refs", "negative-ref"])
+    def test_errors_unchanged(self, kraus):
+        c = ChannelExpr(1, kraus)
+        with pytest.raises(ValueError) as want:
+            _parent_encodings(c)
+        for mode in SELECT_MODES:
+            with pytest.raises(ValueError) as got:
+                encode_modes(c, mode)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
 
 
 class TestSharedSelectTables:
