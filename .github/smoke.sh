@@ -3,6 +3,12 @@
 # of a checkout with qchanc installed: bash .github/smoke.sh
 set -euo pipefail
 
+# each file's bytes must be json.dumps(its document, sort_keys=True, indent=2)
+# plus a newline, as every JSON document qchanc writes is
+stdlib_bytes() {
+  python -c 'import json, sys; bad = [f for f in sys.argv[1:] if open(f).read() != json.dumps(json.load(open(f)), sort_keys=True, indent=2) + "\n"]; print("not stdlib bytes:", bad); sys.exit(bool(bad))' "$@"
+}
+
 # Scale: a 6-site reference, whose dense superoperator would be 4096 x 4096
 spec=$(qchanc bench tfim --sites 6 --out scale-smoke)
 timeout 120 qchanc error-sweep "$spec" --deltas 0.01 --out scale-smoke/sweep.csv
@@ -30,7 +36,7 @@ python -c 'import json, sys; s = json.load(open(sys.argv[1])); print("max_trace_
 # term-list reader and writer, byte-compared with the stdlib encoder
 inst=$(qchanc bench hypercube --vertices 32 --out json-smoke)
 qchanc rewrite "$inst" --minimize-rank --out json-smoke/min.json
-python -c 'import json, sys; text = open(sys.argv[1]).read(); sys.exit(text != json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")' json-smoke/min.json
+stdlib_bytes json-smoke/min.json
 
 # Circuit and report JSON: an order-2, flattened, ordered, rank-minimized
 # compile, an order-3 flattened, ordered compile of tfim2 (85 Kraus
@@ -47,7 +53,7 @@ echo '{"n": 1, "kraus": [[{"coeff": [0.8, 0], "blockenc": {"handle": "u", "n": 1
 qchanc compile json-smoke/opaque.json --frontend channel --flatten --out json-smoke/opaque
 qchanc verify json-smoke/opaque/circuit.json --reference json-smoke/opaque.json > json-smoke/opaque-verify.json
 python -c 'import json, sys; s = json.load(open(sys.argv[1])); print("opaque max_trace_distance:", s["max_trace_distance"]); sys.exit(not s["max_trace_distance"] <= 1e-9)' json-smoke/opaque-verify.json
-python -c 'import json, sys; bad = [f for f in sys.argv[1:] if open(f).read() != json.dumps(json.load(open(f)), sort_keys=True, indent=2) + "\n"]; print("not stdlib bytes:", bad); sys.exit(bool(bad))' json-smoke/tfim3/circuit.json json-smoke/tfim3/report.json json-smoke/tfim2/circuit.json json-smoke/tfim2/report.json json-smoke/opaque/circuit.json json-smoke/opaque/report.json
+stdlib_bytes json-smoke/tfim3/circuit.json json-smoke/tfim3/report.json json-smoke/tfim2/circuit.json json-smoke/tfim2/report.json json-smoke/opaque/circuit.json json-smoke/opaque/report.json
 
 # Trace replay: replay a rank minimization's trace rule by rule through
 # rewrite --rule, each step reading the previous step's output; the Kraus
@@ -97,6 +103,14 @@ expect_exit_2 qchanc verify bad-smoke/control-int.json --reference "$inst" --del
 expect_exit_2 qchanc verify bad-smoke/controls-dict.json --reference "$inst" --delta 0.01
 expect_exit_2 qchanc compile "$inst" --frontend order:30,1,1 --delta 0.01 --out bad-smoke/x
 expect_exit_2 qchanc compile "$inst" --frontend order:1,100000000,1 --delta 0.01 --out bad-smoke/x
+
+# Every other JSON document qchanc wrote above, byte-compared with the
+# stdlib encoder: the bench instances, the tfim5 order-2 compile (25 MB),
+# the unflattened ordered tfim6 compile, the cost and verify outputs, the
+# replay steps and the bad-input section's compile
+stdlib_bytes scale-smoke/*.json select-smoke/*.json select-smoke/out/*.json \
+  cap-smoke/*.json cap-smoke/out/*.json json-smoke/hypcube*.json json-smoke/tfim*.json \
+  json-smoke/opaque-verify.json replay-smoke/*.json bad-smoke/tfim*.json bad-smoke/tfim2/*.json
 
 # Benchmark: one short pass of each workload, and one traced pass of each
 # (the tracer wraps functions by object identity, aliases included; the

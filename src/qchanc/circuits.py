@@ -14,13 +14,13 @@ hold JSON integers there), gate shapes and the qubit range, in one scan of
 a gate's qubits.
 
 JSON.  `circuit_to_json` writes the circuit.json text itself, exactly the
-bytes of json.dumps(doc, sort_keys=True, indent=2) plus a newline: one
-%-template per gate kind, the text of each distinct Pauli gate, control
-list and amplitude vector formed once per document, no dict per gate.
-JSON amplitudes are [re, im] pairs of numbers, read by ir._pair2c like
-every complex number in the IR's JSON; every JSON container there is a
-list, and every record (register, gate) an object.  A load error caused by
-one gate is led by its index ("gate 3: ...").
+bytes of json.dumps(doc, sort_keys=True, indent=2) plus a newline, laid
+out by ir._array and ir._object: one template per gate kind, the text of
+each distinct Pauli gate, control list and amplitude vector formed once
+per document, no dict per gate.  Amplitudes are [re, im] lists of numbers
+(ir._pair2c) and a matrix a list of equal-length rows; every JSON
+container there is a list, and every record (register, gate) an object.
+A load error caused by one gate is led by its index ("gate 3: ...").
 
 Simulation.  `apply_circuit` keeps the state as one (2,)*N + (cols,) tensor
 and applies each gate in place, on the view with its control qubits (a
@@ -59,9 +59,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .ir import (_encode, _led_by, _pair2c, kraus_action, matrix_from_json,
-                 matrix_to_json, require_dict, require_int, require_keys,
-                 require_list, validate_density)
+from .ir import (_array, _encode, _led_by, _object, _pair2c, kraus_action,
+                 matrix_from_json, matrix_to_json, require_dict, require_int,
+                 require_keys, require_list, validate_density)
 from .pauli import PauliString, check_cap, from_label, weight
 
 PREP_TOL = 1e-10
@@ -490,26 +490,27 @@ def circuit_to_json(c: Circuit, alpha_sq_sum: float | None = None) -> str:
     """The circuit.json text of c: exactly the bytes of json.dumps(doc,
     sort_keys=True, indent=2) plus a newline, where doc holds the registers
     ({"name", "size"} records), one record per gate and, when given,
-    alpha_sq_sum.  Each gate record is one %-template of its kind; the text
-    of each distinct Pauli gate, qubit list and control list is formed once
-    per document (see _GateText)."""
+    alpha_sq_sum.  Each gate record is one ir._object template of its kind;
+    the text of each distinct Pauli gate, qubit list and control list is
+    formed once per document (see _GateText)."""
     text = _GateText()
-    head = "{\n  "
+    fields = {
+        "gates": _array([text.record(g, "\n    ") for g in c.gates], "\n  "),
+        "registers": _encode([{"name": n, "size": s} for n, s in c.registers], "\n  "),
+    }
     if alpha_sq_sum is not None:
-        head += '"alpha_sq_sum": ' + _encode(alpha_sq_sum, "\n  ") + ",\n  "
-    gates = ("[\n    " + ",\n    ".join([text.record(g, "\n    ") for g in c.gates])
-             + "\n  ]") if c.gates else "[]"
-    registers = _encode([{"name": n, "size": s} for n, s in c.registers], "\n  ")
-    return head + '"gates": ' + gates + ',\n  "registers": ' + registers + "\n}\n"
+        fields["alpha_sq_sum"] = _encode(alpha_sq_sum, "\n  ")
+    keys = tuple(sorted(fields))
+    return _object(keys, "\n") % tuple([fields[k] for k in keys]) + "\n"
 
 
 class _GateText:
     """Gate records as json.dumps(sort_keys=True, indent=2) writes them, for
     one document.  `nl` is the newline and indent that closes a record (its
     keys sit two spaces deeper).  Every int field holds an int, never a
-    bool, since `_check` let the gate in; amplitudes are written as
-    float(part), and an opaque matrix, the one free-form field, goes
-    through ir._encode.  The memo lives as long as the document."""
+    bool, since `_check` let the gate in, so %s writes it; amplitudes are
+    written as float(part), and an opaque matrix, the one free-form field,
+    goes through ir._encode.  The memo lives as long as the document."""
 
     def __init__(self):
         self.memo: dict = {}
@@ -529,14 +530,6 @@ class _GateText:
             text = make(*args)
         return text
 
-    @staticmethod
-    def _ints(xs, nl: str) -> str:
-        """A list of ints, opened at the indentation `nl` closes."""
-        if not len(xs):
-            return "[]"
-        item = nl + "  "
-        return "[" + item + ("," + item).join(map(int.__repr__, xs)) + nl + "]"
-
     def _pauli(self, g: PauliGate, nl: str) -> str:
         s = g.string
         # the string's fields, not the string: a tuple of ints hashes in C
@@ -545,25 +538,16 @@ class _GateText:
 
     def _pauli_text(self, g: PauliGate, nl: str) -> str:
         k, s = nl + "  ", g.string
-        phase = s.phase_exp
-        phase = int.__repr__(phase) if type(phase) is int else _encode(phase, k)
-        return ("{" + k + '"kind": "pauli",' + k + '"pauli": "' + s.label() + '",'
-                + k + '"phase_exp": ' + phase + "," + k + '"qubits": '
-                + self._ints(g.qubits, k) + nl + "}")
+        return _object(("kind", "pauli", "phase_exp", "qubits"), nl) % (
+            '"pauli"', encode_basestring_ascii(s.label()),
+            _encode(s.phase_exp, k), _ints(g.qubits, k))
 
     def _controlled(self, g: Controlled, nl: str) -> str:
         k = nl + "  "
-        return ("{" + k + '"body": ' + self.record(g.body, k) + "," + k + '"controls": '
-                + self._once((g.controls, k), self._controls_text, g.controls, k)
-                + "," + k + '"kind": "controlled"' + nl + "}")
-
-    @staticmethod
-    def _controls_text(controls, nl: str) -> str:
-        if not len(controls):
-            return "[]"
-        item, part = nl + "  ", nl + "    "
-        pair = "[" + part + "%d," + part + "%d" + item + "]"
-        return "[" + item + ("," + item).join([pair % (q, p) for q, p in controls]) + nl + "]"
+        return _object(("body", "controls", "kind"), nl) % (
+            self.record(g.body, k),
+            self._once((g.controls, k), _controls_text, g.controls, k),
+            '"controlled"')
 
     def _prep(self, g: StatePrep | StatePrepAdjoint, nl: str) -> str:
         # keyed by the parts' bytes: equal tuples may differ in a zero's sign
@@ -574,27 +558,31 @@ class _GateText:
     def _prep_text(self, g: StatePrep | StatePrepAdjoint, parts: np.ndarray,
                    nl: str) -> str:
         k = nl + "  "
-        item, part = k + "  ", k + "    "
-        pair = "[" + part + "%r," + part + "%r" + item + "]"
-        amps = "[" + item + ("," + item).join([pair] * len(g.amps)) + k + "]"
-        kind = "state_prep" if type(g) is StatePrep else "state_prep_adj"
-        return ("{" + k + '"amps": ' + amps % tuple(parts.tolist()) + "," + k
-                + '"kind": "' + kind + '",' + k + '"qubits": ' + self._ints(g.qubits, k)
-                + nl + "}")
+        amps = _array([_array(["%r", "%r"], k + "  ")] * len(g.amps), k)
+        kind = '"state_prep"' if type(g) is StatePrep else '"state_prep_adj"'
+        return _object(("amps", "kind", "qubits"), nl) % (
+            amps % tuple(parts.tolist()), kind, _ints(g.qubits, k))
 
     def _toffoli(self, g: ToffoliCompute | ToffoliUncompute, nl: str) -> str:
-        k = nl + "  "
-        kind = "toffoli" if type(g) is ToffoliCompute else "toffoli_unc"
-        return ("{" + k + '"c1": %d,' + k + '"c2": %d,' + k + '"kind": "' + kind + '",'
-                + k + '"p1": %d,' + k + '"p2": %d,' + k + '"target": %d' + nl
-                + "}") % (g.c1, g.c2, g.p1, g.p2, g.target)
+        kind = '"toffoli"' if type(g) is ToffoliCompute else '"toffoli_unc"'
+        return _object(("c1", "c2", "kind", "p1", "p2", "target"), nl) % (
+            g.c1, g.c2, kind, g.p1, g.p2, g.target)
 
     def _opaque(self, g: OpaqueUnitary, nl: str) -> str:
         k = nl + "  "
-        matrix = "null" if g.matrix is None else _encode(matrix_to_json(g.matrix), k)
-        return ("{" + k + '"handle": ' + encode_basestring_ascii(g.handle) + "," + k
-                + '"kind": "opaque",' + k + '"matrix": ' + matrix + "," + k
-                + '"qubits": ' + self._ints(g.qubits, k) + nl + "}")
+        matrix = None if g.matrix is None else matrix_to_json(g.matrix)
+        return _object(("handle", "kind", "matrix", "qubits"), nl) % (
+            encode_basestring_ascii(g.handle), '"opaque"',
+            _encode(matrix, k), _ints(g.qubits, k))
+
+
+def _ints(xs, nl: str) -> str:
+    return _array(list(map(int.__repr__, xs)), nl)
+
+
+def _controls_text(controls, nl: str) -> str:
+    pair = _array(["%d", "%d"], nl + "  ")
+    return _array([pair % (q, p) for q, p in controls], nl)
 
 
 _RECORD_TEXT = {

@@ -3,13 +3,12 @@
 Subcommands: compile | verify | cost | bench | rewrite | error-sweep.
 Reports are JSON with sorted keys and no timestamps, so identical
 inputs and flags produce byte-identical output: every document is exactly
-the bytes of json.dumps(data, sort_keys=True, indent=2) plus a newline.
-`_dump` writes each document but compile's two through `ir._encode`
-(uniform lists in one pass, one %-template per pair or record); compile's
-circuit.json is written by `circuits.circuit_to_json`, one %-template per
-gate kind, with no dict per gate, and its report.json by `report_to_json`,
-whose SELECT audits come straight from the SelectTables, one template per
-entry kind and each shared table's text formed once.  A channel or spec
+the bytes of json.dumps(data, sort_keys=True, indent=2) plus a newline,
+laid out by `ir._array` and `ir._object` alone.  `_dump` writes all but
+compile's two through `ir._encode`; compile's circuit.json is written by
+`circuits.circuit_to_json`, with no dict per gate, and its report.json by
+`report_to_json`, whose SELECT audits come straight from the SelectTables
+(`_audit_text`), each shared table's text formed once.  A channel or spec
 file's Pauli term lists are read in one bulk pass per document
 (`ir.channel_from_json`, `ir.lindblad_from_json`), with every check of the
 per-term reader; a document with an irregular term goes term by term, with
@@ -35,7 +34,9 @@ from .circuits import (
 )
 from .ir import (
     ChannelExpr,
+    _array,
     _encode,
+    _object,
     apply_channel,
     channel_from_json,
     channel_to_json,
@@ -182,7 +183,7 @@ def lower_input(obj, frontend: str, delta: float) -> ChannelExpr:
 def _select_audits(encodings: list) -> list:
     """SelectTable JSON per Pauli-sum Kraus operator's optimized encoding;
     a table shared by several operators is listed once and its lists are
-    shared.  The oracle of report_to_json's audits (_audit_parts)."""
+    shared.  The oracle of report_to_json's audits (_audit_text)."""
     audits = []
     tables = {}  # id(SelectTable) -> (mode_table, g_table), for this call only
     for idx, enc in enumerate(encodings):
@@ -203,52 +204,38 @@ def _select_audits(encodings: list) -> list:
     return audits
 
 
-def _audit_parts(encodings: list, nl: str) -> list[str]:
-    """The pieces of _select_audits(encodings) as ir._encode writes it at
-    the indentation `nl` opens, straight from the records: one template per
-    entry kind, and the text of each shared SelectTable formed once and
-    listed by reference."""
-    if not encodings:
-        return ["[]"]
+def _audit_text(encodings: list, nl: str) -> str:
+    """_select_audits(encodings) as ir._encode writes it at the indentation
+    `nl` opens, straight from the records: one ir._object template per
+    entry kind, and the text of each shared SelectTable formed once."""
     i1 = nl + "  "  # an entry
     i2 = i1 + "  "  # an entry's keys
     i3 = i2 + "  "  # a table's rows
-    i4 = i3 + "  "  # a row's keys
-    opaque = "{" + i2 + '"kraus": %d,' + i2 + '"opaque": true' + i1 + "}"
-    trivial = "{" + i2 + '"kraus": %d,' + i2 + '"trivial": true' + i1 + "}"
-    head = "{" + i2 + '"g_table": '
-    kraus = "," + i2 + '"kraus": %d,' + i2 + '"mode_table": '
-    bits = "," + i2 + '"select_bits": %d' + i1 + "}"
-    mode_row = ("{" + i4 + '"address": "%s",' + i4 + '"phase_exp": 0,' + i4
-                + '"target": "%s"' + i3 + "}")
-    g_row = ("{" + i4 + '"address": "%s",' + i4 + '"g": "%s",' + i4 + '"theta": 0'
-             + i3 + "}")
+    table = _object(("g_table", "kraus", "mode_table", "select_bits"), i1)
+    # each row template with its constant 0 and its two quoted %s slots
+    # filled in (an address or label needs no escaping, a key holds no %)
+    mode_row = _object(("address", "phase_exp", "target"), i3) % ('"%s"', 0, '"%s"')
+    g_row = _object(("address", "g", "theta"), i3) % ('"%s"', '"%s"', 0)
 
     def rows(row: str, entries: dict, s: int) -> str:
-        if not entries:
-            return "[]"
         spec = f"0{s}b"
-        return ("[" + i3 + ("," + i3).join([
-            row % (format(a, spec), p.label()) for a, p in sorted(entries.items())])
-            + i2 + "]")
+        return _array([row % (format(a, spec), p.label())
+                       for a, p in sorted(entries.items())], i2)
 
     texts = {}  # id(SelectTable) -> (g_table, mode_table) text, for this call only
-    parts = []
+    entries = []
     for idx, enc in enumerate(encodings):
-        parts.append("," + i1)
         if enc.ref is not None:
-            parts.append(opaque % idx)
+            entries.append(_object(("kraus", "opaque"), i1) % (idx, "true"))
         elif len(enc.terms) < 2:
-            parts.append(trivial % idx)
+            entries.append(_object(("kraus", "trivial"), i1) % (idx, "true"))
         else:
             t = enc.table
             if (lists := texts.get(id(t))) is None:
                 lists = texts[id(t)] = (rows(g_row, t.factors, t.s),
                                         rows(mode_row, t.targets, t.s))
-            parts += (head, lists[0], kraus % idx, lists[1], bits % enc.width)
-    parts[0] = "[" + i1  # the first entry's separator opens the list
-    parts.append(nl + "]")
-    return parts
+            entries.append(table % (lists[0], idx, lists[1], enc.width))
+    return _array(entries, nl)
 
 
 def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
@@ -302,17 +289,11 @@ def compile_pipeline(obj, frontend: str, delta, flatten: bool, order: bool,
 def report_to_json(report: dict, audited: list) -> str:
     """The report.json text: exactly the bytes of _dump({**report,
     "select_audits": _select_audits(audited)}), with the audits written by
-    _audit_parts and every other field by ir._encode, joined once."""
-    parts = []
-    for k in sorted([*report, "select_audits"]):
-        parts += (",\n  ", _encode(k, ""), ": ")
-        if k == "select_audits":
-            parts += _audit_parts(audited, "\n  ")
-        else:
-            parts.append(_encode(report[k], "\n  "))
-    parts[0] = "{\n  "  # the first field's separator opens the document
-    parts.append("\n}\n")
-    return "".join(parts)
+    _audit_text and every other field by ir._encode."""
+    fields = {k: _encode(v, "\n  ") for k, v in report.items()}
+    fields["select_audits"] = _audit_text(audited, "\n  ")
+    keys = tuple(sorted(fields))
+    return _object(keys, "\n") % tuple([fields[k] for k in keys]) + "\n"
 
 
 def _dump(data) -> str:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -306,7 +307,7 @@ def require_number(value, what: str) -> float:
 
 
 def _pair2c(p) -> complex:
-    if len(p) != 2:
+    if type(p) is not list or len(p) != 2:
         raise ValueError(f"complex numbers are [re, im] pairs, got {p!r}")
     c = complex(require_number(p[0], "real part"),
                 require_number(p[1], "imaginary part"))
@@ -319,17 +320,44 @@ def matrix_to_json(m: np.ndarray) -> list:
     return _pairs(np.asarray(m, dtype=complex))
 
 
-def matrix_from_json(rows) -> np.ndarray:
+def matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
+    """A complex matrix from a list of equal-length lists of [re, im] pairs;
+    a wrong container names the matrix, as `what`, or its row."""
+    for i, row in enumerate(require_list(rows, what)):
+        if len(require_list(row, f"{what} row {i}")) != len(rows[0]):
+            raise ValueError(f"{what} row {i} has {len(row)} entries, not {len(rows[0])}")
     return np.array([[_pair2c(x) for x in row] for row in rows], dtype=complex)
 
 
-# The one JSON text encoder: _encode writes exactly the bytes of
-# json.dumps(o, sort_keys=True, indent=2), without the stdlib's pure-Python
-# encoder that indent=2 selects.  A uniform list (see _uniform_items: cells
-# of one kind, such as qubits, alphas and amplitudes, or records sharing one
-# key set, such as registers, SELECT tables and Pauli term lists) is written
-# in one pass, with one %-template per pair or record; any other list goes
-# value by value, with the same bytes.
+# The JSON text layout has one owner, _array and _object, which _encode and
+# the circuit and report writers fill with encoded values.  _encode writes
+# exactly the bytes of json.dumps(o, sort_keys=True, indent=2), without the
+# stdlib's pure-Python encoder that indent=2 selects.  A uniform list (see
+# _uniform_items: cells of one kind, such as qubits and amplitudes, or
+# records sharing one key set, such as registers and Pauli term lists) is
+# written in one pass; any other list goes value by value, same bytes.
+
+
+def _array(items: list[str], nl: str) -> str:
+    """The JSON array of already-encoded items, opened at the indentation
+    `nl` (a newline and the current indent) opens."""
+    if not items:
+        return "[]"
+    item = nl + "  "
+    return "[" + item + ("," + item).join(items) + nl + "]"
+
+
+@lru_cache(maxsize=1024)
+def _object(keys: tuple[str, ...], nl: str) -> str:
+    """The %-template of a JSON object with these str keys, sorted, at the
+    indentation `nl` opens: one %s per encoded value, in sorted key order.
+    A % in a key is escaped; a key that is not a str raises TypeError."""
+    if not keys:
+        return "{}"
+    key = nl + "  "
+    return "{" + key + ("," + key).join([
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s"
+        for k in sorted(keys)]) + nl + "}"
 
 
 def _cells(col, nl: str) -> list | None:
@@ -352,8 +380,7 @@ def _cells(col, nl: str) -> list | None:
     kinds = set(map(type, parts))
     if not (kinds == {int} or kinds == {float} and all(map(math.isfinite, parts))):
         return None
-    part = nl + "  "
-    template = "[" + part + "%r," + part + "%r" + nl + "]"
+    template = _array(["%r", "%r"], nl)
     return [template % (a, b) for a, b in col]
 
 
@@ -369,19 +396,15 @@ def _uniform_items(o, item: str) -> list | None:
     if (set(map(type, keys)) != {str} or set(map(type, o)) != {dict}
             or set(map(len, o)) != {len(keys)}):
         return None
-    keys = sorted(keys)
-    key = item + "  "
+    keys = tuple(sorted(keys))
     try:
         # each dict has len(keys) keys and all of these, so exactly these
-        cols = [_cells(list(map(itemgetter(k), o)), key) for k in keys]
+        cols = [_cells(list(map(itemgetter(k), o)), item + "  ") for k in keys]
     except KeyError:
         return None
     if None in cols:
         return None
-    # %s takes each cell's text; a % in a key must not read as a conversion
-    template = ("{" + key + ("," + key).join([
-        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys])
-        + item + "}")
+    template = _object(keys, item)
     return [template % row for row in zip(*cols)]
 
 
@@ -394,13 +417,11 @@ def _encode(o, nl: str) -> str:
     """
     t = type(o)
     if t is list or t is tuple:
-        if not o:
-            return "[]"
         inner = nl + "  "
-        items = _uniform_items(o, inner)
+        items = _uniform_items(o, inner) if o else []
         if items is None:
             items = [_encode(v, inner) for v in o]
-        return "[" + inner + ("," + inner).join(items) + nl + "]"
+        return _array(items, nl)
     if t is float:
         if o != o:
             return "NaN"
@@ -414,13 +435,10 @@ def _encode(o, nl: str) -> str:
     if t is int:
         return int.__repr__(o)
     if t is dict:
-        if not o:
-            return "{}"
+        # a key that is not a str fails in sorted() or in _object
+        keys = tuple(sorted(o))
         inner = nl + "  "
-        # a key that is not a str fails in sorted() or the string encoder
-        return ("{" + inner + ("," + inner).join([
-            encode_basestring_ascii(k) + ": " + _encode(o[k], inner)
-            for k in sorted(o)]) + nl + "}")
+        return _object(keys, nl) % tuple([_encode(o[k], inner) for k in keys])
     if o is None:
         return "null"
     if o is True:
@@ -476,7 +494,8 @@ def _term_from_json(d: dict) -> tuple[complex, Primitive]:
     if "blockenc" not in d:
         raise ValueError("term has no 'pauli' or 'blockenc'")
     be = require_keys(d["blockenc"], "blockenc", "handle", "n", "alpha", "anc")
-    matrix = None if be.get("matrix") is None else matrix_from_json(be["matrix"])
+    matrix = (None if be.get("matrix") is None
+              else matrix_from_json(be["matrix"], "blockenc matrix"))
     return coeff, BlockEncRef(be["handle"], require_int(be["n"], "blockenc n"),
                               require_number(be["alpha"], "blockenc alpha"),
                               require_int(be["anc"], "blockenc anc"),
@@ -555,10 +574,16 @@ def _term_lists_from_json(items: dict, n: int) -> list[PauliSum]:
     out, start = [], 0
     for name, x in items.items():
         if type(x) is dict:
-            out.append(pauli_decompose(matrix_from_json(x["matrix"]), n))
+            try:
+                out.append(pauli_decompose(matrix_from_json(x["matrix"]), n))
+            except ValueError as exc:
+                raise _led_by(name, exc)
         elif pairs is None:
-            out.append(PauliSum(n, [term_from_json(t, f"{name} term {i}")
-                                    for i, t in enumerate(x)]))
+            terms = [term_from_json(t, f"{name} term {i}") for i, t in enumerate(x)]
+            try:
+                out.append(PauliSum(n, terms))
+            except ValueError as exc:
+                raise _led_by(name, exc)
         else:
             out.append(PauliSum(n, pairs[start:start + len(x)]))
             start += len(x)

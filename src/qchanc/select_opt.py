@@ -12,19 +12,20 @@ the greedy heuristic over symplectic (x|z) vectors, on the rows sorted by
 (weight, z, x) and, only when that leaves a row uncovered, by (weight, x,
 z), taken when it covers strictly more; phase corrections from reordered
 Pauli products are folded into the prepared coefficients.  One
-SelectTable holds the result for a set of canonical keys (address bits,
-targets, factors and phases); optimize_pauli_select pairs it with the PREPARE
-vector of one operator's coefficients.
+SelectTable (see select_table) holds the result for a set of canonical keys;
+optimize_pauli_select pairs it with the PREPARE vector of one operator's
+coefficients.
 
-The builders take an outer control list, and a multiplexor branch may be
-a function of its controls (see _place), so each gate is built once under
-every control it ends up with.
+The builders take an outer control list, and a multiplexor branch is a
+function of its controls, so each gate is built once under every control
+it ends up with.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .circuits import (
@@ -33,7 +34,6 @@ from .circuits import (
     PauliGate,
     ToffoliCompute,
     ToffoliUncompute,
-    controlled,
 )
 from .pauli import ZERO_TOL, PauliString, fold_terms, weight
 
@@ -285,27 +285,32 @@ def _select_tables(n: int, keys: list[PauliString]) -> SelectTable:
     return SelectTable(s, placed, *invert_modes_with_phases(placed))
 
 
+def select_table(terms, tables: dict) -> SelectTable:
+    """The SelectTable of canonical Pauli terms (fold_terms's (coeff, bare
+    string) pairs): from `tables`, which keeps each table by its set of
+    fold_terms keys (which hold n), or built and kept there."""
+    strings = [p for _, p in terms]
+    keyset = frozenset([(p.n, p.x_mask, p.z_mask) for p in strings])
+    if (table := tables.get(keyset)) is None:
+        table = tables[keyset] = _select_tables(strings[0].n, strings)
+    return table
+
+
 def optimize_pauli_select(terms: list[tuple[complex, PauliString]],
                           tables: dict | None = None):
     """Assign addresses and monotone factors for a Pauli-sum SELECT.
 
     Returns (SelectTable, y) where y is the 2^s PREPARE vector: the
     phase-corrected coefficient at each used address, zero elsewhere.  Only
-    y reads the coefficients: the table depends on the set of canonical
-    keys, and `tables`, when given, keeps it by that key set (fold_terms
-    keys, which hold n) for the next sum with the same keys.
+    y reads the coefficients: the table is select_table's for the folded
+    terms, shared through `tables` when given.
     """
     if not terms:
         raise ValueError("empty term list")
-    n = terms[0][1].n
     folded = fold_terms(terms, ZERO_TOL)
     if not folded:
         raise ValueError("all coefficients vanish")
-    if tables is None:
-        tables = {}
-    keyset = frozenset(folded)
-    if (table := tables.get(keyset)) is None:
-        table = tables[keyset] = _select_tables(n, [p for _, p in folded.values()])
+    table = select_table(folded.values(), {} if tables is None else tables)
     y = [0j] * (1 << table.s)
     for addr, p in table.targets.items():
         y[addr] = folded[p.n, p.x_mask, p.z_mask][0] * (1j) ** table.phases[addr]
@@ -340,30 +345,21 @@ def build_monotone_select(t: SelectTable, sel_qubits, sys_qubits,
     return gates
 
 
-def _place(bodies, controls) -> list[Gate]:
-    """A branch's gates under `controls`: its list of gates, each wrapped,
-    or, when it is a function of the control list, the gates it builds
-    under those controls itself."""
-    if callable(bodies):
-        return bodies(controls)
-    return [controlled(controls, b) for b in bodies]
-
-
-def naive_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
-                 controls=()) -> list[Gate]:
-    """Full-address (mixed polarity) controls, after `controls`, around
-    each branch body (see _place)."""
+def naive_select(branches: list[tuple[int, Callable[[tuple], list[Gate]]]],
+                 sel_qubits, controls=()) -> list[Gate]:
+    """Full-address (mixed polarity) controls, after `controls`, for each
+    branch: a function that builds its gates under a control list."""
     gates: list[Gate] = []
     controls = tuple(controls)
-    for addr, bodies in branches:
-        gates += _place(bodies, controls + _addr_controls(addr, sel_qubits, True))
+    for addr, build in branches:
+        gates += build(controls + _addr_controls(addr, sel_qubits, True))
     return gates
 
 
-def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
-                   anc_qubits) -> list[Gate]:
-    """Unary-iteration walk; each branch body fires on one flag control,
-    anc_qubits[len(sel_qubits)] for every leaf (see _place).
+def flatten_select(branches: list[tuple[int, Callable[[tuple], list[Gate]]]],
+                   sel_qubits, anc_qubits) -> list[Gate]:
+    """Unary-iteration walk; each branch (see naive_select) builds its gates
+    under one flag control, anc_qubits[len(sel_qubits)] for every leaf.
 
     Needs len(sel_qubits) + 1 ancillas: a root flag plus one per tree level.
     A full N-branch multiplexor costs exactly N-1 Toffoli pairs.
@@ -375,7 +371,7 @@ def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
     if any(not 0 <= a < (1 << b) for a in by_addr):
         raise ValueError("branch address out of range for the selector width")
     if b == 0:
-        return [g for _, bodies in branches for g in _place(bodies, ())]
+        return [g for _, build in branches for g in build(())]
     gates: list[Gate] = []
     root = anc_qubits[0]
     x = PauliString(1, 1, 0)  # flips a flag; one string for every such gate
@@ -392,7 +388,7 @@ def flatten_select(branches: list[tuple[int, list[Gate]]], sel_qubits,
     def descend(flag: int, level: int, prefix: int) -> None:
         if level == b:
             if prefix in by_addr:
-                gates.extend(_place(by_addr[prefix], leaf))
+                gates.extend(by_addr[prefix](leaf))
             return
         shift = b - 1 - level
         # the addresses under this node, split by the bit at this level

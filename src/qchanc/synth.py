@@ -50,6 +50,7 @@ from .select_opt import (
     flatten_select,
     naive_select,
     optimize_pauli_select,
+    select_table,
 )
 
 SELECT_MODES = ("naive", "optimized")
@@ -210,10 +211,11 @@ def _encode_batch(kraus, select_mode: str, tables: dict,
             terms, rec = _classify(k)
             if rec is None:
                 rec = (terms, *_select(terms, select_mode, tables))
-                if priced is not None:
-                    table, y = _select(terms, other, tables)
-                    priced.append(KrausEncoding(terms, None, (len(y) - 1).bit_length(),
-                                                table=table))
+                if priced is not None:  # no PREPARE vector: the width, and the table
+                    table = select_table(terms, tables) if other == "optimized" else None
+                    # naive, the width of _select's y, which pads a lone term
+                    width = table.s if table else max(len(terms) - 1, 1).bit_length()
+                    priced.append(KrausEncoding(terms, None, width, table=table))
             elif priced is not None:
                 priced.append(rec)
             out.append(rec)
@@ -287,10 +289,15 @@ def encode_kraus_gates(enc: KrausEncoding, anc_qubits, sys_qubits,
     if enc.table is not None:
         body = build_monotone_select(enc.table, sel, sys_qubits, controls)
     else:
-        body = naive_select([(j, [PauliGate(p, sys_qubits)])
+        body = naive_select([(j, partial(_controlled_list, PauliGate(p, sys_qubits)))
                              for j, (_, p) in enumerate(enc.terms)], sel, controls)
     return [controlled(controls, StatePrep(sel, d)), *body,
             controlled(controls, StatePrepAdjoint(sel, c))]
+
+
+def _controlled_list(gate: Gate, controls: tuple) -> list[Gate]:
+    """A multiplexor branch of one gate: the gate under `controls`."""
+    return [controlled(controls, gate)]
 
 
 def block_encode(k: PauliSum, select_mode: str = "naive"):

@@ -6,8 +6,9 @@ import numpy as np
 
 from qchanc.circuits import (Circuit, Controlled, OpaqueUnitary, PauliGate,
                              StatePrep, StatePrepAdjoint, ToffoliCompute,
-                             ToffoliUncompute, apply_circuit, householder_prep)
-from qchanc.ir import ChannelExpr, eval_kraus, matrix_to_json
+                             ToffoliUncompute, apply_circuit, controlled,
+                             householder_prep)
+from qchanc.ir import ChannelExpr, eval_kraus, matrix_to_json, term_from_json
 from qchanc.pauli import ZERO_TOL, PauliString, PauliSum, _bit_reversal, weight
 from qchanc.select_opt import (Gf2Span, SelectTable, assign_additional_modes,
                                greedy_basis_selection, invert_modes_with_phases)
@@ -16,6 +17,24 @@ from qchanc.select_opt import (Gf2Span, SelectTable, assign_additional_modes,
 def simulate_unitary(c: Circuit) -> np.ndarray:
     """Dense unitary of a circuit: apply_circuit on the identity."""
     return apply_circuit(c, np.eye(1 << c.total_qubits, dtype=complex))
+
+
+def wrapping(gates):
+    """A multiplexor branch of built gates: each wrapped in the branch's
+    controls."""
+    return lambda controls: [controlled(controls, g) for g in gates]
+
+
+def per_term_sum(n: int, terms: list, name: str) -> PauliSum:
+    """An operator's term list read term by term, as a document reader
+    reads an irregular list: a term's error is led by its position ("jump
+    0 term 1"), the sum's by the operator's name ("jump 0")."""
+    pairs = [term_from_json(t, f"{name} term {i}") for i, t in enumerate(terms)]
+    try:
+        return PauliSum(n, pairs)
+    except ValueError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
 
 
 def select_cost(t: SelectTable) -> int:

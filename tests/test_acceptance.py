@@ -51,7 +51,7 @@ from qchanc.circuits import (
 )
 from qchanc.cli import main as cli_main
 
-from helpers import select_cost, simulate_unitary
+from helpers import select_cost, simulate_unitary, wrapping
 
 from test_select_opt import (
     best_assignment_cost,
@@ -298,7 +298,7 @@ def _walk_circuits(n_branches):
     def build(registers, select):
         layout = Circuit(registers)
         sysq = layout.reg_qubits("system")
-        branches = [(a, [PauliGate(from_label(_BODIES[a]), sysq)])
+        branches = [(a, wrapping([PauliGate(from_label(_BODIES[a]), sysq)]))
                     for a in range(n_branches)]
         return Circuit(registers, select(branches, layout.reg_qubits))
 

@@ -289,6 +289,29 @@ class TestCompile:
          "failed to parse: Kraus operator 1 term 0: term has no 'coeff'"),
         ({"n": 1, "H": [{"coeff": [1, 0], "pauli": "Z"}], "jumps": [[{"pauli": "X"}]]},
          "failed to parse: jump 0 term 0: term has no 'coeff'"),
+        ({"n": 1, "kraus": [[{"coeff": 5, "pauli": "X"}]]},
+         "failed to parse: Kraus operator 0 term 0: complex numbers are [re, im] pairs, got 5"),
+        ({"n": 1, "kraus": [[{"coeff": "ab", "pauli": "X"}]]},
+         "failed to parse: Kraus operator 0 term 0: complex numbers are [re, im] pairs, "
+         "got 'ab'"),
+        ({"n": 1, "H": [], "jumps": [{"matrix": 5}]},
+         "failed to parse: jump 0: matrix must be a list, got int"),
+        ({"n": 1, "H": [], "jumps": [{"matrix": [[1, 0], [0, 1]]}]},
+         "failed to parse: jump 0: complex numbers are [re, im] pairs, got 1"),
+        ({"n": 1, "H": [], "jumps": [{"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}]},
+         "failed to parse: jump 0: matrix row 1 has 1 entries, not 2"),
+        ({"n": 1, "H": [], "jumps": [{"matrix": [[[1, 0], [0, 0]], 7]}]},
+         "failed to parse: jump 0: matrix row 1 must be a list, got int"),
+        ({"n": 1, "H": [], "jumps": [
+            {"matrix": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]},
+            {"matrix": [[[0, 0], [1, 0], [0, 0], [0, 0]]] * 4}]},
+         "failed to parse: jump 1: dimension does not match the site count"),
+        ({"n": 2, "kraus": [[{"coeff": [1, 0], "pauli": "XX"}],
+                            [{"coeff": [1, 0], "pauli": "X"}]]},
+         "failed to parse: Kraus operator 1: term 0 (PauliString): size 1 != 2"),
+        ({"n": 1, "kraus": [[{"coeff": [1, 0], "blockenc": {
+            "handle": "h", "n": 1, "alpha": 1.0, "anc": 1, "matrix": {}}}]]},
+         "failed to parse: Kraus operator 0 term 0: blockenc matrix must be a list, got dict"),
     ], ids=["no-key", "kraus-not-list", "top-level-number", "short-coeff",
             "blockenc-nan-alpha", "blockenc-fractional-anc", "blockenc-bool-anc",
             "blockenc-fractional-n", "fractional-n", "bool-n", "string-n",
@@ -302,7 +325,10 @@ class TestCompile:
             "blockenc-int", "spec-H-term-int", "spec-jump-term-str",
             "term-no-coeff", "term-no-primitive", "blockenc-no-alpha",
             "channel-no-n", "rewrite-channel-no-kraus", "spec-no-n",
-            "second-kraus-term-no-coeff", "jump-term-no-coeff"])
+            "second-kraus-term-no-coeff", "jump-term-no-coeff", "int-coeff",
+            "string-coeff", "dense-jump-int", "dense-jump-int-entries",
+            "dense-jump-ragged", "dense-jump-int-row", "second-dense-jump-wrong-size",
+            "second-kraus-wrong-size", "blockenc-matrix-dict"])
     def test_bad_input_file(self, tmp_path, capsys, doc, message):
         # with --delta, so that a spec read leniently would compile
         bad = write_json(tmp_path / "bad.json", doc)
@@ -466,6 +492,25 @@ class TestCompile:
         assert 0 < calls["optimize"] <= report["kraus_count"]
         assert calls["cost"] == 0  # every grid cell is priced from the records
         assert report["cost"] == report["cost_grid"][report["setting"]]
+
+    def test_cost_only_tables_form_no_prepare(self, monkeypatch):
+        # without --order the optimized records only price the grid: their
+        # tables come from select_opt.select_table, and no PREPARE vector
+        # (optimize_pauli_select) is formed; the grid is the --order one
+        import qchanc.synth as synth
+
+        calls = []
+        real = synth.optimize_pauli_select
+        monkeypatch.setattr(synth, "optimize_pauli_select",
+                            lambda *args: calls.append(args) or real(*args))
+        grids = {}
+        for order in (False, True):
+            calls.clear()
+            _, report, _ = compile_pipeline(gen_tfim(3, 1.0), "order:2,2,2", 0.01,
+                                            True, order, False)
+            grids[order] = report["cost_grid"]
+            assert bool(calls) == order
+        assert grids[False] == grids[True]
 
     def test_record_shapes_listed_once_per_mode(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -934,6 +979,20 @@ class TestVerify:
         else:
             assert code == 2 and "cannot load circuit" in err
             assert f"opaque gate handle must be a string, got {handle!r}" in err
+
+    @pytest.mark.parametrize("matrix, shown", [
+        (3, "gate 0: matrix must be a list, got int"),
+        ([[1, 0], [0, 1]], "gate 0: complex numbers are [re, im] pairs, got 1"),
+        ([[[1, 0], [0, 0]], [[0, 0]]], "gate 0: matrix row 1 has 1 entries, not 2"),
+        ([[[1, 0], [0, 0]], "ab"], "gate 0: matrix row 1 must be a list, got str"),
+    ], ids=["int", "int-entries", "ragged", "string-row"])
+    def test_opaque_matrix_shape_named(self, tmp_path, capsys, matrix, shown):
+        doc = {"registers": [{"name": "system", "size": 1}],
+               "gates": [{"kind": "opaque", "handle": "u", "qubits": [0],
+                          "matrix": matrix}]}
+        code, _, err = run(capsys, "cost", write_json(tmp_path / "c.json", doc))
+        assert code == 2 and "cannot load circuit" in err and shown in err
+        assert "Traceback" not in err
 
     def test_spec_reference_needs_delta(self, tmp_path, decay_file, capsys):
         circ = self.compile_decay(tmp_path, decay_file, capsys)

@@ -34,7 +34,7 @@ from qchanc import ir
 from qchanc.bench import gen_tfim
 from qchanc.pauli import PauliString, PauliSum, from_label, pauli_decompose, sums_close
 
-from helpers import apply_channel_loop, probe_states_list
+from helpers import apply_channel_loop, per_term_sum, probe_states_list
 
 
 def random_density(rng, n):
@@ -384,8 +384,7 @@ def test_bulk_reader_takes_regular_lists_only(change, bulk):
     assert (_pauli_terms_in_bulk(terms, 2) is not None) == bulk
     doc = {"n": 2, "kraus": [terms]}
     try:
-        want = PauliSum(2, [term_from_json(t, f"Kraus operator 0 term {i}")
-                            for i, t in enumerate(terms)])
+        want = per_term_sum(2, terms, "Kraus operator 0")
     except (ValueError, LookupError, OverflowError) as exc:
         with pytest.raises(type(exc)) as got:
             channel_from_json(doc)
@@ -482,8 +481,7 @@ def _per_term_spec(d):
     def one(j, name):
         if isinstance(j, dict):
             return pauli_decompose(matrix_from_json(j["matrix"]), d["n"])
-        return PauliSum(d["n"], [term_from_json(t, f"{name} term {i}")
-                                 for i, t in enumerate(j)])
+        return per_term_sum(d["n"], j, name)
     return LindbladSpec(d["n"], one(d["H"], "H"),
                         [one(j, f"jump {k}") for k, j in enumerate(d["jumps"])])
 
@@ -506,7 +504,8 @@ def test_lindblad_dense_jump_keeps_its_place():
     ({"coeff": [True, 0], "pauli": "X"}, "real part must be a number, got True"),
     ({"coeff": [1, 0], "blockenc": {"handle": "h", "n": 1, "alpha": 1.0, "anc": 0}},
      "jump 2 term 1 is not a Pauli string"),
-    ({"coeff": (0.5, -0.5), "pauli": "Y"}, None),
+    ({"coeff": (0.5, -0.5), "pauli": "Y"},
+     "jump 2 term 1: complex numbers are [re, im] pairs, got (0.5, -0.5)"),
 ], ids=["float-phase", "lower-case", "bool-part", "blockenc", "tuple-coeff"])
 def test_lindblad_irregular_jump_reads_as_per_term(odd, message):
     # regular jumps and a dense one around a jump the bulk read declines

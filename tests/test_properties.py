@@ -1,6 +1,6 @@
 """Property tests: channel JSON round trips, the bulk term-list codecs,
-rewrite soundness, the in-place circuit simulator and the circuit.json
-writer.
+rewrite soundness, the in-place circuit simulator, and the circuit.json
+and report.json writers.
 
 Skipped where hypothesis is not installed; examples are derandomized, so
 every run draws the same ones.
@@ -27,7 +27,7 @@ from qchanc.circuits import (  # noqa: E402
     circuit_from_json,
     circuit_to_json,
 )
-from qchanc.cli import _dump  # noqa: E402
+from qchanc.cli import _dump, _select_audits, report_to_json  # noqa: E402
 from qchanc.ir import (  # noqa: E402
     BlockEncRef,
     ChannelExpr,
@@ -36,13 +36,14 @@ from qchanc.ir import (  # noqa: E402
     channel_from_json,
     channel_to_json,
     eval_kraus,
-    term_from_json,
     typecheck,
 )
 from qchanc.pauli import PauliString, PauliSum  # noqa: E402
+from qchanc.select_opt import SelectTable  # noqa: E402
+from qchanc.synth import KrausEncoding  # noqa: E402
 from qchanc.rewrite import apply_rule, canonical_kraus, minimize_kraus_rank  # noqa: E402
 
-from helpers import parent_apply_circuit, parent_circuit_to_json  # noqa: E402
+from helpers import parent_apply_circuit, parent_circuit_to_json, per_term_sum  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40)
 
@@ -178,8 +179,7 @@ TERM_LISTS = settings(PROPERTY, max_examples=400)
 @given(term_lists())
 def test_bulk_reader_matches_per_term_reader(case):
     n, terms, regular = case
-    per_term = read(lambda: PauliSum(n, [term_from_json(t, f"Kraus operator 0 term {i}")
-                                         for i, t in enumerate(terms)]))
+    per_term = read(lambda: per_term_sum(n, terms, "Kraus operator 0"))
     doc = {"n": n, "kraus": [terms]}
     assert read(lambda: channel_from_json(doc).kraus[0]) == per_term
     if regular:
@@ -203,8 +203,7 @@ def test_channel_reader_matches_per_term_reader(cases):
     kraus = [terms for _, terms, _ in cases]
 
     def per_term():
-        c = ChannelExpr(n, [PauliSum(n, [term_from_json(t, f"Kraus operator {j} term {i}")
-                                         for i, t in enumerate(k)])
+        c = ChannelExpr(n, [per_term_sum(n, k, f"Kraus operator {j}")
                             for j, k in enumerate(kraus)])
         typecheck(c)
         return c
@@ -468,3 +467,51 @@ def test_circuit_writer_matches_dict_oracle(case):
     back = circuit_from_json(json.loads(text))
     assert back.registers == circ.registers
     assert circuit_to_json(back, alpha) == text
+
+
+@st.composite
+def select_tables(draw):
+    """A SelectTable on s = 1..10 address bits over n = 1..12 sites, its
+    targets and factors at drawn addresses; the writers read no phase."""
+    s, n = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    entries = st.dictionaries(st.integers(0, (1 << s) - 1), pauli_strings(n),
+                              max_size=6)
+    return SelectTable(s, draw(entries), draw(entries), {})
+
+
+@st.composite
+def audited_records(draw):
+    """Records of the kinds the audits list: opaque, trivial (one term) and
+    tabled ones, the tables drawn from a pool, so some are shared."""
+    pool = draw(st.lists(select_tables(), min_size=1, max_size=3))
+    x = PauliString(1, 1, 0)
+    records = []
+    for kind in draw(st.lists(st.sampled_from(["opaque", "trivial", "table"]),
+                              max_size=8)):
+        if kind == "opaque":
+            ref = BlockEncRef("u", 1, 1.0, 0)
+            records.append(KrausEncoding(((1.0, ref),), 1.0, 0, ref=ref))
+        elif kind == "trivial":
+            records.append(KrausEncoding(((1.0, x),), 1.0, 0, pauli=x))
+        else:
+            table = draw(st.sampled_from(pool))
+            records.append(KrausEncoding(((0.5, x), (0.5j, x)), None, table.s,
+                                         table=table))
+    return records
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.dictionaries(st.text(alphabet="arsz_%", max_size=14), json_values,
+                       max_size=6), audited_records())
+def test_report_writer_matches_stdlib(report, records):
+    # report keys sort before and after "select_audits" (one may be it)
+    want = json.dumps({**report, "select_audits": _select_audits(records)},
+                      sort_keys=True, indent=2) + "\n"
+    assert report_to_json(report, records) == want

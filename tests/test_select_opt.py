@@ -26,7 +26,8 @@ from qchanc.select_opt import (
     optimize_pauli_select,
 )
 
-from helpers import decode, parent_select_tables, select_cost, simulate_unitary
+from helpers import (decode, parent_select_tables, select_cost, simulate_unitary,
+                     wrapping)
 
 RNG = np.random.default_rng
 
@@ -792,7 +793,8 @@ def branch_bodies(n_branches, b, n_sys):
     out = []
     for a in range(n_branches):
         lab = labels[a % len(labels)].ljust(n_sys, "I")[:n_sys]
-        out.append((a, [PauliGate(from_label(lab), tuple(range(sys0, sys0 + n_sys)))]))
+        out.append((a, wrapping([PauliGate(from_label(lab),
+                                           tuple(range(sys0, sys0 + n_sys)))])))
     return out
 
 
@@ -834,11 +836,11 @@ class TestFlatten:
 
     def test_zero_width(self):
         body = PauliGate(ps("X"), (0,))
-        assert flatten_select([(0, [body])], (), (5,)) == [body]
+        assert flatten_select([(0, wrapping([body]))], (), (5,)) == [body]
 
     def test_needs_ancillas(self):
         with pytest.raises(ValueError):
-            flatten_select([(0, [])], (0, 1), (2,))
+            flatten_select([(0, wrapping([]))], (0, 1), (2,))
 
 
 class TestMonotoneBuilder:

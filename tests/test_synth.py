@@ -38,7 +38,7 @@ from qchanc.synth import (
     prepare_pair,
 )
 
-from helpers import parent_prepare_pair, simulate_unitary
+from helpers import parent_prepare_pair, simulate_unitary, wrapping
 
 
 def ksum(n, pairs):
@@ -636,10 +636,10 @@ class TestBranchControls:
                 circ = channel_lcu(c, mode, fl, encodings)
                 kq, fq, aq, sq = (circ.reg_qubits(r) for r in
                                   ("kraus_sel", "flat_anc", "be_anc", "system"))
-                branches = [(j, encode_kraus_gates(enc, aq, sq))
-                            for j, enc in enumerate(encodings)]
+                gates = [encode_kraus_gates(enc, aq, sq) for enc in encodings]
+                branches = [(j, wrapping(g)) for j, g in enumerate(gates)]
                 if len(branches) == 1:
-                    want = branches[0][1]
+                    want = gates[0]
                 else:
                     select = (flatten_select(branches, kq, fq) if fl
                               else naive_select(branches, kq))
